@@ -54,8 +54,9 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _emit(report: Report, out: str) -> None:
-    text = report.dumps() + "\n"
+def _emit(text: str, out: str) -> None:
+    """Write text and a newline to stdout ('-') or a file."""
+    text += "\n"
     if out == "-":
         sys.stdout.write(text)
     else:
@@ -77,7 +78,7 @@ def _cmd_validate(args) -> int:
             {"n": g.n, "edges": g.m,
              "balance": graph.classify_balance(g).kind})
     rep.values["graph"] = graph.to_json_dict(g)
-    _emit(rep, args.out)
+    _emit(rep.dumps(), args.out)
     return 1 if rep.failed else 0
 
 
@@ -89,7 +90,7 @@ def _cmd_spectrum(args) -> int:
         pair = solve(g, args.p, _solver_cfg(args))
     except solver.SolverError as exc:
         rep.add("solver convergence", ANCHORS["solver"], False, {"error": str(exc)})
-        _emit(rep, args.out)
+        _emit(rep.dumps(), args.out)
         return 1
     rep.add("solver convergence", ANCHORS["solver"],
             pair.residual <= args.tol * (1 + abs(pair.value)),
@@ -98,7 +99,7 @@ def _cmd_spectrum(args) -> int:
     rep.values.update({"p": args.p, "which": args.which, "lambda": pair.value,
                        "residual": pair.residual, "certificate": pair.certificate,
                        "f": pair.f})
-    _emit(rep, args.out)
+    _emit(rep.dumps(), args.out)
     return 1 if rep.failed else 0
 
 
@@ -119,7 +120,7 @@ def _cmd_cutoff(args) -> int:
                 b.exact if args.exact else True,
                 {"lower": b.lower, "upper": b.upper, "exact": b.exact})
     rep.values["brackets"] = brackets
-    _emit(rep, args.out)
+    _emit(rep.dumps(), args.out)
     return 1 if rep.failed else 0
 
 
@@ -138,7 +139,7 @@ def _cmd_bounds(args) -> int:
                        "cvetkovic": ir.cvetkovic_value,
                        "L_n": ir.exact_ln_value,
                        "L_n_exact": ir.exact_ln_is_exact})
-    _emit(rep, args.out)
+    _emit(rep.dumps(), args.out)
     return 1 if rep.failed else 0
 
 
@@ -147,40 +148,28 @@ def _verify_monotonicity(g, args, rep: Report) -> list[dict]:
         raise SystemExit(_usage_error("monotonicity check requires kappa >= 0"))
     grid = args.p_grid
     cfg = _solver_cfg(args)
-    rows: list[dict] = []
     bal = graph.classify_balance(g)
-    ran_any = False
+    sides = []
     if bal.antibalanced_witness is not None and graph.is_connected(g) and g.m:
         pairs = [solver.solve_largest(g, p, cfg) for p in grid]
         if all(pr.certificate == "perron-certified" for pr in pairs):
-            lams = [pr.value for pr in pairs]
-            mono = solver.monotonicity_functionals(g, g.n, grid, lams, MONO_SLACK)
-            rep.add("m1 non-increasing (top index)", ANCHORS["m1"],
-                    not any(v[1] == "m1" for v in mono.violations),
-                    {"p_grid": grid, "lambda": lams, "m1": mono.m1})
-            rep.add("m2 non-decreasing (top index)", ANCHORS["m2"],
-                    not any(v[1] == "m2" for v in mono.violations),
-                    {"p_grid": grid, "m2": mono.m2})
-            rows = [{"p": p, "lambda": pr.value, "residual": pr.residual,
-                     "m1": m1, "m2": m2}
-                    for p, pr, m1, m2 in zip(grid, pairs, mono.m1, mono.m2)]
-            ran_any = True
+            sides.append(("top", g.n, pairs))
     if bal.balanced_witness is not None:
-        pairs = [solver.solve_smallest(g, p, cfg) for p in grid]
+        sides.append(("bottom", 1, [solver.solve_smallest(g, p, cfg) for p in grid]))
+    rows: list[dict] = []
+    for side, k_label, pairs in sides:
         lams = [pr.value for pr in pairs]
-        mono = solver.monotonicity_functionals(g, 1, grid, lams, MONO_SLACK)
-        rep.add("m1 non-increasing (bottom index)", ANCHORS["m1"],
+        mono = solver.monotonicity_functionals(g, k_label, grid, lams, MONO_SLACK)
+        rep.add(f"m1 non-increasing ({side} index)", ANCHORS["m1"],
                 not any(v[1] == "m1" for v in mono.violations),
                 {"p_grid": grid, "lambda": lams, "m1": mono.m1})
-        rep.add("m2 non-decreasing (bottom index)", ANCHORS["m2"],
+        rep.add(f"m2 non-decreasing ({side} index)", ANCHORS["m2"],
                 not any(v[1] == "m2" for v in mono.violations),
                 {"p_grid": grid, "m2": mono.m2})
-        if not rows:
-            rows = [{"p": p, "lambda": pr.value, "residual": pr.residual,
-                     "m1": m1, "m2": m2}
-                    for p, pr, m1, m2 in zip(grid, pairs, mono.m1, mono.m2)]
-        ran_any = True
-    if not ran_any:
+        rows = rows or [{"p": p, "lambda": pr.value, "residual": pr.residual,
+                         "m1": m1, "m2": m2}
+                        for p, pr, m1, m2 in zip(grid, pairs, mono.m1, mono.m2)]
+    if not sides:
         rep.add("monotonicity", ANCHORS["m1"], None,
                 {"reason": "no certifiable extremal index for this graph "
                            "(not balanced, not connected antibalanced)"})
@@ -262,7 +251,7 @@ def _cmd_verify(args) -> int:
     if args.csv and rows:
         with open(args.csv, "w") as fh:
             fh.write(csv_rows(rows))
-    _emit(rep, args.out)
+    _emit(rep.dumps(), args.out)
     return 1 if rep.failed else 0
 
 
@@ -274,12 +263,7 @@ def _cmd_generate(args) -> int:
     if args.family == "random":
         params.update(n=args.n, prob=args.prob, seed=args.seed, signed=args.signed)
     g = families.generate(args.family, negated=args.negate, **params)
-    text = graph.dumps(g, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _emit(graph.dumps(g, indent=2), args.out)
     return 0
 
 
@@ -317,10 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cut.add_argument("--exact", action="store_true",
                        help="fail unless every requested bracket is exact")
 
-    p_bnd = sub.add_parser("bounds", help="independence/edge-cover bound report")
-    common(p_bnd)
-    p_bnd.add_argument("--inertia", action="store_true", default=True,
-                       help="run the inertia bound suite (default)")
+    common(sub.add_parser("bounds", help="independence/edge-cover bound report"))
 
     p_ver = sub.add_parser("verify", help="one-command verification suites")
     p_ver.add_argument("suite", choices=("monotonicity", "interlacing", "limit",

@@ -184,12 +184,8 @@ def min_edge_cover(g: SignedGraph, cap: int = MIS_CAP) -> EdgeCover:
 def is_strict_support(g: SignedGraph, m: np.ndarray) -> bool:
     """True when m_ij != 0 exactly on the edges (the strict matrix family)."""
     m = np.asarray(m, dtype=float)
-    on_edges = {(e.u, e.v) for e in g.edges}
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if ((i, j) in on_edges) != (m[i, j] != 0.0):
-                return False
-    return True
+    upper = np.triu_indices(g.n, 1)
+    return bool(np.array_equal(adjacency(g)[upper] != 0.0, m[upper] != 0.0))
 
 
 def cvetkovic_bound(g: SignedGraph, m: np.ndarray, tol: float = 1e-9) -> int:
@@ -200,13 +196,12 @@ def cvetkovic_bound(g: SignedGraph, m: np.ndarray, tol: float = 1e-9) -> int:
         raise ValueError(f"matrix must be {g.n}x{g.n}")
     if np.max(np.abs(m - m.T)) > 1e-12:
         raise ValueError("matrix must be symmetric")
-    on_edges = {(e.u, e.v) for e in g.edges}
-    for i in range(g.n):
-        if m[i, i] != 0.0:
-            raise ValueError(f"diagonal entry ({i},{i}) must be zero")
-        for j in range(i + 1, g.n):
-            if (i, j) not in on_edges and m[i, j] != 0.0:
-                raise ValueError(f"entry ({i},{j}) is outside the edge support")
+    # row-major over the upper triangle: the first offending entry is named
+    bad = np.argwhere(np.triu((m != 0.0) & (adjacency(g) == 0.0)))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"diagonal entry ({i},{i}) must be zero" if i == j
+                         else f"entry ({i},{j}) is outside the edge support")
     vals = np.linalg.eigvalsh(m)
     n_plus, n_minus, _ = sign_counts(vals, tol)
     return min(g.n - n_plus, g.n - n_minus)

@@ -24,11 +24,10 @@ import numpy as np
 from .graph import (GraphError, SignedGraph, classify_balance,
                     induced_subgraph, is_connected, negate, switch,
                     with_zero_kappa)
-from .linalg import normalized_spectrum
+from .linalg import normalized_adjacency, normalized_spectrum
 from .solver import SolverConfig, solve_largest
 
 EXACT_TOL = 1e-9
-ZERO_TOL = 1e-12
 DEFAULT_SIGN_CAP = 24
 
 
@@ -58,28 +57,14 @@ def r_q_infty(g: SignedGraph, q: float, f: np.ndarray) -> float:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     f = np.asarray(f, dtype=float)
-    den = float(np.sum(g.mu_array() * np.abs(f) ** q))
+    a = g._arrays
+    den = float(np.sum(a.mu * np.abs(f) ** q))
     if den == 0:
         raise ValueError("cutoff quotient of the zero function")
     num = 0.0
     if g.m:
-        u, v, w, s = g.edge_arrays()
-        num = float(np.sum(w * np.maximum(-f[u] * s * f[v], 0.0) ** (q / 2.0)))
+        num = float(np.sum(a.w * np.maximum(-f[a.u] * a.sigma * f[a.v], 0.0) ** (q / 2.0)))
     return num / den
-
-
-def _neg_sym_matrix(g: SignedGraph, edge_mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """D^{-1/2} A_{-G0} D^{-1/2} for the spanning subgraph picked by edge_mask."""
-    mu = g.mu_array()
-    rt = 1.0 / np.sqrt(mu)
-    m = np.zeros((g.n, g.n))
-    for idx, e in enumerate(g.edges):
-        if edge_mask is not None and not edge_mask[idx]:
-            continue
-        val = -e.sigma * e.w * rt[e.u] * rt[e.v]
-        m[e.u, e.v] = val
-        m[e.v, e.u] = val
-    return m
 
 
 def _worker_count() -> int:
@@ -118,9 +103,8 @@ def _code_to_signs(n: int, code: int) -> tuple[int, ...]:
 def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
     """Exact max over all sign vectors (first entry pinned by symmetry)."""
     n = g.n
-    u, v, w, sedge = g.edge_arrays()
-    rt = 1.0 / np.sqrt(g.mu_array())
-    scale = w * rt[u] * rt[v]
+    a = g._arrays
+    u, v, scale, sedge = a.u, a.v, a.scale, a.sigma
     total = 1 << (n - 1)
     workers = _worker_count()
     if total >= (1 << 15) and workers > 1:
@@ -138,18 +122,13 @@ def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
 
 def _hill_climb_signs(g: SignedGraph, seed: int, rounds: int = 8) -> tuple[float, tuple[int, ...]]:
     n = g.n
-    u, v, w, sedge = g.edge_arrays()
-    rt = 1.0 / np.sqrt(g.mu_array())
-    scale = w * rt[u] * rt[v]
+    a = g._arrays
 
     def value(sv: np.ndarray) -> float:
-        active = (sedge * sv[u] * sv[v]) < 0
+        active = (a.sigma * sv[a.u] * sv[a.v]) < 0
         if not np.any(active):
             return 0.0
-        m = np.zeros((n, n))
-        m[u[active], v[active]] = scale[active]
-        m[v[active], u[active]] = scale[active]
-        return float(np.linalg.eigvalsh(m)[-1])
+        return float(np.linalg.eigvalsh(normalized_adjacency(g, active, absolute=True))[-1])
 
     rng = np.random.default_rng(seed)
     best_val, best_sv = -np.inf, None
@@ -196,7 +175,7 @@ def exact_ln(g: SignedGraph, cap: int = DEFAULT_SIGN_CAP,
                              lower_certificate=("sign-vector", signs),
                              upper_certificate=("exact",), exact=True)
     val, signs = _hill_climb_signs(g, seed)
-    upper = 0.5 * float(np.linalg.eigvalsh(np.abs(_neg_sym_matrix(negate(g))))[-1])
+    upper = 0.5 * float(np.linalg.eigvalsh(normalized_adjacency(g, absolute=True))[-1])
     return CutoffBracket(k=g.n, lower=0.5 * val, upper=upper,
                          lower_certificate=("sign-vector-sampled", signs),
                          upper_certificate=("vertex-subset", tuple(range(g.n))),
@@ -216,16 +195,14 @@ def lower_bounds_full_all(g: SignedGraph) -> np.ndarray:
 
 
 def _maximal_antibalanced_edge_sets(g: SignedGraph) -> list[tuple[int, ...]]:
-    u, v, w, sedge = g.edge_arrays()
-    seen = set()
-    out = []
-    for code in range(1 << (g.n - 1)):
-        sv = np.asarray(_code_to_signs(g.n, code), dtype=float)
-        active = tuple(np.flatnonzero(sedge * sv[u] * sv[v] < 0))
-        if active not in seen:
-            seen.add(active)
-            out.append(active)
-    return out
+    a = g._arrays
+    codes = np.arange(1 << (g.n - 1))
+    neg = np.zeros((codes.size, g.n), dtype=bool)    # row c: _code_to_signs(n, c) < 0
+    neg[:, 1:] = (codes[:, None] >> np.arange(g.n - 1)) & 1
+    # sigma s_u s_v < 0 exactly when an odd number of the three is negative
+    active = (a.sigma < 0) ^ neg[:, a.u] ^ neg[:, a.v]
+    _, first = np.unique(active, axis=0, return_index=True)
+    return [tuple(np.flatnonzero(active[c])) for c in np.sort(first)]
 
 
 def lower_bound_subgraphs(g: SignedGraph, k: int,
@@ -247,26 +224,21 @@ def lower_bound_subgraphs(g: SignedGraph, k: int,
         seen.add(subset)
         mask = np.zeros(g.m, dtype=bool)
         mask[list(subset)] = True
-        val = float(np.linalg.eigvalsh(_neg_sym_matrix(g, mask))[k - 1]) if g.m else 0.0
+        val = (float(np.linalg.eigvalsh(normalized_adjacency(g, mask, negate=True))[k - 1])
+               if g.m else 0.0)
         if val > best_val:
             best_val, best_edges = val, subset
     edges = tuple((g.edges[i].u, g.edges[i].v) for i in best_edges)
     return 0.5 * best_val, ("spanning-subgraph", edges)
 
 
-def _subset_value(g: SignedGraph, subset: Sequence[int]) -> float:
-    """Half the top eigenvalue of the mu-normalized |A| restricted to subset."""
-    sub = set(subset)
-    rt = 1.0 / np.sqrt(g.mu_array())
-    inner = [(e.u, e.v, e.w) for e in g.edges if e.u in sub and e.v in sub]
-    if not inner:
+def _subset_value(absadj: np.ndarray, subset: Sequence[int]) -> float:
+    """Half the top eigenvalue of the mu-normalized |A| (absadj) restricted
+    to subset."""
+    keep = sorted(set(subset))
+    m = absadj[np.ix_(keep, keep)]
+    if not m.any():
         return 0.0
-    index = {x: i for i, x in enumerate(sorted(sub))}
-    m = np.zeros((len(sub), len(sub)))
-    for u, v, w in inner:
-        val = w * rt[u] * rt[v]
-        m[index[u], index[v]] = val
-        m[index[v], index[u]] = val
     return 0.5 * float(np.linalg.eigvalsh(m)[-1])
 
 
@@ -288,10 +260,11 @@ def upper_bound_subsets(g: SignedGraph, k: int, budget: int = 2048,
         return 0.0, ("vertex-subset", subset)
 
     from math import comb
+    absadj = normalized_adjacency(g, absolute=True)
     best: tuple[float, tuple[int, ...]] | None = None
     if comb(g.n, k) <= budget:
         for subset in combinations(range(g.n), k):
-            val = _subset_value(g, subset)
+            val = _subset_value(absadj, subset)
             if best is None or val < best[0]:
                 best = (val, subset)
             if best[0] == 0.0:
@@ -300,14 +273,14 @@ def upper_bound_subsets(g: SignedGraph, k: int, budget: int = 2048,
         cur: list[int] = []
         free = set(range(g.n))
         while len(cur) < k:
-            pick = min(free, key=lambda x: (_subset_value(g, cur + [x]), x))
+            pick = min(free, key=lambda x: (_subset_value(absadj, cur + [x]), x))
             cur.append(pick)
             free.discard(pick)
-        best = (_subset_value(g, cur), tuple(sorted(cur)))
+        best = (_subset_value(absadj, cur), tuple(sorted(cur)))
         rng = np.random.default_rng(seed)
         for _ in range(min(budget, 256)):
             subset = tuple(sorted(rng.choice(g.n, size=k, replace=False)))
-            val = _subset_value(g, subset)
+            val = _subset_value(absadj, subset)
             if val < best[0]:
                 best = (val, subset)
     return best[0], ("vertex-subset", tuple(best[1]))

@@ -4,12 +4,18 @@ A signed graph carries, besides the usual vertex/edge structure, an edge
 signature sigma in {+1,-1}, positive edge weights w, a positive vertex
 measure mu and a real vertex potential kappa.  All operations here are pure;
 instances are safe to share across threads.
+
+Kernels read a graph through one read-only array view (GraphArrays), built
+on first use (never by validate) and kept on the instance, outside equality,
+hashing and pickling.  A concurrent first use may build it twice; harmless.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -24,6 +30,22 @@ class Edge(NamedTuple):
     v: int
     w: float
     sigma: int
+
+
+class GraphArrays(NamedTuple):
+    """Read-only flat arrays of one graph, in edge order: deg is the weighted
+    degree, rt = 1/sqrt(mu), and scale = w * rt[u] * rt[v] the edge's entry
+    in the mu-normalized unsigned adjacency."""
+
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    sigma: np.ndarray
+    mu: np.ndarray
+    kappa: np.ndarray
+    deg: np.ndarray
+    rt: np.ndarray
+    scale: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -43,39 +65,40 @@ class SignedGraph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _arrays(self) -> GraphArrays:
+        cols = tuple(zip(*self.edges)) if self.edges else ((), (), (), ())
+        u, v = np.asarray(cols[0], dtype=int), np.asarray(cols[1], dtype=int)
+        w = np.asarray(cols[2], dtype=float)
+        mu = np.asarray(self.mu, dtype=float)
+        rt = 1.0 / np.sqrt(mu)
+        # interleaved (u0, v0, u1, v1, ...): an edge-by-edge loop's sum order
+        deg = np.bincount(np.column_stack((u, v)).ravel(), np.repeat(w, 2), minlength=self.n)
+        view = GraphArrays(u, v, w, np.asarray(cols[3], dtype=float), mu,
+                           np.asarray(self.kappa, dtype=float), deg, rt, w * rt[u] * rt[v])
+        for arr in view:
+            arr.setflags(write=False)
+        return view
+
+    def __getstate__(self) -> dict:
+        return {k: val for k, val in self.__dict__.items() if k != "_arrays"}
+
     def mu_array(self) -> np.ndarray:
-        return np.asarray(self.mu, dtype=float)
+        return self._arrays.mu
 
     def kappa_array(self) -> np.ndarray:
-        return np.asarray(self.kappa, dtype=float)
+        return self._arrays.kappa
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, w, sigma) as flat arrays; empty arrays for edgeless graphs."""
-        if not self.edges:
-            z = np.zeros(0, dtype=int)
-            return z, z, np.zeros(0), np.zeros(0)
-        u, v, w, s = zip(*self.edges)
-        return (np.asarray(u, dtype=int), np.asarray(v, dtype=int),
-                np.asarray(w, dtype=float), np.asarray(s, dtype=float))
-
-    def neighbors(self, i: int) -> list[int]:
-        out = [e.v for e in self.edges if e.u == i]
-        out += [e.u for e in self.edges if e.v == i]
-        return sorted(out)
+        """(u, v, w, sigma) as read-only flat arrays; empty for edgeless graphs."""
+        a = self._arrays
+        return a.u, a.v, a.w, a.sigma
 
     def weighted_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n)
-        for e in self.edges:
-            deg[e.u] += e.w
-            deg[e.v] += e.w
-        return deg
+        return self._arrays.deg
 
     def isolated_vertices(self) -> list[int]:
-        seen = set()
-        for e in self.edges:
-            seen.add(e.u)
-            seen.add(e.v)
-        return [i for i in range(self.n) if i not in seen]
+        return np.flatnonzero(self._arrays.deg == 0).tolist()
 
 
 def validate(n: int,
@@ -86,7 +109,9 @@ def validate(n: int,
 
     Each raw edge is (u, v), (u, v, w) or (u, v, w, sigma); omitted weights
     default to 1, omitted signs to +1.  mu defaults to all ones, kappa to all
-    zeros.  Violations raise GraphError naming the offending edge or vertex.
+    zeros.  Endpoints and signs must be integral, weights, measures and
+    potentials finite.  Violations raise GraphError naming the offending edge
+    or vertex.
     """
     if not isinstance(n, int) or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
@@ -96,9 +121,13 @@ def validate(n: int,
         item = tuple(raw)
         if len(item) < 2 or len(item) > 4:
             raise GraphError(f"edge #{pos}: expected (u, v[, w[, sigma]]), got {raw!r}")
-        u, v = int(item[0]), int(item[1])
+        try:
+            u, v, sigma = int(item[0]), int(item[1]), int(item[3]) if len(item) == 4 else 1
+        except (TypeError, ValueError, OverflowError):
+            u = v = sigma = None
+        if (u, v) != item[:2] or (len(item) == 4 and sigma != item[3]):
+            raise GraphError(f"edge #{pos}: u, v and sigma must be integers, got {raw!r}")
         w = float(item[2]) if len(item) >= 3 else 1.0
-        sigma = int(item[3]) if len(item) >= 4 else 1
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge #{pos} ({u},{v}): vertex index out of range [0,{n})")
         if u == v:
@@ -107,8 +136,8 @@ def validate(n: int,
             u, v = v, u
         if (u, v) in seen:
             raise GraphError(f"edge #{pos}: duplicate edge ({u},{v})")
-        if not (w > 0):
-            raise GraphError(f"edge #{pos} ({u},{v}): weight must be positive, got {w}")
+        if not (0 < w < math.inf):
+            raise GraphError(f"edge #{pos} ({u},{v}): weight must be positive and finite, got {w}")
         if sigma not in (1, -1):
             raise GraphError(f"edge #{pos} ({u},{v}): sigma must be +1 or -1, got {sigma}")
         seen.add((u, v))
@@ -121,9 +150,11 @@ def validate(n: int,
         raise GraphError(f"mu has length {len(mu_t)}, expected {n}")
     if len(kappa_t) != n:
         raise GraphError(f"kappa has length {len(kappa_t)}, expected {n}")
-    for i, m in enumerate(mu_t):
-        if not (m > 0):
-            raise GraphError(f"vertex {i}: measure must be positive, got {m}")
+    for i, (m, k) in enumerate(zip(mu_t, kappa_t)):
+        if not (0 < m < math.inf):
+            raise GraphError(f"vertex {i}: measure must be positive and finite, got {m}")
+        if not math.isfinite(k):
+            raise GraphError(f"vertex {i}: potential must be finite, got {k}")
     return SignedGraph(n=n, edges=tuple(canon), mu=mu_t, kappa=kappa_t)
 
 
@@ -151,6 +182,9 @@ def negate(g: SignedGraph) -> SignedGraph:
 
 
 def with_zero_kappa(g: SignedGraph) -> SignedGraph:
+    """g with kappa zeroed; g itself, array view included, if it already is."""
+    if not any(g.kappa):
+        return g
     return SignedGraph(g.n, g.edges, g.mu, (0.0,) * g.n)
 
 
@@ -185,29 +219,37 @@ def spanning_subgraph(g: SignedGraph, keep_edges: Iterable[tuple[int, int]]) -> 
     return SignedGraph(g.n, edges, g.mu, g.kappa)
 
 
-def components(g: SignedGraph) -> list[list[int]]:
-    """Connected components by edge reachability, smallest vertex first."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
+def _propagate(g: SignedGraph, target: int) -> tuple[list[int], list[int], bool]:
+    """Depth-first tau(v) = target * sigma_uv * tau(u) from each unvisited
+    vertex in ascending order: (tau, root = smallest vertex of each vertex's
+    component, whether sigma^tau == target on every edge)."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for e in g.edges:
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
-    seen = [False] * g.n
-    out = []
-    for root in range(g.n):
-        if seen[root]:
+        adj[e.u].append((e.v, target * e.sigma))
+        adj[e.v].append((e.u, target * e.sigma))
+    tau, root, consistent = [0] * g.n, list(range(g.n)), True
+    for r in range(g.n):
+        if tau[r]:
             continue
-        comp = []
-        stack = [root]
-        seen[root] = True
+        tau[r] = 1
+        stack = [r]
         while stack:
             i = stack.pop()
-            comp.append(i)
-            for j in adj[i]:
-                if not seen[j]:
-                    seen[j] = True
+            for j, s in adj[i]:
+                if tau[j] == 0:
+                    tau[j], root[j] = s * tau[i], r
                     stack.append(j)
-        out.append(sorted(comp))
-    return out
+                elif tau[j] != s * tau[i]:
+                    consistent = False
+    return tau, root, consistent
+
+
+def components(g: SignedGraph) -> list[list[int]]:
+    """Connected components by edge reachability, smallest vertex first."""
+    out: dict[int, list[int]] = {}
+    for i, r in enumerate(_propagate(g, 1)[1]):
+        out.setdefault(r, []).append(i)
+    return list(out.values())
 
 
 def is_connected(g: SignedGraph) -> bool:
@@ -228,28 +270,10 @@ class BalanceClass:
     antibalanced_witness: Optional[tuple[int, ...]]
 
 
-def _balancing_tau(g: SignedGraph) -> Optional[tuple[int, ...]]:
-    # BFS sign propagation per component: tau(v) = sigma_uv * tau(u) forces
-    # sigma^tau = +1 along tree edges; any inconsistent non-tree edge refutes.
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e in g.edges:
-        adj[e.u].append((e.v, e.sigma))
-        adj[e.v].append((e.u, e.sigma))
-    tau = [0] * g.n
-    for root in range(g.n):
-        if tau[root] != 0:
-            continue
-        tau[root] = 1
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j, s in adj[i]:
-                if tau[j] == 0:
-                    tau[j] = s * tau[i]
-                    stack.append(j)
-                elif tau[j] != s * tau[i]:
-                    return None
-    return tuple(tau)
+def _balancing_tau(g: SignedGraph, target: int) -> Optional[tuple[int, ...]]:
+    """A tau with sigma^tau == target on every edge, or None."""
+    tau, _, consistent = _propagate(g, target)
+    return tuple(tau) if consistent else None
 
 
 def classify_balance(g: SignedGraph) -> BalanceClass:
@@ -258,8 +282,8 @@ def classify_balance(g: SignedGraph) -> BalanceClass:
     Balanced means some tau switches every sign to +1; antibalanced means the
     negated graph is balanced.  Decided in O(n+m) by BFS sign propagation.
     """
-    bal = _balancing_tau(g)
-    anti = _balancing_tau(negate(g))
+    bal = _balancing_tau(g, 1)
+    anti = _balancing_tau(g, -1)
     if bal is not None and anti is not None:
         kind = "both"
     elif bal is not None:
@@ -274,11 +298,9 @@ def classify_balance(g: SignedGraph) -> BalanceClass:
 def structural_constants(g: SignedGraph) -> tuple[float, float]:
     """(D, C) with D = max_i (2*kappa_i + sum_{j~i} w_ij) / (2*mu_i) and
     C = max_i |kappa_i / mu_i|."""
-    deg = g.weighted_degrees()
-    mu = g.mu_array()
-    kap = g.kappa_array()
-    d = float(np.max((2.0 * kap + deg) / (2.0 * mu)))
-    c = float(np.max(np.abs(kap / mu)))
+    a = g._arrays
+    d = float(np.max((2.0 * a.kappa + a.deg) / (2.0 * a.mu)))
+    c = float(np.max(np.abs(a.kappa / a.mu)))
     return d, c
 
 

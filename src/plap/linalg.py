@@ -33,14 +33,28 @@ class EigenDecomposition:
     mu: Optional[np.ndarray] = None
 
 
+def _symmetric(n: int, u: np.ndarray, v: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    a = np.zeros((n, n))
+    a[u, v] = vals
+    a[v, u] = vals
+    return a
+
+
 def adjacency(g: SignedGraph) -> np.ndarray:
     """Signed adjacency matrix: a_ij = sigma_ij * w_ij on edges, else 0."""
-    a = np.zeros((g.n, g.n))
-    for e in g.edges:
-        val = e.sigma * e.w
-        a[e.u, e.v] = val
-        a[e.v, e.u] = val
-    return a
+    a = g._arrays
+    return _symmetric(g.n, a.u, a.v, a.sigma * a.w)
+
+
+def normalized_adjacency(g: SignedGraph, edge_mask: Optional[np.ndarray] = None,
+                         negate: bool = False, absolute: bool = False) -> np.ndarray:
+    """D^{-1/2} A D^{-1/2} of the spanning subgraph picked by a boolean mask
+    over g.edges (default all); negate flips every sign, absolute drops them.
+    Both triangles hold sigma * scale, scale = (w rt_u) rt_v from the view."""
+    a = g._arrays
+    vals = a.scale if absolute else (-a.sigma if negate else a.sigma) * a.scale
+    keep = slice(None) if edge_mask is None else edge_mask
+    return _symmetric(g.n, a.u[keep], a.v[keep], vals[keep])
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
@@ -66,12 +80,12 @@ def normalized_spectrum(g: SignedGraph) -> EigenDecomposition:
     The returned eigenvectors are orthonormal in the mu-weighted inner
     product and solve A v = lambda D v.
     """
-    mu = g.mu_array()
-    rt = 1.0 / np.sqrt(mu)
+    a = g._arrays
+    rt = a.rt
     sym = adjacency(g) * rt[:, None] * rt[None, :]
     vals, vecs = eigh_sorted(sym)
     return EigenDecomposition(values=vals, vectors=_canonical_signs(rt[:, None] * vecs),
-                              inner="mu", mu=mu)
+                              inner="mu", mu=a.mu)
 
 
 def sign_counts(dec, tol: float) -> tuple[int, int, int]:

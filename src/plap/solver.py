@@ -58,26 +58,27 @@ def apply_plap(g: SignedGraph, p: float, f: np.ndarray) -> np.ndarray:
     """(Delta_p f)(i) = sum_{j~i} w_ij Psi_p(f_i - sigma_ij f_j) + kappa_i Psi_p(f_i)."""
     _check_p(p)
     f = np.asarray(f, dtype=float)
-    out = g.kappa_array() * psi(p, f)
-    if g.m:
-        u, v, w, s = g.edge_arrays()
-        t = psi(p, f[u] - s * f[v])
-        np.add.at(out, u, w * t)
-        np.add.at(out, v, -s * w * t)
-    return out
+    a = g._arrays
+    t = psi(p, f[a.u] - a.sigma * f[a.v])
+    # one pass over (vertex terms, u-ends, v-ends) sums each vertex in the
+    # same order as kappa * psi(f) followed by np.add.at over u, then v
+    idx = np.concatenate((np.arange(g.n), a.u, a.v))
+    vals = np.concatenate((a.kappa * psi(p, f), a.w * t, -a.sigma * a.w * t))
+    return np.bincount(idx, vals, minlength=g.n)
 
 
 def rayleigh(g: SignedGraph, p: float, f: np.ndarray) -> float:
     """(sum_E w |f_i - sigma f_j|^p + sum_i kappa |f_i|^p) / sum_i mu |f_i|^p."""
     _check_p(p)
     f = np.asarray(f, dtype=float)
-    den = float(np.sum(g.mu_array() * np.abs(f) ** p))
+    a = g._arrays
+    af = np.abs(f) ** p
+    den = float(np.sum(a.mu * af))
     if den == 0:
         raise ValueError("Rayleigh quotient of the zero function")
-    num = float(np.sum(g.kappa_array() * np.abs(f) ** p))
+    num = float(np.sum(a.kappa * af))
     if g.m:
-        u, v, w, s = g.edge_arrays()
-        num += float(np.sum(w * np.abs(f[u] - s * f[v]) ** p))
+        num += float(np.sum(a.w * np.abs(f[a.u] - a.sigma * f[a.v]) ** p))
     return num / den
 
 
@@ -114,10 +115,6 @@ class PEigenPair:
     certificate: str  # "perron-certified" | "multi-restart" | "closed-form"
 
 
-def _grad_sphere(g, p, f, lam, plap, mu):
-    return p * (plap - lam * mu * psi(p, f))
-
-
 def _ascent(g: SignedGraph, p: float, f0: np.ndarray, cfg: SolverConfig,
             maximize: bool) -> tuple[np.ndarray, float]:
     """Armijo projected gradient on the unit p-sphere; returns (f, lambda)."""
@@ -131,7 +128,7 @@ def _ascent(g: SignedGraph, p: float, f0: np.ndarray, cfg: SolverConfig,
         res = float(np.max(np.abs(plap - lam * mu * psi(p, f))))
         if res <= 1e-3 * cfg.tol * (1.0 + abs(lam)):
             break
-        grad = sgn * _grad_sphere(g, p, f, lam, plap, mu)
+        grad = sgn * (p * (plap - lam * mu * psi(p, f)))
         g2 = float(grad @ grad)
         if g2 <= 1e-30:
             break
@@ -181,24 +178,24 @@ def _newton_polish(g: SignedGraph, p: float, lam: float, f: np.ndarray,
     if p < 2:
         return lam, f
     n = g.n
-    mu = g.mu_array()
-    kap = g.kappa_array()
-    u, v, w, s = g.edge_arrays()
+    a = g._arrays
+    mu, kap, u, v, w, s = a.mu, a.kappa, a.u, a.v, a.w, a.sigma
+    # flat (n+1)^2 positions of the (u,u), (v,v), (u,v), (v,u) blocks, in the
+    # order of the four np.add.at calls that one bincount replaces
+    side = n + 1
+    cells = np.concatenate((u * side + u, v * side + v, u * side + v, v * side + u))
     x = np.asarray(f, dtype=float).copy()
     lm = float(lam)
     best = (residual(g, p, lm, x), lm, x)
     for _ in range(rounds):
         absx = np.abs(x)
         dx = np.ones_like(x) if p == 2 else absx ** (p - 2.0)
-        jac = np.zeros((n + 1, n + 1))
-        if g.m:
-            d = x[u] - s * x[v]
-            dd = np.ones_like(d) if p == 2 else np.abs(d) ** (p - 2.0)
-            coef = (p - 1.0) * w * dd
-            np.add.at(jac, (u, u), coef)
-            np.add.at(jac, (v, v), coef)
-            np.add.at(jac, (u, v), -s * coef)
-            np.add.at(jac, (v, u), -s * coef)
+        d = x[u] - s * x[v]
+        dd = np.ones_like(d) if p == 2 else np.abs(d) ** (p - 2.0)
+        coef = (p - 1.0) * w * dd
+        off = -s * coef
+        jac = np.bincount(cells, np.concatenate((coef, coef, off, off)),
+                          minlength=side * side).reshape(side, side)
         idx = np.arange(n)
         jac[idx, idx] += (p - 1.0) * (kap - lm * mu) * dx
         jac[:n, n] = -mu * psi(p, x)
@@ -240,12 +237,11 @@ def _starts(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool) -> list[
     """Warm starts: p=2 extremal generalized eigenvector, |A|-Perron vector,
     two-point edge vectors (the sparse maximizers that dominate for p < 2),
     then seeded random points."""
-    mu = g.mu_array()
     starts = []
     # kappa enters the p=2 pencil through the diagonal of Deg + K - A
     a = adjacency(g)
     lap = np.diag(g.weighted_degrees() + g.kappa_array()) - a
-    rt = 1.0 / np.sqrt(mu)
+    rt = g._arrays.rt
     _, vecs = eigh_sorted(lap * rt[:, None] * rt[None, :])
     starts.append(rt * vecs[:, -1 if largest else 0])
     _, pvecs = eigh_sorted(np.abs(a) * rt[:, None] * rt[None, :])
@@ -266,6 +262,24 @@ def _starts(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool) -> list[
 def _finish(g, p, f, lam):
     lam, f = _newton_polish(g, p, lam, f)
     return f, lam, residual(g, p, lam, f)
+
+
+def _best_restart(g: SignedGraph, p: float, cfg: SolverConfig,
+                  starts: list[np.ndarray], largest: bool) -> PEigenPair:
+    """Ascend (descend) from every start; keep the highest (lowest) value
+    among the restarts that reach the residual tolerance."""
+    best = None
+    for f0 in starts:
+        f, lam = _ascent(g, p, f0, cfg, maximize=largest)
+        f, lam, res = _finish(g, p, f, lam)
+        better = best is None or (lam > best[1] if largest else lam < best[1])
+        if res <= cfg.tol * (1.0 + abs(lam)) and better:
+            best = (f, lam, res)
+    if best is None:
+        raise SolverError(f"no restart reached residual tolerance {cfg.tol:g} "
+                          f"(p={p}, restarts={cfg.restarts})")
+    f, lam, res = best
+    return PEigenPair(p=p, value=lam, f=f, residual=res, certificate="multi-restart")
 
 
 def solve_largest(g: SignedGraph, p: float,
@@ -303,17 +317,7 @@ def solve_largest(g: SignedGraph, p: float,
                               certificate="perron-certified")
         # fall through to the generic path if the cone route failed
 
-    best = None
-    for f0 in _starts(g, p, cfg, largest=True):
-        f, lam = _ascent(g, p, f0, cfg, maximize=True)
-        f, lam, res = _finish(g, p, f, lam)
-        if res <= cfg.tol * (1.0 + abs(lam)) and (best is None or lam > best[1]):
-            best = (f, lam, res)
-    if best is None:
-        raise SolverError(f"no restart reached residual tolerance {cfg.tol:g} "
-                          f"(p={p}, restarts={cfg.restarts})")
-    f, lam, res = best
-    return PEigenPair(p=p, value=lam, f=f, residual=res, certificate="multi-restart")
+    return _best_restart(g, p, cfg, _starts(g, p, cfg, largest=True), largest=True)
 
 
 def solve_smallest(g: SignedGraph, p: float,
@@ -342,20 +346,10 @@ def solve_smallest(g: SignedGraph, p: float,
                               residual=residual(g, p, lam, f),
                               certificate="closed-form")
 
-    best = None
     starts = _starts(g, p, cfg, largest=False)
     if bal.balanced_witness is not None:
         starts.insert(0, np.asarray(bal.balanced_witness, dtype=float))
-    for f0 in starts:
-        f, lam = _ascent(g, p, f0, cfg, maximize=False)
-        f, lam, res = _finish(g, p, f, lam)
-        if res <= cfg.tol * (1.0 + abs(lam)) and (best is None or lam < best[1]):
-            best = (f, lam, res)
-    if best is None:
-        raise SolverError(f"no restart reached residual tolerance {cfg.tol:g} "
-                          f"(p={p}, restarts={cfg.restarts})")
-    f, lam, res = best
-    return PEigenPair(p=p, value=lam, f=f, residual=res, certificate="multi-restart")
+    return _best_restart(g, p, cfg, starts, largest=False)
 
 
 # --- closed forms -----------------------------------------------------------

@@ -12,6 +12,7 @@ cross-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Mapping
 
@@ -28,6 +29,28 @@ class PLapTensor:
     p: int
     n: int
     entries: Mapping[Pattern, float]
+
+    @cached_property
+    def _collapse(self) -> tuple[np.ndarray, ...]:
+        """Per edge (i, j, w, sigma) from its l = 1 value (-sigma) w, per stored
+        diagonal (vertex, entry - weighted degree = kappa), and the bincount
+        index of apply_tensor's terms; read once from the entries."""
+        ent = self.entries
+        edges = [pat for pat in ent if len(pat) == 2 and pat[0][1] == 1]
+        diag = [pat for pat in ent if len(pat) == 1]
+        ij = np.fromiter((pat[k][0] for pat in edges for k in (0, 1)), dtype=int,
+                         count=2 * len(edges)).reshape(-1, 2)
+        val = np.fromiter((ent[pat] for pat in edges), dtype=float, count=len(edges))
+        di = np.fromiter((pat[0][0] for pat in diag), dtype=int, count=len(diag))
+        w = np.abs(val)
+        # interleaved (i0, j0, i1, j1, ...) sums each degree in entry order
+        deg = np.bincount(ij.ravel(), np.repeat(w, 2), minlength=self.n)
+        coef = np.fromiter((ent[pat] for pat in diag), dtype=float, count=len(diag)) - deg[di]
+        out = (ij[:, 0], ij[:, 1], w, np.where(val > 0, -1.0, 1.0), di, coef,
+               np.concatenate((ij.ravel(), di)))
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
 
 def _check_even(p) -> int:
@@ -64,26 +87,14 @@ def apply_tensor(t: PLapTensor, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (t.n,):
         raise ValueError(f"function has shape {f.shape}, expected ({t.n},)")
-    p = t.p
-    out = np.zeros(t.n)
-    degree_part = np.zeros(t.n)
-    for pattern, val in t.entries.items():
-        if len(pattern) != 2:
-            continue
-        (i, li), (j, lj) = pattern
-        if li != 1:
-            continue
-        w = abs(val)
-        sigma = -1.0 if val > 0 else 1.0
-        out[i] += w * (f[i] - sigma * f[j]) ** (p - 1)
-        out[j] += w * (f[j] - sigma * f[i]) ** (p - 1)
-        degree_part[i] += w
-        degree_part[j] += w
-    for pattern, val in t.entries.items():
-        if len(pattern) == 1:
-            i = pattern[0][0]
-            out[i] += (val - degree_part[i]) * f[i] ** (p - 1)
-    return out
+    q = t.p - 1
+    i, j, w, sigma, di, coef, idx = t._collapse
+    fi, fj = f[i], f[j]
+    # per vertex: edge terms in entry order, then the diagonal term
+    vals = np.concatenate((np.column_stack((w * (fi - sigma * fj) ** q,
+                                            w * (fj - sigma * fi) ** q)).ravel(),
+                           coef * f[di] ** q))
+    return np.bincount(idx, vals, minlength=t.n)
 
 
 def apply_tensor_reference(t: PLapTensor, f: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,35 @@ def test_validate_rejects_self_loop():
 def test_validate_rejects_nonpositive_weight():
     with pytest.raises(GraphError, match="weight"):
         validate(3, [(0, 1, -1.0)])
+
+
+@pytest.mark.parametrize("edges, mu, kappa, where", [
+    ([(0, 1, 1.0, 1.5)], None, None, r"edge #0: u, v and sigma must be integers, .*1\.5"),
+    ([(0, 1), (1.7, 2)], None, None, r"edge #1: u, v and sigma must be integers, .*1\.7"),
+    ([(0, 1), (1, float("nan"))], None, None, r"edge #1: u, v and sigma must be integers"),
+    ([("0", 1)], None, None, r"edge #0: u, v and sigma must be integers"),
+    ([(0, 1, float("inf"))], None, None, r"edge #0 \(0,1\): weight must be positive and finite"),
+    ([(0, 1)], [1.0, float("inf"), 1.0], None, r"vertex 1: measure must be positive and finite"),
+    ([(0, 1)], None, [0.0, 0.0, float("nan")], r"vertex 2: potential must be finite"),
+    ([(0, 1)], None, [float("-inf"), 0.0, 0.0], r"vertex 0: potential must be finite"),
+])
+def test_validate_rejects_non_integral_and_non_finite_inputs(edges, mu, kappa, where):
+    with pytest.raises(GraphError, match=where):
+        validate(3, edges, mu=mu, kappa=kappa)
+
+
+def test_validate_accepts_integral_floats_and_numpy_ints():
+    g = validate(3, [(np.int64(2), 1.0, np.float64(2.5), -1.0), (np.int32(0), 1)])
+    assert g.edges == (graph.Edge(0, 1, 1.0, 1), graph.Edge(1, 2, 2.5, -1))
+    assert all(type(x) is int for e in g.edges for x in (e.u, e.v, e.sigma))
+
+
+def test_validate_rejects_non_finite_json_fields():
+    doc = {"n": 2, "edges": [{"u": 0, "v": 1, "w": 1.0, "sigma": 1.5}]}
+    with pytest.raises(GraphError, match="sigma"):
+        graph.from_json_dict(doc)
+    with pytest.raises(GraphError, match="weight"):
+        graph.loads('{"n": 2, "edges": [{"u": 0, "v": 1, "w": Infinity}]}')
 
 
 def test_validate_rejects_duplicates_and_bad_indices():
