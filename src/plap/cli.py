@@ -3,7 +3,7 @@
 Reads graph JSON from a file or stdin ('-'), writes a replayable report
 JSON (and optional CSV for p-grids).  Exit codes: 0 all checks pass,
 1 at least one check failed (witness in the report), 2 usage or input
-error.  PLAP_THREADS caps internal parallelism.
+error.
 """
 
 from __future__ import annotations
@@ -274,8 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="plap",
         description="Signed-graph p-Laplacian spectral toolkit",
         epilog="Graphs are JSON ({'n': ..., 'edges': [{'u','v','w','sigma'}], "
-               "'mu': [...], 'kappa': [...]}); '-' reads stdin. "
-               "PLAP_THREADS caps parallelism.")
+               "'mu': [...], 'kappa': [...]}); '-' reads stdin.")
     ap.add_argument("--version", action="version", version=f"plap {__version__}")
     sub = ap.add_subparsers(dest="cmd", required=True)
 

@@ -33,10 +33,13 @@ class EigenDecomposition:
     mu: Optional[np.ndarray] = None
 
 
-def _symmetric(n: int, u: np.ndarray, v: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    a = np.zeros((n, n))
-    a[u, v] = vals
-    a[v, u] = vals
+def _symmetric(n: int, u: np.ndarray, v: np.ndarray, vals: np.ndarray,
+               lead: tuple = (), at: tuple = ()) -> np.ndarray:
+    """vals at (u, v) and (v, u) of an n x n matrix; given a lead shape, of
+    a stack of them, entry t going to the matrix indexed by at[0][t], ..."""
+    a = np.zeros(lead + (n, n))
+    a[(*at, u, v)] = vals
+    a[(*at, v, u)] = vals
     return a
 
 
@@ -50,11 +53,14 @@ def normalized_adjacency(g: SignedGraph, edge_mask: Optional[np.ndarray] = None,
                          negate: bool = False, absolute: bool = False) -> np.ndarray:
     """D^{-1/2} A D^{-1/2} of the spanning subgraph picked by a boolean mask
     over g.edges (default all); negate flips every sign, absolute drops them.
-    Both triangles hold sigma * scale, scale = (w rt_u) rt_v from the view."""
+    Both triangles hold sigma * scale, scale = (w rt_u) rt_v from the view.
+    A (B, m) mask gives the (B, n, n) stack of its rows' matrices."""
     a = g._arrays
     vals = a.scale if absolute else (-a.sigma if negate else a.sigma) * a.scale
-    keep = slice(None) if edge_mask is None else edge_mask
-    return _symmetric(g.n, a.u[keep], a.v[keep], vals[keep])
+    if edge_mask is None:
+        return _symmetric(g.n, a.u, a.v, vals)
+    *at, e = np.nonzero(edge_mask)
+    return _symmetric(g.n, a.u[e], a.v[e], vals[e], np.shape(edge_mask)[:-1], tuple(at))
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:

@@ -8,6 +8,17 @@ def random_signed(n: int, prob: float, seed: int) -> graph.SignedGraph:
     return families.random_graph(n, prob, seed, signed=True)
 
 
+def random_weighted(n: int, prob: float, seed: int, isolated: int = 0) -> graph.SignedGraph:
+    """Random signed graph with non-unit weights and measures, a nonzero
+    potential, and `isolated` trailing vertices without edges."""
+    rng = np.random.default_rng(seed)
+    edges = [(a, b, float(rng.uniform(0.2, 3.0)), int(rng.choice((1, -1))))
+             for a in range(n - isolated) for b in range(a + 1, n - isolated)
+             if rng.random() < prob]
+    return graph.validate(n, edges, mu=rng.uniform(0.3, 4.0, n).tolist(),
+                          kappa=rng.uniform(-1.0, 2.0, n).tolist())
+
+
 def random_connected_antibalanced(n: int, prob: float, seed: int) -> graph.SignedGraph:
     """Connected graph whose signature is antibalanced by construction:
     sigma_uv = -tau_u tau_v for a random vertex labeling tau."""

@@ -14,19 +14,9 @@ import pytest
 from plap import graph, linalg, solver, tensor
 from plap.solver import psi
 
+from conftest import random_weighted
 
-def _graph(n, prob, seed, isolated=0):
-    """Random signed graph with non-unit weights and measures, a nonzero
-    potential, and `isolated` trailing vertices without edges."""
-    rng = np.random.default_rng(seed)
-    edges = [(a, b, float(rng.uniform(0.2, 3.0)), int(rng.choice((1, -1))))
-             for a in range(n - isolated) for b in range(a + 1, n - isolated)
-             if rng.random() < prob]
-    return graph.validate(n, edges, mu=rng.uniform(0.3, 4.0, n).tolist(),
-                          kappa=rng.uniform(-1.0, 2.0, n).tolist())
-
-
-GRAPHS = ([_graph(n, 0.5, seed, isolated=seed % 3) for seed, n in enumerate(range(3, 15))]
+GRAPHS = ([random_weighted(n, 0.5, seed, isolated=seed % 3) for seed, n in enumerate(range(3, 15))]
           + [graph.validate(4, [], mu=[1.0, 2.0, 0.5, 3.0], kappa=[0.5, -1.0, 0.0, 2.0]),
              graph.validate(1, [])])
 
@@ -136,6 +126,18 @@ def test_normalized_adjacency_equals_the_edge_loops(g):
                               _old_neg_sym_matrix(g, mask))
         assert np.array_equal(linalg.normalized_adjacency(g, mask, absolute=True),
                               np.abs(_old_neg_sym_matrix(g, mask)))
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_stacked_masks_give_the_row_matrices(g):
+    masks = np.random.default_rng(g.m).random((6, g.m)) < 0.5
+    masks[0], masks[1] = False, True
+    for flags in ({}, {"negate": True}, {"absolute": True}):
+        stack = linalg.normalized_adjacency(g, masks, **flags)
+        assert stack.shape == (6, g.n, g.n)
+        for mask, mat in zip(masks, stack):
+            assert np.array_equal(mat, linalg.normalized_adjacency(g, mask, **flags))
+    assert linalg.normalized_adjacency(g, masks[:0]).shape == (0, g.n, g.n)
 
 
 # --- the tensor kernel ------------------------------------------------------

@@ -1,19 +1,20 @@
 """Cutoff eigenvalue brackets: exact top values, bounds, interlacing, limits."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from plap import families, graph
+from plap import cutoff, families, graph
 from plap.cutoff import (bracket, exact_ln, interlacing_check, limit_scan,
                          lower_bound_full, lower_bound_subgraphs, r_q_infty,
                          upper_bound_from_p, upper_bound_subsets)
 from plap.graph import GraphError, negate, switch, validate
-from plap.linalg import adjacency
+from plap.linalg import adjacency, normalized_adjacency
 from plap.solver import solve_largest, solve_smallest
 
-from conftest import random_connected_antibalanced, random_signed
+from conftest import random_connected_antibalanced, random_signed, random_weighted
 
 
 def test_r_q_infty_examples():
@@ -134,6 +135,88 @@ def test_lower_bound_subgraphs():
         ln = exact_ln(g)
         val, cert = lower_bound_subgraphs(g, g.n, budget=1024)
         assert abs(val - ln.lower) < 1e-12   # k = n recovers the exact value
+
+
+# --- the per-code and per-subset loops the batched scans replaced ----------
+
+def _old_signs(n, code):
+    return (1,) + tuple(1 - 2 * ((code >> i) & 1) for i in range(n - 1))
+
+
+def _old_lambda_max_signs(g):
+    a = g._arrays
+    best_val, best_code = -np.inf, 0
+    m = np.zeros((g.n, g.n))
+    for code in range(1 << (g.n - 1)):
+        sv = np.asarray(_old_signs(g.n, code), dtype=float)
+        active = (a.sigma * sv[a.u] * sv[a.v]) < 0
+        m[:] = 0.0
+        m[a.u[active], a.v[active]] = a.scale[active]
+        m[a.v[active], a.u[active]] = a.scale[active]
+        top = float(np.linalg.eigvalsh(m)[-1]) if active.any() else 0.0
+        if top > best_val:
+            best_val, best_code = top, code
+    return best_val, _old_signs(g.n, best_code)
+
+
+def _old_lower_bound_subgraphs(g, k, budget):
+    g = graph.with_zero_kappa(g)
+    a = g._arrays
+    pools = [tuple(range(g.m)), ()]
+    if g.m and (1 << (g.n - 1)) <= budget:
+        for code in range(1 << (g.n - 1)):
+            sv = np.asarray(_old_signs(g.n, code), dtype=float)
+            pools.append(tuple(np.flatnonzero(a.sigma * sv[a.u] * sv[a.v] < 0)))
+    if g.m and (1 << g.m) <= budget:
+        pools.extend(c for r in range(1, g.m) for c in combinations(range(g.m), r))
+    best_val, best_edges, seen = -np.inf, (), set()
+    for subset in pools:
+        if subset in seen:
+            continue
+        seen.add(subset)
+        mask = np.zeros(g.m, dtype=bool)
+        mask[list(subset)] = True
+        val = (float(np.linalg.eigvalsh(normalized_adjacency(g, mask, negate=True))[k - 1])
+               if g.m else 0.0)
+        if val > best_val:
+            best_val, best_edges = val, subset
+    edges = tuple((g.edges[i].u, g.edges[i].v) for i in best_edges)
+    return 0.5 * best_val, ("spanning-subgraph", edges)
+
+
+# random signed graphs with non-unit w and mu (some with isolated vertices),
+# and graphs with many tied sign codes and subsets
+SCAN_GRAPHS = ([random_weighted(n, 0.5, seed, isolated=seed % 3)
+                for seed, n in enumerate(range(2, 11))]
+               + [families.complete(n) for n in (3, 4, 6, 7)]
+               + [families.cycle(n) for n in (4, 5, 6)]
+               + [families.star(n) for n in (4, 6)]
+               + [negate(families.complete(5)), families.edgeless(3)])
+
+
+@pytest.mark.parametrize("per_batch", [None, 1, 3, 7])
+@pytest.mark.parametrize("g", SCAN_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_batched_scans_equal_the_loops(g, per_batch, monkeypatch):
+    if per_batch is not None:
+        monkeypatch.setattr(cutoff, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
+    assert cutoff._lambda_max_signs(g) == _old_lambda_max_signs(g)
+    for k in range(1, g.n + 1):
+        for budget in (16, 2048):
+            assert (lower_bound_subgraphs(g, k, budget)
+                    == _old_lower_bound_subgraphs(g, k, budget))
+
+
+def test_sign_scan_equals_the_loop_at_n14():
+    g = random_weighted(14, 0.5, 14, isolated=1)
+    assert 1 << 13 > cutoff._batch_size(14)
+    assert cutoff._lambda_max_signs(g) == _old_lambda_max_signs(g)
+
+
+@pytest.mark.parametrize("fn", [lower_bound_full, lower_bound_subgraphs])
+@pytest.mark.parametrize("k", [0, -1, 5])
+def test_lower_bounds_reject_k_out_of_range(fn, k):
+    with pytest.raises(ValueError, match=r"k must be in \[1, 4\]"):
+        fn(families.complete(4), k)
 
 
 def test_upper_bound_subsets_examples():
