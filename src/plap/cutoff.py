@@ -293,7 +293,7 @@ def bracket(g: SignedGraph, k: int, budget: int = 2048,
     """Combine all bounds for index k; exact when they meet within 1e-9.
 
     An inverted bracket (lower > upper beyond tolerance) is an implementation
-    bug by construction and raises immediately.
+    bug by construction and raises immediately, and so does a NaN side.
     """
     if not (1 <= k <= g.n):
         raise ValueError(f"k must be in [1, {g.n}]")
@@ -308,7 +308,7 @@ def bracket(g: SignedGraph, k: int, budget: int = 2048,
             uppers.append((ln.upper, ("exact",)))
     lower, lower_cert = max(lowers, key=lambda t: t[0])
     upper, upper_cert = min(uppers, key=lambda t: t[0])
-    if lower > upper + EXACT_TOL:
+    if not lower <= upper + EXACT_TOL:    # a NaN side fails too
         raise RuntimeError(f"inconsistent bracket for k={k}: "
                            f"lower {lower!r} > upper {upper!r}")
     return CutoffBracket(k=k, lower=lower, upper=upper,

@@ -83,7 +83,7 @@ class Report:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def csv_rows(grid_rows: list[dict]) -> str:

@@ -7,10 +7,21 @@ equivalent to all-negative, a converged strictly one-signed eigenfunction
 pins the value down as the top eigenvalue (tag "perron-certified"); in every
 other case the returned value is a certified eigenvalue and only a lower
 bound for the top (resp. upper bound for the bottom) one.
+
+All restarts ascend together as one (R, n) stack, so each iteration pays
+numpy's per-call overhead once rather than R times; apply_plap, rayleigh and
+normalize_sp take a stack (..., n) as well as one function.  Each row keeps
+its own value, step, backtracking and stop, and does the arithmetic of a
+run from its start alone, so values, eigenfunctions, residuals, certificates
+and SolverErrors are bit for bit those of solving the starts one after
+another.  Three things keep the rows exact: edge gathers with take (whose
+stacks are C-contiguous, so row sums stay pairwise), the norm's 1/p-th root
+as a scalar pow per row, and the squared gradient norm as a stacked matmul.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -37,14 +48,24 @@ def psi(p: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def pnorm(f: np.ndarray, p: float, mu: np.ndarray) -> float:
-    return float(np.sum(mu * np.abs(f) ** p) ** (1.0 / p))
+def pnorm(f: np.ndarray, p: float, mu: np.ndarray):
+    """mu-weighted p-norm along the last axis: a float for one function, one
+    value per row for a stack.  The root is a scalar pow per row, since the
+    vectorized ** rounds differently in the last place."""
+    s = (mu * np.abs(f) ** p).sum(-1)
+    if s.ndim == 0:
+        return float(s ** (1.0 / p))
+    return np.reshape([x ** (1.0 / p) for x in s.flat], s.shape)
 
 
 def normalize_sp(f: np.ndarray, p: float, mu: np.ndarray) -> np.ndarray:
-    """Project onto the mu-weighted unit p-sphere."""
+    """Project onto the mu-weighted unit p-sphere (each row of a stack)."""
     nrm = pnorm(f, p, mu)
-    if nrm == 0 or not np.isfinite(nrm):
+    if isinstance(nrm, np.ndarray):
+        ok, nrm = (np.isfinite(nrm) & (nrm != 0)).all(), nrm[..., None]
+    else:
+        ok = nrm != 0 and math.isfinite(nrm)
+    if not ok:
         raise ValueError("cannot normalize the zero (or non-finite) function")
     return f / nrm
 
@@ -55,31 +76,42 @@ def _check_p(p: float) -> None:
 
 
 def apply_plap(g: SignedGraph, p: float, f: np.ndarray) -> np.ndarray:
-    """(Delta_p f)(i) = sum_{j~i} w_ij Psi_p(f_i - sigma_ij f_j) + kappa_i Psi_p(f_i)."""
+    """(Delta_p f)(i) = sum_{j~i} w_ij Psi_p(f_i - sigma_ij f_j) + kappa_i Psi_p(f_i),
+    for one function or each row of a stack (..., n)."""
     _check_p(p)
     f = np.asarray(f, dtype=float)
     a = g._arrays
-    t = psi(p, f[a.u] - a.sigma * f[a.v])
+    t = psi(p, f.take(a.u, axis=-1) - a.sigma * f.take(a.v, axis=-1))
     # one pass over (vertex terms, u-ends, v-ends) sums each vertex in the
     # same order as kappa * psi(f) followed by np.add.at over u, then v
     idx = np.concatenate((np.arange(g.n), a.u, a.v))
-    vals = np.concatenate((a.kappa * psi(p, f), a.w * t, -a.sigma * a.w * t))
-    return np.bincount(idx, vals, minlength=g.n)
+    vals = np.concatenate((a.kappa * psi(p, f), a.w * t, -a.sigma * a.w * t), axis=-1)
+    if f.ndim == 1:
+        return np.bincount(idx, vals, minlength=g.n)
+    # row r of a stack scatters into bins r*n .. r*n + n-1
+    rows = f.size // g.n
+    idx = idx + g.n * np.arange(rows)[:, None]
+    return np.bincount(idx.ravel(), vals.ravel(), minlength=rows * g.n).reshape(f.shape)
 
 
-def rayleigh(g: SignedGraph, p: float, f: np.ndarray) -> float:
-    """(sum_E w |f_i - sigma f_j|^p + sum_i kappa |f_i|^p) / sum_i mu |f_i|^p."""
+def rayleigh(g: SignedGraph, p: float, f: np.ndarray):
+    """(sum_E w |f_i - sigma f_j|^p + sum_i kappa |f_i|^p) / sum_i mu |f_i|^p:
+    a float for one function, one value per row for a stack (..., n)."""
     _check_p(p)
     f = np.asarray(f, dtype=float)
     a = g._arrays
     af = np.abs(f) ** p
-    den = float(np.sum(a.mu * af))
-    if den == 0:
+    den = (a.mu * af).sum(-1)
+    if (den == 0).any():
         raise ValueError("Rayleigh quotient of the zero function")
-    num = float(np.sum(a.kappa * af))
+    num = (a.kappa * af).sum(-1)
     if g.m:
-        num += float(np.sum(a.w * np.abs(f[a.u] - a.sigma * f[a.v]) ** p))
-    return num / den
+        # take keeps a gathered (R, m) stack C-contiguous (f[:, u] is not),
+        # so each row sum is the same pairwise sum as on one function
+        d = f.take(a.u, axis=-1) - a.sigma * f.take(a.v, axis=-1)
+        num = num + (a.w * np.abs(d) ** p).sum(-1)
+    q = num / den
+    return float(q) if f.ndim == 1 else q
 
 
 def residual(g: SignedGraph, p: float, lam: float, f: np.ndarray) -> float:
@@ -102,8 +134,18 @@ class SolverConfig:
     initial_step: float = 1.0
 
     def __post_init__(self):
-        if not (self.tol > 0 and self.restarts >= 1):
-            raise ValueError("SolverConfig needs tol > 0 and restarts >= 1")
+        # each test is written so that NaN fails it
+        for field, ok, need in (
+                ("tol", 0 < self.tol < np.inf, "positive and finite"),
+                ("restarts", self.restarts >= 1, ">= 1"),
+                ("max_iters", self.max_iters >= 0, ">= 0"),
+                ("armijo_slope", self.armijo_slope >= 0, ">= 0"),
+                # at backtrack >= 1 the Armijo search never ends
+                ("backtrack", 0 < self.backtrack < 1, "in (0, 1)"),
+                ("initial_step", 0 < self.initial_step < np.inf, "positive and finite")):
+            if not ok:
+                raise ValueError(f"SolverConfig.{field} must be {need}, "
+                                 f"got {getattr(self, field)!r}")
 
 
 @dataclass(frozen=True)
@@ -115,37 +157,56 @@ class PEigenPair:
     certificate: str  # "perron-certified" | "multi-restart" | "closed-form"
 
 
-def _ascent(g: SignedGraph, p: float, f0: np.ndarray, cfg: SolverConfig,
-            maximize: bool) -> tuple[np.ndarray, float]:
-    """Armijo projected gradient on the unit p-sphere; returns (f, lambda)."""
+def _row_sqnorms(G: np.ndarray) -> np.ndarray:
+    """G[i] @ G[i] for each row, bit for bit: the stacked matmul runs the
+    1-D dot product per row, while einsum and (G * G).sum(1) round
+    differently."""
+    return (G[:, None, :] @ G[:, :, None])[:, 0, 0]
+
+
+def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
+            maximize: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Armijo projected gradient on the unit p-sphere from each row of the
+    (R, n) stack F0, all rows in lockstep; returns the (R, n) stack F and the
+    (R,) values lam.
+
+    Each row keeps its own value, step and backtracking, and leaves the live
+    set when its own run would stop: residual below 1e-3 * tol, a vanishing
+    gradient, no Armijo step, or max_iters.  Every row does exactly the
+    arithmetic of a one-row run, so its result is the same bit for bit.
+    """
     mu = g.mu_array()
     sgn = 1.0 if maximize else -1.0
-    f = normalize_sp(f0, p, mu)
-    lam = rayleigh(g, p, f)
-    step = cfg.initial_step
+    F = normalize_sp(np.asarray(F0, dtype=float), p, mu)
+    lam = rayleigh(g, p, F)
+    step = np.full(len(F), float(cfg.initial_step))
+    live = np.arange(len(F))
     for _ in range(cfg.max_iters):
-        plap = apply_plap(g, p, f)
-        res = float(np.max(np.abs(plap - lam * mu * psi(p, f))))
-        if res <= 1e-3 * cfg.tol * (1.0 + abs(lam)):
+        if not live.size:
             break
-        grad = sgn * (p * (plap - lam * mu * psi(p, f)))
-        g2 = float(grad @ grad)
-        if g2 <= 1e-30:
-            break
-        t = step
-        moved = False
-        while t > 1e-18:
-            cand = normalize_sp(f + t * grad, p, mu)
+        f, lm = F[live], lam[live]
+        defect = apply_plap(g, p, f) - lm[:, None] * mu * psi(p, f)
+        res = np.max(np.abs(defect), axis=1)
+        grad = sgn * (p * defect)
+        g2 = _row_sqnorms(grad)
+        go = ~(res <= 1e-3 * cfg.tol * (1.0 + np.abs(lm))) & ~(g2 <= 1e-30)
+        live, f, lm, grad, g2 = live[go], f[go], lm[go], grad[go], g2[go]
+        t = step[live]
+        moved = np.zeros(live.size, dtype=bool)
+        search = np.flatnonzero(t > 1e-18)
+        while search.size:
+            cand = normalize_sp(f[search] + t[search, None] * grad[search], p, mu)
             lam_c = rayleigh(g, p, cand)
-            if sgn * (lam_c - lam) >= cfg.armijo_slope * t * g2:
-                f, lam = cand, lam_c
-                moved = True
-                break
-            t *= cfg.backtrack
-        if not moved:
-            break
-        step = min(max(t * 2.0, 1e-12), 1e3)
-    return f, lam
+            ok = sgn * (lam_c - lm[search]) >= cfg.armijo_slope * t[search] * g2[search]
+            acc = search[ok]
+            F[live[acc]], lam[live[acc]] = cand[ok], lam_c[ok]
+            moved[acc] = True
+            search = search[~ok]
+            t[search] *= cfg.backtrack
+            search = search[t[search] > 1e-18]
+        live = live[moved]
+        step[live] = np.minimum(np.maximum(t[moved] * 2.0, 1e-12), 1e3)
+    return F, lam
 
 
 def _power_refine(gneg: SignedGraph, p: float, f0: np.ndarray,
@@ -266,12 +327,13 @@ def _finish(g, p, f, lam):
 
 def _best_restart(g: SignedGraph, p: float, cfg: SolverConfig,
                   starts: list[np.ndarray], largest: bool) -> PEigenPair:
-    """Ascend (descend) from every start; keep the highest (lowest) value
-    among the restarts that reach the residual tolerance."""
+    """Ascend (descend) from all starts as one stack; polish each result in
+    start order and keep the highest (lowest) value among the restarts that
+    reach the residual tolerance (the first one on a tie)."""
+    F, lams = _ascent(g, p, np.array(starts, dtype=float), cfg, maximize=largest)
     best = None
-    for f0 in starts:
-        f, lam = _ascent(g, p, f0, cfg, maximize=largest)
-        f, lam, res = _finish(g, p, f, lam)
+    for f, lam in zip(F, lams.tolist()):
+        f, lam, res = _finish(g, p, f.copy(), lam)
         better = best is None or (lam > best[1] if largest else lam < best[1])
         if res <= cfg.tol * (1.0 + abs(lam)) and better:
             best = (f, lam, res)
@@ -306,9 +368,9 @@ def solve_largest(g: SignedGraph, p: float,
             f = _power_refine(gneg, p, np.ones(g.n))
             lam = rayleigh(gneg, p, f)
         else:
-            f, lam = _ascent(gneg, p, np.abs(np.random.default_rng(cfg.rng_seed)
-                                             .standard_normal(g.n)) + 0.1,
-                             cfg, maximize=True)
+            f0 = np.abs(np.random.default_rng(cfg.rng_seed).standard_normal(g.n)) + 0.1
+            F, lams = _ascent(gneg, p, f0[None, :], cfg, maximize=True)
+            f, lam = F[0], float(lams[0])
         f, lam, res = _finish(gneg, p, f, lam)
         one_signed = bool(np.all(f > 0) or np.all(f < 0))
         ok = res <= cfg.tol * (1.0 + abs(lam))

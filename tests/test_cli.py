@@ -3,8 +3,11 @@
 import json
 import math
 
+import pytest
+
 from plap import families, graph
 from plap.cli import main
+from plap.report import Report
 
 
 def _run(capsys, *argv):
@@ -94,6 +97,25 @@ def test_spectrum_reports_certificate(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["values"]["certificate"] == "perron-certified"
     assert abs(rep["values"]["lambda"] - 4.0) < 1e-8
+
+
+def test_spectrum_rejects_infinite_tol(tmp_path, capsys):
+    path = _write_graph(tmp_path, families.random_graph(6, 0.5, 3, signed=True))
+    code, out, err = _run(capsys, "spectrum", path, "--p", "1.5", "--which",
+                          "largest", "--tol", "inf")
+    assert code == 2 and out == ""
+    assert "SolverConfig.tol must be positive and finite" in err
+
+
+def test_report_refuses_non_finite_numbers():
+    rep = Report(command=["plap"], input_digest="sha256:0", seed=None)
+    rep.add("check", "anchor", True, {"value": float("nan")})
+    with pytest.raises(ValueError):
+        rep.dumps()
+    rep = Report(command=["plap"], input_digest="sha256:0", seed=None)
+    rep.values["lambda"] = float("inf")
+    with pytest.raises(ValueError):
+        rep.dumps()
 
 
 def test_bounds_inertia(tmp_path, capsys):

@@ -272,6 +272,14 @@ def test_brackets_ignore_the_potential():
     assert exact_ln(g).lower == exact_ln(gk).lower
 
 
+@pytest.mark.parametrize("side,bound", [("lower_bound_full", math.nan),
+                                        ("upper_bound_subsets", (math.nan, ()))])
+def test_bracket_with_a_nan_side_raises(side, bound, monkeypatch):
+    monkeypatch.setattr(cutoff, side, lambda *args: bound)
+    with pytest.raises(RuntimeError, match="inconsistent bracket"):
+        bracket(families.complete(4), 2)
+
+
 def test_bracket_vector_is_monotone_and_ordered():
     for seed in range(6):
         g = random_signed(6, 0.5, seed)

@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from plap import families, graph
+from plap import families, graph, solver
 from plap.linalg import adjacency
-from plap.solver import (SolverConfig, apply_plap, closed_form_complete,
-                         closed_form_star, complete_extremes,
-                         monotonicity_functionals, normalize_sp,
-                         potential_shift_check, psi, rayleigh, residual,
-                         solve_largest, solve_smallest)
+from plap.solver import (PEigenPair, SolverConfig, SolverError, apply_plap,
+                         closed_form_complete, closed_form_star,
+                         complete_extremes, monotonicity_functionals,
+                         normalize_sp, potential_shift_check, psi, rayleigh,
+                         residual, solve_largest, solve_smallest)
 
-from conftest import random_connected_antibalanced, random_signed
+from conftest import (random_balanced, random_connected_antibalanced,
+                      random_signed, random_weighted)
 
 
 def _signless_laplacian_eigs(g):
@@ -180,6 +181,232 @@ def test_rayleigh_upper_bound(rng):
             for _ in range(10):
                 f = rng.standard_normal(6)
                 assert rayleigh(g, p, f) <= 2 ** (p - 1) * bound_base + 1e-9
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tol", 0.0), ("tol", -1e-8), ("tol", math.inf), ("tol", math.nan),
+    ("restarts", 0),
+    ("max_iters", -1),
+    ("armijo_slope", -1e-4), ("armijo_slope", math.nan),
+    ("backtrack", 0.0), ("backtrack", 1.0), ("backtrack", 1.5), ("backtrack", math.nan),
+    ("initial_step", 0.0), ("initial_step", -1.0), ("initial_step", math.inf),
+    ("initial_step", math.nan)])
+def test_solver_config_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=f"SolverConfig.{field} must be"):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_accepts_the_edges_of_its_ranges():
+    SolverConfig(max_iters=0, armijo_slope=0.0, restarts=1, backtrack=0.999,
+                 initial_step=1e-300, tol=1e300)
+
+
+# --- lockstep restarts against the serial loop they replaced -------------------
+
+def _ref_apply(g, p, f):
+    a = g._arrays
+    t = psi(p, f[a.u] - a.sigma * f[a.v])
+    idx = np.concatenate((np.arange(g.n), a.u, a.v))
+    vals = np.concatenate((a.kappa * psi(p, f), a.w * t, -a.sigma * a.w * t))
+    return np.bincount(idx, vals, minlength=g.n)
+
+
+def _ref_rayleigh(g, p, f):
+    a = g._arrays
+    af = np.abs(f) ** p
+    num = float(np.sum(a.kappa * af))
+    if g.m:
+        num += float(np.sum(a.w * np.abs(f[a.u] - a.sigma * f[a.v]) ** p))
+    return num / float(np.sum(a.mu * af))
+
+
+def _ref_normalize(f, p, mu):
+    nrm = float(np.sum(mu * np.abs(f) ** p) ** (1.0 / p))
+    if nrm == 0 or not np.isfinite(nrm):
+        raise ValueError("cannot normalize the zero (or non-finite) function")
+    return f / nrm
+
+
+def _serial_ascent(g, p, f0, cfg, maximize):
+    """One start at a time, on 1-D kernels: the loop the lockstep stack
+    replaced.  Returns (f, lambda, stop reason)."""
+    mu = g.mu_array()
+    sgn = 1.0 if maximize else -1.0
+    f = _ref_normalize(f0, p, mu)
+    lam = _ref_rayleigh(g, p, f)
+    step = cfg.initial_step
+    for _ in range(cfg.max_iters):
+        plap = _ref_apply(g, p, f)
+        res = float(np.max(np.abs(plap - lam * mu * psi(p, f))))
+        if res <= 1e-3 * cfg.tol * (1.0 + abs(lam)):
+            return f, lam, "residual"
+        grad = sgn * (p * (plap - lam * mu * psi(p, f)))
+        g2 = float(grad @ grad)
+        if g2 <= 1e-30:
+            return f, lam, "gradient"
+        t = step
+        moved = False
+        while t > 1e-18:
+            cand = _ref_normalize(f + t * grad, p, mu)
+            lam_c = _ref_rayleigh(g, p, cand)
+            if sgn * (lam_c - lam) >= cfg.armijo_slope * t * g2:
+                f, lam = cand, lam_c
+                moved = True
+                break
+            t *= cfg.backtrack
+        if not moved:
+            return f, lam, "no-armijo-step"
+        step = min(max(t * 2.0, 1e-12), 1e3)
+    return f, lam, "max-iters"
+
+
+def _serial_best_restart(g, p, cfg, ascents, largest):
+    """The old restart loop, given the serial ascent of every start."""
+    best = None
+    for f, lam, _ in ascents:
+        f, lam, res = solver._finish(g, p, f, lam)
+        better = best is None or (lam > best[1] if largest else lam < best[1])
+        if res <= cfg.tol * (1.0 + abs(lam)) and better:
+            best = (f, lam, res)
+    if best is None:
+        raise SolverError(f"no restart reached residual tolerance {cfg.tol:g} "
+                          f"(p={p}, restarts={cfg.restarts})")
+    f, lam, res = best
+    return PEigenPair(p=p, value=lam, f=f, residual=res, certificate="multi-restart")
+
+
+def _solver_starts(g, p, cfg, largest):
+    """The starts solve_largest / solve_smallest hand to _best_restart."""
+    starts = solver._starts(g, p, cfg, largest)
+    witness = graph.classify_balance(g).balanced_witness
+    if not largest and witness is not None:
+        starts.insert(0, np.asarray(witness, dtype=float))
+    return starts
+
+
+def _balanced_kappa(n, seed):
+    g = random_balanced(n, 0.6, seed)
+    kappa = np.random.default_rng(seed).uniform(0.1, 1.0, n)
+    return graph.validate(n, [tuple(e) for e in g.edges], kappa=kappa.tolist())
+
+
+def _antibalanced_negative_kappa():
+    g = random_connected_antibalanced(6, 0.5, 4)
+    return graph.validate(6, [tuple(e) for e in g.edges],
+                          kappa=[-0.5, 0.3, 0.0, 1.0, -0.2, 0.4])
+
+
+IDENTITY_GRAPHS = {
+    "K3": families.complete(3), "K4": families.complete(4),
+    "K5": families.complete(5), "K6": families.complete(6),
+    "S4": families.star(4), "S7": families.star(7),
+    "balanced-kappa7": _balanced_kappa(7, 3),
+    "antibalanced-kappa6": _antibalanced_negative_kappa(),
+    "weighted8": random_weighted(8, 0.5, 0),    # non-unit w and mu, kappa != 0
+    "weighted9": random_weighted(9, 0.6, 1, isolated=1),
+    "signed9": random_signed(9, 0.5, 2),
+}
+# short runs keep the serial reference cheap; every row still takes up to 20
+# accepted or rejected Armijo steps, which any rounding change would alter
+SHORT = SolverConfig(max_iters=20)
+
+
+def _assert_same_solve(g, p, cfg, starts, largest, ascents=None):
+    if ascents is None:
+        ascents = [_serial_ascent(g, p, f0, cfg, largest) for f0 in starts]
+    try:
+        want = _serial_best_restart(g, p, cfg, ascents, largest)
+    except SolverError as exc:
+        with pytest.raises(SolverError) as got:
+            solver._best_restart(g, p, cfg, starts, largest)
+        assert str(got.value) == str(exc)
+        return "error"
+    got = solver._best_restart(g, p, cfg, starts, largest)
+    assert np.array_equal(got.f, want.f)
+    assert (got.value, got.residual, got.certificate) == \
+        (want.value, want.residual, want.certificate)
+    assert type(got.value) is float
+    return "pair"
+
+
+@pytest.mark.parametrize("name", IDENTITY_GRAPHS)
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 8.0])
+def test_lockstep_ascent_equals_the_serial_loop(name, p):
+    g = IDENTITY_GRAPHS[name]
+    for largest in (True, False):
+        starts = _solver_starts(g, p, SHORT, largest)
+        F, lam = solver._ascent(g, p, np.array(starts), SHORT, largest)
+        assert F.shape == (len(starts), g.n) and lam.shape == (len(starts),)
+        ascents = [_serial_ascent(g, p, f0, SHORT, largest) for f0 in starts]
+        for i, (f0, (f, lm, _)) in enumerate(zip(starts, ascents)):
+            assert np.array_equal(F[i], f) and lam[i] == lm, (i, largest)
+            F1, lam1 = solver._ascent(g, p, f0[None, :], SHORT, largest)
+            assert np.array_equal(F1[0], f) and lam1[0] == lm, (i, largest)
+        _assert_same_solve(g, p, SHORT, starts, largest, ascents)
+
+
+def test_lockstep_covers_every_stop_reason():
+    # tol 1e-16 puts the internal stop below the rounding floor, so rows also
+    # stop on a vanishing gradient or on no Armijo step
+    cfg = SolverConfig(tol=1e-16, max_iters=80)
+    g = families.complete(4)
+    starts = _solver_starts(g, 2.0, cfg, True)
+    F, lam = solver._ascent(g, 2.0, np.array(starts), cfg, True)
+    reasons = set()
+    for i, f0 in enumerate(starts):
+        f, lm, why = _serial_ascent(g, 2.0, f0, cfg, True)
+        assert np.array_equal(F[i], f) and lam[i] == lm
+        reasons.add(why)
+    assert reasons == {"residual", "gradient", "no-armijo-step", "max-iters"}
+
+
+@pytest.mark.parametrize("name,p,largest", [("K3", 2.0, True), ("S4", 3.0, True),
+                                            ("balanced-kappa7", 2.0, False),
+                                            ("signed9", 2.0, True)])
+def test_lockstep_solve_equals_the_serial_loop_at_the_default_config(name, p, largest):
+    g, cfg = IDENTITY_GRAPHS[name], SolverConfig()
+    assert _assert_same_solve(g, p, cfg, _solver_starts(g, p, cfg, largest), largest) == "pair"
+
+
+def test_lockstep_solve_where_every_restart_fails():
+    g = IDENTITY_GRAPHS["signed9"]
+    for largest in (True, False):
+        starts = _solver_starts(g, 1.5, SHORT, largest)
+        assert _assert_same_solve(g, 1.5, SHORT, starts, largest) == "error"
+
+
+def test_perron_single_start_is_one_row():
+    g = IDENTITY_GRAPHS["antibalanced-kappa6"]
+    gneg = graph.switch(g, graph.classify_balance(g).antibalanced_witness)
+    cfg = SolverConfig()
+    f0 = np.abs(np.random.default_rng(cfg.rng_seed).standard_normal(g.n)) + 0.1
+    F, lam = solver._ascent(gneg, 3.0, f0[None, :], cfg, True)
+    f, lm, _ = _serial_ascent(gneg, 3.0, f0, cfg, True)
+    assert np.array_equal(F[0], f) and lam[0] == lm
+    assert solve_largest(g, 3.0, cfg).certificate == "perron-certified"
+
+
+def test_row_sqnorms_are_the_1d_dot(rng):
+    # a last-place change of g2 alters the ascent only on an Armijo tie, so
+    # the solves above cannot see it; the kernel is checked directly
+    for n in (*range(1, 40), 127, 128, 129, 1000):
+        for rows in (1, 2, 24):
+            G = rng.standard_normal((rows, n)) * rng.uniform(0.1, 10.0)
+            assert solver._row_sqnorms(G).tolist() == [float(g @ g) for g in G]
+
+
+def test_stacked_kernels_equal_their_rows(rng):
+    big = [random_weighted(40, 0.3, 5), random_weighted(300, 0.05, 6, isolated=3)]
+    for g in [*IDENTITY_GRAPHS.values(), *big]:
+        mu = g.mu_array()
+        F = rng.standard_normal((5, g.n))
+        for p in (1.5, 2.0, 3.0, 8.0):
+            ray, plap, unit = rayleigh(g, p, F), apply_plap(g, p, F), normalize_sp(F, p, mu)
+            for i, f in enumerate(F):
+                assert ray[i] == _ref_rayleigh(g, p, f) == rayleigh(g, p, f)
+                assert np.array_equal(plap[i], _ref_apply(g, p, f))
+                assert np.array_equal(unit[i], _ref_normalize(f, p, mu))
+            assert np.array_equal(apply_plap(g, p, F.reshape(5, 1, g.n))[:, 0], plap)
 
 
 # --- closed forms ------------------------------------------------------------
