@@ -18,8 +18,8 @@ from .solver import (MonotonicityReport, PEigenPair, ShiftReport, SolverConfig,
                      closed_form_star, complete_extremes,
                      monotonicity_functionals, potential_shift_check, rayleigh,
                      residual, solve_largest, solve_smallest)
-from .cutoff import (CutoffBracket, LimitScanResult, bracket, exact_ln,
-                     interlacing_check, limit_scan, lower_bound_full,
+from .cutoff import (CutoffBracket, LimitScanResult, bracket, brackets, exact_ln,
+                     interlacing_check, interlacing_checks, limit_scan, lower_bound_full,
                      lower_bound_subgraphs, r_q_infty, upper_bound_from_p,
                      upper_bound_subsets)
 from .combinatorics import (EdgeCover, IndependentSet, InertiaReport, Matching,

@@ -107,16 +107,16 @@ def _cmd_cutoff(args) -> int:
     g, raw = _read_graph(args.graph)
     ks = list(range(1, g.n + 1)) if args.k == "all" else [int(args.k)]
     rep = Report(command=args.command_echo, input_digest=digest(raw), seed=args.seed)
-    brackets = []
     for k in ks:
         if not (1 <= k <= g.n):
             return _usage_error(f"k must be in [1, {g.n}], got {k}")
-        b = cutoff.bracket(g, k, budget=args.budget, seed=args.seed)
-        brackets.append({"k": k, "lower": b.lower, "upper": b.upper,
+    brackets = []
+    for b in cutoff.brackets(g, ks, budget=args.budget, seed=args.seed):
+        brackets.append({"k": b.k, "lower": b.lower, "upper": b.upper,
                          "exact": b.exact,
                          "lower_certificate": b.lower_certificate,
                          "upper_certificate": b.upper_certificate})
-        rep.add(f"bracket k={k}", ANCHORS["bracket"],
+        rep.add(f"bracket k={b.k}", ANCHORS["bracket"],
                 b.exact if args.exact else True,
                 {"lower": b.lower, "upper": b.upper, "exact": b.exact})
     rep.values["brackets"] = brackets
@@ -182,8 +182,8 @@ def _verify_interlacing(g, args, rep: Report) -> None:
                 {"reason": "need at least 2 vertices"})
         return
     removals = range(g.n) if g.n <= 12 else range(12)
-    for v in removals:
-        res = cutoff.interlacing_check(g, [v], budget=args.budget)
+    for v, res in zip(removals, cutoff.interlacing_checks(
+            g, [[v] for v in removals], budget=args.budget)):
         details = {name: d for name, _, d in res.items}
         rep.add(f"interlacing, remove vertex {v}", ANCHORS["interlacing"],
                 res.ok, details,

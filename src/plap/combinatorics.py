@@ -295,8 +295,8 @@ def inertia_report(g: SignedGraph,
         record("alpha <= #{k : lower_k = 0} for every signature",
                alpha <= proxy, {"sigma": sigma, "alpha": alpha, "proxy": proxy})
 
-    for k in range(1, alpha + 1):
-        up, cert = cutoff.upper_bound_subsets(g, k, budget, seed)
+    for k, (up, cert) in enumerate(
+            cutoff._subset_uppers(g, range(1, alpha + 1), budget, seed, mis), start=1):
         record("upper bound vanishes for k up to the independence number",
                up == 0.0, {"k": k, "upper": up, "certificate": cert})
 

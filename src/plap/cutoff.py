@@ -15,7 +15,8 @@ so no smaller compatible subgraph can beat it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +29,8 @@ from .solver import SolverConfig, solve_largest
 
 EXACT_TOL = 1e-9
 DEFAULT_SIGN_CAP = 24
-_BATCH_BYTES = 1 << 17      # float64 matrices per stacked eigensolve
+_BATCH_BYTES = 1 << 17      # bytes of float64 matrices per stacked eigensolve,
+                            # in the sign/subgraph scans and the subset scans
 
 
 @dataclass(frozen=True)
@@ -89,16 +91,18 @@ def _batch_size(n: int) -> int:
     return max(1, _BATCH_BYTES // (8 * n * n))
 
 
-def _first_max(g: SignedGraph, batches, index: int, **flags) -> tuple[float, int]:
-    """(value, position) of the first maximum of eigenvalue `index` of
-    normalized_adjacency(g, mask, **flags) over the rows of the mask batches;
-    one stacked eigensolve per batch."""
-    best_val, best_pos, pos = -np.inf, 0, 0
+def _first_max(g: SignedGraph, batches, cols: Sequence[int],
+               **flags) -> tuple[np.ndarray, np.ndarray]:
+    """(values, positions) of the first maximum of each eigenvalue column in
+    cols of normalized_adjacency(g, mask, **flags) over the rows of the mask
+    batches; one stacked eigensolve per batch serves every column."""
+    best_val, best_pos, pos = np.full(len(cols), -np.inf), np.zeros(len(cols), int), 0
     for masks in batches:
-        vals = np.linalg.eigvalsh(normalized_adjacency(g, masks, **flags))[:, index]
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val, best_pos = float(vals[i]), pos + i
+        vals = np.linalg.eigvalsh(normalized_adjacency(g, masks, **flags))[:, cols]
+        i = np.argmax(vals, axis=0)
+        top = vals[i, np.arange(len(cols))]
+        better = top > best_val
+        best_val[better], best_pos[better] = top[better], pos + i[better]
         pos += len(masks)
     return best_val, best_pos
 
@@ -109,8 +113,8 @@ def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
     n, total, step = g.n, 1 << (g.n - 1), _batch_size(g.n)
     batches = (_active_edges(g, _code_signs(n, np.arange(lo, min(lo + step, total))))
                for lo in range(0, total, step))
-    best_val, best_code = _first_max(g, batches, -1, absolute=True)
-    return best_val, _code_to_signs(n, best_code)
+    best_val, best_code = _first_max(g, batches, [-1], absolute=True)
+    return float(best_val[0]), _code_to_signs(n, int(best_code[0]))
 
 
 def _hill_climb_signs(g: SignedGraph, seed: int, rounds: int = 8) -> tuple[float, tuple[int, ...]]:
@@ -176,10 +180,14 @@ def exact_ln(g: SignedGraph, cap: int = DEFAULT_SIGN_CAP,
                          exact=False)
 
 
-def lower_bound_full(g: SignedGraph, k: int) -> float:
-    """max(0, lambda_k(A^mu of the negated graph) / 2)."""
+def _check_k(g: SignedGraph, k: int) -> None:
     if not (1 <= k <= g.n):
         raise ValueError(f"k must be in [1, {g.n}]")
+
+
+def lower_bound_full(g: SignedGraph, k: int) -> float:
+    """max(0, lambda_k(A^mu of the negated graph) / 2)."""
+    _check_k(g, k)
     return float(lower_bounds_full_all(g)[k - 1])
 
 
@@ -198,11 +206,16 @@ def lower_bound_subgraphs(g: SignedGraph, k: int,
     The pool: all edges, none, the maximal antibalanced subgraphs (one per
     sign code) and every other edge subset, the last two while they fit the
     budget.  The first member of the pool wins ties."""
-    if not (1 <= k <= g.n):
-        raise ValueError(f"k must be in [1, {g.n}]")
+    _check_k(g, k)
+    return _subgraph_lowers(g, [k], budget)[0]
+
+
+def _subgraph_lowers(g: SignedGraph, ks: Sequence[int],
+                     budget: int) -> list[tuple[float, tuple]]:
+    """lower_bound_subgraphs for every k in ks from one scan of the pool."""
     g = with_zero_kappa(g)
     if not g.m:
-        return 0.0, ("spanning-subgraph", ())
+        return [(0.0, ("spanning-subgraph", ()))] * len(ks)
     pool = [np.ones((1, g.m), dtype=bool), np.zeros((1, g.m), dtype=bool)]
     if (1 << (g.n - 1)) <= budget:
         pool.append(_active_edges(g, _code_signs(g.n, np.arange(1 << (g.n - 1)))))
@@ -215,20 +228,27 @@ def lower_bound_subgraphs(g: SignedGraph, k: int,
     masks = np.concatenate(pool)
     _, first = np.unique(masks, axis=0, return_index=True)
     masks, step = masks[np.sort(first)], _batch_size(g.n)
-    best_val, best = _first_max(g, (masks[lo:lo + step] for lo in range(0, len(masks), step)),
-                                k - 1, negate=True)
-    edges = tuple((g.edges[i].u, g.edges[i].v) for i in np.flatnonzero(masks[best]))
-    return 0.5 * best_val, ("spanning-subgraph", edges)
+    vals, best = _first_max(g, (masks[lo:lo + step] for lo in range(0, len(masks), step)),
+                            [k - 1 for k in ks], negate=True)
+    return [(0.5 * float(val), ("spanning-subgraph",
+                                tuple((g.edges[i].u, g.edges[i].v)
+                                      for i in np.flatnonzero(masks[pos]))))
+            for val, pos in zip(vals, best)]
 
 
-def _subset_value(absadj: np.ndarray, subset: Sequence[int]) -> float:
+def _subset_values(absadj: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Half the top eigenvalue of the mu-normalized |A| (absadj) restricted
-    to subset."""
-    keep = sorted(set(subset))
-    m = absadj[np.ix_(keep, keep)]
-    if not m.any():
-        return 0.0
-    return 0.5 * float(np.linalg.eigvalsh(m)[-1])
+    to each row of subsets (ascending vertices, one size); exactly 0.0 where
+    the restriction has no nonzero entry.  One stacked eigensolve per batch
+    of at most _BATCH_BYTES of matrices (or one matrix if that is larger)."""
+    out, step = [], _batch_size(subsets.shape[1])
+    for lo in range(0, len(subsets), step):
+        idx = subsets[lo:lo + step]
+        sub = absadj[idx[:, :, None], idx[:, None, :]]
+        vals = 0.5 * np.linalg.eigvalsh(sub)[:, -1]
+        vals[~sub.any(axis=(1, 2))] = 0.0
+        out.append(vals)
+    return np.concatenate(out)
 
 
 def upper_bound_subsets(g: SignedGraph, k: int, budget: int = 2048,
@@ -237,42 +257,49 @@ def upper_bound_subsets(g: SignedGraph, k: int, budget: int = 2048,
     normalized |A| restricted to S; exactly 0 on independent subsets.
 
     Exhaustive when C(n,k) fits the budget, else greedy plus seeded random
-    subsets.  An independent set of size >= k short-circuits to 0.
+    subsets.  An independent set of size >= k short-circuits to 0.  The
+    first subset in combinations order wins ties, and the exhaustive scan
+    stops after the first batch that holds a 0.
     """
-    if not (1 <= k <= g.n):
-        raise ValueError(f"k must be in [1, {g.n}]")
-    g = with_zero_kappa(g)
     from .combinatorics import max_independent_set
-    mis = max_independent_set(g)
-    if mis.size >= k:
-        subset = tuple(sorted(mis.vertices)[:k])
-        return 0.0, ("vertex-subset", subset)
+    _check_k(g, k)
+    return _subset_uppers(g, [k], budget, seed, max_independent_set(g))[0]
 
-    from math import comb
+
+def _subset_uppers(g: SignedGraph, ks: Sequence[int], budget: int, seed: int,
+                   mis) -> list[tuple[float, tuple]]:
+    """upper_bound_subsets for every k in ks, given g's maximum independent
+    set mis."""
+    g = with_zero_kappa(g)
     absadj = normalized_adjacency(g, absolute=True)
-    best: tuple[float, tuple[int, ...]] | None = None
-    if comb(g.n, k) <= budget:
-        for subset in combinations(range(g.n), k):
-            val = _subset_value(absadj, subset)
-            if best is None or val < best[0]:
-                best = (val, subset)
+    out = []
+    for k in ks:
+        if mis.size >= k:
+            out.append((0.0, ("vertex-subset", tuple(sorted(mis.vertices)[:k]))))
+            continue
+        if comb(g.n, k) <= budget:
+            subsets = combinations(range(g.n), k)
+            chunks = iter(lambda: list(islice(subsets, _batch_size(k))), [])
+        else:
+            cur: list[int] = []
+            while len(cur) < k:     # add the first vertex of least value
+                free = [x for x in range(g.n) if x not in cur]
+                vals = _subset_values(absadj, np.array([sorted(cur + [x]) for x in free]))
+                cur.append(free[int(np.argmin(vals))])
+            rng = np.random.default_rng(seed)
+            chunks = [[tuple(sorted(cur))] + [
+                tuple(int(x) for x in np.sort(rng.choice(g.n, k, replace=False)))
+                for _ in range(min(budget, 256))]]
+        best = (np.inf, ())
+        for chunk in chunks:
+            vals = _subset_values(absadj, np.array(chunk))
+            i = int(np.argmin(vals))
+            if vals[i] < best[0]:
+                best = (float(vals[i]), chunk[i])
             if best[0] == 0.0:
                 break
-    else:
-        cur: list[int] = []
-        free = set(range(g.n))
-        while len(cur) < k:
-            pick = min(free, key=lambda x: (_subset_value(absadj, cur + [x]), x))
-            cur.append(pick)
-            free.discard(pick)
-        best = (_subset_value(absadj, cur), tuple(sorted(cur)))
-        rng = np.random.default_rng(seed)
-        for _ in range(min(budget, 256)):
-            subset = tuple(sorted(rng.choice(g.n, size=k, replace=False)))
-            val = _subset_value(absadj, subset)
-            if val < best[0]:
-                best = (val, subset)
-    return best[0], ("vertex-subset", tuple(best[1]))
+        out.append((best[0], ("vertex-subset", best[1])))
+    return out
 
 
 def upper_bound_from_p(g: SignedGraph, k_label: int, p: float,
@@ -290,31 +317,47 @@ def upper_bound_from_p(g: SignedGraph, k_label: int, p: float,
 
 def bracket(g: SignedGraph, k: int, budget: int = 2048,
             cap: int = DEFAULT_SIGN_CAP, seed: int = 0) -> CutoffBracket:
-    """Combine all bounds for index k; exact when they meet within 1e-9.
+    """The bracket for one index: brackets(g, [k], ...)[0]."""
+    return brackets(g, [k], budget, cap, seed)[0]
 
+
+def brackets(g: SignedGraph, ks: Sequence[int], budget: int = 2048,
+             cap: int = DEFAULT_SIGN_CAP, seed: int = 0) -> list[CutoffBracket]:
+    """Combine all bounds for each index in ks; exact when they meet within
+    1e-9.
+
+    Lower: the full-graph bound, the subgraph pool, and at k = n the exact
+    (or sampled) L_n; upper: the vertex subsets, and at k = n an exact L_n.
+    The first bound in that order wins ties on each side.  One pool scan,
+    one maximum independent set and at most one exact_ln serve every k.
     An inverted bracket (lower > upper beyond tolerance) is an implementation
     bug by construction and raises immediately, and so does a NaN side.
     """
-    if not (1 <= k <= g.n):
-        raise ValueError(f"k must be in [1, {g.n}]")
+    from .combinatorics import max_independent_set
+    for k in ks:
+        _check_k(g, k)
     g = with_zero_kappa(g)
-    lowers = [(lower_bound_full(g, k), ("full-graph",))]
-    lowers.append(lower_bound_subgraphs(g, k, budget))
-    uppers = [upper_bound_subsets(g, k, budget, seed)]
-    if k == g.n:
-        ln = exact_ln(g, cap=cap, seed=seed)
-        lowers.append((ln.lower, ln.lower_certificate))
-        if ln.exact:
-            uppers.append((ln.upper, ("exact",)))
-    lower, lower_cert = max(lowers, key=lambda t: t[0])
-    upper, upper_cert = min(uppers, key=lambda t: t[0])
-    if not lower <= upper + EXACT_TOL:    # a NaN side fails too
-        raise RuntimeError(f"inconsistent bracket for k={k}: "
-                           f"lower {lower!r} > upper {upper!r}")
-    return CutoffBracket(k=k, lower=lower, upper=upper,
-                         lower_certificate=lower_cert,
-                         upper_certificate=upper_cert,
-                         exact=(upper - lower) <= EXACT_TOL)
+    full = lower_bounds_full_all(g)
+    subgraphs = _subgraph_lowers(g, ks, budget)
+    subsets = _subset_uppers(g, ks, budget, seed, max_independent_set(g))
+    ln = exact_ln(g, cap=cap, seed=seed) if g.n in ks else None
+    out = []
+    for k, subgraph, subset in zip(ks, subgraphs, subsets):
+        lowers, uppers = [(float(full[k - 1]), ("full-graph",)), subgraph], [subset]
+        if k == g.n:
+            lowers.append((ln.lower, ln.lower_certificate))
+            if ln.exact:
+                uppers.append((ln.upper, ("exact",)))
+        lower, lower_cert = max(lowers, key=lambda t: t[0])
+        upper, upper_cert = min(uppers, key=lambda t: t[0])
+        if not lower <= upper + EXACT_TOL:    # a NaN side fails too
+            raise RuntimeError(f"inconsistent bracket for k={k}: "
+                               f"lower {lower!r} > upper {upper!r}")
+        out.append(CutoffBracket(k=k, lower=lower, upper=upper,
+                                 lower_certificate=lower_cert,
+                                 upper_certificate=upper_cert,
+                                 exact=(upper - lower) <= EXACT_TOL))
+    return out
 
 
 @dataclass(frozen=True)
@@ -332,25 +375,40 @@ def interlacing_check(g: SignedGraph, removed: Sequence[int],
                       cap: int = DEFAULT_SIGN_CAP) -> InterlacingReport:
     """Check L_n(G - removed) <= L_n(G) and the per-index bracket consistency
     lower_k(G) <= upper_k(G - removed) for the computable indices."""
-    rem = sorted(set(int(i) for i in removed))
-    if not (1 <= len(rem) <= g.n - 1):
-        raise GraphError("must remove between 1 and n-1 vertices")
-    for i in rem:
-        if not (0 <= i < g.n):
-            raise GraphError(f"vertex index {i} out of range [0,{g.n})")
-    keep = [i for i in range(g.n) if i not in rem]
-    sub = induced_subgraph(g, keep)
-    ln_g = exact_ln(with_zero_kappa(g), cap=cap)
-    ln_sub = exact_ln(with_zero_kappa(sub), cap=cap)
-    items = [("top-index interlacing", ln_sub.lower <= ln_g.upper + EXACT_TOL,
-              {"L_n(subgraph)": ln_sub.lower, "L_n(graph)": ln_g.upper,
-               "exact": ln_g.exact and ln_sub.exact})]
-    for k in range(1, sub.n + 1):
-        lo = lower_bound_full(g, k)
-        up, _ = upper_bound_subsets(sub, k, budget)
-        items.append((f"bracket consistency k={k}", lo <= up + EXACT_TOL,
-                      {"lower_k(graph)": lo, "upper_k(subgraph)": up}))
-    return InterlacingReport(removed=tuple(rem), items=tuple(items))
+    return interlacing_checks(g, [removed], budget, cap)[0]
+
+
+def interlacing_checks(g: SignedGraph, removals: Sequence[Sequence[int]],
+                       budget: int = 2048,
+                       cap: int = DEFAULT_SIGN_CAP) -> list[InterlacingReport]:
+    """interlacing_check for each vertex set in removals.  Exact L_n(G) and
+    the full-graph lower bounds of G are computed once for all of them, and
+    one upper-bound pass per removal serves every k."""
+    from .combinatorics import max_independent_set
+    rems = [sorted(set(int(i) for i in removed)) for removed in removals]
+    for rem in rems:
+        if not (1 <= len(rem) <= g.n - 1):
+            raise GraphError("must remove between 1 and n-1 vertices")
+        for i in rem:
+            if not (0 <= i < g.n):
+                raise GraphError(f"vertex index {i} out of range [0,{g.n})")
+    g = with_zero_kappa(g)
+    ln_g = exact_ln(g, cap=cap)
+    lows = lower_bounds_full_all(g)
+    out = []
+    for rem in rems:
+        sub = induced_subgraph(g, [i for i in range(g.n) if i not in rem])
+        ln_sub = exact_ln(sub, cap=cap)
+        items = [("top-index interlacing", ln_sub.lower <= ln_g.upper + EXACT_TOL,
+                  {"L_n(subgraph)": ln_sub.lower, "L_n(graph)": ln_g.upper,
+                   "exact": ln_g.exact and ln_sub.exact})]
+        ups = _subset_uppers(sub, range(1, sub.n + 1), budget, 0, max_independent_set(sub))
+        for k, (up, _) in enumerate(ups, start=1):
+            lo = float(lows[k - 1])
+            items.append((f"bracket consistency k={k}", lo <= up + EXACT_TOL,
+                          {"lower_k(graph)": lo, "upper_k(subgraph)": up}))
+        out.append(InterlacingReport(removed=tuple(rem), items=tuple(items)))
+    return out
 
 
 def limit_scan(g: SignedGraph, p_grid: Sequence[float],

@@ -476,14 +476,17 @@ def monotonicity_functionals(g: SignedGraph, k_label: int,
     ps = [float(x) for x in p_grid]
     if any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError("p-grid must be strictly increasing")
+    bad = [i for i, x in enumerate(lambdas) if not math.isfinite(x)]
+    if bad:
+        raise ValueError(f"lambda at index {bad[0]} is not finite: {lambdas[bad[0]]!r}")
     lams = [max(0.0, float(x)) for x in lambdas]
     m1 = [2.0 ** (-p) * lam for p, lam in zip(ps, lams)]
     m2 = [p * (lam / dconst) ** (1.0 / p) for p, lam in zip(ps, lams)]
     violations = []
-    for i in range(len(ps) - 1):
-        if m1[i + 1] > m1[i] + slack:
+    for i in range(len(ps) - 1):      # written so that a NaN fails
+        if not m1[i + 1] <= m1[i] + slack:
             violations.append((i, "m1", m1[i + 1] - m1[i]))
-        if m2[i + 1] < m2[i] - slack:
+        if not m2[i + 1] >= m2[i] - slack:
             violations.append((i, "m2", m2[i] - m2[i + 1]))
     return MonotonicityReport(p_grid=tuple(ps), lambdas=tuple(lams),
                               m1=tuple(m1), m2=tuple(m2),

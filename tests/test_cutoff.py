@@ -1,15 +1,17 @@
 """Cutoff eigenvalue brackets: exact top values, bounds, interlacing, limits."""
 
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from plap import cutoff, families, graph
-from plap.cutoff import (bracket, exact_ln, interlacing_check, limit_scan,
-                         lower_bound_full, lower_bound_subgraphs, r_q_infty,
-                         upper_bound_from_p, upper_bound_subsets)
+from plap.cutoff import (bracket, brackets, exact_ln, interlacing_check,
+                         interlacing_checks, limit_scan, lower_bound_full,
+                         lower_bound_subgraphs, r_q_infty, upper_bound_from_p,
+                         upper_bound_subsets)
 from plap.graph import GraphError, negate, switch, validate
 from plap.linalg import adjacency, normalized_adjacency
 from plap.solver import solve_largest, solve_smallest
@@ -137,7 +139,8 @@ def test_lower_bound_subgraphs():
         assert abs(val - ln.lower) < 1e-12   # k = n recovers the exact value
 
 
-# --- the per-code and per-subset loops the batched scans replaced ----------
+# --- the per-code, per-subset and per-k loops the batched scans replaced ---
+# (the references are cached: they do not read _BATCH_BYTES)
 
 def _old_signs(n, code):
     return (1,) + tuple(1 - 2 * ((code >> i) & 1) for i in range(n - 1))
@@ -159,6 +162,7 @@ def _old_lambda_max_signs(g):
     return best_val, _old_signs(g.n, best_code)
 
 
+@lru_cache(maxsize=None)
 def _old_lower_bound_subgraphs(g, k, budget):
     g = graph.with_zero_kappa(g)
     a = g._arrays
@@ -184,6 +188,82 @@ def _old_lower_bound_subgraphs(g, k, budget):
     return 0.5 * best_val, ("spanning-subgraph", edges)
 
 
+def _old_subset_value(absadj, subset):
+    keep = sorted(set(subset))
+    m = absadj[np.ix_(keep, keep)]
+    if not m.any():
+        return 0.0
+    return 0.5 * float(np.linalg.eigvalsh(m)[-1])
+
+
+@lru_cache(maxsize=None)
+def _old_upper_bound_subsets(g, k, budget, seed=0):
+    g = graph.with_zero_kappa(g)
+    from plap.combinatorics import max_independent_set
+    mis = max_independent_set(g)
+    if mis.size >= k:
+        return 0.0, ("vertex-subset", tuple(sorted(mis.vertices)[:k]))
+    absadj = normalized_adjacency(g, absolute=True)
+    best = None
+    if math.comb(g.n, k) <= budget:
+        for subset in combinations(range(g.n), k):
+            val = _old_subset_value(absadj, subset)
+            if best is None or val < best[0]:
+                best = (val, subset)
+            if best[0] == 0.0:
+                break
+    else:
+        cur, free = [], set(range(g.n))
+        while len(cur) < k:
+            pick = min(free, key=lambda x: (_old_subset_value(absadj, cur + [x]), x))
+            cur.append(pick)
+            free.discard(pick)
+        best = (_old_subset_value(absadj, cur), tuple(sorted(cur)))
+        rng = np.random.default_rng(seed)
+        for _ in range(min(budget, 256)):
+            subset = tuple(sorted(rng.choice(g.n, size=k, replace=False)))
+            val = _old_subset_value(absadj, subset)
+            if val < best[0]:
+                best = (val, subset)
+    return best[0], ("vertex-subset", tuple(best[1]))
+
+
+@lru_cache(maxsize=None)
+def _old_bracket(g, k, budget):
+    g = graph.with_zero_kappa(g)
+    lowers = [(lower_bound_full(g, k), ("full-graph",)),
+              _old_lower_bound_subgraphs(g, k, budget)]
+    uppers = [_old_upper_bound_subsets(g, k, budget)]
+    if k == g.n:
+        ln = exact_ln(g)
+        lowers.append((ln.lower, ln.lower_certificate))
+        if ln.exact:
+            uppers.append((ln.upper, ("exact",)))
+    lower, lower_cert = max(lowers, key=lambda t: t[0])
+    upper, upper_cert = min(uppers, key=lambda t: t[0])
+    assert lower <= upper + cutoff.EXACT_TOL
+    return cutoff.CutoffBracket(k=k, lower=lower, upper=upper,
+                                lower_certificate=lower_cert,
+                                upper_certificate=upper_cert,
+                                exact=(upper - lower) <= cutoff.EXACT_TOL)
+
+
+@lru_cache(maxsize=None)
+def _old_interlacing_check(g, v, budget):
+    sub = graph.induced_subgraph(g, [i for i in range(g.n) if i != v])
+    ln_g = exact_ln(graph.with_zero_kappa(g))
+    ln_sub = exact_ln(graph.with_zero_kappa(sub))
+    items = [("top-index interlacing", ln_sub.lower <= ln_g.upper + cutoff.EXACT_TOL,
+              {"L_n(subgraph)": ln_sub.lower, "L_n(graph)": ln_g.upper,
+               "exact": ln_g.exact and ln_sub.exact})]
+    for k in range(1, sub.n + 1):
+        lo = lower_bound_full(g, k)
+        up, _ = _old_upper_bound_subsets(sub, k, budget)
+        items.append((f"bracket consistency k={k}", lo <= up + cutoff.EXACT_TOL,
+                      {"lower_k(graph)": lo, "upper_k(subgraph)": up}))
+    return cutoff.InterlacingReport(removed=(v,), items=tuple(items))
+
+
 # random signed graphs with non-unit w and mu (some with isolated vertices),
 # and graphs with many tied sign codes and subsets
 SCAN_GRAPHS = ([random_weighted(n, 0.5, seed, isolated=seed % 3)
@@ -204,6 +284,44 @@ def test_batched_scans_equal_the_loops(g, per_batch, monkeypatch):
         for budget in (16, 2048):
             assert (lower_bound_subgraphs(g, k, budget)
                     == _old_lower_bound_subgraphs(g, k, budget))
+
+
+@pytest.mark.parametrize("per_batch", [None, 1, 3, 7])
+@pytest.mark.parametrize("g", SCAN_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_brackets_equal_the_per_k_loops(g, per_batch, monkeypatch):
+    if per_batch is not None:
+        monkeypatch.setattr(cutoff, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
+    ks = list(range(1, g.n + 1))
+    for budget in (16, 2048):
+        old = [_old_bracket(g, k, budget) for k in ks]
+        assert brackets(g, ks, budget) == old
+        assert brackets(g, ks[::-1], budget) == old[::-1]
+        assert [bracket(g, k, budget) for k in ks] == old
+        assert ([upper_bound_subsets(g, k, budget) for k in ks]
+                == [_old_upper_bound_subsets(g, k, budget) for k in ks])
+        if g.n >= 2:
+            assert (interlacing_checks(g, [[v] for v in range(g.n)], budget)
+                    == [_old_interlacing_check(g, v, budget) for v in range(g.n)])
+
+
+@pytest.mark.parametrize("per_batch", [None, 1])
+def test_stacked_eigensolves_stay_within_the_batch_bytes(per_batch, monkeypatch):
+    if per_batch is not None:
+        monkeypatch.setattr(cutoff, "_BATCH_BYTES", 1)
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    g = families.random_graph(40, 0.5, 1)   # C(40, 39) = 40 subsets of 39 vertices
+    for budget in (16, 2048):               # greedy and exhaustive
+        brackets(g, [38, 39], budget)
+    stacks = [s for s in shapes if len(s) == 3]
+    assert {s[-1] for s in stacks} >= {38, 39, 40}
+    for s in stacks:
+        assert 8 * math.prod(s) <= max(cutoff._BATCH_BYTES, 8 * s[-1] ** 2), s
 
 
 def test_sign_scan_equals_the_loop_at_n14():
@@ -272,10 +390,12 @@ def test_brackets_ignore_the_potential():
     assert exact_ln(g).lower == exact_ln(gk).lower
 
 
-@pytest.mark.parametrize("side,bound", [("lower_bound_full", math.nan),
-                                        ("upper_bound_subsets", (math.nan, ()))])
+@pytest.mark.parametrize("side,bound", [
+    ("lower_bounds_full_all", lambda g: np.full(g.n, math.nan)),
+    ("_subset_uppers", lambda g, ks, *args: [(math.nan, ())] * len(ks))],
+    ids=["lower_bounds_full_all-nan", "_subset_uppers-nan"])
 def test_bracket_with_a_nan_side_raises(side, bound, monkeypatch):
-    monkeypatch.setattr(cutoff, side, lambda *args: bound)
+    monkeypatch.setattr(cutoff, side, bound)
     with pytest.raises(RuntimeError, match="inconsistent bracket"):
         bracket(families.complete(4), 2)
 

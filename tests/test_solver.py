@@ -489,6 +489,20 @@ def test_monotonicity_rejects_negative_kappa():
         monotonicity_functionals(g, 2, (2.0, 3.0), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_monotonicity_rejects_a_non_finite_lambda(bad):
+    # max(0.0, nan) is 0.0: a NaN lambda used to pass as a zero
+    with pytest.raises(ValueError, match="lambda at index 1 is not finite"):
+        monotonicity_functionals(families.star(4), 4, [2, 3, 4], [3.0, bad, 5.0])
+
+
+def test_monotonicity_nan_functionals_are_violations():
+    # a NaN p passes the increasing-grid check and makes m1 and m2 NaN
+    rep = monotonicity_functionals(families.star(4), 4, [2.0, math.nan], [3.0, 3.0])
+    assert not rep.ok
+    assert [v[:2] for v in rep.violations] == [(0, "m1"), (0, "m2")]
+
+
 # --- potential shift ----------------------------------------------------------
 
 def test_shift_zero_kappa_coincides():

@@ -2,13 +2,15 @@
 lists must resolve, and every traced method must stay a plain function in
 its class, or a traced run breaks."""
 
+import contextlib
 import importlib.util
 import inspect
+import io
 from pathlib import Path
 
 import pytest
 
-from plap import families, solver
+from plap import cli, families, graph, solver
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 needs_spans = pytest.mark.skipif(not SPANS.exists(), reason="perfbench/ is absent")
@@ -46,3 +48,34 @@ def test_tracer_sees_one_ascent_and_every_restart():
     assert tracer.counters["solver.restart.attempts"] == 18
     assert calls["solver.solve_largest"] == 1 and calls["solver._ascent"] == 1
     assert calls["solver._finish"] == 18
+
+
+def _traced_cli_calls(argv) -> dict:
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_job(0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        tracer.end_job()
+    finally:
+        tracer.uninstall()
+    return {name: row["calls"] for name, row in tracer.aggregate().items()}
+
+
+@needs_spans
+def test_cutoff_all_runs_one_mis_and_one_exact_ln(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(graph.dumps(families.random_graph(9, 0.5, 4, signed=True)))
+    calls = _traced_cli_calls(["cutoff", str(path), "--k", "all"])
+    assert calls["combinatorics.max_independent_set"] == 1
+    assert calls["cutoff.exact_ln"] == 1
+
+
+@needs_spans
+def test_verify_interlacing_runs_exact_ln_once_per_graph(tmp_path):
+    # L_n of the graph once, and once for each of its six one-vertex removals
+    path = tmp_path / "g.json"
+    path.write_text(graph.dumps(families.random_graph(6, 0.6, 2, signed=True)))
+    calls = _traced_cli_calls(["verify", "interlacing", str(path)])
+    assert calls["cutoff.exact_ln"] == 7
