@@ -176,14 +176,14 @@ def _verify_monotonicity(g, args, rep: Report) -> list[dict]:
     return rows
 
 
-def _verify_interlacing(g, args, rep: Report) -> None:
+def _verify_interlacing(g, args, rep: Report, ln) -> None:
     if g.n < 2:
         rep.add("interlacing", ANCHORS["interlacing"], None,
                 {"reason": "need at least 2 vertices"})
         return
     removals = range(g.n) if g.n <= 12 else range(12)
     for v, res in zip(removals, cutoff.interlacing_checks(
-            g, [[v] for v in removals], budget=args.budget)):
+            g, [[v] for v in removals], budget=args.budget, ln=ln)):
         details = {name: d for name, _, d in res.items}
         rep.add(f"interlacing, remove vertex {v}", ANCHORS["interlacing"],
                 res.ok, details,
@@ -207,7 +207,7 @@ def _verify_limit(g, args, rep: Report, strict: bool) -> None:
              "eigenvalues": scan.eigenvalues})
 
 
-def _verify_tensor(g, args, rep: Report) -> None:
+def _verify_tensor(g, args, rep: Report, ln) -> None:
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for p in (2, 4, 6):
@@ -227,7 +227,7 @@ def _verify_tensor(g, args, rep: Report) -> None:
             rep.add(f"tensor correspondence p={p}", ANCHORS["tensor-defect"],
                     False, {"error": str(exc)})
             continue
-        cor = tensor.eigen_correspondence(g, p, pair)
+        cor = tensor.eigen_correspondence(g, p, pair, ln=ln)
         rep.add(f"tensor correspondence p={p}", ANCHORS["tensor-defect"],
                 cor.defect_ok, {"defect": cor.defect, "lambda": cor.value})
         rep.add(f"tensor spectral bound p={p}", ANCHORS["tensor-bound"],
@@ -240,14 +240,16 @@ def _cmd_verify(args) -> int:
     g, raw = _read_graph(args.graph)
     rep = Report(command=args.command_echo, input_digest=digest(raw), seed=args.seed)
     rows: list[dict] = []
+    # exact L_n of the graph, once for the interlacing and tensor suites
+    ln = cutoff.exact_ln(g) if args.suite in ("interlacing", "tensor", "all") else None
     if args.suite in ("monotonicity", "all"):
         rows = _verify_monotonicity(g, args, rep)
     if args.suite in ("interlacing", "all"):
-        _verify_interlacing(g, args, rep)
+        _verify_interlacing(g, args, rep, ln)
     if args.suite in ("limit", "all"):
         _verify_limit(g, args, rep, strict=args.suite == "limit")
     if args.suite in ("tensor", "all"):
-        _verify_tensor(g, args, rep)
+        _verify_tensor(g, args, rep, ln)
     if args.csv and rows:
         with open(args.csv, "w") as fh:
             fh.write(csv_rows(rows))

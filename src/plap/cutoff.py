@@ -379,11 +379,12 @@ def interlacing_check(g: SignedGraph, removed: Sequence[int],
 
 
 def interlacing_checks(g: SignedGraph, removals: Sequence[Sequence[int]],
-                       budget: int = 2048,
-                       cap: int = DEFAULT_SIGN_CAP) -> list[InterlacingReport]:
+                       budget: int = 2048, cap: int = DEFAULT_SIGN_CAP,
+                       ln: Optional[CutoffBracket] = None) -> list[InterlacingReport]:
     """interlacing_check for each vertex set in removals.  Exact L_n(G) and
     the full-graph lower bounds of G are computed once for all of them, and
-    one upper-bound pass per removal serves every k."""
+    one upper-bound pass per removal serves every k.  ln is exact_ln(g, cap)
+    when the caller has it already."""
     from .combinatorics import max_independent_set
     rems = [sorted(set(int(i) for i in removed)) for removed in removals]
     for rem in rems:
@@ -393,7 +394,7 @@ def interlacing_checks(g: SignedGraph, removals: Sequence[Sequence[int]],
             if not (0 <= i < g.n):
                 raise GraphError(f"vertex index {i} out of range [0,{g.n})")
     g = with_zero_kappa(g)
-    ln_g = exact_ln(g, cap=cap)
+    ln_g = exact_ln(g, cap=cap) if ln is None else ln
     lows = lower_bounds_full_all(g)
     out = []
     for rem in rems:

@@ -8,22 +8,30 @@ pins the value down as the top eigenvalue (tag "perron-certified"); in every
 other case the returned value is a certified eigenvalue and only a lower
 bound for the top (resp. upper bound for the bottom) one.
 
+At p = 2 the quotient is that of the pencil (Deg + K - A, diag(mu)), whose
+extreme generalized eigenvector is its global maximizer (minimizer); the
+generic path returns it, Newton-polished, without any restart.  At p > 2
+each restart leaves the ascent at relative residual HANDOFF and Newton's
+method on the eigen-equation finishes it; a restart whose polish misses the
+tolerance resumes its ascent where it left off, under the tolerance stop.
+
 All restarts ascend together as one (R, n) stack, so each iteration pays
 numpy's per-call overhead once rather than R times; apply_plap, rayleigh and
 normalize_sp take a stack (..., n) as well as one function.  Each row keeps
-its own value, step, backtracking and stop, and does the arithmetic of a
-run from its start alone, so values, eigenfunctions, residuals, certificates
-and SolverErrors are bit for bit those of solving the starts one after
-another.  Three things keep the rows exact: edge gathers with take (whose
-stacks are C-contiguous, so row sums stay pairwise), the norm's 1/p-th root
-as a scalar pow per row, and the squared gradient norm as a stacked matmul.
+its own value, step, backtracking, hand-off and stop, and does the
+arithmetic of a run from its start alone, so values, eigenfunctions,
+residuals, certificates and SolverErrors are bit for bit those of solving
+the starts one after another.  Three things keep the rows exact: edge
+gathers with take (whose stacks are C-contiguous, so row sums stay
+pairwise), the norm's 1/p-th root as a scalar pow per row, and the squared
+gradient norm as a stacked matmul.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +40,12 @@ from .graph import (SignedGraph, classify_balance, is_connected,
 from .linalg import adjacency, eigh_sorted
 
 P_CAP = 64.0
+# relative residual at which a p > 2 restart leaves the ascent for Newton:
+# the ascent converges linearly, Newton quadratically once this close
+HANDOFF = 1e-4
+# Newton rounds are cheap next to the ascent; a row at a linear rate (a
+# degenerate Jacobian) needs more than a handful to reach the tolerance
+POLISH_ROUNDS = 30
 
 
 class SolverError(RuntimeError):
@@ -165,7 +179,9 @@ def _row_sqnorms(G: np.ndarray) -> np.ndarray:
 
 
 def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
-            maximize: bool) -> tuple[np.ndarray, np.ndarray]:
+            maximize: bool,
+            handoff: Optional[Callable[[int, np.ndarray, float], bool]] = None
+            ) -> tuple[np.ndarray, np.ndarray]:
     """Armijo projected gradient on the unit p-sphere from each row of the
     (R, n) stack F0, all rows in lockstep; returns the (R, n) stack F and the
     (R,) values lam.
@@ -174,12 +190,19 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
     set when its own run would stop: residual below 1e-3 * tol, a vanishing
     gradient, no Armijo step, or max_iters.  Every row does exactly the
     arithmetic of a one-row run, so its result is the same bit for bit.
+
+    With handoff, a row first stops at residual HANDOFF * (1 + |lambda|) and
+    handoff(i, f, lambda) is called with its index and point.  If it returns
+    True the row ends there; otherwise the row goes on from the same state
+    (value, step, iterations left) under the stops above, so its run and
+    result are those it would have had without the hand-off.
     """
     mu = g.mu_array()
     sgn = 1.0 if maximize else -1.0
     F = normalize_sp(np.asarray(F0, dtype=float), p, mu)
     lam = rayleigh(g, p, F)
     step = np.full(len(F), float(cfg.initial_step))
+    handing = np.full(len(F), handoff is not None)
     live = np.arange(len(F))
     for _ in range(cfg.max_iters):
         if not live.size:
@@ -189,7 +212,13 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
         res = np.max(np.abs(defect), axis=1)
         grad = sgn * (p * defect)
         g2 = _row_sqnorms(grad)
-        go = ~(res <= 1e-3 * cfg.tol * (1.0 + np.abs(lm))) & ~(g2 <= 1e-30)
+        scale = 1.0 + np.abs(lm)
+        near = res <= 1e-3 * cfg.tol * scale
+        if handoff is not None:
+            for j in np.flatnonzero(handing[live] & (res <= HANDOFF * scale)):
+                handing[live[j]] = False
+                near[j] |= handoff(int(live[j]), f[j], float(lm[j]))
+        go = ~near & ~(g2 <= 1e-30)
         live, f, lm, grad, g2 = live[go], f[go], lm[go], grad[go], g2[go]
         t = step[live]
         moved = np.zeros(live.size, dtype=bool)
@@ -233,9 +262,15 @@ def _power_refine(gneg: SignedGraph, p: float, f0: np.ndarray,
     return f
 
 
-def _newton_polish(g: SignedGraph, p: float, lam: float, f: np.ndarray,
-                   rounds: int = 6) -> tuple[float, np.ndarray]:
-    """Newton steps on the eigen-equation plus sphere constraint (p >= 2 only)."""
+def _newton_polish(g: SignedGraph, p: float, lam: float,
+                   f: np.ndarray) -> tuple[float, np.ndarray]:
+    """Newton steps on the eigen-equation plus sphere constraint (p >= 2 only).
+
+    Runs while the residual falls, up to POLISH_ROUNDS steps, and returns the
+    best pair seen.  At p > 2 a vertex with f_i = 0 whose neighbours are all
+    zero too (an isolated vertex, say) has a vanishing Jacobian row and
+    column; the step leaves it at zero and solves for the other unknowns.
+    """
     if p < 2:
         return lam, f
     n = g.n
@@ -248,7 +283,7 @@ def _newton_polish(g: SignedGraph, p: float, lam: float, f: np.ndarray,
     x = np.asarray(f, dtype=float).copy()
     lm = float(lam)
     best = (residual(g, p, lm, x), lm, x)
-    for _ in range(rounds):
+    for _ in range(POLISH_ROUNDS):
         absx = np.abs(x)
         dx = np.ones_like(x) if p == 2 else absx ** (p - 2.0)
         d = x[u] - s * x[v]
@@ -264,8 +299,16 @@ def _newton_polish(g: SignedGraph, p: float, lam: float, f: np.ndarray,
         rhs = np.empty(n + 1)
         rhs[:n] = apply_plap(g, p, x) - lm * mu * psi(p, x)
         rhs[n] = float(np.sum(mu * absx ** p) - 1.0)
+        # the n x n block is symmetric and the border entries of vertex i are
+        # multiples of psi(x_i), so row i vanishes exactly when column i does
+        coupled = jac.any(axis=1)
         try:
-            delta = np.linalg.solve(jac, -rhs)
+            if coupled.all():
+                delta = np.linalg.solve(jac, -rhs)
+            else:
+                keep = np.flatnonzero(coupled)
+                delta = np.zeros(side)
+                delta[keep] = np.linalg.solve(jac[np.ix_(keep, keep)], -rhs[keep])
         except np.linalg.LinAlgError:
             break
         x2 = x + delta[:n]
@@ -294,18 +337,23 @@ def _edgeless_pair(g: SignedGraph, p: float, largest: bool) -> PEigenPair:
                       certificate="closed-form")
 
 
+def _pencil_vector(g: SignedGraph, largest: bool) -> np.ndarray:
+    """Top (bottom) generalized eigenvector of the p = 2 pencil
+    (Deg + K - A, diag(mu)): the maximizer (minimizer) of the p = 2 quotient."""
+    # kappa enters the p=2 pencil through the diagonal of Deg + K - A
+    lap = np.diag(g.weighted_degrees() + g.kappa_array()) - adjacency(g)
+    rt = g._arrays.rt
+    _, vecs = eigh_sorted(lap * rt[:, None] * rt[None, :])
+    return rt * vecs[:, -1 if largest else 0]
+
+
 def _starts(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool) -> list[np.ndarray]:
     """Warm starts: p=2 extremal generalized eigenvector, |A|-Perron vector,
     two-point edge vectors (the sparse maximizers that dominate for p < 2),
     then seeded random points."""
-    starts = []
-    # kappa enters the p=2 pencil through the diagonal of Deg + K - A
-    a = adjacency(g)
-    lap = np.diag(g.weighted_degrees() + g.kappa_array()) - a
+    starts = [_pencil_vector(g, largest)]
     rt = g._arrays.rt
-    _, vecs = eigh_sorted(lap * rt[:, None] * rt[None, :])
-    starts.append(rt * vecs[:, -1 if largest else 0])
-    _, pvecs = eigh_sorted(np.abs(a) * rt[:, None] * rt[None, :])
+    _, pvecs = eigh_sorted(np.abs(adjacency(g)) * rt[:, None] * rt[None, :])
     starts.append(np.abs(rt * pvecs[:, -1]) + 1e-9)
     if largest:
         heavy = sorted(g.edges, key=lambda e: (-e.w, e.u, e.v))[:12]
@@ -325,17 +373,42 @@ def _finish(g, p, f, lam):
     return f, lam, residual(g, p, lam, f)
 
 
-def _best_restart(g: SignedGraph, p: float, cfg: SolverConfig,
-                  starts: list[np.ndarray], largest: bool) -> PEigenPair:
-    """Ascend (descend) from all starts as one stack; polish each result in
-    start order and keep the highest (lowest) value among the restarts that
-    reach the residual tolerance (the first one on a tie)."""
-    F, lams = _ascent(g, p, np.array(starts, dtype=float), cfg, maximize=largest)
+def _best_restart(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool,
+                  lead: Sequence[Sequence[float]] = ()) -> PEigenPair:
+    """The generic solve: the highest (lowest) value among the restarts that
+    reach the residual tolerance, the first one on a tie.
+
+    At p = 2 the one restart is the pencil's extreme eigenvector, polished:
+    it maximizes (minimizes) the quotient, so no other start could win.
+    Otherwise the starts (lead, then _starts) ascend (descend) as one stack
+    and each result is polished, in start order.  At p > 2 a row is polished
+    as soon as it reaches the HANDOFF residual; if that polish misses the
+    tolerance, the row resumes its ascent as if it had never been handed off
+    and its end point is polished instead.
+    """
+    def ok(lam, res):
+        return res <= cfg.tol * (1.0 + abs(lam))
+
+    if p == 2:
+        f = normalize_sp(_pencil_vector(g, largest), p, g.mu_array())
+        pairs = [_finish(g, p, f, rayleigh(g, p, f))]
+    else:
+        handed = {}
+
+        def handoff(i, f, lam):
+            pair = _finish(g, p, f.copy(), lam)
+            if ok(*pair[1:]):
+                handed[i] = pair
+            return i in handed
+
+        starts = np.array([*lead, *_starts(g, p, cfg, largest)], dtype=float)
+        F, lams = _ascent(g, p, starts, cfg, largest, handoff if p > 2 else None)
+        pairs = [handed[i] if i in handed else _finish(g, p, f.copy(), lam)
+                 for i, (f, lam) in enumerate(zip(F, lams.tolist()))]
     best = None
-    for f, lam in zip(F, lams.tolist()):
-        f, lam, res = _finish(g, p, f.copy(), lam)
+    for f, lam, res in pairs:
         better = best is None or (lam > best[1] if largest else lam < best[1])
-        if res <= cfg.tol * (1.0 + abs(lam)) and better:
+        if ok(lam, res) and better:
             best = (f, lam, res)
     if best is None:
         raise SolverError(f"no restart reached residual tolerance {cfg.tol:g} "
@@ -379,7 +452,7 @@ def solve_largest(g: SignedGraph, p: float,
                               certificate="perron-certified")
         # fall through to the generic path if the cone route failed
 
-    return _best_restart(g, p, cfg, _starts(g, p, cfg, largest=True), largest=True)
+    return _best_restart(g, p, cfg, largest=True)
 
 
 def solve_smallest(g: SignedGraph, p: float,
@@ -408,10 +481,8 @@ def solve_smallest(g: SignedGraph, p: float,
                               residual=residual(g, p, lam, f),
                               certificate="closed-form")
 
-    starts = _starts(g, p, cfg, largest=False)
-    if bal.balanced_witness is not None:
-        starts.insert(0, np.asarray(bal.balanced_witness, dtype=float))
-    return _best_restart(g, p, cfg, starts, largest=False)
+    lead = () if bal.balanced_witness is None else (bal.balanced_witness,)
+    return _best_restart(g, p, cfg, largest=False, lead=lead)
 
 
 # --- closed forms -----------------------------------------------------------

@@ -136,11 +136,13 @@ class CorrespondenceReport:
 
 
 def eigen_correspondence(g: SignedGraph, p: int, pair: PEigenPair,
-                         tol: float = 1e-8) -> CorrespondenceReport:
+                         tol: float = 1e-8, ln=None) -> CorrespondenceReport:
     """Verify that a certified p-Laplacian eigenpair is a tensor eigenpair of
     the mu-normalized tensor, and that the top value clears the spectral
     lower bound 2^(p-1) * lambda_n(negated normalized adjacency of the best
     spanning subgraph) - max|kappa/mu|.
+
+    ln is cutoff.exact_ln(g), computed here when the caller does not have it.
     """
     p = _check_even(p)
     if pair.certificate not in ("perron-certified", "multi-restart", "closed-form"):
@@ -155,7 +157,8 @@ def eigen_correspondence(g: SignedGraph, p: int, pair: PEigenPair,
     mu = g.mu_array()
     defect = float(np.max(np.abs(apply_tensor(t, f) / mu - pair.value * f ** (p - 1))))
 
-    ln = exact_ln(g)
+    if ln is None:
+        ln = exact_ln(g)
     _, c = structural_constants(g)
     bound = 2.0 ** (p - 1) * (2.0 * ln.lower) - c
     slack = tol * (1.0 + abs(pair.value))

@@ -136,6 +136,18 @@ def test_verify_all_star(tmp_path, capsys):
     assert rep["seed"] == 1
 
 
+def test_verify_all_passes_the_tensor_defect_on_a_graph_with_an_isolated_vertex(
+        tmp_path, capsys):
+    # the p=4 pair used to stop at residual 2.6e-8 (lambda 23), failing the
+    # absolute 1e-8 defect check, because its Newton polish was singular
+    path = _write_graph(tmp_path, families.random_graph(8, 0.5, 0, signed=True))
+    code, out, _ = _run(capsys, "verify", "all", path)
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    defect = checks["tensor correspondence p=4"]
+    assert defect["status"] == "pass" and defect["values"]["defect"] <= 1e-8
+
+
 def test_verify_limit_rejects_unbalanced(tmp_path, capsys):
     path = _write_graph(tmp_path, families.complete(3))
     code, _, err = _run(capsys, "verify", "limit", path)

@@ -227,17 +227,24 @@ def _ref_normalize(f, p, mu):
     return f / nrm
 
 
-def _serial_ascent(g, p, f0, cfg, maximize):
+def _serial_ascent(g, p, f0, cfg, maximize, handoff=None):
     """One start at a time, on 1-D kernels: the loop the lockstep stack
-    replaced.  Returns (f, lambda, stop reason)."""
+    replaced.  With handoff, the run first stops at the hand-off residual and
+    asks handoff(f, lambda) whether to end there.  Returns (f, lambda, stop
+    reason)."""
     mu = g.mu_array()
     sgn = 1.0 if maximize else -1.0
     f = _ref_normalize(f0, p, mu)
     lam = _ref_rayleigh(g, p, f)
     step = cfg.initial_step
+    handing = handoff is not None
     for _ in range(cfg.max_iters):
         plap = _ref_apply(g, p, f)
         res = float(np.max(np.abs(plap - lam * mu * psi(p, f))))
+        if handing and res <= solver.HANDOFF * (1.0 + abs(lam)):
+            handing = False
+            if handoff(f, lam):
+                return f, lam, "handoff"
         if res <= 1e-3 * cfg.tol * (1.0 + abs(lam)):
             return f, lam, "residual"
         grad = sgn * (p * (plap - lam * mu * psi(p, f)))
@@ -260,11 +267,10 @@ def _serial_ascent(g, p, f0, cfg, maximize):
     return f, lam, "max-iters"
 
 
-def _serial_best_restart(g, p, cfg, ascents, largest):
-    """The old restart loop, given the serial ascent of every start."""
+def _pick(pairs, p, cfg, largest):
+    """The highest (lowest) polished pair within tolerance, the first on a tie."""
     best = None
-    for f, lam, _ in ascents:
-        f, lam, res = solver._finish(g, p, f, lam)
+    for f, lam, res in pairs:
         better = best is None or (lam > best[1] if largest else lam < best[1])
         if res <= cfg.tol * (1.0 + abs(lam)) and better:
             best = (f, lam, res)
@@ -275,13 +281,36 @@ def _serial_best_restart(g, p, cfg, ascents, largest):
     return PEigenPair(p=p, value=lam, f=f, residual=res, certificate="multi-restart")
 
 
-def _solver_starts(g, p, cfg, largest):
-    """The starts solve_largest / solve_smallest hand to _best_restart."""
-    starts = solver._starts(g, p, cfg, largest)
+def _serial_best_restart(g, p, cfg, largest, lead=()):
+    """The restart loop one start at a time.  At p = 2 the one start is the
+    first of _starts, the pencil vector.  At p > 2 each start is polished at
+    the hand-off and, when that misses the tolerance, ascends on and its end
+    point is polished instead."""
+    if p == 2:
+        f = _ref_normalize(solver._starts(g, p, cfg, largest)[0], p, g.mu_array())
+        return _pick([solver._finish(g, p, f, _ref_rayleigh(g, p, f))], p, cfg, largest)
+    pairs = []
+    for f0 in _solver_starts(g, p, cfg, largest, lead):
+        handed = []
+
+        def handoff(f, lam):
+            handed.append(solver._finish(g, p, f, lam))
+            _, lam, res = handed[0]
+            return res <= cfg.tol * (1.0 + abs(lam))
+        f, lam, why = _serial_ascent(g, p, f0, cfg, largest, handoff if p > 2 else None)
+        pairs.append(handed[0] if why == "handoff" else solver._finish(g, p, f, lam))
+    return _pick(pairs, p, cfg, largest)
+
+
+def _lead(g, largest):
+    """The starts solve_smallest puts before _starts: the balanced witness."""
     witness = graph.classify_balance(g).balanced_witness
-    if not largest and witness is not None:
-        starts.insert(0, np.asarray(witness, dtype=float))
-    return starts
+    return () if largest or witness is None else (witness,)
+
+
+def _solver_starts(g, p, cfg, largest, lead=()):
+    """The starts _best_restart ascends from at p != 2."""
+    return [np.asarray(f, dtype=float) for f in (*lead, *solver._starts(g, p, cfg, largest))]
 
 
 def _balanced_kappa(n, seed):
@@ -311,17 +340,15 @@ IDENTITY_GRAPHS = {
 SHORT = SolverConfig(max_iters=20)
 
 
-def _assert_same_solve(g, p, cfg, starts, largest, ascents=None):
-    if ascents is None:
-        ascents = [_serial_ascent(g, p, f0, cfg, largest) for f0 in starts]
+def _assert_same_solve(g, p, cfg, largest, lead=()):
     try:
-        want = _serial_best_restart(g, p, cfg, ascents, largest)
+        want = _serial_best_restart(g, p, cfg, largest, lead)
     except SolverError as exc:
         with pytest.raises(SolverError) as got:
-            solver._best_restart(g, p, cfg, starts, largest)
+            solver._best_restart(g, p, cfg, largest, lead)
         assert str(got.value) == str(exc)
         return "error"
-    got = solver._best_restart(g, p, cfg, starts, largest)
+    got = solver._best_restart(g, p, cfg, largest, lead)
     assert np.array_equal(got.f, want.f)
     assert (got.value, got.residual, got.certificate) == \
         (want.value, want.residual, want.certificate)
@@ -329,20 +356,42 @@ def _assert_same_solve(g, p, cfg, starts, largest, ascents=None):
     return "pair"
 
 
+def _recording_handoff(g, p, cfg, calls):
+    """A hand-off that polishes like _best_restart's and logs each call."""
+    def handoff(f, lam):
+        _, lm, res = solver._finish(g, p, f, lam)
+        calls.append((f.copy(), lam))
+        return res <= cfg.tol * (1.0 + abs(lm))
+    return handoff
+
+
 @pytest.mark.parametrize("name", IDENTITY_GRAPHS)
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 8.0])
 def test_lockstep_ascent_equals_the_serial_loop(name, p):
     g = IDENTITY_GRAPHS[name]
     for largest in (True, False):
-        starts = _solver_starts(g, p, SHORT, largest)
-        F, lam = solver._ascent(g, p, np.array(starts), SHORT, largest)
-        assert F.shape == (len(starts), g.n) and lam.shape == (len(starts),)
-        ascents = [_serial_ascent(g, p, f0, SHORT, largest) for f0 in starts]
-        for i, (f0, (f, lm, _)) in enumerate(zip(starts, ascents)):
-            assert np.array_equal(F[i], f) and lam[i] == lm, (i, largest)
-            F1, lam1 = solver._ascent(g, p, f0[None, :], SHORT, largest)
-            assert np.array_equal(F1[0], f) and lam1[0] == lm, (i, largest)
-        _assert_same_solve(g, p, SHORT, starts, largest, ascents)
+        lead = _lead(g, largest)
+        starts = _solver_starts(g, p, SHORT, largest, lead)
+        for handing in (False, True):
+            got = {i: [] for i in range(len(starts))}
+            handoff = None
+            if handing:
+                def handoff(i, f, lam):
+                    return _recording_handoff(g, p, SHORT, got[i])(f, lam)
+            F, lam = solver._ascent(g, p, np.array(starts), SHORT, largest, handoff)
+            assert F.shape == (len(starts), g.n) and lam.shape == (len(starts),)
+            for i, f0 in enumerate(starts):
+                want = []
+                f, lm, _ = _serial_ascent(g, p, f0, SHORT, largest,
+                                          _recording_handoff(g, p, SHORT, want) if handing else None)
+                assert np.array_equal(F[i], f) and lam[i] == lm, (i, largest, handing)
+                assert len(got[i]) == len(want) <= 1
+                assert all(np.array_equal(a[0], b[0]) and a[1] == b[1]
+                           for a, b in zip(got[i], want))
+                if not handing:
+                    F1, lam1 = solver._ascent(g, p, f0[None, :], SHORT, largest)
+                    assert np.array_equal(F1[0], f) and lam1[0] == lm, (i, largest)
+        _assert_same_solve(g, p, SHORT, largest, lead)
 
 
 def test_lockstep_covers_every_stop_reason():
@@ -362,17 +411,47 @@ def test_lockstep_covers_every_stop_reason():
 
 @pytest.mark.parametrize("name,p,largest", [("K3", 2.0, True), ("S4", 3.0, True),
                                             ("balanced-kappa7", 2.0, False),
-                                            ("signed9", 2.0, True)])
+                                            ("signed9", 2.0, True),
+                                            ("K4", 3.0, True), ("signed9", 4.0, False),
+                                            ("weighted9", 3.0, True)])
 def test_lockstep_solve_equals_the_serial_loop_at_the_default_config(name, p, largest):
     g, cfg = IDENTITY_GRAPHS[name], SolverConfig()
-    assert _assert_same_solve(g, p, cfg, _solver_starts(g, p, cfg, largest), largest) == "pair"
+    assert _assert_same_solve(g, p, cfg, largest, _lead(g, largest)) == "pair"
 
 
 def test_lockstep_solve_where_every_restart_fails():
     g = IDENTITY_GRAPHS["signed9"]
     for largest in (True, False):
-        starts = _solver_starts(g, 1.5, SHORT, largest)
-        assert _assert_same_solve(g, 1.5, SHORT, starts, largest) == "error"
+        assert _assert_same_solve(g, 1.5, SHORT, largest, _lead(g, largest)) == "error"
+
+
+@pytest.mark.parametrize("name,p,largest", [("K4", 3.0, True), ("signed9", 4.0, True),
+                                            ("weighted9", 8.0, False)])
+def test_a_handed_off_row_that_misses_the_tolerance_resumes(name, p, largest, monkeypatch):
+    # with the polish a no-op, every row handed off short of the tolerance
+    # must go on exactly as if it had never been handed off
+    g, cfg = IDENTITY_GRAPHS[name], SolverConfig(max_iters=300)
+    lead = _lead(g, largest)
+    monkeypatch.setattr(solver, "_newton_polish", lambda g, p, lam, f: (lam, f))
+    answers = []
+    ascent = solver._ascent
+
+    def spy(g, p, F0, cfg, maximize, handoff=None):
+        def logged(i, f, lam):
+            answers.append((residual(g, p, lam, f) <= cfg.tol * (1 + abs(lam)),
+                            handoff(i, f, lam)))
+            return answers[-1][1]
+        return ascent(g, p, F0, cfg, maximize, logged)
+    monkeypatch.setattr(solver, "_ascent", spy)
+    got = solver._best_restart(g, p, cfg, largest, lead)
+    assert answers and all(ok == ended for ok, ended in answers)
+    assert sum(not ended for _, ended in answers) >= 3
+    no_handoff = [solver._finish(g, p, *_serial_ascent(g, p, f0, cfg, largest)[:2])
+                  for f0 in _solver_starts(g, p, cfg, largest, lead)]
+    for want in (_serial_best_restart(g, p, cfg, largest, lead),
+                 _pick(no_handoff, p, cfg, largest)):
+        assert np.array_equal(got.f, want.f)
+        assert (got.value, got.residual) == (want.value, want.residual)
 
 
 def test_perron_single_start_is_one_row():
@@ -384,6 +463,57 @@ def test_perron_single_start_is_one_row():
     f, lm, _ = _serial_ascent(gneg, 3.0, f0, cfg, True)
     assert np.array_equal(F[0], f) and lam[0] == lm
     assert solve_largest(g, 3.0, cfg).certificate == "perron-certified"
+
+
+def _two_components():
+    a, b = random_weighted(5, 0.7, 3), random_weighted(4, 0.9, 4)
+    edges = [tuple(e) for e in a.edges] + [(e.u + 5, e.v + 5, e.w, e.sigma) for e in b.edges]
+    return graph.validate(9, edges, mu=[*a.mu, *b.mu], kappa=[*a.kappa, *b.kappa])
+
+
+@pytest.mark.parametrize("g", [IDENTITY_GRAPHS["weighted8"], IDENTITY_GRAPHS["weighted9"],
+                               IDENTITY_GRAPHS["signed9"], _two_components(),
+                               random_signed(8, 0.5, 0)],
+                         ids=["weighted8", "weighted9-isolated", "signed9",
+                              "two-components", "signed8-isolated"])
+def test_p2_solves_directly_to_the_pencil_extremes(g, monkeypatch):
+    # the p = 2 quotient is the pencil's, so its extreme eigenvalues are the
+    # answers; no restart stack is built or ascended
+    monkeypatch.setattr(solver, "_ascent", None)
+    monkeypatch.setattr(solver, "_starts", None)
+    eigs = _signless_laplacian_eigs(g)
+    for solve, want in ((solve_largest, eigs[-1]), (solve_smallest, eigs[0])):
+        pair = solve(g, 2.0)
+        assert pair.certificate == "multi-restart"
+        assert abs(pair.value - want) <= 1e-12 * (1 + abs(want))
+        assert pair.residual <= 1e-14 * (1 + abs(pair.value))
+
+
+def test_p2_keeps_the_perron_and_closed_form_paths():
+    for g in (families.star(6), random_connected_antibalanced(7, 0.5, 2),
+              graph.negate(families.cycle(5))):
+        assert solve_largest(g, 2.0).certificate == "perron-certified"
+    shifted = graph.validate(4, [tuple(e) for e in families.cycle(4).edges],
+                             mu=[2.0, 1.0, 0.5, 1.0], kappa=[1.4, 0.7, 0.35, 0.7])
+    for g in (families.cycle(4), random_balanced(7, 0.6, 1), shifted):
+        assert solve_smallest(g, 2.0).certificate == "closed-form"
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 8.0])
+def test_polish_solves_around_a_decoupled_vertex(p):
+    # vertex 4 is isolated; a row that is zero there has a vanishing Jacobian
+    # row and column at p > 2, which made the bordered system singular
+    g = random_signed(8, 0.5, 0)
+    assert not any(4 in (e.u, e.v) for e in g.edges)
+    cfg = SolverConfig()
+    F, lam = solver._ascent(g, p, np.array(solver._starts(g, p, cfg, True)), cfg, True,
+                            lambda i, f, lam: True)
+    rows = np.flatnonzero(F[:, 4] == 0)
+    assert rows.size
+    for i in rows:
+        lm, x = solver._newton_polish(g, p, float(lam[i]), F[i])
+        assert x[4] == 0
+        assert residual(g, p, lm, x) <= 1e-14 * (1 + abs(lm))
 
 
 def test_row_sqnorms_are_the_1d_dot(rng):

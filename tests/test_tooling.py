@@ -34,13 +34,14 @@ def test_traced_names_resolve():
 
 @needs_spans
 def test_tracer_sees_one_ascent_and_every_restart():
-    # K4 at p=2 is not antibalanced, so all 18 starts (p=2 pencil, |A|-Perron,
-    # six edges, ten random) go through the stacked ascent and _finish
+    # K4 at p=3 is not antibalanced, so all 18 starts (p=2 pencil, |A|-Perron,
+    # six edges, ten random) go through the stacked ascent and _finish; each
+    # is polished once, at its hand-off or at its end
     tracer = _spans().Tracer()
     tracer.install()
     try:
         tracer.begin_job(0)
-        solver.solve_largest(families.complete(4), 2.0)
+        solver.solve_largest(families.complete(4), 3.0)
         tracer.end_job()
     finally:
         tracer.uninstall()
@@ -78,4 +79,14 @@ def test_verify_interlacing_runs_exact_ln_once_per_graph(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(graph.dumps(families.random_graph(6, 0.6, 2, signed=True)))
     calls = _traced_cli_calls(["verify", "interlacing", str(path)])
+    assert calls["cutoff.exact_ln"] == 7
+
+
+@needs_spans
+def test_verify_all_runs_exact_ln_once_per_graph(tmp_path):
+    # interlacing and the tensor checks at p=2 and p=4 share L_n of the
+    # graph; the six one-vertex removals need one each
+    path = tmp_path / "g.json"
+    path.write_text(graph.dumps(families.random_graph(6, 0.6, 2, signed=True)))
+    calls = _traced_cli_calls(["verify", "all", str(path)])
     assert calls["cutoff.exact_ln"] == 7
