@@ -189,14 +189,19 @@ def is_strict_support(g: SignedGraph, m: np.ndarray) -> bool:
 
 
 def cvetkovic_bound(g: SignedGraph, m: np.ndarray, tol: float = 1e-9) -> int:
-    """min(n - n_plus, n - n_minus) for a symmetric matrix supported on the
-    edge set (zero diagonal); an upper bound for the independence number."""
+    """min(n - n_plus, n - n_minus) for a finite symmetric matrix supported
+    on the edge set (zero diagonal); an upper bound for the independence
+    number."""
     m = np.asarray(m, dtype=float)
     if m.shape != (g.n, g.n):
         raise ValueError(f"matrix must be {g.n}x{g.n}")
-    if np.max(np.abs(m - m.T)) > 1e-12:
-        raise ValueError("matrix must be symmetric")
     # row-major over the upper triangle: the first offending entry is named
+    bad = np.argwhere(np.triu(~np.isfinite(m)))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"entry ({i},{j}) is not finite: {m[i, j]}")
+    if not np.max(np.abs(m - m.T)) <= 1e-12:     # a non-finite lower entry fails too
+        raise ValueError("matrix must be symmetric")
     bad = np.argwhere(np.triu((m != 0.0) & (adjacency(g) == 0.0)))
     if bad.size:
         i, j = bad[0]

@@ -97,12 +97,16 @@ def normalized_spectrum(g: SignedGraph) -> EigenDecomposition:
 def sign_counts(dec, tol: float) -> tuple[int, int, int]:
     """(n_plus, n_minus, n_zero) with |lambda| <= tol counted as zero.
 
-    Accepts an EigenDecomposition or a plain array of eigenvalues.
+    Accepts an EigenDecomposition or a plain array of eigenvalues; a
+    non-finite eigenvalue raises ValueError naming its position.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol}")
     values = dec.values if isinstance(dec, EigenDecomposition) else dec
     v = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"eigenvalue #{bad[0]} is not finite: {v.flat[bad[0]]}")
     n_plus = int(np.sum(v > tol))
     n_minus = int(np.sum(v < -tol))
     return n_plus, n_minus, v.size - n_plus - n_minus

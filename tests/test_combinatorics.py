@@ -1,5 +1,7 @@
 """Independent sets, matchings, edge covers, inertia bounds."""
 
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -132,6 +134,24 @@ def test_cvetkovic_support_violations():
     diag = np.eye(3)
     with pytest.raises(ValueError, match="diagonal"):
         cvetkovic_bound(p3, diag)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_cvetkovic_rejects_non_finite_entries(value):
+    k4 = families.complete(4)
+    m = adjacency(k4)
+    m[0, 1] = m[1, 0] = value
+    m[2, 3] = m[3, 2] = value
+    with pytest.raises(ValueError, match=r"entry \(0,1\) is not finite"):
+        cvetkovic_bound(k4, m)
+    m = adjacency(k4)
+    m[3, 2] = value                 # lower triangle only: not symmetric
+    with pytest.raises(ValueError, match="symmetric"):
+        cvetkovic_bound(k4, m)
+    m = adjacency(k4)
+    m[1, 1] = value
+    with pytest.raises(ValueError, match=r"entry \(1,1\) is not finite"):
+        cvetkovic_bound(k4, m)
 
 
 def test_strict_support_family():

@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plap import cutoff, families, graph
 from plap.cutoff import (bracket, brackets, exact_ln, interlacing_check,
@@ -304,10 +306,9 @@ def test_brackets_equal_the_per_k_loops(g, per_batch, monkeypatch):
                     == [_old_interlacing_check(g, v, budget) for v in range(g.n)])
 
 
-@pytest.mark.parametrize("per_batch", [None, 1])
-def test_stacked_eigensolves_stay_within_the_batch_bytes(per_batch, monkeypatch):
-    if per_batch is not None:
-        monkeypatch.setattr(cutoff, "_BATCH_BYTES", 1)
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """The shape of every array np.linalg.eigvalsh is given."""
     eigvalsh, shapes = np.linalg.eigvalsh, []
 
     def spy(a, *args, **kwargs):
@@ -315,11 +316,20 @@ def test_stacked_eigensolves_stay_within_the_batch_bytes(per_batch, monkeypatch)
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("per_batch", [None, 1])
+def test_stacked_eigensolves_stay_within_the_batch_bytes(per_batch, eigvalsh_shapes,
+                                                          monkeypatch):
+    if per_batch is not None:
+        monkeypatch.setattr(cutoff, "_BATCH_BYTES", 1)
     g = families.random_graph(40, 0.5, 1)   # C(40, 39) = 40 subsets of 39 vertices
     for budget in (16, 2048):               # greedy and exhaustive
         brackets(g, [38, 39], budget)
-    stacks = [s for s in shapes if len(s) == 3]
-    assert {s[-1] for s in stacks} >= {38, 39, 40}
+    exact_ln(families.complete(12))         # the branch and bound's stacks
+    stacks = [s for s in eigvalsh_shapes if len(s) == 3]
+    assert {s[-1] for s in stacks} >= {12, 38, 39, 40}
     for s in stacks:
         assert 8 * math.prod(s) <= max(cutoff._BATCH_BYTES, 8 * s[-1] ** 2), s
 
@@ -328,6 +338,80 @@ def test_sign_scan_equals_the_loop_at_n14():
     g = random_weighted(14, 0.5, 14, isolated=1)
     assert 1 << 13 > cutoff._batch_size(14)
     assert cutoff._lambda_max_signs(g) == _old_lambda_max_signs(g)
+
+
+# --- the branch and bound against the scan it replaced ---
+
+_cached_old_lambda_max_signs = lru_cache(maxsize=None)(_old_lambda_max_signs)
+
+
+def _union(g, h):
+    """g and h side by side, h's vertices after g's."""
+    edges = [tuple(e) for e in g.edges] + [(e.u + g.n, e.v + g.n, e.w, e.sigma) for e in h.edges]
+    return validate(g.n + h.n, edges, mu=g.mu + h.mu)
+
+
+# complete graphs (every balanced bipartition ties) and their negations,
+# antibalanced graphs, weighted graphs with non-unit mu and isolated
+# vertices, two components, n = 1 and m = 0
+BNB_GRAPHS = ([families.complete(n) for n in range(2, 13)]
+              + [negate(families.complete(n)) for n in (5, 9, 12)]
+              + [random_connected_antibalanced(n, 0.5, n) for n in (7, 10, 12)]
+              + [random_weighted(n, 0.6, n, isolated=2) for n in (9, 11, 13)]
+              + [_union(random_weighted(5, 0.8, 1), random_signed(6, 0.6, 2)),
+                 families.edgeless(1), families.edgeless(6)])
+
+
+@pytest.mark.parametrize("per_batch", [None, 1, 3, 7])
+@pytest.mark.parametrize("g", BNB_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_branch_and_bound_equals_the_scan(g, per_batch, monkeypatch):
+    if per_batch is not None:
+        monkeypatch.setattr(cutoff, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
+    assert cutoff._lambda_max_signs(g) == _cached_old_lambda_max_signs(g)
+
+
+@st.composite
+def _small_signed_weighted(draw):
+    n = draw(st.integers(1, 9))
+    weight = st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.1, 5.0))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda t: t[0] < t[1]), max_size=3 * n))
+    edges = [(u, v, draw(weight), draw(st.sampled_from([1, -1]))) for u, v in sorted(pairs)]
+    mu = draw(st.lists(st.one_of(st.just(1.0), st.floats(0.25, 4.0)), min_size=n, max_size=n))
+    return validate(n, edges, mu=mu)
+
+
+@given(_small_signed_weighted(), st.sampled_from([None, 1, 2, 3, 7]))
+@settings(max_examples=150, deadline=None)
+def test_branch_and_bound_equals_the_scan_on_random_graphs(g, per_batch):
+    with pytest.MonkeyPatch.context() as mp:
+        if per_batch is not None:
+            mp.setattr(cutoff, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
+        assert cutoff._lambda_max_signs(g) == _old_lambda_max_signs(g)
+
+
+def _matrices(shapes):
+    return sum(s[0] if len(s) == 3 else 1 for s in shapes)
+
+
+def test_branch_and_bound_work_on_a_random_signed_n16(eigvalsh_shapes):
+    exact_ln(families.random_graph(16, 0.5, 0, signed=True))
+    assert _matrices(eigvalsh_shapes) <= (1 << 15) // 8
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_branch_and_bound_work_on_complete_graphs(n, eigvalsh_shapes):
+    exact_ln(families.complete(n))
+    assert _matrices(eigvalsh_shapes) <= 1.25 * (1 << (n - 1))
+    if n in (10, 12):   # the row-sum bound drops the unbalanced bipartitions unsolved
+        assert _matrices(eigvalsh_shapes) <= 0.5 * (1 << (n - 1))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_stacked_eigensolve_when_every_code_fits_one_batch(n, eigvalsh_shapes):
+    g = random_weighted(n, 0.6, n)
+    cutoff._lambda_max_signs(g)
+    assert eigvalsh_shapes == [(1 << (n - 1), n, n)]
 
 
 @pytest.mark.parametrize("fn", [lower_bound_full, lower_bound_subgraphs])

@@ -39,6 +39,14 @@ def test_sign_counts():
     assert sign_counts(normalized_spectrum(families.path(3)), 1e-9) == (1, 1, 1)
     with pytest.raises(ValueError):
         sign_counts(np.zeros(2), -1.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        sign_counts(np.zeros(2), math.nan)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sign_counts_rejects_non_finite_values(value):
+    with pytest.raises(ValueError, match=r"eigenvalue #1 is not finite"):
+        sign_counts(np.array([1.0, value, -1.0, value]), 1e-9)
 
 
 def test_unit_measure_equals_adjacency_spectrum():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from plap import cli, families, graph, solver
+from plap import cli, cutoff, families, graph, solver
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 needs_spans = pytest.mark.skipif(not SPANS.exists(), reason="perfbench/ is absent")
@@ -21,6 +21,19 @@ def _spans():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     return spans
+
+
+def _traced(run) -> tuple[dict, dict]:
+    """Calls per span name and the tracer's counters over one traced job."""
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_job(0)
+        run()
+        tracer.end_job()
+    finally:
+        tracer.uninstall()
+    return {name: row["calls"] for name, row in tracer.aggregate().items()}, tracer.counters
 
 
 @needs_spans
@@ -37,31 +50,27 @@ def test_tracer_sees_one_ascent_and_every_restart():
     # K4 at p=3 is not antibalanced, so all 18 starts (p=2 pencil, |A|-Perron,
     # six edges, ten random) go through the stacked ascent and _finish; each
     # is polished once, at its hand-off or at its end
-    tracer = _spans().Tracer()
-    tracer.install()
-    try:
-        tracer.begin_job(0)
-        solver.solve_largest(families.complete(4), 3.0)
-        tracer.end_job()
-    finally:
-        tracer.uninstall()
-    calls = {name: row["calls"] for name, row in tracer.aggregate().items()}
-    assert tracer.counters["solver.restart.attempts"] == 18
+    calls, counters = _traced(lambda: solver.solve_largest(families.complete(4), 3.0))
+    assert counters["solver.restart.attempts"] == 18
     assert calls["solver.solve_largest"] == 1 and calls["solver._ascent"] == 1
     assert calls["solver._finish"] == 18
 
 
+@needs_spans
+def test_traced_exact_ln_records_one_sign_search():
+    # perfbench's cutoff._lambda_max_signs.self_ms and cutoff.sign_space read
+    # this one span by name; sign_space adds the 2^(n-1) codes it covers
+    calls, counters = _traced(
+        lambda: cutoff.exact_ln(families.random_graph(12, 0.5, 3, signed=True)))
+    assert calls["cutoff.exact_ln"] == 1 and calls["cutoff._lambda_max_signs"] == 1
+    assert counters["cutoff.sign_space"] == 1 << 11
+
+
 def _traced_cli_calls(argv) -> dict:
-    tracer = _spans().Tracer()
-    tracer.install()
-    try:
-        tracer.begin_job(0)
+    def run():
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-        tracer.end_job()
-    finally:
-        tracer.uninstall()
-    return {name: row["calls"] for name, row in tracer.aggregate().items()}
+    return _traced(run)[0]
 
 
 @needs_spans
