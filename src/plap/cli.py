@@ -148,13 +148,12 @@ def _verify_monotonicity(g, args, rep: Report) -> list[dict]:
         raise SystemExit(_usage_error("monotonicity check requires kappa >= 0"))
     grid = args.p_grid
     cfg = _solver_cfg(args)
-    bal = graph.classify_balance(g)
     sides = []
-    if bal.antibalanced_witness is not None and graph.is_connected(g) and g.m:
+    if g.m and graph.connected_antibalancing_tau(g) is not None:
         pairs = [solver.solve_largest(g, p, cfg) for p in grid]
         if all(pr.certificate == "perron-certified" for pr in pairs):
             sides.append(("top", g.n, pairs))
-    if bal.balanced_witness is not None:
+    if graph.classify_balance(g).balanced_witness is not None:
         sides.append(("bottom", 1, [solver.solve_smallest(g, p, cfg) for p in grid]))
     rows: list[dict] = []
     for side, k_label, pairs in sides:
@@ -191,9 +190,7 @@ def _verify_interlacing(g, args, rep: Report, ln) -> None:
 
 
 def _verify_limit(g, args, rep: Report, strict: bool) -> None:
-    bal = graph.classify_balance(g)
-    applicable = bal.antibalanced_witness is not None and graph.is_connected(g)
-    if not applicable:
+    if graph.connected_antibalancing_tau(g) is None:
         if strict:
             raise SystemExit(_usage_error(
                 "limit scan needs a connected antibalanced graph"))

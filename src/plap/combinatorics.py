@@ -307,7 +307,7 @@ def inertia_report(g: SignedGraph,
 
     ln = cutoff.exact_ln(g)
     record("top cutoff eigenvalue positive iff an edge exists",
-           (ln.lower > 0) == (g.m > 0),
+           ln.lower > 0 if g.m else ln.lower == 0,   # a NaN fails either test
            {"L_n": ln.lower, "edges": g.m, "exact": ln.exact})
     if not isolated and g.m:
         w_min = min(e.w for e in g.edges)

@@ -23,9 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import (GraphError, SignedGraph, classify_balance,
-                    induced_subgraph, is_connected, negate, switch,
-                    with_zero_kappa)
+from .graph import (GraphError, SignedGraph, connected_antibalancing_tau,
+                    induced_subgraph, switch, with_zero_kappa)
 from .linalg import normalized_adjacency, normalized_spectrum
 from .solver import SolverConfig, solve_largest
 
@@ -307,8 +306,7 @@ def lower_bound_full(g: SignedGraph, k: int) -> float:
 
 def lower_bounds_full_all(g: SignedGraph) -> np.ndarray:
     """The full-graph lower-bound vector for k = 1..n (one eigensolve)."""
-    g = with_zero_kappa(g)
-    vals = normalized_spectrum(negate(g)).values
+    vals = normalized_spectrum(g, negate=True).values
     return np.maximum(0.0, 0.5 * vals)
 
 
@@ -536,12 +534,12 @@ def limit_scan(g: SignedGraph, p_grid: Sequence[float],
     Distances are l2(mu) after unit normalization and sign alignment.
     """
     g = with_zero_kappa(g)
-    bal = classify_balance(g)
-    if bal.antibalanced_witness is None or not is_connected(g):
+    tau = connected_antibalancing_tau(g)
+    if tau is None:
         raise GraphError("limit scan needs a connected antibalanced graph")
-    gneg = switch(g, bal.antibalanced_witness)
+    gneg = switch(g, tau)
     mu = gneg.mu_array()
-    dec = normalized_spectrum(negate(gneg))   # nonnegative matrix
+    dec = normalized_spectrum(gneg, negate=True)   # nonnegative matrix
     perron = np.abs(dec.vectors[:, -1])
     perron = perron / np.sqrt(np.sum(mu * perron ** 2))
     ps, dists, lams, funcs = [], [], [], []

@@ -7,7 +7,9 @@ instances are safe to share across threads.
 
 Kernels read a graph through one read-only array view (GraphArrays), built
 on first use (never by validate) and kept on the instance, outside equality,
-hashing and pickling.  A concurrent first use may build it twice; harmless.
+hashing and pickling; switch and negate hand their result the view of their
+input with sigma replaced.  A concurrent first use may build it twice;
+harmless.
 """
 
 from __future__ import annotations
@@ -167,18 +169,28 @@ def _check_tau(g: SignedGraph, tau: Sequence[int]) -> np.ndarray:
     return t
 
 
+def _resigned(g: SignedGraph, sigma: np.ndarray) -> SignedGraph:
+    """g with the float signature sigma (in edge order).  deg, rt and scale
+    do not depend on signs, so the new graph gets g's view with sigma
+    replaced instead of one rebuilt from its edge tuples."""
+    a = g._arrays
+    sigma.setflags(write=False)
+    edges = tuple(map(Edge, a.u.tolist(), a.v.tolist(), a.w.tolist(), sigma.astype(int).tolist()))
+    out = SignedGraph(g.n, edges, g.mu, g.kappa)
+    out.__dict__["_arrays"] = a._replace(sigma=sigma)
+    return out
+
+
 def switch(g: SignedGraph, tau: Sequence[int]) -> SignedGraph:
     """Switch the signature: sigma_uv -> tau(u)*sigma_uv*tau(v)."""
     t = _check_tau(g, tau)
-    edges = tuple(Edge(e.u, e.v, e.w, int(t[e.u]) * e.sigma * int(t[e.v]))
-                  for e in g.edges)
-    return SignedGraph(g.n, edges, g.mu, g.kappa)
+    a = g._arrays
+    return _resigned(g, t[a.u] * a.sigma * t[a.v])
 
 
 def negate(g: SignedGraph) -> SignedGraph:
     """Flip every edge sign; the adjacency matrix of the result is -A."""
-    edges = tuple(Edge(e.u, e.v, e.w, -e.sigma) for e in g.edges)
-    return SignedGraph(g.n, edges, g.mu, g.kappa)
+    return _resigned(g, -g._arrays.sigma)
 
 
 def with_zero_kappa(g: SignedGraph) -> SignedGraph:
@@ -274,6 +286,13 @@ def _balancing_tau(g: SignedGraph, target: int) -> Optional[tuple[int, ...]]:
     """A tau with sigma^tau == target on every edge, or None."""
     tau, _, consistent = _propagate(g, target)
     return tuple(tau) if consistent else None
+
+
+def connected_antibalancing_tau(g: SignedGraph) -> Optional[tuple[int, ...]]:
+    """classify_balance(g).antibalanced_witness when g is connected, else
+    None; one sign propagation decides both."""
+    tau, root, consistent = _propagate(g, -1)
+    return tuple(tau) if consistent and not any(root) else None
 
 
 def classify_balance(g: SignedGraph) -> BalanceClass:

@@ -43,10 +43,11 @@ def _symmetric(n: int, u: np.ndarray, v: np.ndarray, vals: np.ndarray,
     return a
 
 
-def adjacency(g: SignedGraph) -> np.ndarray:
-    """Signed adjacency matrix: a_ij = sigma_ij * w_ij on edges, else 0."""
+def adjacency(g: SignedGraph, negate: bool = False) -> np.ndarray:
+    """Signed adjacency matrix: a_ij = sigma_ij * w_ij on edges, else 0;
+    negate flips every sign (the adjacency of graph.negate(g), bit for bit)."""
     a = g._arrays
-    return _symmetric(g.n, a.u, a.v, a.sigma * a.w)
+    return _symmetric(g.n, a.u, a.v, (-a.sigma if negate else a.sigma) * a.w)
 
 
 def normalized_adjacency(g: SignedGraph, edge_mask: Optional[np.ndarray] = None,
@@ -80,15 +81,16 @@ def eigh_sorted(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], _canonical_signs(vecs[:, order])
 
 
-def normalized_spectrum(g: SignedGraph) -> EigenDecomposition:
-    """Spectrum of the normalized adjacency D^{-1} A via D^{-1/2} A D^{-1/2}.
+def normalized_spectrum(g: SignedGraph, negate: bool = False) -> EigenDecomposition:
+    """Spectrum of the normalized adjacency D^{-1} A via D^{-1/2} A D^{-1/2};
+    with negate, of -A (that of graph.negate(g), bit for bit).
 
     The returned eigenvectors are orthonormal in the mu-weighted inner
     product and solve A v = lambda D v.
     """
     a = g._arrays
     rt = a.rt
-    sym = adjacency(g) * rt[:, None] * rt[None, :]
+    sym = adjacency(g, negate) * rt[:, None] * rt[None, :]
     vals, vecs = eigh_sorted(sym)
     return EigenDecomposition(values=vals, vectors=_canonical_signs(rt[:, None] * vecs),
                               inner="mu", mu=a.mu)

@@ -8,6 +8,13 @@ pins the value down as the top eigenvalue (tag "perron-certified"); in every
 other case the returned value is a certified eigenvalue and only a lower
 bound for the top (resp. upper bound for the bottom) one.
 
+On that Perron path with kappa >= 0 a fixed-point iteration of the
+order-preserving, 1-homogeneous cone map (Delta_p f / mu)^(1/(p-1)) stops
+when its Collatz-Wielandt bracket min/max of T(f)/f has closed to 5e-16
+relative; lambda is then pinned to about (p-1) * 5e-16 and the pair is
+returned without a Newton polish.  The polish runs only where the iteration
+ran out of rounds and on the kappa < 0 ascent.
+
 At p = 2 the quotient is that of the pencil (Deg + K - A, diag(mu)), whose
 extreme generalized eigenvector is its global maximizer (minimizer); the
 generic path returns it, Newton-polished, without any restart.  At p > 2
@@ -35,7 +42,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .graph import (SignedGraph, classify_balance, is_connected,
+from .graph import (SignedGraph, classify_balance, connected_antibalancing_tau,
                     structural_constants, switch, with_zero_kappa)
 from .linalg import adjacency, eigh_sorted
 
@@ -239,12 +246,19 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
 
 
 def _power_refine(gneg: SignedGraph, p: float, f0: np.ndarray,
-                  max_iters: int = 5000, rtol: float = 5e-16) -> np.ndarray:
-    """Order-preserving fixed-point refinement in the positive cone.
+                  max_iters: int = 5000, rtol: float = 5e-16) -> tuple[np.ndarray, bool]:
+    """Order-preserving fixed-point refinement in the positive cone; returns
+    the last iterate and whether the stop rule below ended the iteration
+    (False: max_iters ran out).
 
     Requires sigma identically -1 and kappa >= 0; then Delta_p maps positive
     functions to positive ones and the normalized iteration converges to the
-    one-signed top eigenfunction.
+    one-signed top eigenfunction.  The map T(f) = (Delta_p f / mu)^(1/(p-1))
+    is order-preserving and 1-homogeneous on the cone, so the ratios T(f)/f
+    bracket its eigenvalue r = lambda^(1/(p-1)): min T(f)/f <= r <=
+    max T(f)/f (the Collatz-Wielandt bracket of Gaubert & Gunawardena,
+    Trans. AMS 2004).  The iteration stops once that spread is at most
+    rtol * max, which pins lambda to about (p-1) * rtol relative.
     """
     mu = gneg.mu_array()
     f = np.abs(np.asarray(f0, dtype=float))
@@ -258,8 +272,8 @@ def _power_refine(gneg: SignedGraph, p: float, f0: np.ndarray,
         spread = float(ratio.max() - ratio.min())
         f = normalize_sp(t, p, mu)
         if spread <= rtol * float(ratio.max()):
-            break
-    return f
+            return f, True
+    return f, False
 
 
 def _newton_polish(g: SignedGraph, p: float, lam: float,
@@ -425,6 +439,11 @@ def solve_largest(g: SignedGraph, p: float,
     tagged perron-certified when the converged eigenfunction is strictly
     one-signed; then the value is exactly the top eigenvalue.  Otherwise the
     value is a certified eigenvalue and a lower bound for it.
+
+    On the cone path the pair is polished by Newton only when the cone
+    iteration did not close its Collatz-Wielandt bracket (spread of T(f)/f
+    at most 5e-16 of its max) or kappa < 0 forced the ascent; a closed
+    bracket already pins the value to about (p-1) * 5e-16 relative.
     """
     _check_p(p)
     if p > P_CAP:
@@ -433,18 +452,21 @@ def solve_largest(g: SignedGraph, p: float,
     if g.m == 0:
         return _edgeless_pair(g, p, largest=True)
 
-    bal = classify_balance(g)
-    if bal.antibalanced_witness is not None and is_connected(g):
-        tau = np.asarray(bal.antibalanced_witness, dtype=float)
-        gneg = switch(g, bal.antibalanced_witness)
+    witness = connected_antibalancing_tau(g)
+    if witness is not None:
+        tau = np.asarray(witness, dtype=float)
+        gneg = switch(g, witness)
         if np.min(gneg.kappa_array()) >= 0:
-            f = _power_refine(gneg, p, np.ones(g.n))
+            f, bracketed = _power_refine(gneg, p, np.ones(g.n))
             lam = rayleigh(gneg, p, f)
         else:
             f0 = np.abs(np.random.default_rng(cfg.rng_seed).standard_normal(g.n)) + 0.1
             F, lams = _ascent(gneg, p, f0[None, :], cfg, maximize=True)
-            f, lam = F[0], float(lams[0])
-        f, lam, res = _finish(gneg, p, f, lam)
+            f, lam, bracketed = F[0], float(lams[0]), False
+        if bracketed:   # Newton has nothing left to gain on a pinned lambda
+            res = residual(gneg, p, lam, f)
+        else:
+            f, lam, res = _finish(gneg, p, f, lam)
         one_signed = bool(np.all(f > 0) or np.all(f < 0))
         ok = res <= cfg.tol * (1.0 + abs(lam))
         if one_signed and ok:

@@ -1,12 +1,14 @@
 """Even-p symmetric tensor form of the p-Laplacian and the eigenpair
 correspondence.
 
-Entries are stored by index-multiset pattern, never as a dense order-p
+Entries are defined by index-multiset pattern, never as a dense order-p
 array: an edge (i,j) contributes one entry per split {i^(l), j^(p-l)} and
-each vertex one diagonal pattern {i^(p)}.  Applying the tensor collapses
-edgewise to w_ij (f_i - sigma_ij f_j)^(p-1) + kappa_i f_i^(p-1); a slow
-reference path expands the binomial sums over patterns instead, for
-cross-validation.
+each vertex one diagonal pattern {i^(p)}.  A tensor stores them as flat
+arrays, per edge (i, j, w, sigma) and per diagonal (vertex, entry), built
+from the graph's array view; the pattern dict is built only when read.
+Applying the tensor collapses edgewise to
+w_ij (f_i - sigma_ij f_j)^(p-1) + kappa_i f_i^(p-1); a slow reference path
+expands the binomial sums over patterns instead, for cross-validation.
 """
 
 from __future__ import annotations
@@ -24,33 +26,63 @@ from .solver import PEigenPair
 Pattern = tuple[tuple[int, int], ...]   # ((vertex, multiplicity), ...), sorted
 
 
-@dataclass(frozen=True)
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@dataclass(frozen=True, eq=False)
 class PLapTensor:
+    """Edge (i[k], j[k]) of weight w[k] and sign sigma[k] carries the
+    patterns {i^(l), j^(p-l)}, l = 1..p-1, with value (-sigma)^l w; vertex
+    di[k] carries the diagonal pattern {di^(p)} with value diag[k]."""
+
     p: int
     n: int
-    entries: Mapping[Pattern, float]
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+    sigma: np.ndarray
+    di: np.ndarray
+    diag: np.ndarray
+
+    @classmethod
+    def from_entries(cls, p: int, n: int, entries: Mapping[Pattern, float]) -> PLapTensor:
+        """A tensor given by its patterns: each edge is read from its l = 1
+        value (-sigma) w, in entry order.  entries reads back the mapping."""
+        edges = [pat for pat in entries if len(pat) == 2 and pat[0][1] == 1]
+        diag = [pat for pat in entries if len(pat) == 1]
+        ij = np.fromiter((pat[k][0] for pat in edges for k in (0, 1)), dtype=int,
+                         count=2 * len(edges)).reshape(-1, 2)
+        val = np.fromiter((entries[pat] for pat in edges), dtype=float, count=len(edges))
+        di = np.fromiter((pat[0][0] for pat in diag), dtype=int, count=len(diag))
+        dval = np.fromiter((entries[pat] for pat in diag), dtype=float, count=len(diag))
+        t = cls(p, n, *_read_only(ij[:, 0], ij[:, 1], np.abs(val),
+                                  np.where(val > 0, -1.0, 1.0), di, dval))
+        t.__dict__["entries"] = entries
+        return t
+
+    @cached_property
+    def entries(self) -> dict[Pattern, float]:
+        """The pattern dict: the diagonals, then each edge's l = 1..p-1."""
+        out = {((i, self.p),): val for i, val in zip(self.di.tolist(), self.diag.tolist())}
+        ls = range(1, self.p)
+        for i, j, w, s in zip(self.i.tolist(), self.j.tolist(), self.w.tolist(),
+                              self.sigma.tolist()):
+            for l in ls:
+                out[((i, l), (j, self.p - l))] = (-s) ** l * w
+        return out
 
     @cached_property
     def _collapse(self) -> tuple[np.ndarray, ...]:
-        """Per edge (i, j, w, sigma) from its l = 1 value (-sigma) w, per stored
-        diagonal (vertex, entry - weighted degree = kappa), and the bincount
-        index of apply_tensor's terms; read once from the entries."""
-        ent = self.entries
-        edges = [pat for pat in ent if len(pat) == 2 and pat[0][1] == 1]
-        diag = [pat for pat in ent if len(pat) == 1]
-        ij = np.fromiter((pat[k][0] for pat in edges for k in (0, 1)), dtype=int,
-                         count=2 * len(edges)).reshape(-1, 2)
-        val = np.fromiter((ent[pat] for pat in edges), dtype=float, count=len(edges))
-        di = np.fromiter((pat[0][0] for pat in diag), dtype=int, count=len(diag))
-        w = np.abs(val)
+        """(i, j, w, sigma) per edge, per diagonal (vertex, entry - weighted
+        degree = kappa), and the bincount index of apply_tensor's terms."""
         # interleaved (i0, j0, i1, j1, ...) sums each degree in entry order
-        deg = np.bincount(ij.ravel(), np.repeat(w, 2), minlength=self.n)
-        coef = np.fromiter((ent[pat] for pat in diag), dtype=float, count=len(diag)) - deg[di]
-        out = (ij[:, 0], ij[:, 1], w, np.where(val > 0, -1.0, 1.0), di, coef,
-               np.concatenate((ij.ravel(), di)))
-        for arr in out:
-            arr.setflags(write=False)
-        return out
+        ij = np.column_stack((self.i, self.j)).ravel()
+        deg = np.bincount(ij, np.repeat(self.w, 2), minlength=self.n)
+        return (self.i, self.j, self.w, self.sigma, self.di,
+                *_read_only(self.diag - deg[self.di], np.concatenate((ij, self.di))))
 
 
 def _check_even(p) -> int:
@@ -64,25 +96,20 @@ def build_tensor(g: SignedGraph, p: int) -> PLapTensor:
 
     Diagonal pattern {i^(p)} carries kappa_i + sum_{j~i} w_ij; the edge
     pattern {i^(l), j^(p-l)} carries (-sigma_ij)^l w_ij, which is symmetric
-    in l <-> p-l because p is even.
+    in l <-> p-l because p is even.  Read from g's array view, without a
+    pass over the edges in Python.
     """
     p = _check_even(p)
-    entries: dict[Pattern, float] = {}
-    deg = g.weighted_degrees()
-    for i in range(g.n):
-        entries[((i, p),)] = float(g.kappa[i] + deg[i])
-    for e in g.edges:
-        for l in range(1, p):
-            val = float((-e.sigma) ** l * e.w)
-            entries[((e.u, l), (e.v, p - l))] = val
-    return PLapTensor(p=p, n=g.n, entries=entries)
+    a = g._arrays
+    di, diag = _read_only(np.arange(g.n), a.kappa + a.deg)
+    return PLapTensor(p, g.n, a.u, a.v, a.w, a.sigma, di, diag)
 
 
 def apply_tensor(t: PLapTensor, f: np.ndarray) -> np.ndarray:
     """(A f^(p-1))_i, computed by the closed edgewise collapse.
 
-    Self-contained: edge weight and sign are recovered from the stored
-    l = 1 pattern value (-sigma) w, the potential from the diagonal entry.
+    Self-contained: edge weights and signs are the tensor's own arrays, the
+    potential is each diagonal entry less the weighted degree.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (t.n,):

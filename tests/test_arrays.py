@@ -76,6 +76,17 @@ def _old_neg_sym_matrix(g, edge_mask=None):
     return m
 
 
+def _old_build_tensor(g, p):
+    entries = {}
+    deg = g.weighted_degrees()
+    for i in range(g.n):
+        entries[((i, p),)] = float(g.kappa[i] + deg[i])
+    for e in g.edges:
+        for l in range(1, p):
+            entries[((e.u, l), (e.v, p - l))] = float((-e.sigma) ** l * e.w)
+    return entries
+
+
 def _old_apply_tensor(t, f):
     out, degree_part = np.zeros(t.n), np.zeros(t.n)
     for pattern, val in t.entries.items():
@@ -129,6 +140,16 @@ def test_normalized_adjacency_equals_the_edge_loops(g):
 
 
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_negate_flag_equals_the_negated_graph_bit_for_bit(g):
+    neg = graph.validate(g.n, [(e.u, e.v, e.w, -e.sigma) for e in g.edges],
+                         mu=g.mu, kappa=g.kappa)
+    assert linalg.adjacency(g, negate=True).tobytes() == linalg.adjacency(neg).tobytes()
+    got, want = linalg.normalized_spectrum(g, negate=True), linalg.normalized_spectrum(neg)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
 def test_stacked_masks_give_the_row_matrices(g):
     masks = np.random.default_rng(g.m).random((6, g.m)) < 0.5
     masks[0], masks[1] = False, True
@@ -155,9 +176,32 @@ def test_apply_tensor_matches_the_loop_and_the_reference(g):
             assert np.max(np.abs(got - tensor.apply_tensor_reference(t, f))) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_build_tensor_equals_the_edge_loop(g):
+    # the old tensor held only the pattern dict; from_entries parses it as
+    # the old _collapse did
+    rng = np.random.default_rng(g.n + 7)
+    for p in (2, 4, 6, 8):
+        t = tensor.build_tensor(g, p)
+        f = rng.standard_normal(g.n)
+        got = tensor.apply_tensor(t, f)
+        assert "entries" not in t.__dict__
+        want = _old_build_tensor(g, p)
+        old = tensor.PLapTensor.from_entries(p, g.n, want)
+        assert list(t.entries.items()) == list(want.items())
+        assert all(type(val) is float for val in t.entries.values())
+        for x, y in zip(t._collapse, old._collapse, strict=True):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert np.array_equal(got, tensor.apply_tensor(old, f))
+        assert np.array_equal(tensor.apply_tensor_reference(t, f),
+                              tensor.apply_tensor_reference(old, f))
+
+
 def test_apply_tensor_keeps_a_missing_diagonal_missing():
     # a hand-built tensor without diagonal patterns has no vertex terms
-    t = tensor.PLapTensor(p=2, n=3, entries={((0, 1), (1, 1)): -2.0})
+    entries = {((0, 1), (1, 1)): -2.0}
+    t = tensor.PLapTensor.from_entries(2, 3, entries)
+    assert t.entries is entries
     f = np.array([1.0, 3.0, 5.0])
     assert np.array_equal(tensor.apply_tensor(t, f), _old_apply_tensor(t, f))
 

@@ -1,5 +1,6 @@
 """Independent sets, matchings, edge covers, inertia bounds."""
 
+import dataclasses
 import math
 
 import networkx as nx
@@ -197,6 +198,19 @@ def test_inertia_report_k5_and_edgeless():
     rep = inertia_report(families.edgeless(3))
     assert rep.ok and rep.alpha == 3 and rep.beta is None
     assert rep.exact_ln_value == 0.0
+
+
+@pytest.mark.parametrize("g", [families.edgeless(3), families.star(4)],
+                         ids=["edgeless", "star4"])
+def test_inertia_report_fails_a_nan_top_cutoff_eigenvalue(g, monkeypatch):
+    from plap import cutoff
+    exact_ln = cutoff.exact_ln
+    monkeypatch.setattr(cutoff, "exact_ln",
+                        lambda g: dataclasses.replace(exact_ln(g), lower=math.nan))
+    rep = inertia_report(g)
+    failed = [name for name, passed, _ in rep.checks if not passed]
+    assert "top cutoff eigenvalue positive iff an edge exists" in failed
+    assert not rep.ok
 
 
 def test_inertia_report_full_pool_small_graph():

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from plap import families, graph
 from plap.graph import (GraphError, classify_balance, components,
-                        induced_subgraph, negate, spanning_subgraph,
+                        induced_subgraph, is_connected, negate, spanning_subgraph,
                         structural_constants, switch, validate)
 
-from conftest import random_signed
+from conftest import random_connected_antibalanced, random_signed, random_weighted
 
 
 def test_validate_defaults_k2():
@@ -166,6 +166,49 @@ def test_structural_constants_examples():
     assert structural_constants(families.star(5)) == (2.0, 0.0)
     d, c = structural_constants(validate(2, [(0, 1)], kappa=[1.0, 0.0]))
     assert d == 1.5 and c == 1.0
+
+
+def _resign_cases():
+    weighted = random_weighted(9, 0.6, 4, isolated=2)
+    return [(weighted, tuple(np.where(np.arange(9) % 3, 1, -1))),
+            (random_signed(7, 0.5, 3), (1, -1, -1, 1, 1, -1, 1)),
+            (validate(3, [], mu=[1.0, 2.0, 0.5], kappa=[0.0, -1.0, 1.0]), (-1, 1, -1))]
+
+
+@pytest.mark.parametrize("g, tau", _resign_cases(), ids=["weighted", "signed", "edgeless"])
+def test_switch_and_negate_hand_over_the_view(g, tau):
+    # the switched graph gets g's view with sigma replaced; every field must
+    # equal a view built afresh from its edge tuples
+    g._arrays
+    for out, sigmas in ((switch(g, tau), [tau[e.u] * e.sigma * tau[e.v] for e in g.edges]),
+                        (negate(g), [-e.sigma for e in g.edges])):
+        assert out.edges == tuple(e._replace(sigma=s) for e, s in zip(g.edges, sigmas))
+        assert all(type(e.sigma) is int for e in out.edges)
+        assert "_arrays" in out.__dict__
+        fresh = graph.SignedGraph(out.n, out.edges, out.mu, out.kappa)._arrays
+        for name, x, y in zip(graph.GraphArrays._fields, out._arrays, fresh, strict=True):
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+            assert not x.flags.writeable, name
+        again = validate(out.n, [tuple(e) for e in out.edges], mu=out.mu, kappa=out.kappa)
+        assert out == again and hash(out) == hash(again)
+
+
+def _balance_cases():
+    two = validate(6, [(0, 1, 1.0, -1), (1, 2, 1.0, 1), (3, 4, 1.0, -1), (4, 5, 1.0, -1)])
+    return ([random_signed(n, 0.5, seed) for n, seed in ((5, 0), (7, 1), (8, 2))]
+            + [random_connected_antibalanced(n, 0.5, seed) for n, seed in ((6, 0), (9, 1))]
+            + [random_weighted(8, 0.7, 0, isolated=1), two, negate(families.complete(5)),
+               families.star(4), families.cycle(5), families.edgeless(3),
+               families.edgeless(1), families.complete(2)])
+
+
+@pytest.mark.parametrize("g", _balance_cases(), ids=lambda g: f"n{g.n}m{g.m}")
+def test_connected_antibalancing_tau_agrees_with_classify_balance(g):
+    want = classify_balance(g).antibalanced_witness
+    got = graph.connected_antibalancing_tau(g)
+    assert got == (want if is_connected(g) else None)
+    if got is not None:
+        assert all(e.sigma == -1 for e in switch(g, got).edges)
 
 
 @given(st.integers(0, 2 ** 12 - 1), st.integers(0, 10 ** 6))

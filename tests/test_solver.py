@@ -465,6 +465,42 @@ def test_perron_single_start_is_one_row():
     assert solve_largest(g, 3.0, cfg).certificate == "perron-certified"
 
 
+def _count_polish(monkeypatch) -> list:
+    calls = []
+    polish = solver._newton_polish
+
+    def counted(g, p, lam, f):
+        calls.append(p)
+        return polish(g, p, lam, f)
+    monkeypatch.setattr(solver, "_newton_polish", counted)
+    return calls
+
+
+def test_a_bracketed_cone_stop_skips_the_polish(monkeypatch):
+    # the cone stop pins lambda already; no dense Jacobian is built or solved
+    calls = _count_polish(monkeypatch)
+    monkeypatch.setattr(np.linalg, "solve", None)
+    pair = solve_largest(families.hypercube(10), 8.0)
+    assert pair.certificate == "perron-certified" and calls == []
+    assert pair.residual <= 1e-14 * (1 + pair.value)
+
+
+def test_the_polish_runs_when_the_cone_iteration_runs_out(monkeypatch):
+    calls = _count_polish(monkeypatch)
+    refine = solver._power_refine
+    monkeypatch.setattr(solver, "_power_refine",
+                        lambda *args, **kw: (refine(*args, **kw)[0], False))
+    assert solve_largest(families.hypercube(6), 8.0).certificate == "perron-certified"
+    assert calls == [8.0]
+
+
+def test_the_polish_runs_on_the_negative_kappa_ascent(monkeypatch):
+    calls = _count_polish(monkeypatch)
+    monkeypatch.setattr(solver, "_power_refine", None)
+    pair = solve_largest(IDENTITY_GRAPHS["antibalanced-kappa6"], 3.0)
+    assert pair.certificate == "perron-certified" and calls == [3.0]
+
+
 def _two_components():
     a, b = random_weighted(5, 0.7, 3), random_weighted(4, 0.9, 4)
     edges = [tuple(e) for e in a.edges] + [(e.u + 5, e.v + 5, e.w, e.sigma) for e in b.edges]

@@ -32,6 +32,14 @@ def test_build_tensor_edgeless_all_zero():
     assert all(v == 0.0 for v in t.entries.values())
 
 
+def test_tensor_on_a_large_sparse_graph_solves_nothing(monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve", None)
+    g = families.hypercube(10)
+    f = np.random.default_rng(0).standard_normal(g.n)
+    assert np.allclose(apply_tensor(build_tensor(g, 4), f), apply_plap(g, 4.0, f),
+                       rtol=1e-12, atol=1e-12)
+
+
 def test_apply_tensor_examples():
     t = build_tensor(families.complete(2), 4)
     assert np.allclose(apply_tensor(t, np.array([1.0, -1.0])), [8.0, -8.0])
