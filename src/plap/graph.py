@@ -8,8 +8,8 @@ instances are safe to share across threads.
 Kernels read a graph through one read-only array view (GraphArrays), built
 on first use (never by validate) and kept on the instance, outside equality,
 hashing and pickling; switch and negate hand their result the view of their
-input with sigma replaced.  A concurrent first use may build it twice;
-harmless.
+input with sigma replaced.  The balance classification is kept the same
+way.  A concurrent first use may build either twice; harmless.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ class GraphArrays(NamedTuple):
     scale: np.ndarray
 
 
+# derived values kept on a SignedGraph instance, outside pickling
+_CACHES = ("_arrays", "_balance")
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     """Signed graph with measure and potential.
@@ -82,8 +86,12 @@ class SignedGraph:
             arr.setflags(write=False)
         return view
 
+    @cached_property
+    def _balance(self) -> "BalanceClass":
+        return _classify(self)
+
     def __getstate__(self) -> dict:
-        return {k: val for k, val in self.__dict__.items() if k != "_arrays"}
+        return {k: val for k, val in self.__dict__.items() if k not in _CACHES}
 
     def mu_array(self) -> np.ndarray:
         return self._arrays.mu
@@ -299,8 +307,13 @@ def classify_balance(g: SignedGraph) -> BalanceClass:
     """Decide balance and antibalance, with switching witnesses.
 
     Balanced means some tau switches every sign to +1; antibalanced means the
-    negated graph is balanced.  Decided in O(n+m) by BFS sign propagation.
+    negated graph is balanced.  Decided in O(n+m) by two depth-first sign
+    propagations, once per graph: the answer is kept on the instance.
     """
+    return g._balance
+
+
+def _classify(g: SignedGraph) -> BalanceClass:
     bal = _balancing_tau(g, 1)
     anti = _balancing_tau(g, -1)
     if bal is not None and anti is not None:

@@ -32,6 +32,15 @@ the starts one after another.  Three things keep the rows exact: edge
 gathers with take (whose stacks are C-contiguous, so row sums stay
 pairwise), the norm's 1/p-th root as a scalar pow per row, and the squared
 gradient norm as a stacked matmul.
+
+Each iteration's Armijo backtracking runs in blocks: every searching row
+tries its next ARMIJO_BLOCK steps t, t b, t b^2, ... (each the product the
+serial loop forms) as one (rows * ARMIJO_BLOCK, n) stack, with one pnorm and
+one rayleigh call, and takes its first step above the 1e-18 floor that
+passes the Armijo test; a row with none goes on from t b^ARMIJO_BLOCK.  A
+trial whose p-norm is zero or not finite (at p >= 32 a long step overflows
+it) is rejected like a failed one, so a trial the serial loop never reached
+cannot raise, and the row backs off as the serial loop does.
 """
 
 from __future__ import annotations
@@ -53,6 +62,9 @@ HANDOFF = 1e-4
 # Newton rounds are cheap next to the ascent; a row at a linear rate (a
 # degenerate Jacobian) needs more than a handful to reach the tolerance
 POLISH_ROUNDS = 30
+# Armijo trial steps of one row tried together; a row needs 1-3 in nearly
+# every iteration, so a block of 4 almost always settles it in one round
+ARMIJO_BLOCK = 4
 
 
 class SolverError(RuntimeError):
@@ -60,13 +72,10 @@ class SolverError(RuntimeError):
 
 
 def psi(p: float, x: np.ndarray) -> np.ndarray:
-    """Psi_p(t) = |t|^(p-2) t, with Psi_p(0) = 0."""
+    """Psi_p(t) = |t|^(p-2) t, with Psi_p(0) = 0 (p > 1 makes 0^(p-1) = 0,
+    and sign(-0.0) is +0.0); a NaN stays NaN."""
     x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    out = np.zeros_like(ax)
-    nz = ax > 0
-    out[nz] = ax[nz] ** (p - 1.0) * np.sign(x[nz])
-    return out
+    return np.abs(x) ** (p - 1.0) * np.sign(x)
 
 
 def pnorm(f: np.ndarray, p: float, mu: np.ndarray):
@@ -231,14 +240,28 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
         moved = np.zeros(live.size, dtype=bool)
         search = np.flatnonzero(t > 1e-18)
         while search.size:
-            cand = normalize_sp(f[search] + t[search, None] * grad[search], p, mu)
-            lam_c = rayleigh(g, p, cand)
-            ok = sgn * (lam_c - lm[search]) >= cfg.armijo_slope * t[search] * g2[search]
-            acc = search[ok]
-            F[live[acc]], lam[live[acc]] = cand[ok], lam_c[ok]
+            # the next ARMIJO_BLOCK steps t, t b, t b^2, ... of every searching
+            # row, each the serial loop's product, tried as one stack
+            T = np.empty((search.size, ARMIJO_BLOCK))
+            T[:, 0], T[:, 1:] = t[search], cfg.backtrack
+            T = np.multiply.accumulate(T, axis=1)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                X = (f[search, None, :] + T[:, :, None] * grad[search, None, :]).reshape(-1, g.n)
+                nrm = pnorm(X, p, mu)
+                cand = X / nrm[:, None]
+                # a trial off the sphere is rejected, as a NaN quotient
+                cand[~(np.isfinite(nrm) & (nrm != 0))] = np.nan
+                lam_c = rayleigh(g, p, cand).reshape(T.shape)
+            ok = (sgn * (lam_c - lm[search, None]) >= cfg.armijo_slope * T * g2[search, None]) \
+                & (T > 1e-18)
+            hit = ok.any(axis=1)
+            k = ok.argmax(axis=1)[hit]
+            acc = search[hit]
+            F[live[acc]] = cand.reshape(*T.shape, g.n)[hit, k]
+            lam[live[acc]], t[acc] = lam_c[hit, k], T[hit, k]
             moved[acc] = True
-            search = search[~ok]
-            t[search] *= cfg.backtrack
+            search = search[~hit]
+            t[search] = T[~hit, -1] * cfg.backtrack
             search = search[t[search] > 1e-18]
         live = live[moved]
         step[live] = np.minimum(np.maximum(t[moved] * 2.0, 1e-12), 1e3)
@@ -327,7 +350,8 @@ def _newton_polish(g: SignedGraph, p: float, lam: float,
             break
         x2 = x + delta[:n]
         lm2 = lm + float(delta[n])
-        nrm2 = np.sum(mu * np.abs(x2) ** p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nrm2 = np.sum(mu * np.abs(x2) ** p)
         if not (np.isfinite(nrm2) and nrm2 > 0):
             break
         x2 = x2 / nrm2 ** (1.0 / p)

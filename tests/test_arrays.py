@@ -228,10 +228,12 @@ def test_cache_is_outside_equality_hash_and_pickle():
     f = np.linspace(-1.0, 1.0, g.n)
     before = solver.apply_plap(g, 3.0, f)
     assert "_arrays" in g.__dict__
+    assert graph.classify_balance(g) is graph.classify_balance(g)
     assert g == fresh and hash(g) == hash(fresh)
     back = pickle.loads(pickle.dumps(g))
     assert back == g and hash(back) == hash(g)
-    assert "_arrays" not in back.__dict__
+    assert "_arrays" not in back.__dict__ and "_balance" not in back.__dict__
+    assert graph.classify_balance(back) == graph.classify_balance(g)
     assert np.array_equal(solver.apply_plap(back, 3.0, f), before)
     with pytest.raises(ValueError):
         back.mu_array()[0] = 1.0

@@ -107,6 +107,15 @@ def test_spectrum_rejects_infinite_tol(tmp_path, capsys):
     assert "SolverConfig.tol must be positive and finite" in err
 
 
+def test_spectrum_at_p32_answers_on_k4(tmp_path, capsys):
+    # the first Armijo trial's p-norm overflows at p = 32; it is rejected
+    # like a failed trial instead of ending the command with exit code 2
+    path = _write_graph(tmp_path, families.complete(4))
+    code, out, _ = _run(capsys, "spectrum", path, "--p", "32", "--which", "largest")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["status"] == "pass"
+
+
 def test_report_refuses_non_finite_numbers():
     rep = Report(command=["plap"], input_digest="sha256:0", seed=None)
     rep.add("check", "anchor", True, {"value": float("nan")})
@@ -175,6 +184,24 @@ def test_verify_monotonicity_csv(tmp_path, capsys):
     first = lines[1].split(",")
     assert float(first[0]) == 2.0
     assert len(first) == 5
+
+
+def test_verify_monotonicity_classifies_balance_once(tmp_path, capsys, monkeypatch):
+    # one propagation asks "connected and antibalanced", two classify the
+    # balance; the bottom solve at every p of the grid reuses that answer
+    calls = []
+    propagate = graph._propagate
+
+    def counted(g, target):
+        calls.append(target)
+        return propagate(g, target)
+    monkeypatch.setattr(graph, "_propagate", counted)
+    g = families.random_graph(7, 0.6, 1)
+    assert graph.classify_balance(g).kind == "balanced"
+    calls.clear()
+    code, _, _ = _run(capsys, "verify", "monotonicity", _write_graph(tmp_path, g))
+    assert code == 0
+    assert sorted(calls) == [-1, -1, 1]
 
 
 def test_report_values_are_replayable(tmp_path, capsys):

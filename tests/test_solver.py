@@ -73,6 +73,37 @@ def test_residual_examples():
         prev = cur
 
 
+def _masked_psi(p, x):
+    """psi as it was written before it went branch-free."""
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    out = np.zeros_like(ax)
+    nz = ax > 0
+    out[nz] = ax[nz] ** (p - 1.0) * np.sign(x[nz])
+    return out
+
+
+def test_psi_is_the_masked_definition_bit_for_bit(rng):
+    for p in (1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0, 32.0, 64.0):
+        for shape in ((1,), (7,), (40,), (3, 9), (17, 20), (2, 3, 5)):
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, shape)
+            x.flat[::3] = 0.0
+            x.flat[1::5] = -0.0
+            with np.errstate(over="ignore"):
+                got, want = psi(p, x), _masked_psi(p, x)
+            assert got.tobytes() == want.tobytes(), (p, shape)
+    assert psi(3.0, [-0.0, 0.0]).tobytes() == np.zeros(2).tobytes()
+
+
+def test_nan_flows_through_psi_apply_plap_and_residual():
+    # the masked psi sent NaN to 0, so a NaN eigenfunction could pass a check
+    f = np.array([1.0, math.nan, 0.5, -0.3])
+    assert math.isnan(psi(3.0, math.nan))
+    assert np.isnan(psi(3.0, f)).tolist() == [False, True, False, False]
+    assert np.isnan(apply_plap(families.complete(4), 3.0, f)).all()
+    assert math.isnan(residual(families.complete(4), 3.0, 1.0, f))
+
+
 def test_gradient_matches_finite_differences():
     # central differences on the sphere, step 1e-6, 100 seeded points
     rng = np.random.default_rng(42)
@@ -254,7 +285,13 @@ def _serial_ascent(g, p, f0, cfg, maximize, handoff=None):
         t = step
         moved = False
         while t > 1e-18:
-            cand = _ref_normalize(f + t * grad, p, mu)
+            # a trial that cannot be normalized is rejected like a failed one
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    cand = _ref_normalize(f + t * grad, p, mu)
+                except ValueError:
+                    t *= cfg.backtrack
+                    continue
             lam_c = _ref_rayleigh(g, p, cand)
             if sgn * (lam_c - lam) >= cfg.armijo_slope * t * g2:
                 f, lam = cand, lam_c
@@ -407,6 +444,88 @@ def test_lockstep_covers_every_stop_reason():
         assert np.array_equal(F[i], f) and lam[i] == lm
         reasons.add(why)
     assert reasons == {"residual", "gradient", "no-armijo-step", "max-iters"}
+
+
+def _assert_rows_equal_the_serial_loop(g, p, cfg, largest, rows=None):
+    starts = _solver_starts(g, p, cfg, largest, _lead(g, largest))[:rows]
+    F, lam = solver._ascent(g, p, np.array(starts), cfg, largest)
+    for i, f0 in enumerate(starts):
+        f, lm, _ = _serial_ascent(g, p, f0, cfg, largest)
+        assert np.array_equal(F[i], f) and lam[i] == lm, (i, largest)
+
+
+def _spy_blocks(monkeypatch) -> list:
+    """Log 'a' for each apply_plap call (one per lockstep iteration) and 'r'
+    for each rayleigh call (one per block of Armijo trials)."""
+    log = []
+    for name, tag in (("apply_plap", "a"), ("rayleigh", "r")):
+        def spy(*args, _fn=getattr(solver, name), _tag=tag):
+            log.append(_tag)
+            return _fn(*args)
+        monkeypatch.setattr(solver, name, spy)
+    return log
+
+
+@pytest.mark.parametrize("name", ["K4", "signed9", "weighted8"])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_a_row_needing_more_than_one_block_equals_the_serial_loop(name, p, monkeypatch):
+    # from a step of 1e3 the first iterations back off more than
+    # ARMIJO_BLOCK times, so some iteration runs a second block
+    g, cfg = IDENTITY_GRAPHS[name], SolverConfig(initial_step=1e3, max_iters=20)
+    log = _spy_blocks(monkeypatch)
+    for largest in (True, False):
+        _assert_rows_equal_the_serial_loop(g, p, cfg, largest)
+    assert "arr" in "".join(log)
+
+
+@pytest.mark.parametrize("name", ["K4", "signed9", "weighted9"])
+@pytest.mark.parametrize("step", [1.5e-18, 3.5e-18], ids=["trial-2", "trial-3"])
+def test_a_floor_inside_a_block_equals_the_serial_loop(name, step):
+    # a first step just above the 1e-18 floor puts the floor inside the
+    # first block: the trials past it must not count.  At p = 64 the
+    # gradient is large enough for a step below the floor to pass the test
+    cfg = SolverConfig(initial_step=step, max_iters=20)
+    for p in (1.5, 3.0, 64.0):
+        for largest in (True, False):
+            _assert_rows_equal_the_serial_loop(IDENTITY_GRAPHS[name], p, cfg, largest)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_a_slow_backtrack_equals_the_serial_loop(p):
+    # at b = 0.999 a row runs hundreds of blocks in its first iteration; the
+    # first four starts keep the serial reference short
+    cfg = SolverConfig(backtrack=0.999, max_iters=20)
+    for largest in (True, False):
+        _assert_rows_equal_the_serial_loop(IDENTITY_GRAPHS["K4"], p, cfg, largest, rows=4)
+
+
+@pytest.mark.parametrize("p", [32.0, 64.0])
+def test_trials_off_the_sphere_are_rejected_as_in_the_serial_loop(p):
+    # at p >= 32 the p-norm of a long trial step overflows; the serial loop
+    # rejects that trial and backs off, and so must every row of a block
+    for name in ("K4", "signed9"):
+        for largest in (True, False):
+            _assert_rows_equal_the_serial_loop(IDENTITY_GRAPHS[name], p, SHORT, largest)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("p", [32.0, 64.0])
+def test_solve_largest_of_complete_graphs_at_large_p(n, p):
+    pair = solve_largest(families.complete(n), p)
+    vals = closed_form_complete(n, p)
+    assert np.min(np.abs(vals - pair.value)) <= 1e-12 * pair.value
+    assert pair.value <= vals[-1] * (1 + 1e-12)
+    assert pair.residual <= SolverConfig().tol * (1 + pair.value)
+    assert pair.residual == residual(families.complete(n), p, pair.value, pair.f)
+
+
+def test_a_generic_signed_graph_at_p64_returns_a_pair():
+    g = random_signed(8, 0.6, 0)
+    assert graph.classify_balance(g).kind == "neither"
+    for solve in (solve_largest, solve_smallest):
+        pair = solve(g, 64.0)
+        assert pair.certificate == "multi-restart"
+        assert pair.residual <= SolverConfig().tol * (1 + abs(pair.value))
 
 
 @pytest.mark.parametrize("name,p,largest", [("K3", 2.0, True), ("S4", 3.0, True),
