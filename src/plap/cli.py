@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -268,6 +269,9 @@ def _cmd_generate(args) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
+# one parser per process: parse_args leaves it as it was, and building it
+# takes about 1.5 ms, a large share of a short command
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="plap",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .graph import (GraphError, SignedGraph, connected_antibalancing_tau,
                     induced_subgraph, switch, with_zero_kappa)
-from .linalg import normalized_adjacency, normalized_spectrum
+from .linalg import normalized_adjacency, normalized_spectrum, normalized_values
 from .solver import SolverConfig, solve_largest
 
 EXACT_TOL = 1e-9
@@ -306,8 +306,7 @@ def lower_bound_full(g: SignedGraph, k: int) -> float:
 
 def lower_bounds_full_all(g: SignedGraph) -> np.ndarray:
     """The full-graph lower-bound vector for k = 1..n (one eigensolve)."""
-    vals = normalized_spectrum(g, negate=True).values
-    return np.maximum(0.0, 0.5 * vals)
+    return np.maximum(0.0, 0.5 * normalized_values(g, negate=True))
 
 
 def lower_bound_subgraphs(g: SignedGraph, k: int,

@@ -81,6 +81,11 @@ def eigh_sorted(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], _canonical_signs(vecs[:, order])
 
 
+def _normalized_sym(g: SignedGraph, negate: bool) -> np.ndarray:
+    rt = g._arrays.rt
+    return adjacency(g, negate) * rt[:, None] * rt[None, :]
+
+
 def normalized_spectrum(g: SignedGraph, negate: bool = False) -> EigenDecomposition:
     """Spectrum of the normalized adjacency D^{-1} A via D^{-1/2} A D^{-1/2};
     with negate, of -A (that of graph.negate(g), bit for bit).
@@ -89,11 +94,15 @@ def normalized_spectrum(g: SignedGraph, negate: bool = False) -> EigenDecomposit
     product and solve A v = lambda D v.
     """
     a = g._arrays
-    rt = a.rt
-    sym = adjacency(g, negate) * rt[:, None] * rt[None, :]
-    vals, vecs = eigh_sorted(sym)
-    return EigenDecomposition(values=vals, vectors=_canonical_signs(rt[:, None] * vecs),
+    vals, vecs = eigh_sorted(_normalized_sym(g, negate))
+    return EigenDecomposition(values=vals, vectors=_canonical_signs(a.rt[:, None] * vecs),
                               inner="mu", mu=a.mu)
+
+
+def normalized_values(g: SignedGraph, negate: bool = False) -> np.ndarray:
+    """normalized_spectrum(g, negate).values bit for bit, without the work on
+    eigenvectors.  It keeps the same eigh call: eigvalsh rounds differently."""
+    return np.sort(np.linalg.eigh(_normalized_sym(g, negate))[0], kind="stable")
 
 
 def sign_counts(dec, tol: float) -> tuple[int, int, int]:

@@ -17,10 +17,18 @@ ran out of rounds and on the kappa < 0 ascent.
 
 At p = 2 the quotient is that of the pencil (Deg + K - A, diag(mu)), whose
 extreme generalized eigenvector is its global maximizer (minimizer); the
-generic path returns it, Newton-polished, without any restart.  At p > 2
-each restart leaves the ascent at relative residual HANDOFF and Newton's
-method on the eigen-equation finishes it; a restart whose polish misses the
-tolerance resumes its ascent where it left off, under the tolerance stop.
+generic path returns it, Newton-polished, without any restart.  At every
+other p each restart leaves the ascent at relative residual HANDOFF (p > 2)
+or HANDOFF_P_BELOW_2 (p < 2) and Newton's method on the eigen-equation
+finishes it; a restart whose polish misses the tolerance resumes its ascent
+where it left off, under the tolerance stop.  The ascent converges only
+linearly below p = 2 (Buhler & Hein, ICML 2009), and there an eigenfunction
+often has zero entries, where |f_i|^(p-2) in the Jacobian is infinite; when
+plain Newton misses the tolerance the polish sets the entries below PIN of
+the largest to exactly 0, solves for the others, and accepts a step only if
+the residual over all vertices, the pinned ones included, falls.  The
+Perron path skips the polish below p = 2: a pinned zero would break its
+one-signed certificate.
 
 All restarts ascend together as one (R, n) stack, so each iteration pays
 numpy's per-call overhead once rather than R times; apply_plap, rayleigh and
@@ -47,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -59,6 +68,16 @@ P_CAP = 64.0
 # relative residual at which a p > 2 restart leaves the ascent for Newton:
 # the ascent converges linearly, Newton quadratically once this close
 HANDOFF = 1e-4
+# the same for p < 2.  A polish that misses the tolerance resumes the row's
+# ascent where it stopped, so the level only decides when Newton is first
+# tried.  Seconds for the 16 generic p = 1.5 solves of perfbench's extremal
+# workload (best of two, 2 vCPUs, one BLAS thread; 4.3 with no hand-off):
+#   level    1e-4  1e-3     3e-3     1e-2     3e-2  1e-1
+#   seconds  3.6   1.9-2.0  1.4      1.6-1.9  4.0   3.9
+HANDOFF_P_BELOW_2 = 1e-2
+# at p < 2 a polish that misses the tolerance retries with the entries of
+# |f_i| <= PIN * max|f| set to exactly 0
+PIN = 1e-3
 # Newton rounds are cheap next to the ascent; a row at a linear rate (a
 # degenerate Jacobian) needs more than a handful to reach the tolerance
 POLISH_ROUNDS = 30
@@ -85,7 +104,8 @@ def pnorm(f: np.ndarray, p: float, mu: np.ndarray):
     s = (mu * np.abs(f) ** p).sum(-1)
     if s.ndim == 0:
         return float(s ** (1.0 / p))
-    return np.reshape([x ** (1.0 / p) for x in s.flat], s.shape)
+    return np.fromiter(map(pow, s.ravel().tolist(), repeat(1.0 / p)), float,
+                       s.size).reshape(s.shape)
 
 
 def normalize_sp(f: np.ndarray, p: float, mu: np.ndarray) -> np.ndarray:
@@ -144,13 +164,17 @@ def rayleigh(g: SignedGraph, p: float, f: np.ndarray):
     return float(q) if f.ndim == 1 else q
 
 
+def _defect(g: SignedGraph, p: float, lam: float, f: np.ndarray) -> np.ndarray:
+    """Delta_p f - lambda mu Psi_p(f), per vertex."""
+    return apply_plap(g, p, f) - lam * g.mu_array() * psi(p, f)
+
+
 def residual(g: SignedGraph, p: float, lam: float, f: np.ndarray) -> float:
     """Max-norm defect of the eigen-equation Delta_p f = lambda mu Psi_p(f)."""
     f = np.asarray(f, dtype=float)
     if not np.any(f):
         raise ValueError("residual of the zero function")
-    defect = apply_plap(g, p, f) - lam * g.mu_array() * psi(p, f)
-    return float(np.max(np.abs(defect)))
+    return float(np.max(np.abs(_defect(g, p, lam, f))))
 
 
 @dataclass(frozen=True)
@@ -207,7 +231,8 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
     gradient, no Armijo step, or max_iters.  Every row does exactly the
     arithmetic of a one-row run, so its result is the same bit for bit.
 
-    With handoff, a row first stops at residual HANDOFF * (1 + |lambda|) and
+    With handoff, a row first stops at residual HANDOFF * (1 + |lambda|)
+    (HANDOFF_P_BELOW_2 at p < 2) and
     handoff(i, f, lambda) is called with its index and point.  If it returns
     True the row ends there; otherwise the row goes on from the same state
     (value, step, iterations left) under the stops above, so its run and
@@ -219,6 +244,7 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
     lam = rayleigh(g, p, F)
     step = np.full(len(F), float(cfg.initial_step))
     handing = np.full(len(F), handoff is not None)
+    level = HANDOFF if p >= 2 else HANDOFF_P_BELOW_2
     live = np.arange(len(F))
     for _ in range(cfg.max_iters):
         if not live.size:
@@ -231,7 +257,7 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
         scale = 1.0 + np.abs(lm)
         near = res <= 1e-3 * cfg.tol * scale
         if handoff is not None:
-            for j in np.flatnonzero(handing[live] & (res <= HANDOFF * scale)):
+            for j in np.flatnonzero(handing[live] & (res <= level * scale)):
                 handing[live[j]] = False
                 near[j] |= handoff(int(live[j]), f[j], float(lm[j]))
         go = ~near & ~(g2 <= 1e-30)
@@ -299,17 +325,21 @@ def _power_refine(gneg: SignedGraph, p: float, f0: np.ndarray,
     return f, False
 
 
-def _newton_polish(g: SignedGraph, p: float, lam: float,
-                   f: np.ndarray) -> tuple[float, np.ndarray]:
-    """Newton steps on the eigen-equation plus sphere constraint (p >= 2 only).
+def _newton_rounds(g: SignedGraph, p: float, lam: float, x: np.ndarray,
+                   pin: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Newton steps on the eigen-equation plus sphere constraint from (lam, x),
+    holding the entries marked in pin (zeros of x) at 0.
 
     Runs while the residual falls, up to POLISH_ROUNDS steps, and returns the
-    best pair seen.  At p > 2 a vertex with f_i = 0 whose neighbours are all
-    zero too (an isolated vertex, say) has a vanishing Jacobian row and
-    column; the step leaves it at zero and solves for the other unknowns.
+    best (residual, lambda, f) seen, the start included.  Each round's
+    right-hand side is the defect of the eigen-equation that the residual of
+    the accepted iterate already computed.  At p > 2 a vertex with f_i = 0
+    whose neighbours are all zero too (an isolated vertex, say) has a
+    vanishing Jacobian row and column; the step leaves it at zero and solves
+    for the other unknowns, as it does for the pinned ones.  At p < 2 the
+    Jacobian is infinite where a free entry or an edge difference with a free
+    end is 0, and the rounds stop there.
     """
-    if p < 2:
-        return lam, f
     n = g.n
     a = g._arrays
     mu, kap, u, v, w, s = a.mu, a.kappa, a.u, a.v, a.w, a.sigma
@@ -317,33 +347,43 @@ def _newton_polish(g: SignedGraph, p: float, lam: float,
     # order of the four np.add.at calls that one bincount replaces
     side = n + 1
     cells = np.concatenate((u * side + u, v * side + v, u * side + v, v * side + u))
-    x = np.asarray(f, dtype=float).copy()
-    lm = float(lam)
-    best = (residual(g, p, lm, x), lm, x)
+    unknown = np.append(~pin, True)
+    defect = _defect(g, p, lam, x)
+    best = (float(np.max(np.abs(defect))), lam, x)
     for _ in range(POLISH_ROUNDS):
+        lm = best[1]
         absx = np.abs(x)
-        dx = np.ones_like(x) if p == 2 else absx ** (p - 2.0)
         d = x[u] - s * x[v]
-        dd = np.ones_like(d) if p == 2 else np.abs(d) ** (p - 2.0)
+        with np.errstate(divide="ignore"):   # 0 ** (p - 2) at p < 2 only
+            dx = np.ones_like(x) if p == 2 else absx ** (p - 2.0)
+            dd = np.ones_like(d) if p == 2 else np.abs(d) ** (p - 2.0)
+        if p < 2:
+            # a pinned vertex has no equation of its own, and an edge between
+            # two pinned ones adds nothing to the free equations
+            dx[pin] = 0.0
+            dd[pin[u] & pin[v]] = 0.0
+            if not (np.isfinite(dx).all() and np.isfinite(dd).all()):
+                break
+        px = psi(p, x)
         coef = (p - 1.0) * w * dd
         off = -s * coef
         jac = np.bincount(cells, np.concatenate((coef, coef, off, off)),
                           minlength=side * side).reshape(side, side)
         idx = np.arange(n)
         jac[idx, idx] += (p - 1.0) * (kap - lm * mu) * dx
-        jac[:n, n] = -mu * psi(p, x)
-        jac[n, :n] = p * mu * psi(p, x)
+        jac[:n, n] = -mu * px
+        jac[n, :n] = p * mu * px
         rhs = np.empty(n + 1)
-        rhs[:n] = apply_plap(g, p, x) - lm * mu * psi(p, x)
+        rhs[:n] = defect
         rhs[n] = float(np.sum(mu * absx ** p) - 1.0)
         # the n x n block is symmetric and the border entries of vertex i are
         # multiples of psi(x_i), so row i vanishes exactly when column i does
-        coupled = jac.any(axis=1)
+        solved = jac.any(axis=1) & unknown
         try:
-            if coupled.all():
+            if solved.all():
                 delta = np.linalg.solve(jac, -rhs)
             else:
-                keep = np.flatnonzero(coupled)
+                keep = np.flatnonzero(solved)
                 delta = np.zeros(side)
                 delta[keep] = np.linalg.solve(jac[np.ix_(keep, keep)], -rhs[keep])
         except np.linalg.LinAlgError:
@@ -355,12 +395,37 @@ def _newton_polish(g: SignedGraph, p: float, lam: float,
         if not (np.isfinite(nrm2) and nrm2 > 0):
             break
         x2 = x2 / nrm2 ** (1.0 / p)
-        r2 = residual(g, p, lm2, x2)
+        defect2 = _defect(g, p, lm2, x2)
+        r2 = float(np.max(np.abs(defect2)))
         if r2 < best[0]:
             best = (r2, lm2, x2)
-            x, lm = x2, lm2
+            x, defect = x2, defect2
         else:
             break
+    return best
+
+
+def _newton_polish(g: SignedGraph, p: float, lam: float, f: np.ndarray,
+                   tol: float) -> tuple[float, np.ndarray]:
+    """Newton's method on the eigen-equation from (lam, f); returns the pair
+    of least residual seen, (lam, f) itself if no round lowers it.
+
+    At p < 2, |f_i|^(p-2) is infinite at f_i = 0, so Newton cannot reach an
+    eigenfunction with a zero entry.  When the plain rounds miss the relative
+    tolerance tol, a second try sets every entry with |f_i| <= PIN * max|f|
+    to exactly 0 and solves for the others.  Its residual still counts the
+    pinned vertices, whose equation sum_j w_ij Psi_p(-sigma_ij f_j) = 0 must
+    then hold, so every pair returned is certified by residual as before.
+    """
+    x = np.asarray(f, dtype=float).copy()
+    pin = np.zeros(g.n, dtype=bool)
+    best = _newton_rounds(g, p, float(lam), x, pin)
+    if p < 2 and not best[0] <= tol * (1.0 + abs(best[1])):
+        _, lm, x = best
+        pin = np.abs(x) <= PIN * np.abs(x).max()
+        if pin.any():
+            x = normalize_sp(np.where(pin, 0.0, x), p, g.mu_array())
+            best = min(best, _newton_rounds(g, p, lm, x, pin), key=lambda b: b[0])
     return best[1], best[2]
 
 
@@ -406,8 +471,8 @@ def _starts(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool) -> list[
     return starts
 
 
-def _finish(g, p, f, lam):
-    lam, f = _newton_polish(g, p, lam, f)
+def _finish(g, p, f, lam, tol):
+    lam, f = _newton_polish(g, p, lam, f, tol)
     return f, lam, residual(g, p, lam, f)
 
 
@@ -419,29 +484,29 @@ def _best_restart(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool,
     At p = 2 the one restart is the pencil's extreme eigenvector, polished:
     it maximizes (minimizes) the quotient, so no other start could win.
     Otherwise the starts (lead, then _starts) ascend (descend) as one stack
-    and each result is polished, in start order.  At p > 2 a row is polished
-    as soon as it reaches the HANDOFF residual; if that polish misses the
-    tolerance, the row resumes its ascent as if it had never been handed off
-    and its end point is polished instead.
+    and each result is polished, in start order.  A row is polished as soon
+    as it reaches the HANDOFF residual (HANDOFF_P_BELOW_2 at p < 2); if that
+    polish misses the tolerance, the row resumes its ascent as if it had
+    never been handed off and its end point is polished instead.
     """
     def ok(lam, res):
         return res <= cfg.tol * (1.0 + abs(lam))
 
     if p == 2:
         f = normalize_sp(_pencil_vector(g, largest), p, g.mu_array())
-        pairs = [_finish(g, p, f, rayleigh(g, p, f))]
+        pairs = [_finish(g, p, f, rayleigh(g, p, f), cfg.tol)]
     else:
         handed = {}
 
         def handoff(i, f, lam):
-            pair = _finish(g, p, f.copy(), lam)
+            pair = _finish(g, p, f.copy(), lam, cfg.tol)
             if ok(*pair[1:]):
                 handed[i] = pair
             return i in handed
 
         starts = np.array([*lead, *_starts(g, p, cfg, largest)], dtype=float)
-        F, lams = _ascent(g, p, starts, cfg, largest, handoff if p > 2 else None)
-        pairs = [handed[i] if i in handed else _finish(g, p, f.copy(), lam)
+        F, lams = _ascent(g, p, starts, cfg, largest, handoff)
+        pairs = [handed[i] if i in handed else _finish(g, p, f.copy(), lam, cfg.tol)
                  for i, (f, lam) in enumerate(zip(F, lams.tolist()))]
     best = None
     for f, lam, res in pairs:
@@ -464,10 +529,11 @@ def solve_largest(g: SignedGraph, p: float,
     one-signed; then the value is exactly the top eigenvalue.  Otherwise the
     value is a certified eigenvalue and a lower bound for it.
 
-    On the cone path the pair is polished by Newton only when the cone
-    iteration did not close its Collatz-Wielandt bracket (spread of T(f)/f
-    at most 5e-16 of its max) or kappa < 0 forced the ascent; a closed
-    bracket already pins the value to about (p-1) * 5e-16 relative.
+    On the cone path the pair is polished by Newton only at p >= 2 and only
+    when the cone iteration did not close its Collatz-Wielandt bracket
+    (spread of T(f)/f at most 5e-16 of its max) or kappa < 0 forced the
+    ascent; a closed bracket already pins the value to about (p-1) * 5e-16
+    relative.
     """
     _check_p(p)
     if p > P_CAP:
@@ -487,10 +553,12 @@ def solve_largest(g: SignedGraph, p: float,
             f0 = np.abs(np.random.default_rng(cfg.rng_seed).standard_normal(g.n)) + 0.1
             F, lams = _ascent(gneg, p, f0[None, :], cfg, maximize=True)
             f, lam, bracketed = F[0], float(lams[0]), False
-        if bracketed:   # Newton has nothing left to gain on a pinned lambda
+        # Newton has nothing left to gain on a pinned lambda; below p = 2 it
+        # could pin an entry to 0, and the pair would not be one-signed
+        if bracketed or p < 2:
             res = residual(gneg, p, lam, f)
         else:
-            f, lam, res = _finish(gneg, p, f, lam)
+            f, lam, res = _finish(gneg, p, f, lam, cfg.tol)
         one_signed = bool(np.all(f > 0) or np.all(f < 0))
         ok = res <= cfg.tol * (1.0 + abs(lam))
         if one_signed and ok:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from plap import families, graph
+from plap import cli, families, graph
 from plap.cli import main
 from plap.report import Report
 
@@ -219,6 +219,21 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(tmp_path, capsys):
+    path = _write_graph(tmp_path, families.random_graph(6, 0.5, 1, signed=True))
+    runs = [("spectrum", path, "--p", "1.5", "--which", "largest"),
+            ("cutoff", path, "--k", "all"), ("spectrum", path, "--p", "x"),
+            ("verify", "all", path)]
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(_run(capsys, *argv))
+    reused = [_run(capsys, *argv) for argv in runs]
+    assert [r[0] for r in fresh] == [0, 0, 2, 0]
+    assert reused == fresh
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_entry_point_version(capsys):
