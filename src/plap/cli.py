@@ -71,28 +71,24 @@ def _solver_cfg(args) -> solver.SolverConfig:
 
 
 # --- subcommands -------------------------------------------------------------
+#
+# Each body gets the graph, the parsed arguments and the report; main reads
+# the graph, builds the report, and emits it after the body returns.
 
-def _cmd_validate(args) -> int:
-    g, raw = _read_graph(args.graph)
-    rep = Report(command=args.command_echo, input_digest=digest(raw), seed=None)
+def _cmd_validate(g, args, rep: Report) -> None:
     rep.add("validate", ANCHORS["validate"], True,
             {"n": g.n, "edges": g.m,
              "balance": graph.classify_balance(g).kind})
     rep.values["graph"] = graph.to_json_dict(g)
-    _emit(rep.dumps(), args.out)
-    return 1 if rep.failed else 0
 
 
-def _cmd_spectrum(args) -> int:
-    g, raw = _read_graph(args.graph)
-    rep = Report(command=args.command_echo, input_digest=digest(raw), seed=args.seed)
+def _cmd_spectrum(g, args, rep: Report) -> None:
     solve = solver.solve_largest if args.which == "largest" else solver.solve_smallest
     try:
         pair = solve(g, args.p, _solver_cfg(args))
     except solver.SolverError as exc:
         rep.add("solver convergence", ANCHORS["solver"], False, {"error": str(exc)})
-        _emit(rep.dumps(), args.out)
-        return 1
+        return
     rep.add("solver convergence", ANCHORS["solver"],
             pair.residual <= args.tol * (1 + abs(pair.value)),
             {"lambda": pair.value, "residual": pair.residual,
@@ -100,17 +96,13 @@ def _cmd_spectrum(args) -> int:
     rep.values.update({"p": args.p, "which": args.which, "lambda": pair.value,
                        "residual": pair.residual, "certificate": pair.certificate,
                        "f": pair.f})
-    _emit(rep.dumps(), args.out)
-    return 1 if rep.failed else 0
 
 
-def _cmd_cutoff(args) -> int:
-    g, raw = _read_graph(args.graph)
+def _cmd_cutoff(g, args, rep: Report) -> None:
     ks = list(range(1, g.n + 1)) if args.k == "all" else [int(args.k)]
-    rep = Report(command=args.command_echo, input_digest=digest(raw), seed=args.seed)
     for k in ks:
         if not (1 <= k <= g.n):
-            return _usage_error(f"k must be in [1, {g.n}], got {k}")
+            raise SystemExit(_usage_error(f"k must be in [1, {g.n}], got {k}"))
     brackets = []
     for b in cutoff.brackets(g, ks, budget=args.budget, seed=args.seed):
         brackets.append({"k": b.k, "lower": b.lower, "upper": b.upper,
@@ -121,13 +113,9 @@ def _cmd_cutoff(args) -> int:
                 b.exact if args.exact else True,
                 {"lower": b.lower, "upper": b.upper, "exact": b.exact})
     rep.values["brackets"] = brackets
-    _emit(rep.dumps(), args.out)
-    return 1 if rep.failed else 0
 
 
-def _cmd_bounds(args) -> int:
-    g, raw = _read_graph(args.graph)
-    rep = Report(command=args.command_echo, input_digest=digest(raw), seed=args.seed)
+def _cmd_bounds(g, args, rep: Report) -> None:
     ir = combinatorics.inertia_report(g, budget=args.budget, seed=args.seed)
     for name, passed, details in ir.checks:
         witness = details.pop("witness", None)
@@ -140,8 +128,6 @@ def _cmd_bounds(args) -> int:
                        "cvetkovic": ir.cvetkovic_value,
                        "L_n": ir.exact_ln_value,
                        "L_n_exact": ir.exact_ln_is_exact})
-    _emit(rep.dumps(), args.out)
-    return 1 if rep.failed else 0
 
 
 def _verify_monotonicity(g, args, rep: Report) -> list[dict]:
@@ -234,9 +220,7 @@ def _verify_tensor(g, args, rep: Report, ln) -> None:
                  "certificate": pair.certificate})
 
 
-def _cmd_verify(args) -> int:
-    g, raw = _read_graph(args.graph)
-    rep = Report(command=args.command_echo, input_digest=digest(raw), seed=args.seed)
+def _cmd_verify(g, args, rep: Report) -> None:
     rows: list[dict] = []
     # exact L_n of the graph, once for the interlacing and tensor suites
     ln = cutoff.exact_ln(g) if args.suite in ("interlacing", "tensor", "all") else None
@@ -251,8 +235,10 @@ def _cmd_verify(args) -> int:
     if args.csv and rows:
         with open(args.csv, "w") as fh:
             fh.write(csv_rows(rows))
-    _emit(rep.dumps(), args.out)
-    return 1 if rep.failed else 0
+
+
+_COMMANDS = {"validate": _cmd_validate, "spectrum": _cmd_spectrum,
+             "cutoff": _cmd_cutoff, "bounds": _cmd_bounds, "verify": _cmd_verify}
 
 
 def _cmd_generate(args) -> int:
@@ -269,6 +255,11 @@ def _cmd_generate(args) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
+# (type, default) of the flags several commands share; each command
+# registers the ones it reads
+_SHARED_FLAGS = {"seed": (int, 0), "tol": (float, 1e-8), "restarts": (int, 10),
+                 "budget": (int, 2048)}
+
 # one parser per process: parse_args leaves it as it was, and building it
 # takes about 1.5 ms, a large share of a short command
 @functools.cache
@@ -281,34 +272,34 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"plap {__version__}")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, needs_graph=True):
-        if needs_graph:
-            p.add_argument("graph", help="graph JSON path or '-' for stdin")
+    def common(p, *flags):
+        """The graph, --out, and the named ones of the shared flags."""
+        p.add_argument("graph", help="graph JSON path or '-' for stdin")
         p.add_argument("--out", default="-", help="report destination (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--restarts", type=int, default=10)
-        p.add_argument("--budget", type=int, default=2048)
+        for flag in flags:
+            kind, default = _SHARED_FLAGS[flag]
+            p.add_argument(f"--{flag}", type=kind, default=default)
 
     common(sub.add_parser("validate", help="check a graph and echo its canonical form"))
 
     p_spec = sub.add_parser("spectrum", help="extremal p-Laplacian eigenpair")
-    common(p_spec)
+    common(p_spec, "seed", "tol", "restarts")
     p_spec.add_argument("--p", type=float, required=True)
     p_spec.add_argument("--which", choices=("largest", "smallest"), required=True)
 
     p_cut = sub.add_parser("cutoff", help="cutoff eigenvalue brackets")
-    common(p_cut)
+    common(p_cut, "seed", "budget")
     p_cut.add_argument("--k", default="all", help="index in [1, n] or 'all'")
     p_cut.add_argument("--exact", action="store_true",
                        help="fail unless every requested bracket is exact")
 
-    common(sub.add_parser("bounds", help="independence/edge-cover bound report"))
+    common(sub.add_parser("bounds", help="independence/edge-cover bound report"),
+           "seed", "budget")
 
     p_ver = sub.add_parser("verify", help="one-command verification suites")
     p_ver.add_argument("suite", choices=("monotonicity", "interlacing", "limit",
                                          "tensor", "all"))
-    common(p_ver)
+    common(p_ver, "seed", "tol", "restarts", "budget")
     p_ver.add_argument("--p-grid", dest="p_grid", default=None,
                        help="comma-separated increasing p values")
     p_ver.add_argument("--csv", default=None, help="write the p-grid CSV here")
@@ -331,25 +322,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.command_echo = ["plap"] + argv
-    if getattr(args, "p_grid", None):
+    if args.cmd == "verify":
         try:
-            args.p_grid = tuple(float(x) for x in args.p_grid.split(","))
+            args.p_grid = (tuple(float(x) for x in args.p_grid.split(","))
+                           if args.p_grid else DEFAULT_P_GRID)
         except ValueError:
             return _usage_error(f"bad p-grid {args.p_grid!r}")
-    elif hasattr(args, "p_grid"):
-        args.p_grid = DEFAULT_P_GRID
-
-    handlers = {"validate": _cmd_validate, "spectrum": _cmd_spectrum,
-                "cutoff": _cmd_cutoff, "bounds": _cmd_bounds,
-                "verify": _cmd_verify, "generate": _cmd_generate}
     try:
-        return handlers[args.cmd](args)
+        if args.cmd == "generate":
+            return _cmd_generate(args)
+        g, raw = _read_graph(args.graph)
+        rep = Report(command=["plap"] + argv, input_digest=digest(raw),
+                     seed=getattr(args, "seed", None))
+        _COMMANDS[args.cmd](g, args, rep)
+        _emit(rep.dumps(), args.out)
+        return 1 if rep.failed else 0
     except SystemExit as exc:
         return int(exc.code or 0)
     except graph.GraphError as exc:

@@ -109,11 +109,11 @@ def max_independent_set(g: SignedGraph, cap: int = MIS_CAP) -> IndependentSet:
     return IndependentSet(size=best_size, vertices=verts, exact=True)
 
 
-def max_matching(g: SignedGraph, cap: int = MIS_CAP) -> Matching:
+def max_matching(g: SignedGraph) -> Matching:
     """Exact maximum matching by DFS over the lowest free vertex, pruned by
-    the best-so-far bound (greedy matching as the incumbent)."""
-    if g.n > cap:
-        raise GraphError(f"exact matching capped at n <= {cap}, got n = {g.n}")
+    the best-so-far bound (greedy matching as the incumbent); n <= MIS_CAP."""
+    if g.n > MIS_CAP:
+        raise GraphError(f"exact matching capped at n <= {MIS_CAP}, got n = {g.n}")
     nbrs: list[list[int]] = [[] for _ in range(g.n)]
     for e in g.edges:
         nbrs[e.u].append(e.v)
@@ -157,13 +157,13 @@ def max_matching(g: SignedGraph, cap: int = MIS_CAP) -> Matching:
     return Matching(size=best_size, edges=tuple(sorted(best_edges)))
 
 
-def min_edge_cover(g: SignedGraph, cap: int = MIS_CAP) -> EdgeCover:
+def min_edge_cover(g: SignedGraph) -> EdgeCover:
     """Minimum edge cover: a maximum matching extended with one edge per
     unmatched vertex (size n - matching size, by Gallai)."""
     isolated = g.isolated_vertices()
     if isolated:
         raise GraphError(f"no edge cover exists: isolated vertices {isolated}")
-    matching = max_matching(g, cap)
+    matching = max_matching(g)
     cover = set(matching.edges)
     covered = {x for uv in matching.edges for x in uv}
     incident: dict[int, tuple[int, int]] = {}

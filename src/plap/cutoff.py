@@ -3,7 +3,8 @@ interlacing checks, and the eigenfunction-limit scan.
 
 The k-th cutoff eigenvalue L_k is the limit of 2^-p times the k-th
 variational p-Laplacian eigenvalue as p grows.  It does not depend on the
-vertex potential, so every operation here zeroes kappa on entry.  L_n is
+vertex potential, and nothing here reads kappa; limit_scan zeroes it before
+it calls the p-Laplacian solver, which does.  L_n is
 computed exactly (for n up to the enumeration cap) as half the largest
 eigenvalue, over all vertex sign vectors s, of the nonnegative matrix that
 keeps exactly the edges with sigma_ij s_i s_j = -1: each s indexes the
@@ -227,37 +228,31 @@ def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
     return float(top), _code_to_signs(n, int(leaves[vals == top].min()))
 
 
-def _hill_climb_signs(g: SignedGraph, seed: int, rounds: int = 8) -> tuple[float, tuple[int, ...]]:
+def _hill_climb_signs(g: SignedGraph, seed: int) -> tuple[float, tuple[int, ...]]:
+    """(value, sign vector) of a good sign code, for exact_ln above the cap:
+    from all plus and from 8 seeded random sign vectors, flip vertices
+    1..n-1 in turn while a flip gains more than 1e-15 (serial first
+    improvement); the first start with the largest value wins."""
     n = g.n
-
-    def value(sv: np.ndarray) -> float:
-        active = _active_edges(g, sv < 0)
-        if not np.any(active):
-            return 0.0
-        return float(np.linalg.eigvalsh(normalized_adjacency(g, active, absolute=True))[-1])
-
     rng = np.random.default_rng(seed)
-    best_val, best_sv = -np.inf, None
-    seeds = [np.ones(n)] + [np.where(rng.random(n) < 0.5, 1.0, -1.0)
-                            for _ in range(rounds)]
-    for sv in seeds:
-        sv = sv.copy()
-        sv[0] = 1.0
-        cur = value(sv)
+    starts = [np.zeros(n, dtype=bool)] + [rng.random(n) >= 0.5 for _ in range(8)]
+    best_val, best_neg = -np.inf, None
+    for neg in starts:
+        neg[0] = False
+        cur = _top_values(g, _active_edges(g, neg[None]))[0]
         improved = True
         while improved:
             improved = False
             for i in range(1, n):
-                sv[i] = -sv[i]
-                cand = value(sv)
+                neg[i] = not neg[i]
+                cand = _top_values(g, _active_edges(g, neg[None]))[0]
                 if cand > cur + 1e-15:
-                    cur = cand
-                    improved = True
+                    cur, improved = cand, True
                 else:
-                    sv[i] = -sv[i]
+                    neg[i] = not neg[i]
         if cur > best_val:
-            best_val, best_sv = cur, sv.copy()
-    return best_val, tuple(int(x) for x in best_sv)
+            best_val, best_neg = cur, neg.copy()
+    return float(best_val), tuple(int(s) for s in np.where(best_neg, -1, 1))
 
 
 def exact_ln(g: SignedGraph, cap: int = DEFAULT_SIGN_CAP,
@@ -274,7 +269,6 @@ def exact_ln(g: SignedGraph, cap: int = DEFAULT_SIGN_CAP,
     (exact=False) and the upper side falls back to half the top eigenvalue
     of the normalized unsigned adjacency.
     """
-    g = with_zero_kappa(g)
     if g.m == 0:
         return CutoffBracket(k=g.n, lower=0.0, upper=0.0,
                              lower_certificate=("sign-vector", (1,) * g.n),
@@ -324,7 +318,6 @@ def lower_bound_subgraphs(g: SignedGraph, k: int,
 def _subgraph_lowers(g: SignedGraph, ks: Sequence[int],
                      budget: int) -> list[tuple[float, tuple]]:
     """lower_bound_subgraphs for every k in ks from one scan of the pool."""
-    g = with_zero_kappa(g)
     if not g.m:
         return [(0.0, ("spanning-subgraph", ()))] * len(ks)
     pool = [np.ones((1, g.m), dtype=bool), np.zeros((1, g.m), dtype=bool)]
@@ -381,7 +374,6 @@ def _subset_uppers(g: SignedGraph, ks: Sequence[int], budget: int, seed: int,
                    mis) -> list[tuple[float, tuple]]:
     """upper_bound_subsets for every k in ks, given g's maximum independent
     set mis."""
-    g = with_zero_kappa(g)
     absadj = normalized_adjacency(g, absolute=True)
     out = []
     for k in ks:
@@ -427,13 +419,13 @@ def upper_bound_from_p(g: SignedGraph, k_label: int, p: float,
 
 
 def bracket(g: SignedGraph, k: int, budget: int = 2048,
-            cap: int = DEFAULT_SIGN_CAP, seed: int = 0) -> CutoffBracket:
+            seed: int = 0) -> CutoffBracket:
     """The bracket for one index: brackets(g, [k], ...)[0]."""
-    return brackets(g, [k], budget, cap, seed)[0]
+    return brackets(g, [k], budget, seed)[0]
 
 
 def brackets(g: SignedGraph, ks: Sequence[int], budget: int = 2048,
-             cap: int = DEFAULT_SIGN_CAP, seed: int = 0) -> list[CutoffBracket]:
+             seed: int = 0) -> list[CutoffBracket]:
     """Combine all bounds for each index in ks; exact when they meet within
     1e-9.
 
@@ -447,11 +439,10 @@ def brackets(g: SignedGraph, ks: Sequence[int], budget: int = 2048,
     from .combinatorics import max_independent_set
     for k in ks:
         _check_k(g, k)
-    g = with_zero_kappa(g)
     full = lower_bounds_full_all(g)
     subgraphs = _subgraph_lowers(g, ks, budget)
     subsets = _subset_uppers(g, ks, budget, seed, max_independent_set(g))
-    ln = exact_ln(g, cap=cap, seed=seed) if g.n in ks else None
+    ln = exact_ln(g, seed=seed) if g.n in ks else None
     out = []
     for k, subgraph, subset in zip(ks, subgraphs, subsets):
         lowers, uppers = [(float(full[k - 1]), ("full-graph",)), subgraph], [subset]
@@ -482,20 +473,19 @@ class InterlacingReport:
 
 
 def interlacing_check(g: SignedGraph, removed: Sequence[int],
-                      budget: int = 2048,
-                      cap: int = DEFAULT_SIGN_CAP) -> InterlacingReport:
+                      budget: int = 2048) -> InterlacingReport:
     """Check L_n(G - removed) <= L_n(G) and the per-index bracket consistency
     lower_k(G) <= upper_k(G - removed) for the computable indices."""
-    return interlacing_checks(g, [removed], budget, cap)[0]
+    return interlacing_checks(g, [removed], budget)[0]
 
 
 def interlacing_checks(g: SignedGraph, removals: Sequence[Sequence[int]],
-                       budget: int = 2048, cap: int = DEFAULT_SIGN_CAP,
+                       budget: int = 2048,
                        ln: Optional[CutoffBracket] = None) -> list[InterlacingReport]:
     """interlacing_check for each vertex set in removals.  Exact L_n(G) and
     the full-graph lower bounds of G are computed once for all of them, and
-    one upper-bound pass per removal serves every k.  ln is exact_ln(g, cap)
-    when the caller has it already."""
+    one upper-bound pass per removal serves every k.  ln is exact_ln(g) when
+    the caller has it already."""
     from .combinatorics import max_independent_set
     rems = [sorted(set(int(i) for i in removed)) for removed in removals]
     for rem in rems:
@@ -504,13 +494,12 @@ def interlacing_checks(g: SignedGraph, removals: Sequence[Sequence[int]],
         for i in rem:
             if not (0 <= i < g.n):
                 raise GraphError(f"vertex index {i} out of range [0,{g.n})")
-    g = with_zero_kappa(g)
-    ln_g = exact_ln(g, cap=cap) if ln is None else ln
+    ln_g = exact_ln(g) if ln is None else ln
     lows = lower_bounds_full_all(g)
     out = []
     for rem in rems:
         sub = induced_subgraph(g, [i for i in range(g.n) if i not in rem])
-        ln_sub = exact_ln(sub, cap=cap)
+        ln_sub = exact_ln(sub)
         items = [("top-index interlacing", ln_sub.lower <= ln_g.upper + EXACT_TOL,
                   {"L_n(subgraph)": ln_sub.lower, "L_n(graph)": ln_g.upper,
                    "exact": ln_g.exact and ln_sub.exact})]

@@ -9,7 +9,8 @@ Kernels read a graph through one read-only array view (GraphArrays), built
 on first use (never by validate) and kept on the instance, outside equality,
 hashing and pickling; switch and negate hand their result the view of their
 input with sigma replaced.  The balance classification is kept the same
-way.  A concurrent first use may build either twice; harmless.
+way, and so is the connected antibalancing witness.  A concurrent first
+use may build any of them twice; harmless.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class GraphArrays(NamedTuple):
 
 
 # derived values kept on a SignedGraph instance, outside pickling
-_CACHES = ("_arrays", "_balance")
+_CACHES = ("_arrays", "_balance", "_antibalancing")
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,11 @@ class SignedGraph:
     @cached_property
     def _balance(self) -> "BalanceClass":
         return _classify(self)
+
+    @cached_property
+    def _antibalancing(self) -> Optional[tuple[int, ...]]:
+        tau, root, consistent = _propagate(self, -1)
+        return tuple(tau) if consistent and not any(root) else None
 
     def __getstate__(self) -> dict:
         return {k: val for k, val in self.__dict__.items() if k not in _CACHES}
@@ -298,9 +304,9 @@ def _balancing_tau(g: SignedGraph, target: int) -> Optional[tuple[int, ...]]:
 
 def connected_antibalancing_tau(g: SignedGraph) -> Optional[tuple[int, ...]]:
     """classify_balance(g).antibalanced_witness when g is connected, else
-    None; one sign propagation decides both."""
-    tau, root, consistent = _propagate(g, -1)
-    return tuple(tau) if consistent and not any(root) else None
+    None; one sign propagation decides both, once per graph: the answer is
+    kept on the instance."""
+    return g._antibalancing
 
 
 def classify_balance(g: SignedGraph) -> BalanceClass:

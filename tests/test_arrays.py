@@ -11,7 +11,7 @@ import pickle
 import numpy as np
 import pytest
 
-from plap import graph, linalg, solver, tensor
+from plap import families, graph, linalg, solver, tensor
 from plap.solver import psi
 
 from conftest import random_weighted
@@ -244,3 +244,16 @@ def test_with_zero_kappa_reuses_a_zero_potential_graph():
     assert graph.with_zero_kappa(g) is g
     h = graph.with_zero_kappa(GRAPHS[4])
     assert h.kappa == (0.0,) * h.n and h.edges == GRAPHS[4].edges
+
+
+def test_connected_antibalancing_witness_is_kept_outside_pickle(monkeypatch):
+    g = graph.negate(families.cycle(6))
+    calls = []
+    propagate = graph._propagate
+    monkeypatch.setattr(graph, "_propagate",
+                        lambda h, target: calls.append(target) or propagate(h, target))
+    tau = graph.connected_antibalancing_tau(g)
+    assert graph.connected_antibalancing_tau(g) is tau and calls == [-1]
+    back = pickle.loads(pickle.dumps(g))
+    assert "_antibalancing" not in back.__dict__
+    assert graph.connected_antibalancing_tau(back) == tau

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, report format."""
 
+import argparse
 import json
 import math
 
+import numpy as np
 import pytest
 
 from plap import cli, families, graph
@@ -240,3 +242,98 @@ def test_entry_point_version(capsys):
     code = main(["--version"])
     out = capsys.readouterr().out
     assert code == 0 and out.startswith("plap ")
+
+
+# --- each command takes the flags it reads, and reads the flags it takes ----
+
+@pytest.mark.parametrize("cmd, flag", [
+    ("validate", "--seed"), ("validate", "--tol"), ("validate", "--restarts"),
+    ("validate", "--budget"), ("spectrum", "--budget"), ("cutoff", "--tol"),
+    ("cutoff", "--restarts"), ("bounds", "--tol"), ("bounds", "--restarts")])
+def test_a_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, cmd, flag):
+    path = _write_graph(tmp_path, families.complete(4))
+    extra = ["--p", "3", "--which", "largest"] if cmd == "spectrum" else []
+    code, out, err = _run(capsys, cmd, path, *extra, flag, "5")
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag} 5" in err
+
+
+def _parsed_and_read(monkeypatch, argv) -> tuple[set, set]:
+    """(names parse_args sets, names read after parsing) over one main(argv)."""
+    parsed, read = set(), set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            if name in parsed:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    parser = cli._build_parser()
+
+    def recording_parse(args=None, namespace=None):
+        ns = argparse.ArgumentParser.parse_args(parser, args, Recorder())
+        parsed.update(vars(ns))
+        return ns
+
+    monkeypatch.setattr(parser, "parse_args", recording_parse)
+    assert main(argv) in (0, 1)
+    return parsed, read
+
+
+def test_every_parsed_value_is_read(tmp_path, capsys, monkeypatch):
+    path = _write_graph(tmp_path, families.random_graph(6, 0.6, 2, signed=True))
+    runs = [["validate", path],
+            ["spectrum", path, "--p", "3", "--which", "largest"],
+            ["cutoff", path, "--k", "all"],
+            ["bounds", path],
+            ["verify", "all", path, "--p-grid", "2,4", "--csv", str(tmp_path / "g.csv")],
+            ["generate", "random", "--n", "5"]]
+    seen = set()
+    for argv in runs:
+        parsed, read = _parsed_and_read(monkeypatch, argv)
+        capsys.readouterr()
+        assert parsed == read, argv[0]
+        seen.add(argv[0])
+    assert seen == set(cli._COMMANDS) | {"generate"}
+
+
+def test_cutoff_reports_ignore_the_potential(tmp_path, capsys):
+    g = families.random_graph(7, 0.5, 3, signed=True)
+    rng = np.random.default_rng(3)
+    weighted = graph.validate(g.n, [(e.u, e.v, float(rng.uniform(0.5, 2.0)), e.sigma)
+                                    for e in g.edges],
+                              mu=rng.uniform(0.5, 2.0, g.n).tolist())
+    twin = graph.validate(g.n, [tuple(e) for e in weighted.edges], mu=weighted.mu,
+                          kappa=rng.uniform(-1.0, 1.0, g.n).tolist())
+    assert any(twin.kappa)
+    paths = [_write_graph(tmp_path, h, f"{i}.json") for i, h in enumerate((weighted, twin))]
+    for argv in (["cutoff", "{}", "--k", "all"], ["bounds", "{}"],
+                 ["verify", "interlacing", "{}"]):
+        reps = []
+        for path in paths:
+            code, out, _ = _run(capsys, *[a.format(path) for a in argv])
+            assert code == 0
+            reps.append(json.loads(out))
+        assert reps[0]["values"] == reps[1]["values"]
+        assert reps[0]["checks"] == reps[1]["checks"]
+
+
+def test_monotonicity_propagates_signs_three_times_on_an_antibalanced_cycle(
+        tmp_path, capsys, monkeypatch):
+    # one propagation asks "connected and antibalanced" and every top solve
+    # of the grid reuses the answer; two classify the balance
+    calls = []
+    propagate = graph._propagate
+
+    def counted(g, target):
+        calls.append(target)
+        return propagate(g, target)
+    monkeypatch.setattr(graph, "_propagate", counted)
+    path = _write_graph(tmp_path, graph.negate(families.cycle(6)))
+    code, _, _ = _run(capsys, "verify", "monotonicity", path)
+    assert code == 0 and sorted(calls) == [-1, -1, 1]
+    # verify all adds one: the limit scan's switched copy, whose top solves
+    # share its answer
+    calls.clear()
+    code, _, _ = _run(capsys, "verify", "all", path)
+    assert code == 0 and len(calls) == 4

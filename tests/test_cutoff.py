@@ -109,6 +109,47 @@ def test_exact_ln_fallback_above_cap():
     assert ln.lower_certificate[0] == "sign-vector-sampled"
 
 
+def _old_hill_climb_signs(g, seed, rounds=8):
+    n = g.n
+
+    def value(sv):
+        active = cutoff._active_edges(g, sv < 0)
+        if not np.any(active):
+            return 0.0
+        return float(np.linalg.eigvalsh(normalized_adjacency(g, active, absolute=True))[-1])
+
+    rng = np.random.default_rng(seed)
+    best_val, best_sv = -np.inf, None
+    seeds = [np.ones(n)] + [np.where(rng.random(n) < 0.5, 1.0, -1.0)
+                            for _ in range(rounds)]
+    for sv in seeds:
+        sv = sv.copy()
+        sv[0] = 1.0
+        cur = value(sv)
+        improved = True
+        while improved:
+            improved = False
+            for i in range(1, n):
+                sv[i] = -sv[i]
+                cand = value(sv)
+                if cand > cur + 1e-15:
+                    cur = cand
+                    improved = True
+                else:
+                    sv[i] = -sv[i]
+        if cur > best_val:
+            best_val, best_sv = cur, sv.copy()
+    return best_val, tuple(int(x) for x in best_sv)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("n", range(9, 31))
+def test_hill_climb_equals_the_per_flip_loop(n, seed):
+    # weighted, with a nonzero potential that nothing reads
+    g = random_weighted(n, 0.3, 100 + n)
+    assert cutoff._hill_climb_signs(g, seed) == _old_hill_climb_signs(g, seed)
+
+
 def test_lower_bound_full_examples():
     k3 = families.complete(3)
     assert abs(lower_bound_full(k3, 2) - 0.5) < 1e-12
