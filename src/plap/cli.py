@@ -21,7 +21,6 @@ from .report import Report, csv_rows, digest
 
 DEFAULT_P_GRID = (1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0)
 LIMIT_P_GRID = (4.0, 8.0, 16.0, 32.0)
-MONO_SLACK = 1e-8
 
 ANCHORS = {
     "m1": "2^-p * lambda_k(p) is non-increasing in p when kappa >= 0",
@@ -145,7 +144,7 @@ def _verify_monotonicity(g, args, rep: Report) -> list[dict]:
     rows: list[dict] = []
     for side, k_label, pairs in sides:
         lams = [pr.value for pr in pairs]
-        mono = solver.monotonicity_functionals(g, k_label, grid, lams, MONO_SLACK)
+        mono = solver.monotonicity_functionals(g, k_label, grid, lams)
         rep.add(f"m1 non-increasing ({side} index)", ANCHORS["m1"],
                 not any(v[1] == "m1" for v in mono.violations),
                 {"p_grid": grid, "lambda": lams, "m1": mono.m1})
@@ -185,7 +184,7 @@ def _verify_limit(g, args, rep: Report, strict: bool) -> None:
                 {"reason": "graph is not connected antibalanced"})
         return
     scan = cutoff.limit_scan(g, LIMIT_P_GRID, _solver_cfg(args))
-    overall = scan.distances[-1] <= scan.distances[0] + MONO_SLACK
+    overall = scan.distances[-1] <= scan.distances[0] + solver.MONO_SLACK
     rep.add("eigenfunction limit", ANCHORS["limit"], overall,
             {"p_grid": scan.p_grid, "distances": scan.distances,
              "eigenvalues": scan.eigenvalues})

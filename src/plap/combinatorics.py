@@ -17,6 +17,8 @@ from .linalg import adjacency, sign_counts
 
 MIS_CAP = 32
 ZERO_TOL = 1e-12
+CVETKOVIC_TOL = 1e-9        # |eigenvalue| <= this counts as zero
+RANDOM_SIGNATURES = 8       # in default_signature_pool, after all + and all -
 
 
 @dataclass(frozen=True)
@@ -70,12 +72,12 @@ def _verify_independent(g: SignedGraph, vertices: Sequence[int]) -> None:
             raise AssertionError(f"witness spans edge ({e.u},{e.v})")
 
 
-def max_independent_set(g: SignedGraph, cap: int = MIS_CAP) -> IndependentSet:
-    """Exact maximum independent set by branch and bound (n <= cap);
+def max_independent_set(g: SignedGraph) -> IndependentSet:
+    """Exact maximum independent set by branch and bound (n <= MIS_CAP);
     beyond the cap, a greedy lower bound flagged exact=False."""
     adj = _adj_masks(g)
     greedy = _greedy_independent(g, adj)
-    if g.n > cap:
+    if g.n > MIS_CAP:
         verts = tuple(i for i in range(g.n) if (greedy >> i) & 1)
         _verify_independent(g, verts)
         return IndependentSet(size=len(verts), vertices=verts, exact=False)
@@ -163,7 +165,11 @@ def min_edge_cover(g: SignedGraph) -> EdgeCover:
     isolated = g.isolated_vertices()
     if isolated:
         raise GraphError(f"no edge cover exists: isolated vertices {isolated}")
-    matching = max_matching(g)
+    return _extend_to_cover(g, max_matching(g))
+
+
+def _extend_to_cover(g: SignedGraph, matching: Matching) -> EdgeCover:
+    """A maximum matching of g extended to a minimum edge cover."""
     cover = set(matching.edges)
     covered = {x for uv in matching.edges for x in uv}
     incident: dict[int, tuple[int, int]] = {}
@@ -188,7 +194,7 @@ def is_strict_support(g: SignedGraph, m: np.ndarray) -> bool:
     return bool(np.array_equal(adjacency(g)[upper] != 0.0, m[upper] != 0.0))
 
 
-def cvetkovic_bound(g: SignedGraph, m: np.ndarray, tol: float = 1e-9) -> int:
+def cvetkovic_bound(g: SignedGraph, m: np.ndarray) -> int:
     """min(n - n_plus, n - n_minus) for a finite symmetric matrix supported
     on the edge set (zero diagonal); an upper bound for the independence
     number."""
@@ -208,15 +214,14 @@ def cvetkovic_bound(g: SignedGraph, m: np.ndarray, tol: float = 1e-9) -> int:
         raise ValueError(f"diagonal entry ({i},{i}) must be zero" if i == j
                          else f"entry ({i},{j}) is outside the edge support")
     vals = np.linalg.eigvalsh(m)
-    n_plus, n_minus, _ = sign_counts(vals, tol)
+    n_plus, n_minus, _ = sign_counts(vals, CVETKOVIC_TOL)
     return min(g.n - n_plus, g.n - n_minus)
 
 
-def default_signature_pool(g: SignedGraph, seed: int = 0,
-                           extra_random: int = 8) -> list[tuple[int, ...]]:
+def default_signature_pool(g: SignedGraph, seed: int = 0) -> list[tuple[int, ...]]:
     pool = [tuple(1 for _ in range(g.m)), tuple(-1 for _ in range(g.m))]
     rng = np.random.default_rng(seed)
-    for _ in range(extra_random):
+    for _ in range(RANDOM_SIGNATURES):
         pool.append(tuple(int(x) for x in np.where(rng.random(g.m) < 0.5, 1, -1)))
     return pool
 
@@ -279,15 +284,14 @@ def inertia_report(g: SignedGraph,
         checks.append((name, bool(passed), details))
 
     isolated = g.isolated_vertices()
-    matching_size = max_matching(g).size
+    matching = max_matching(g)
     if isolated or g.m == 0:
         beta = None
     else:
-        cover = min_edge_cover(g)
-        beta = cover.size
+        beta = _extend_to_cover(g, matching).size
         record("beta equals n minus the maximum matching size",
-               beta == g.n - matching_size,
-               {"beta": beta, "n": g.n, "matching": matching_size})
+               beta == g.n - matching.size,
+               {"beta": beta, "n": g.n, "matching": matching.size})
 
     sig_pool = ([tuple(int(x) for x in s) for s in pool] if pool is not None
                 else default_signature_pool(g, seed))
@@ -322,7 +326,7 @@ def inertia_report(g: SignedGraph,
 
     return InertiaReport(alpha=alpha, alpha_exact=mis.exact,
                          alpha_witness=mis.vertices, beta=beta,
-                         matching_size=matching_size,
+                         matching_size=matching.size,
                          pool=tuple(sig_pool),
                          zero_count_proxies=tuple(proxies),
                          cvetkovic_value=cvet,

@@ -5,7 +5,7 @@ The k-th cutoff eigenvalue L_k is the limit of 2^-p times the k-th
 variational p-Laplacian eigenvalue as p grows.  It does not depend on the
 vertex potential, and nothing here reads kappa; limit_scan zeroes it before
 it calls the p-Laplacian solver, which does.  L_n is
-computed exactly (for n up to the enumeration cap) as half the largest
+computed exactly (for n up to DEFAULT_SIGN_CAP) as half the largest
 eigenvalue, over all vertex sign vectors s, of the nonnegative matrix that
 keeps exactly the edges with sigma_ij s_i s_j = -1: each s indexes the
 maximal antibalanced spanning subgraph compatible with it, and the top
@@ -255,9 +255,8 @@ def _hill_climb_signs(g: SignedGraph, seed: int) -> tuple[float, tuple[int, ...]
     return float(best_val), tuple(int(s) for s in np.where(best_neg, -1, 1))
 
 
-def exact_ln(g: SignedGraph, cap: int = DEFAULT_SIGN_CAP,
-             seed: int = 0) -> CutoffBracket:
-    """L_n, exact up to the enumeration cap.
+def exact_ln(g: SignedGraph, seed: int = 0) -> CutoffBracket:
+    """L_n, exact for n <= DEFAULT_SIGN_CAP.
 
     A batched branch and bound over the 2^(n-1) sign codes returns the value
     and sign vector a scan of every code would.  On 2 vCPUs it takes 10-60
@@ -273,7 +272,7 @@ def exact_ln(g: SignedGraph, cap: int = DEFAULT_SIGN_CAP,
         return CutoffBracket(k=g.n, lower=0.0, upper=0.0,
                              lower_certificate=("sign-vector", (1,) * g.n),
                              upper_certificate=("exact",), exact=True)
-    if g.n <= cap:
+    if g.n <= DEFAULT_SIGN_CAP:
         val, signs = _lambda_max_signs(g)
         half = 0.5 * val
         return CutoffBracket(k=g.n, lower=half, upper=half,

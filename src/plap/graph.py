@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -53,6 +54,9 @@ class GraphArrays(NamedTuple):
 
 # derived values kept on a SignedGraph instance, outside pickling
 _CACHES = ("_arrays", "_balance", "_antibalancing")
+# number types that skip the abstract-class test of _real, which costs more
+# than the rest of validate's work on an edge
+_PLAIN = frozenset((int, float))
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,11 @@ class SignedGraph:
         return np.flatnonzero(self._arrays.deg == 0).tolist()
 
 
+def _real(x) -> bool:
+    """A real number, numpy scalars included, but not a bool."""
+    return type(x) in _PLAIN or isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def validate(n: int,
              edges: Iterable[Sequence],
              mu: Optional[Sequence[float]] = None,
@@ -125,16 +134,16 @@ def validate(n: int,
 
     Each raw edge is (u, v), (u, v, w) or (u, v, w, sigma); omitted weights
     default to 1, omitted signs to +1.  mu defaults to all ones, kappa to all
-    zeros.  Endpoints and signs must be integral, weights, measures and
-    potentials finite.  Violations raise GraphError naming the offending edge
-    or vertex.
+    zeros.  Every field must be a number, not a bool; endpoints and signs
+    must be integral, weights, measures and potentials finite.  Violations
+    raise GraphError naming the offending edge or vertex, or mu or kappa.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
     canon = []
     seen: set[tuple[int, int]] = set()
     for pos, raw in enumerate(edges):
-        item = tuple(raw)
+        item = tuple(raw) if hasattr(raw, "__iter__") else ()
         if len(item) < 2 or len(item) > 4:
             raise GraphError(f"edge #{pos}: expected (u, v[, w[, sigma]]), got {raw!r}")
         try:
@@ -143,6 +152,8 @@ def validate(n: int,
             u = v = sigma = None
         if (u, v) != item[:2] or (len(item) == 4 and sigma != item[3]):
             raise GraphError(f"edge #{pos}: u, v and sigma must be integers, got {raw!r}")
+        if not _PLAIN.issuperset(map(type, item)) and not all(map(_real, item)):
+            raise GraphError(f"edge #{pos}: u, v, w and sigma must be numbers, got {raw!r}")
         w = float(item[2]) if len(item) >= 3 else 1.0
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge #{pos} ({u},{v}): vertex index out of range [0,{n})")
@@ -160,18 +171,23 @@ def validate(n: int,
         canon.append(Edge(u, v, w, sigma))
     canon.sort(key=lambda e: (e.u, e.v))
 
-    mu_t = tuple(float(x) for x in mu) if mu is not None else (1.0,) * n
-    kappa_t = tuple(float(x) for x in kappa) if kappa is not None else (0.0,) * n
-    if len(mu_t) != n:
-        raise GraphError(f"mu has length {len(mu_t)}, expected {n}")
-    if len(kappa_t) != n:
-        raise GraphError(f"kappa has length {len(kappa_t)}, expected {n}")
+    lists = []
+    for name, values, default in (("mu", mu, 1.0), ("kappa", kappa, 0.0)):
+        values = (default,) * n if values is None else values
+        if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+            raise GraphError(f"{name} must be a list of numbers, got {values!r}")
+        values = tuple(values)
+        if len(values) != n:
+            raise GraphError(f"{name} has length {len(values)}, expected {n}")
+        lists.append(values)
+    mu_t, kappa_t = lists
     for i, (m, k) in enumerate(zip(mu_t, kappa_t)):
-        if not (0 < m < math.inf):
-            raise GraphError(f"vertex {i}: measure must be positive and finite, got {m}")
-        if not math.isfinite(k):
-            raise GraphError(f"vertex {i}: potential must be finite, got {k}")
-    return SignedGraph(n=n, edges=tuple(canon), mu=mu_t, kappa=kappa_t)
+        if not (_real(m) and 0 < m < math.inf):
+            raise GraphError(f"vertex {i}: measure must be positive and finite, got {m!r}")
+        if not (_real(k) and math.isfinite(k)):
+            raise GraphError(f"vertex {i}: potential must be finite, got {k!r}")
+    return SignedGraph(n=n, edges=tuple(canon), mu=tuple(map(float, mu_t)),
+                       kappa=tuple(map(float, kappa_t)))
 
 
 def _check_tau(g: SignedGraph, tau: Sequence[int]) -> np.ndarray:
@@ -354,6 +370,8 @@ def from_json_dict(doc: dict) -> SignedGraph:
     if not isinstance(doc, dict) or "n" not in doc:
         raise GraphError('graph JSON must be an object with an "n" field')
     raw_edges = doc.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise GraphError(f'edges must be a list of edge objects, got {raw_edges!r}')
     edges = []
     for pos, e in enumerate(raw_edges):
         if not isinstance(e, dict) or "u" not in e or "v" not in e:

@@ -24,12 +24,11 @@ class EigenDecomposition:
     """Full spectrum of a symmetric (possibly measure-weighted) problem.
 
     values are ascending; vectors[:, k] belongs to values[k] and the basis is
-    orthonormal in the stated inner product ("euclidean" or "mu").
+    orthonormal in the mu-weighted inner product.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    inner: str
     mu: Optional[np.ndarray] = None
 
 
@@ -75,10 +74,9 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def eigh_sorted(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and sign-canonicalized orthonormal eigenvectors."""
+    """Ascending eigenvalues (as LAPACK returns them), canonical eigenvectors."""
     vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(vals, kind="stable")
-    return vals[order], _canonical_signs(vecs[:, order])
+    return vals, _canonical_signs(vecs)
 
 
 def _normalized_sym(g: SignedGraph, negate: bool) -> np.ndarray:
@@ -96,13 +94,13 @@ def normalized_spectrum(g: SignedGraph, negate: bool = False) -> EigenDecomposit
     a = g._arrays
     vals, vecs = eigh_sorted(_normalized_sym(g, negate))
     return EigenDecomposition(values=vals, vectors=_canonical_signs(a.rt[:, None] * vecs),
-                              inner="mu", mu=a.mu)
+                              mu=a.mu)
 
 
 def normalized_values(g: SignedGraph, negate: bool = False) -> np.ndarray:
     """normalized_spectrum(g, negate).values bit for bit, without the work on
     eigenvectors.  It keeps the same eigh call: eigvalsh rounds differently."""
-    return np.sort(np.linalg.eigh(_normalized_sym(g, negate))[0], kind="stable")
+    return np.linalg.eigh(_normalized_sym(g, negate))[0]
 
 
 def sign_counts(dec, tol: float) -> tuple[int, int, int]:

@@ -84,6 +84,16 @@ POLISH_ROUNDS = 30
 # Armijo trial steps of one row tried together; a row needs 1-3 in nearly
 # every iteration, so a block of 4 almost always settles it in one round
 ARMIJO_BLOCK = 4
+# the ascent's iterations per row, Armijo slope, step factor per backtrack
+# (below 1, or the search never ends) and first step
+MAX_ITERS = 2000
+ARMIJO_SLOPE = 1e-4
+BACKTRACK = 0.5
+INITIAL_STEP = 1.0
+CONE_ROUNDS = 5000      # of _power_refine, which stops at a Collatz-Wielandt
+CONE_RTOL = 5e-16       # spread of at most CONE_RTOL relative
+MONO_SLACK = 1e-8       # of monotonicity_functionals and the CLI's limit check
+SHIFT_SLACK = 1e-9      # of potential_shift_check
 
 
 class SolverError(RuntimeError):
@@ -179,27 +189,18 @@ def residual(g: SignedGraph, p: float, lam: float, f: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The settings of the CLI's --tol, --restarts and --seed."""
+
     tol: float = 1e-8          # relative: accept residual <= tol * (1 + |lambda|)
-    max_iters: int = 2000
     restarts: int = 10
     rng_seed: int = 0
-    armijo_slope: float = 1e-4
-    backtrack: float = 0.5
-    initial_step: float = 1.0
 
     def __post_init__(self):
         # each test is written so that NaN fails it
-        for field, ok, need in (
-                ("tol", 0 < self.tol < np.inf, "positive and finite"),
-                ("restarts", self.restarts >= 1, ">= 1"),
-                ("max_iters", self.max_iters >= 0, ">= 0"),
-                ("armijo_slope", self.armijo_slope >= 0, ">= 0"),
-                # at backtrack >= 1 the Armijo search never ends
-                ("backtrack", 0 < self.backtrack < 1, "in (0, 1)"),
-                ("initial_step", 0 < self.initial_step < np.inf, "positive and finite")):
-            if not ok:
-                raise ValueError(f"SolverConfig.{field} must be {need}, "
-                                 f"got {getattr(self, field)!r}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"SolverConfig.tol must be positive and finite, got {self.tol!r}")
+        if not self.restarts >= 1:
+            raise ValueError(f"SolverConfig.restarts must be >= 1, got {self.restarts!r}")
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
 
     Each row keeps its own value, step and backtracking, and leaves the live
     set when its own run would stop: residual below 1e-3 * tol, a vanishing
-    gradient, no Armijo step, or max_iters.  Every row does exactly the
+    gradient, no Armijo step, or MAX_ITERS iterations.  Every row does exactly the
     arithmetic of a one-row run, so its result is the same bit for bit.
 
     With handoff, a row first stops at residual HANDOFF * (1 + |lambda|)
@@ -242,11 +243,11 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
     sgn = 1.0 if maximize else -1.0
     F = normalize_sp(np.asarray(F0, dtype=float), p, mu)
     lam = rayleigh(g, p, F)
-    step = np.full(len(F), float(cfg.initial_step))
+    step = np.full(len(F), float(INITIAL_STEP))
     handing = np.full(len(F), handoff is not None)
     level = HANDOFF if p >= 2 else HANDOFF_P_BELOW_2
     live = np.arange(len(F))
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         if not live.size:
             break
         f, lm = F[live], lam[live]
@@ -269,7 +270,7 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
             # the next ARMIJO_BLOCK steps t, t b, t b^2, ... of every searching
             # row, each the serial loop's product, tried as one stack
             T = np.empty((search.size, ARMIJO_BLOCK))
-            T[:, 0], T[:, 1:] = t[search], cfg.backtrack
+            T[:, 0], T[:, 1:] = t[search], BACKTRACK
             T = np.multiply.accumulate(T, axis=1)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 X = (f[search, None, :] + T[:, :, None] * grad[search, None, :]).reshape(-1, g.n)
@@ -278,7 +279,7 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
                 # a trial off the sphere is rejected, as a NaN quotient
                 cand[~(np.isfinite(nrm) & (nrm != 0))] = np.nan
                 lam_c = rayleigh(g, p, cand).reshape(T.shape)
-            ok = (sgn * (lam_c - lm[search, None]) >= cfg.armijo_slope * T * g2[search, None]) \
+            ok = (sgn * (lam_c - lm[search, None]) >= ARMIJO_SLOPE * T * g2[search, None]) \
                 & (T > 1e-18)
             hit = ok.any(axis=1)
             k = ok.argmax(axis=1)[hit]
@@ -287,18 +288,17 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
             lam[live[acc]], t[acc] = lam_c[hit, k], T[hit, k]
             moved[acc] = True
             search = search[~hit]
-            t[search] = T[~hit, -1] * cfg.backtrack
+            t[search] = T[~hit, -1] * BACKTRACK
             search = search[t[search] > 1e-18]
         live = live[moved]
         step[live] = np.minimum(np.maximum(t[moved] * 2.0, 1e-12), 1e3)
     return F, lam
 
 
-def _power_refine(gneg: SignedGraph, p: float, f0: np.ndarray,
-                  max_iters: int = 5000, rtol: float = 5e-16) -> tuple[np.ndarray, bool]:
+def _power_refine(gneg: SignedGraph, p: float, f0: np.ndarray) -> tuple[np.ndarray, bool]:
     """Order-preserving fixed-point refinement in the positive cone; returns
     the last iterate and whether the stop rule below ended the iteration
-    (False: max_iters ran out).
+    (False: CONE_ROUNDS ran out).
 
     Requires sigma identically -1 and kappa >= 0; then Delta_p maps positive
     functions to positive ones and the normalized iteration converges to the
@@ -307,20 +307,20 @@ def _power_refine(gneg: SignedGraph, p: float, f0: np.ndarray,
     bracket its eigenvalue r = lambda^(1/(p-1)): min T(f)/f <= r <=
     max T(f)/f (the Collatz-Wielandt bracket of Gaubert & Gunawardena,
     Trans. AMS 2004).  The iteration stops once that spread is at most
-    rtol * max, which pins lambda to about (p-1) * rtol relative.
+    CONE_RTOL * max, which pins lambda to about (p-1) * CONE_RTOL relative.
     """
     mu = gneg.mu_array()
     f = np.abs(np.asarray(f0, dtype=float))
     f[f == 0] = 1e-12
     f = normalize_sp(f, p, mu)
     invexp = 1.0 / (p - 1.0)
-    for _ in range(max_iters):
+    for _ in range(CONE_ROUNDS):
         y = apply_plap(gneg, p, f)
         t = (y / mu) ** invexp
         ratio = t / f
         spread = float(ratio.max() - ratio.min())
         f = normalize_sp(t, p, mu)
-        if spread <= rtol * float(ratio.max()):
+        if spread <= CONE_RTOL * float(ratio.max()):
             return f, True
     return f, False
 
@@ -406,9 +406,10 @@ def _newton_rounds(g: SignedGraph, p: float, lam: float, x: np.ndarray,
 
 
 def _newton_polish(g: SignedGraph, p: float, lam: float, f: np.ndarray,
-                   tol: float) -> tuple[float, np.ndarray]:
-    """Newton's method on the eigen-equation from (lam, f); returns the pair
-    of least residual seen, (lam, f) itself if no round lowers it.
+                   tol: float) -> tuple[float, float, np.ndarray]:
+    """Newton's method on the eigen-equation from (lam, f); returns
+    (residual, lambda, f) of the pair of least residual seen, (lam, f)
+    itself if no round lowers it.
 
     At p < 2, |f_i|^(p-2) is infinite at f_i = 0, so Newton cannot reach an
     eigenfunction with a zero entry.  When the plain rounds miss the relative
@@ -426,7 +427,7 @@ def _newton_polish(g: SignedGraph, p: float, lam: float, f: np.ndarray,
         if pin.any():
             x = normalize_sp(np.where(pin, 0.0, x), p, g.mu_array())
             best = min(best, _newton_rounds(g, p, lm, x, pin), key=lambda b: b[0])
-    return best[1], best[2]
+    return best
 
 
 def _edgeless_pair(g: SignedGraph, p: float, largest: bool) -> PEigenPair:
@@ -472,8 +473,8 @@ def _starts(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool) -> list[
 
 
 def _finish(g, p, f, lam, tol):
-    lam, f = _newton_polish(g, p, lam, f, tol)
-    return f, lam, residual(g, p, lam, f)
+    res, lam, f = _newton_polish(g, p, lam, f, tol)
+    return f, lam, res
 
 
 def _best_restart(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool,
@@ -646,11 +647,10 @@ class MonotonicityReport:
 
 def monotonicity_functionals(g: SignedGraph, k_label: int,
                              p_grid: Sequence[float],
-                             lambdas: Sequence[float],
-                             slack: float = 1e-8) -> MonotonicityReport:
+                             lambdas: Sequence[float]) -> MonotonicityReport:
     """Evaluate m1(p) = 2^-p lambda and m2(p) = p (lambda/D)^(1/p) along an
     increasing p-grid of certified values for one extremal index, and report
-    every monotonicity violation beyond the slack."""
+    every monotonicity violation beyond MONO_SLACK."""
     if k_label not in (1, g.n):
         raise ValueError("k_label must be 1 or n (the computable indices)")
     if min(g.kappa) < 0:
@@ -669,9 +669,9 @@ def monotonicity_functionals(g: SignedGraph, k_label: int,
     m2 = [p * (lam / dconst) ** (1.0 / p) for p, lam in zip(ps, lams)]
     violations = []
     for i in range(len(ps) - 1):      # written so that a NaN fails
-        if not m1[i + 1] <= m1[i] + slack:
+        if not m1[i + 1] <= m1[i] + MONO_SLACK:
             violations.append((i, "m1", m1[i + 1] - m1[i]))
-        if not m2[i + 1] >= m2[i] - slack:
+        if not m2[i + 1] >= m2[i] - MONO_SLACK:
             violations.append((i, "m2", m2[i] - m2[i + 1]))
     return MonotonicityReport(p_grid=tuple(ps), lambdas=tuple(lams),
                               m1=tuple(m1), m2=tuple(m2),
@@ -690,10 +690,9 @@ class ShiftReport:
     passed: bool
 
 
-def potential_shift_check(g: SignedGraph, p: float, k_label: int,
-                          cfg: Optional[SolverConfig] = None,
-                          slack: float = 1e-9) -> ShiftReport:
-    """Check |lambda_k(kappa) - lambda_k(0)| <= C for an extremal index."""
+def potential_shift_check(g: SignedGraph, p: float, k_label: int) -> ShiftReport:
+    """Check |lambda_k(kappa) - lambda_k(0)| <= C + SHIFT_SLACK for an
+    extremal index."""
     if k_label == 1:
         solve = solve_smallest
     elif k_label == g.n:
@@ -701,8 +700,8 @@ def potential_shift_check(g: SignedGraph, p: float, k_label: int,
     else:
         raise ValueError("k_label must be 1 or n")
     _, c = structural_constants(g)
-    lam_k = solve(g, p, cfg).value
-    lam_0 = solve(with_zero_kappa(g), p, cfg).value
+    lam_k = solve(g, p).value
+    lam_0 = solve(with_zero_kappa(g), p).value
     return ShiftReport(p=p, k_label=k_label, lambda_kappa=lam_k,
                        lambda_zero=lam_0, bound=c,
-                       passed=abs(lam_k - lam_0) <= c + slack)
+                       passed=abs(lam_k - lam_0) <= c + SHIFT_SLACK)

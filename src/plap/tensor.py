@@ -4,7 +4,7 @@ correspondence.
 Entries are defined by index-multiset pattern, never as a dense order-p
 array: an edge (i,j) contributes one entry per split {i^(l), j^(p-l)} and
 each vertex one diagonal pattern {i^(p)}.  A tensor stores them as flat
-arrays, per edge (i, j, w, sigma) and per diagonal (vertex, entry), built
+arrays, per edge (i, j, w, sigma) and per vertex its diagonal entry, built
 from the graph's array view; the pattern dict is built only when read.
 Applying the tensor collapses edgewise to
 w_ij (f_i - sigma_ij f_j)^(p-1) + kappa_i f_i^(p-1); a slow reference path
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Mapping
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .graph import SignedGraph
 from .solver import PEigenPair
 
 Pattern = tuple[tuple[int, int], ...]   # ((vertex, multiplicity), ...), sorted
+CORRESPONDENCE_TOL = 1e-8   # eigen_correspondence: defect, relative bound slack
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -36,7 +36,7 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 class PLapTensor:
     """Edge (i[k], j[k]) of weight w[k] and sign sigma[k] carries the
     patterns {i^(l), j^(p-l)}, l = 1..p-1, with value (-sigma)^l w; vertex
-    di[k] carries the diagonal pattern {di^(p)} with value diag[k]."""
+    v carries the diagonal pattern {v^(p)} with value diag[v]."""
 
     p: int
     n: int
@@ -44,29 +44,12 @@ class PLapTensor:
     j: np.ndarray
     w: np.ndarray
     sigma: np.ndarray
-    di: np.ndarray
     diag: np.ndarray
-
-    @classmethod
-    def from_entries(cls, p: int, n: int, entries: Mapping[Pattern, float]) -> PLapTensor:
-        """A tensor given by its patterns: each edge is read from its l = 1
-        value (-sigma) w, in entry order.  entries reads back the mapping."""
-        edges = [pat for pat in entries if len(pat) == 2 and pat[0][1] == 1]
-        diag = [pat for pat in entries if len(pat) == 1]
-        ij = np.fromiter((pat[k][0] for pat in edges for k in (0, 1)), dtype=int,
-                         count=2 * len(edges)).reshape(-1, 2)
-        val = np.fromiter((entries[pat] for pat in edges), dtype=float, count=len(edges))
-        di = np.fromiter((pat[0][0] for pat in diag), dtype=int, count=len(diag))
-        dval = np.fromiter((entries[pat] for pat in diag), dtype=float, count=len(diag))
-        t = cls(p, n, *_read_only(ij[:, 0], ij[:, 1], np.abs(val),
-                                  np.where(val > 0, -1.0, 1.0), di, dval))
-        t.__dict__["entries"] = entries
-        return t
 
     @cached_property
     def entries(self) -> dict[Pattern, float]:
         """The pattern dict: the diagonals, then each edge's l = 1..p-1."""
-        out = {((i, self.p),): val for i, val in zip(self.di.tolist(), self.diag.tolist())}
+        out = {((i, self.p),): val for i, val in enumerate(self.diag.tolist())}
         ls = range(1, self.p)
         for i, j, w, s in zip(self.i.tolist(), self.j.tolist(), self.w.tolist(),
                               self.sigma.tolist()):
@@ -76,13 +59,13 @@ class PLapTensor:
 
     @cached_property
     def _collapse(self) -> tuple[np.ndarray, ...]:
-        """(i, j, w, sigma) per edge, per diagonal (vertex, entry - weighted
-        degree = kappa), and the bincount index of apply_tensor's terms."""
+        """(i, j, w, sigma) per edge, per vertex diag - weighted degree
+        (= kappa), and the bincount index of apply_tensor's terms."""
         # interleaved (i0, j0, i1, j1, ...) sums each degree in entry order
         ij = np.column_stack((self.i, self.j)).ravel()
         deg = np.bincount(ij, np.repeat(self.w, 2), minlength=self.n)
-        return (self.i, self.j, self.w, self.sigma, self.di,
-                *_read_only(self.diag - deg[self.di], np.concatenate((ij, self.di))))
+        return (self.i, self.j, self.w, self.sigma,
+                *_read_only(self.diag - deg, np.concatenate((ij, np.arange(self.n)))))
 
 
 def _check_even(p) -> int:
@@ -101,8 +84,7 @@ def build_tensor(g: SignedGraph, p: int) -> PLapTensor:
     """
     p = _check_even(p)
     a = g._arrays
-    di, diag = _read_only(np.arange(g.n), a.kappa + a.deg)
-    return PLapTensor(p, g.n, a.u, a.v, a.w, a.sigma, di, diag)
+    return PLapTensor(p, g.n, a.u, a.v, a.w, a.sigma, *_read_only(a.kappa + a.deg))
 
 
 def apply_tensor(t: PLapTensor, f: np.ndarray) -> np.ndarray:
@@ -115,12 +97,12 @@ def apply_tensor(t: PLapTensor, f: np.ndarray) -> np.ndarray:
     if f.shape != (t.n,):
         raise ValueError(f"function has shape {f.shape}, expected ({t.n},)")
     q = t.p - 1
-    i, j, w, sigma, di, coef, idx = t._collapse
+    i, j, w, sigma, coef, idx = t._collapse
     fi, fj = f[i], f[j]
     # per vertex: edge terms in entry order, then the diagonal term
     vals = np.concatenate((np.column_stack((w * (fi - sigma * fj) ** q,
                                             w * (fj - sigma * fi) ** q)).ravel(),
-                           coef * f[di] ** q))
+                           coef * f ** q))
     return np.bincount(idx, vals, minlength=t.n)
 
 
@@ -163,7 +145,7 @@ class CorrespondenceReport:
 
 
 def eigen_correspondence(g: SignedGraph, p: int, pair: PEigenPair,
-                         tol: float = 1e-8, ln=None) -> CorrespondenceReport:
+                         ln=None) -> CorrespondenceReport:
     """Verify that a certified p-Laplacian eigenpair is a tensor eigenpair of
     the mu-normalized tensor, and that the top value clears the spectral
     lower bound 2^(p-1) * lambda_n(negated normalized adjacency of the best
@@ -188,13 +170,13 @@ def eigen_correspondence(g: SignedGraph, p: int, pair: PEigenPair,
         ln = exact_ln(g)
     _, c = structural_constants(g)
     bound = 2.0 ** (p - 1) * (2.0 * ln.lower) - c
-    slack = tol * (1.0 + abs(pair.value))
+    slack = CORRESPONDENCE_TOL * (1.0 + abs(pair.value))
     if pair.value >= bound - slack:
         confirmed: bool | None = True
     elif pair.certificate == "perron-certified":
         confirmed = False   # pair is the top eigenvalue, the bound must hold
     else:
         confirmed = None
-    return CorrespondenceReport(p=p, defect=defect, defect_ok=defect <= tol,
+    return CorrespondenceReport(p=p, defect=defect, defect_ok=defect <= CORRESPONDENCE_TOL,
                                 lower_bound=bound, value=pair.value,
                                 bound_confirmed=confirmed)

@@ -101,23 +101,19 @@ def test_criterion_04_monotonicity():
         pairs = [solver.solve_largest(g, p) for p in grid]
         assert all(pr.certificate == "perron-certified" for pr in pairs)
         rep = solver.monotonicity_functionals(g, g.n, grid,
-                                              [pr.value for pr in pairs],
-                                              slack=1e-8)
+                                              [pr.value for pr in pairs])
         violations += len(rep.violations)
     for n in (3, 5, 8):
         lams = [solver.complete_extremes(n, p)[1] for p in grid]
-        rep = solver.monotonicity_functionals(families.complete(n), n, grid,
-                                              lams, slack=1e-8)
+        rep = solver.monotonicity_functionals(families.complete(n), n, grid, lams)
         violations += len(rep.violations)
     for m in (4, 5, 9):
         lams = [solver.closed_form_star(m, p) for p in grid]
-        rep = solver.monotonicity_functionals(families.star(m), m, grid, lams,
-                                              slack=1e-8)
+        rep = solver.monotonicity_functionals(families.star(m), m, grid, lams)
         violations += len(rep.violations)
     for seed in (0, 1):
         g = random_balanced(6, 0.5, seed)
-        rep = solver.monotonicity_functionals(g, 1, grid, [0.0] * len(grid),
-                                              slack=1e-8)
+        rep = solver.monotonicity_functionals(g, 1, grid, [0.0] * len(grid))
         violations += len(rep.violations)
     elapsed = time.time() - t0
     _criterion(4, "monotonicity of m1/m2 over the p-grid",
@@ -248,7 +244,7 @@ def test_criterion_10_unions_and_potential_shift():
         else:
             kappa = [float(x) for x in rng.uniform(0, 1.5, size=g.n)]
         gk = validate(g.n, [tuple(e) for e in g.edges], mu=g.mu, kappa=kappa)
-        shifts_ok &= solver.potential_shift_check(gk, 2.0, 1, slack=1e-9).passed
+        shifts_ok &= solver.potential_shift_check(gk, 2.0, 1).passed
     for case in range(10):
         g = random_connected_antibalanced(5 + case % 3, 0.5, case + 50)
         if case % 2 == 0:
@@ -256,7 +252,7 @@ def test_criterion_10_unions_and_potential_shift():
         else:
             kappa = [float(x) for x in rng.uniform(0, 1.5, size=g.n)]
         gk = validate(g.n, [tuple(e) for e in g.edges], mu=g.mu, kappa=kappa)
-        shifts_ok &= solver.potential_shift_check(gk, 2.0, gk.n, slack=1e-9).passed
+        shifts_ok &= solver.potential_shift_check(gk, 2.0, gk.n).passed
     _criterion(10, "disjoint unions and potential shifts",
                worst_union <= 1e-9 and shifts_ok,
                f"max union err {worst_union:.2e}")

@@ -176,10 +176,22 @@ def test_apply_tensor_matches_the_loop_and_the_reference(g):
             assert np.max(np.abs(got - tensor.apply_tensor_reference(t, f))) <= 1e-12 * scale
 
 
+def _old_collapse(p, n, entries):
+    """(i, j, w, sigma, kappa, bincount index) read from the pattern dict:
+    each edge from its l = 1 value (-sigma) w, in entry order, as the tensor
+    that held only the dict did."""
+    edges = [pat for pat in entries if len(pat) == 2 and pat[0][1] == 1]
+    ij = np.array([(pat[0][0], pat[1][0]) for pat in edges], dtype=int).reshape(-1, 2)
+    val = np.array([entries[pat] for pat in edges], dtype=float)
+    w = np.abs(val)
+    deg = np.bincount(ij.ravel(), np.repeat(w, 2), minlength=n)
+    diag = np.array([entries[((i, p),)] for i in range(n)])
+    return (ij[:, 0], ij[:, 1], w, np.where(val > 0, -1.0, 1.0), diag - deg,
+            np.concatenate((ij.ravel(), np.arange(n))))
+
+
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
 def test_build_tensor_equals_the_edge_loop(g):
-    # the old tensor held only the pattern dict; from_entries parses it as
-    # the old _collapse did
     rng = np.random.default_rng(g.n + 7)
     for p in (2, 4, 6, 8):
         t = tensor.build_tensor(g, p)
@@ -187,23 +199,12 @@ def test_build_tensor_equals_the_edge_loop(g):
         got = tensor.apply_tensor(t, f)
         assert "entries" not in t.__dict__
         want = _old_build_tensor(g, p)
-        old = tensor.PLapTensor.from_entries(p, g.n, want)
         assert list(t.entries.items()) == list(want.items())
         assert all(type(val) is float for val in t.entries.values())
-        for x, y in zip(t._collapse, old._collapse, strict=True):
+        for x, y in zip(t._collapse, _old_collapse(p, g.n, want), strict=True):
             assert x.dtype == y.dtype and np.array_equal(x, y)
-        assert np.array_equal(got, tensor.apply_tensor(old, f))
-        assert np.array_equal(tensor.apply_tensor_reference(t, f),
-                              tensor.apply_tensor_reference(old, f))
-
-
-def test_apply_tensor_keeps_a_missing_diagonal_missing():
-    # a hand-built tensor without diagonal patterns has no vertex terms
-    entries = {((0, 1), (1, 1)): -2.0}
-    t = tensor.PLapTensor.from_entries(2, 3, entries)
-    assert t.entries is entries
-    f = np.array([1.0, 3.0, 5.0])
-    assert np.array_equal(tensor.apply_tensor(t, f), _old_apply_tensor(t, f))
+        scale = 1.0 + float(np.max(np.abs(got)))
+        assert np.max(np.abs(got - _old_apply_tensor(t, f))) <= 1e-12 * scale
 
 
 # --- the view itself --------------------------------------------------------

@@ -7,7 +7,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from plap import families
+from plap import combinatorics, families
 from plap.combinatorics import (cvetkovic_bound, default_signature_pool,
                                 full_signature_pool, inertia_report,
                                 is_strict_support, max_independent_set,
@@ -53,9 +53,10 @@ def test_mis_matches_brute_force(seed):
     assert all(not (e.u in vs and e.v in vs) for e in g.edges)
 
 
-def test_mis_greedy_fallback_flagged():
+def test_mis_greedy_fallback_flagged(monkeypatch):
+    monkeypatch.setattr(combinatorics, "MIS_CAP", 10)
     g = families.cycle(12)
-    res = max_independent_set(g, cap=10)
+    res = max_independent_set(g)
     assert not res.exact
     assert res.size <= 6
     vs = set(res.vertices)
@@ -211,6 +212,24 @@ def test_inertia_report_fails_a_nan_top_cutoff_eigenvalue(g, monkeypatch):
     failed = [name for name, passed, _ in rep.checks if not passed]
     assert "top cutoff eigenvalue positive iff an edge exists" in failed
     assert not rep.ok
+
+
+@pytest.mark.parametrize("g", [families.cycle(5), families.complete(4), random_signed(8, 0.7, 2)],
+                         ids=["C5", "K4", "signed8"])
+def test_inertia_report_computes_the_maximum_matching_once(g, monkeypatch):
+    # the edge cover extends the report's own matching instead of searching
+    # for one again
+    assert not g.isolated_vertices()
+    calls = []
+    matching = combinatorics.max_matching
+
+    def counted(h):
+        calls.append(h)
+        return matching(h)
+    monkeypatch.setattr(combinatorics, "max_matching", counted)
+    rep = inertia_report(g)
+    assert calls == [g]
+    assert rep.beta == min_edge_cover(g).size == g.n - rep.matching_size
 
 
 def test_inertia_report_full_pool_small_graph():

@@ -100,10 +100,11 @@ def test_exact_ln_weight_floor():
         assert exact_ln(g).lower >= 0.5 * w.min() / mu.max() - 1e-12
 
 
-def test_exact_ln_fallback_above_cap():
+def test_exact_ln_fallback_above_cap(monkeypatch):
     g = families.random_graph(10, 0.3, seed=1)
-    ln = exact_ln(g, cap=8)
     exact = exact_ln(g)
+    monkeypatch.setattr(cutoff, "DEFAULT_SIGN_CAP", 8)
+    ln = exact_ln(g)
     assert not ln.exact
     assert ln.lower <= exact.lower + 1e-12 <= ln.upper + 1e-9
     assert ln.lower_certificate[0] == "sign-vector-sampled"

@@ -40,6 +40,17 @@ def test_validate_rejects_nonpositive_weight():
     ([(0, 1)], [1.0, float("inf"), 1.0], None, r"vertex 1: measure must be positive and finite"),
     ([(0, 1)], None, [0.0, 0.0, float("nan")], r"vertex 2: potential must be finite"),
     ([(0, 1)], None, [float("-inf"), 0.0, 0.0], r"vertex 0: potential must be finite"),
+    ([(0, 1), (True, 2)], None, None, r"edge #1: u, v, w and sigma must be numbers"),
+    ([(0, 1, 1.0, True)], None, None, r"edge #0: u, v, w and sigma must be numbers"),
+    ([(0, 1), (1, 2, True)], None, None, r"edge #1: .* must be numbers, got \(1, 2, True\)"),
+    ([(0, 1, "2")], None, None, r"edge #0: .* must be numbers, got \(0, 1, '2'\)"),
+    ([(0, 1, None)], None, None, r"edge #0: .* must be numbers, got \(0, 1, None\)"),
+    ([(0, 1), 7], None, None, r"edge #1: expected \(u, v\[, w\[, sigma\]\]\), got 7"),
+    ([(0, 1)], [1.0, True, 1.0], None, r"vertex 1: measure must be positive and finite, got True"),
+    ([(0, 1)], ["1", "2", "3"], None, r"vertex 0: measure must be positive and finite, got '1'"),
+    ([(0, 1)], 5, None, r"mu must be a list of numbers, got 5"),
+    ([(0, 1)], None, [0.0, False, 1.0], r"vertex 1: potential must be finite, got False"),
+    ([(0, 1)], None, "000", r"kappa must be a list of numbers, got '000'"),
 ])
 def test_validate_rejects_non_integral_and_non_finite_inputs(edges, mu, kappa, where):
     with pytest.raises(GraphError, match=where):
@@ -50,6 +61,32 @@ def test_validate_accepts_integral_floats_and_numpy_ints():
     g = validate(3, [(np.int64(2), 1.0, np.float64(2.5), -1.0), (np.int32(0), 1)])
     assert g.edges == (graph.Edge(0, 1, 1.0, 1), graph.Edge(1, 2, 2.5, -1))
     assert all(type(x) is int for e in g.edges for x in (e.u, e.v, e.sigma))
+    h = validate(3, g.edges, mu=np.array([1.0, 2.0, 0.5]),
+                 kappa=np.array([0, 1, -2], dtype=np.int32))
+    assert h.mu == (1.0, 2.0, 0.5) and h.kappa == (0.0, 1.0, -2.0)
+    assert all(type(x) is float for x in (*h.mu, *h.kappa))
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"n": True}, r"vertex count must be a positive integer, got True"),
+    ({"n": "3"}, r"vertex count must be a positive integer, got '3'"),
+    ({"n": 2, "edges": 7}, r"edges must be a list of edge objects, got 7"),
+    ({"n": 2, "edges": [{"u": True, "v": 1}]}, r"edge #0: u, v, w and sigma must be numbers"),
+    ({"n": 3, "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2, "sigma": True}]},
+     r"edge #1: u, v, w and sigma must be numbers"),
+    ({"n": 2, "edges": [{"u": 0, "v": 1, "w": True}]}, r"edge #0: .* must be numbers"),
+    ({"n": 2, "edges": [{"u": 0, "v": 1, "w": "2"}]}, r"edge #0: .* must be numbers"),
+    ({"n": 2, "edges": [{"u": 0, "v": 1, "w": None}]}, r"edge #0: .* must be numbers"),
+    ({"n": 2, "edges": [{"u": 0, "v": 1, "w": "x"}]}, r"edge #0: .* must be numbers"),
+    ({"n": 2, "mu": [True, 1]}, r"vertex 0: measure must be positive and finite, got True"),
+    ({"n": 2, "mu": ["1", "2"]}, r"vertex 0: measure must be positive and finite, got '1'"),
+    ({"n": 2, "mu": 5}, r"mu must be a list of numbers, got 5"),
+    ({"n": 2, "kappa": [False, 1]}, r"vertex 0: potential must be finite, got False"),
+    ({"n": 2, "kappa": "00"}, r"kappa must be a list of numbers, got '00'"),
+])
+def test_graph_json_rejects_non_numbers_and_names_where(doc, where):
+    with pytest.raises(GraphError, match=where):
+        graph.from_json_dict(doc)
 
 
 def test_validate_rejects_non_finite_json_fields():

@@ -238,13 +238,18 @@ def test_rayleigh_upper_bound(rng):
     ("initial_step", 0.0), ("initial_step", -1.0), ("initial_step", math.inf),
     ("initial_step", math.nan)])
 def test_solver_config_rejects_out_of_range_fields(field, value):
-    with pytest.raises(ValueError, match=f"SolverConfig.{field} must be"):
+    # the ascent's settings are module constants: SolverConfig takes no
+    # keyword for them, whatever the value
+    if field in ("tol", "restarts"):
+        error, match = ValueError, f"SolverConfig.{field} must be"
+    else:
+        error, match = TypeError, f"unexpected keyword argument '{field}'"
+    with pytest.raises(error, match=match):
         SolverConfig(**{field: value})
 
 
 def test_solver_config_accepts_the_edges_of_its_ranges():
-    SolverConfig(max_iters=0, armijo_slope=0.0, restarts=1, backtrack=0.999,
-                 initial_step=1e-300, tol=1e300)
+    SolverConfig(restarts=1, tol=1e300)
 
 
 # --- lockstep restarts against the serial loop they replaced -------------------
@@ -287,9 +292,9 @@ def _serial_ascent(g, p, f0, cfg, maximize, handoff=None):
     sgn = 1.0 if maximize else -1.0
     f = _ref_normalize(f0, p, mu)
     lam = _ref_rayleigh(g, p, f)
-    step = cfg.initial_step
+    step = solver.INITIAL_STEP
     handing = handoff is not None
-    for _ in range(cfg.max_iters):
+    for _ in range(solver.MAX_ITERS):
         plap = _ref_apply(g, p, f)
         res = float(np.max(np.abs(plap - lam * mu * psi(p, f))))
         if handing and res <= _handoff_level(p) * (1.0 + abs(lam)):
@@ -310,14 +315,14 @@ def _serial_ascent(g, p, f0, cfg, maximize, handoff=None):
                 try:
                     cand = _ref_normalize(f + t * grad, p, mu)
                 except ValueError:
-                    t *= cfg.backtrack
+                    t *= solver.BACKTRACK
                     continue
             lam_c = _ref_rayleigh(g, p, cand)
-            if sgn * (lam_c - lam) >= cfg.armijo_slope * t * g2:
+            if sgn * (lam_c - lam) >= solver.ARMIJO_SLOPE * t * g2:
                 f, lam = cand, lam_c
                 moved = True
                 break
-            t *= cfg.backtrack
+            t *= solver.BACKTRACK
         if not moved:
             return f, lam, "no-armijo-step"
         step = min(max(t * 2.0, 1e-12), 1e3)
@@ -394,9 +399,16 @@ IDENTITY_GRAPHS = {
     "weighted9": random_weighted(9, 0.6, 1, isolated=1),
     "signed9": random_signed(9, 0.5, 2),
 }
-# short runs keep the serial reference cheap; every row still takes up to 20
-# accepted or rejected Armijo steps, which any rounding change would alter
-SHORT = SolverConfig(max_iters=20)
+
+
+def _short(monkeypatch, **constants):
+    """Set the ascent's constants for one test, MAX_ITERS to 20 unless given:
+    short runs keep the serial reference cheap, and every row still takes up
+    to 20 accepted or rejected Armijo steps, which any rounding change would
+    alter."""
+    for name, value in {"MAX_ITERS": 20, **constants}.items():
+        monkeypatch.setattr(solver, name, value)
+    return SolverConfig()
 
 
 def _assert_same_solve(g, p, cfg, largest, lead=()):
@@ -426,37 +438,38 @@ def _recording_handoff(g, p, cfg, calls):
 
 @pytest.mark.parametrize("name", IDENTITY_GRAPHS)
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 8.0])
-def test_lockstep_ascent_equals_the_serial_loop(name, p):
-    g = IDENTITY_GRAPHS[name]
+def test_lockstep_ascent_equals_the_serial_loop(name, p, monkeypatch):
+    g, cfg = IDENTITY_GRAPHS[name], _short(monkeypatch)
     for largest in (True, False):
         lead = _lead(g, largest)
-        starts = _solver_starts(g, p, SHORT, largest, lead)
+        starts = _solver_starts(g, p, cfg, largest, lead)
         for handing in (False, True):
             got = {i: [] for i in range(len(starts))}
             handoff = None
             if handing:
                 def handoff(i, f, lam):
-                    return _recording_handoff(g, p, SHORT, got[i])(f, lam)
-            F, lam = solver._ascent(g, p, np.array(starts), SHORT, largest, handoff)
+                    return _recording_handoff(g, p, cfg, got[i])(f, lam)
+            F, lam = solver._ascent(g, p, np.array(starts), cfg, largest, handoff)
             assert F.shape == (len(starts), g.n) and lam.shape == (len(starts),)
             for i, f0 in enumerate(starts):
                 want = []
-                f, lm, _ = _serial_ascent(g, p, f0, SHORT, largest,
-                                          _recording_handoff(g, p, SHORT, want) if handing else None)
+                f, lm, _ = _serial_ascent(g, p, f0, cfg, largest,
+                                          _recording_handoff(g, p, cfg, want) if handing else None)
                 assert np.array_equal(F[i], f) and lam[i] == lm, (i, largest, handing)
                 assert len(got[i]) == len(want) <= 1
                 assert all(np.array_equal(a[0], b[0]) and a[1] == b[1]
                            for a, b in zip(got[i], want))
                 if not handing:
-                    F1, lam1 = solver._ascent(g, p, f0[None, :], SHORT, largest)
+                    F1, lam1 = solver._ascent(g, p, f0[None, :], cfg, largest)
                     assert np.array_equal(F1[0], f) and lam1[0] == lm, (i, largest)
-        _assert_same_solve(g, p, SHORT, largest, lead)
+        _assert_same_solve(g, p, cfg, largest, lead)
 
 
-def test_lockstep_covers_every_stop_reason():
+def test_lockstep_covers_every_stop_reason(monkeypatch):
     # tol 1e-16 puts the internal stop below the rounding floor, so rows also
     # stop on a vanishing gradient or on no Armijo step
-    cfg = SolverConfig(tol=1e-16, max_iters=80)
+    monkeypatch.setattr(solver, "MAX_ITERS", 80)
+    cfg = SolverConfig(tol=1e-16)
     g = families.complete(4)
     starts = _solver_starts(g, 2.0, cfg, True)
     F, lam = solver._ascent(g, 2.0, np.array(starts), cfg, True)
@@ -493,7 +506,7 @@ def _spy_blocks(monkeypatch) -> list:
 def test_a_row_needing_more_than_one_block_equals_the_serial_loop(name, p, monkeypatch):
     # from a step of 1e3 the first iterations back off more than
     # ARMIJO_BLOCK times, so some iteration runs a second block
-    g, cfg = IDENTITY_GRAPHS[name], SolverConfig(initial_step=1e3, max_iters=20)
+    g, cfg = IDENTITY_GRAPHS[name], _short(monkeypatch, INITIAL_STEP=1e3)
     log = _spy_blocks(monkeypatch)
     for largest in (True, False):
         _assert_rows_equal_the_serial_loop(g, p, cfg, largest)
@@ -502,32 +515,33 @@ def test_a_row_needing_more_than_one_block_equals_the_serial_loop(name, p, monke
 
 @pytest.mark.parametrize("name", ["K4", "signed9", "weighted9"])
 @pytest.mark.parametrize("step", [1.5e-18, 3.5e-18], ids=["trial-2", "trial-3"])
-def test_a_floor_inside_a_block_equals_the_serial_loop(name, step):
+def test_a_floor_inside_a_block_equals_the_serial_loop(name, step, monkeypatch):
     # a first step just above the 1e-18 floor puts the floor inside the
     # first block: the trials past it must not count.  At p = 64 the
     # gradient is large enough for a step below the floor to pass the test
-    cfg = SolverConfig(initial_step=step, max_iters=20)
+    cfg = _short(monkeypatch, INITIAL_STEP=step)
     for p in (1.5, 3.0, 64.0):
         for largest in (True, False):
             _assert_rows_equal_the_serial_loop(IDENTITY_GRAPHS[name], p, cfg, largest)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
-def test_a_slow_backtrack_equals_the_serial_loop(p):
+def test_a_slow_backtrack_equals_the_serial_loop(p, monkeypatch):
     # at b = 0.999 a row runs hundreds of blocks in its first iteration; the
     # first four starts keep the serial reference short
-    cfg = SolverConfig(backtrack=0.999, max_iters=20)
+    cfg = _short(monkeypatch, BACKTRACK=0.999)
     for largest in (True, False):
         _assert_rows_equal_the_serial_loop(IDENTITY_GRAPHS["K4"], p, cfg, largest, rows=4)
 
 
 @pytest.mark.parametrize("p", [32.0, 64.0])
-def test_trials_off_the_sphere_are_rejected_as_in_the_serial_loop(p):
+def test_trials_off_the_sphere_are_rejected_as_in_the_serial_loop(p, monkeypatch):
     # at p >= 32 the p-norm of a long trial step overflows; the serial loop
     # rejects that trial and backs off, and so must every row of a block
+    cfg = _short(monkeypatch)
     for name in ("K4", "signed9"):
         for largest in (True, False):
-            _assert_rows_equal_the_serial_loop(IDENTITY_GRAPHS[name], p, SHORT, largest)
+            _assert_rows_equal_the_serial_loop(IDENTITY_GRAPHS[name], p, cfg, largest)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -560,10 +574,10 @@ def test_lockstep_solve_equals_the_serial_loop_at_the_default_config(name, p, la
     assert _assert_same_solve(g, p, cfg, largest, _lead(g, largest)) == "pair"
 
 
-def test_lockstep_solve_where_every_restart_fails():
-    g = IDENTITY_GRAPHS["weighted9"]
+def test_lockstep_solve_where_every_restart_fails(monkeypatch):
+    g, cfg = IDENTITY_GRAPHS["weighted9"], _short(monkeypatch)
     for largest in (True, False):
-        assert _assert_same_solve(g, 1.5, SHORT, largest, _lead(g, largest)) == "error"
+        assert _assert_same_solve(g, 1.5, cfg, largest, _lead(g, largest)) == "error"
 
 
 @pytest.mark.parametrize("name,p,largest", [("K4", 3.0, True), ("signed9", 4.0, True),
@@ -571,9 +585,10 @@ def test_lockstep_solve_where_every_restart_fails():
 def test_a_handed_off_row_that_misses_the_tolerance_resumes(name, p, largest, monkeypatch):
     # with the polish a no-op, every row handed off short of the tolerance
     # must go on exactly as if it had never been handed off
-    g, cfg = IDENTITY_GRAPHS[name], SolverConfig(max_iters=300)
+    g, cfg = IDENTITY_GRAPHS[name], _short(monkeypatch, MAX_ITERS=300)
     lead = _lead(g, largest)
-    monkeypatch.setattr(solver, "_newton_polish", lambda g, p, lam, f, tol: (lam, f))
+    monkeypatch.setattr(solver, "_newton_polish",
+                        lambda g, p, lam, f, tol: (residual(g, p, lam, f), lam, f))
     answers = []
     ascent = solver._ascent
 
@@ -689,7 +704,7 @@ def test_polish_solves_around_a_decoupled_vertex(p):
     rows = np.flatnonzero(F[:, 4] == 0)
     assert rows.size
     for i in rows:
-        lm, x = solver._newton_polish(g, p, float(lam[i]), F[i], cfg.tol)
+        _, lm, x = solver._newton_polish(g, p, float(lam[i]), F[i], cfg.tol)
         assert x[4] == 0
         assert residual(g, p, lm, x) <= 1e-14 * (1 + abs(lm))
 
@@ -748,10 +763,11 @@ def _inline_polish(g, p, lam, f):
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0, 8.0])
-def test_polish_from_p2_up_is_the_inline_polish_bit_for_bit(p):
+def test_polish_from_p2_up_is_the_inline_polish_bit_for_bit(p, monkeypatch):
     # every row is polished where the hand-off would first try Newton, and
-    # where 40 more iterations left it
-    cfg = SolverConfig(max_iters=40)
+    # where 40 more iterations left it; the residual it returns is that of
+    # its pair, bit for bit
+    cfg = _short(monkeypatch, MAX_ITERS=40)
     for g in IDENTITY_GRAPHS.values():
         for largest in (True, False):
             starts = np.array(_solver_starts(g, p, cfg, largest, _lead(g, largest)))
@@ -762,9 +778,10 @@ def test_polish_from_p2_up_is_the_inline_polish_bit_for_bit(p):
                 return False
             F, lam = solver._ascent(g, p, starts, cfg, largest, handoff)
             for lm, f in [*handed, *zip(lam.tolist(), F)]:
-                got = solver._newton_polish(g, p, lm, f, cfg.tol)
+                res, got_lm, got_f = solver._newton_polish(g, p, lm, f, cfg.tol)
                 want = _inline_polish(g, p, lm, f)
-                assert got[0] == want[0] and np.array_equal(got[1], want[1])
+                assert got_lm == want[0] and np.array_equal(got_f, want[1])
+                assert res == residual(g, p, got_lm, got_f)
 
 
 # random_graph(n, 0.5, i, signed=True) solves at p = 1.5 that raised
@@ -802,7 +819,7 @@ def test_pinned_polish_reaches_an_edge_eigenvector(n, p, rng):
     f[:2] = 1.0, -1.0
     f = f + rng.uniform(-1e-5, 1e-5, n)
     lam = rayleigh(g, p, f)
-    lm, x = solver._newton_polish(g, p, lam, f, SolverConfig().tol)
+    _, lm, x = solver._newton_polish(g, p, lam, f, SolverConfig().tol)
     assert np.all(x[2:] == 0)
     assert residual(g, p, lm, x) <= 1e-14
     assert abs(lm - (2.0 ** (p - 1) + n - 2)) <= 1e-13 * lm
@@ -825,7 +842,7 @@ def test_a_wrong_pin_never_raises_the_residual(rng, monkeypatch):
                 f = rng.standard_normal(g.n)
                 f[rng.integers(g.n)] = 1e-4 * np.abs(f).max()
                 lam = rayleigh(g, p, f)
-                lm, x = solver._newton_polish(g, p, lam, f, SolverConfig().tol)
+                _, lm, x = solver._newton_polish(g, p, lam, f, SolverConfig().tol)
                 assert residual(g, p, lm, x) <= residual(g, p, lam, f)
     assert any(pins)
 
