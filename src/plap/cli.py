@@ -129,9 +129,18 @@ def _cmd_bounds(g, args, rep: Report) -> None:
                        "L_n_exact": ir.exact_ln_is_exact})
 
 
-def _verify_monotonicity(g, args, rep: Report) -> list[dict]:
+def _verify_monotonicity(g, args, rep: Report, strict: bool) -> list[dict]:
     if min(g.kappa) < 0:
-        raise SystemExit(_usage_error("monotonicity check requires kappa >= 0"))
+        reason = "monotonicity check requires kappa >= 0"
+    elif graph.structural_constants(g)[0] <= 0:
+        reason = "D must be positive (graph without edges or potential)"
+    else:
+        reason = None
+    if reason:
+        if strict:
+            raise SystemExit(_usage_error(reason))
+        rep.add("monotonicity", ANCHORS["m1"], None, {"reason": reason})
+        return []
     grid = args.p_grid
     cfg = _solver_cfg(args)
     sides = []
@@ -224,7 +233,7 @@ def _cmd_verify(g, args, rep: Report) -> None:
     # exact L_n of the graph, once for the interlacing and tensor suites
     ln = cutoff.exact_ln(g) if args.suite in ("interlacing", "tensor", "all") else None
     if args.suite in ("monotonicity", "all"):
-        rows = _verify_monotonicity(g, args, rep)
+        rows = _verify_monotonicity(g, args, rep, strict=args.suite == "monotonicity")
     if args.suite in ("interlacing", "all"):
         _verify_interlacing(g, args, rep, ln)
     if args.suite in ("limit", "all"):

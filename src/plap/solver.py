@@ -22,13 +22,15 @@ other p each restart leaves the ascent at relative residual HANDOFF (p > 2)
 or HANDOFF_P_BELOW_2 (p < 2) and Newton's method on the eigen-equation
 finishes it; a restart whose polish misses the tolerance resumes its ascent
 where it left off, under the tolerance stop.  The ascent converges only
-linearly below p = 2 (Buhler & Hein, ICML 2009), and there an eigenfunction
-often has zero entries, where |f_i|^(p-2) in the Jacobian is infinite; when
-plain Newton misses the tolerance the polish sets the entries below PIN of
-the largest to exactly 0, solves for the others, and accepts a step only if
-the residual over all vertices, the pinned ones included, falls.  The
-Perron path skips the polish below p = 2: a pinned zero would break its
-one-signed certificate.
+linearly below p = 2 (Buhler & Hein, ICML 2009), so there such a restart is
+handed to Newton again each time its relative residual has fallen to
+REHANDOFF times that of its last try; above p = 2 it gets one try.  Below
+p = 2 an eigenfunction also often has zero entries, where |f_i|^(p-2) in
+the Jacobian is infinite; when plain Newton misses the tolerance the polish
+sets the entries below PIN of the largest to exactly 0, solves for the
+others, and accepts a step only if the residual over all vertices, the
+pinned ones included, falls.  The Perron path skips the polish below p = 2:
+a pinned zero would break its one-signed certificate.
 
 All restarts ascend together as one (R, n) stack, so each iteration pays
 numpy's per-call overhead once rather than R times; apply_plap, rayleigh and
@@ -68,13 +70,20 @@ P_CAP = 64.0
 # relative residual at which a p > 2 restart leaves the ascent for Newton:
 # the ascent converges linearly, Newton quadratically once this close
 HANDOFF = 1e-4
-# the same for p < 2.  A polish that misses the tolerance resumes the row's
-# ascent where it stopped, so the level only decides when Newton is first
-# tried.  Seconds for the 16 generic p = 1.5 solves of perfbench's extremal
-# workload (best of two, 2 vCPUs, one BLAS thread; 4.3 with no hand-off):
-#   level    1e-4  1e-3     3e-3     1e-2     3e-2  1e-1
-#   seconds  3.6   1.9-2.0  1.4      1.6-1.9  4.0   3.9
+# the same for p < 2, where the level only decides when Newton is first
+# tried (see REHANDOFF).  Seconds for the 16 generic p = 1.5 solves of
+# perfbench's extremal workload (best of three, 2 vCPUs, one BLAS thread,
+# REHANDOFF = 0.5):
+#   level    1e-4  1e-3  3e-3  1e-2  3e-2  1e-1
+#   seconds  3.06  2.04  1.38  0.91  0.73  0.85
 HANDOFF_P_BELOW_2 = 1e-2
+# at p < 2 a row whose polish misses the tolerance resumes its ascent and is
+# handed off again once its relative residual has fallen to REHANDOFF times
+# that of its last try; at p > 2 a row is handed off once.  Seconds for the
+# same 16 solves (best of three; 1.74 with a single hand-off):
+#   REHANDOFF  0.5   0.3   0.1   0.03  0.01
+#   seconds    0.95  1.01  1.16  1.58  1.52
+REHANDOFF = 0.5
 # at p < 2 a polish that misses the tolerance retries with the entries of
 # |f_i| <= PIN * max|f| set to exactly 0
 PIN = 1e-3
@@ -233,19 +242,22 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
     arithmetic of a one-row run, so its result is the same bit for bit.
 
     With handoff, a row first stops at residual HANDOFF * (1 + |lambda|)
-    (HANDOFF_P_BELOW_2 at p < 2) and
-    handoff(i, f, lambda) is called with its index and point.  If it returns
-    True the row ends there; otherwise the row goes on from the same state
-    (value, step, iterations left) under the stops above, so its run and
-    result are those it would have had without the hand-off.
+    (HANDOFF_P_BELOW_2 at p < 2) and handoff(i, f, lambda) is called with
+    its index and point.  If it returns True the row ends there; otherwise
+    the row goes on from the same state (value, step, iterations left)
+    under the stops above, so its run and result are those it would have
+    had without the hand-off.  At p < 2 the row is handed off again each
+    time its relative residual has fallen to REHANDOFF times that of its
+    last call; at p >= 2 it is handed off at most once.
     """
     mu = g.mu_array()
     sgn = 1.0 if maximize else -1.0
     F = normalize_sp(np.asarray(F0, dtype=float), p, mu)
     lam = rayleigh(g, p, F)
     step = np.full(len(F), float(INITIAL_STEP))
-    handing = np.full(len(F), handoff is not None)
-    level = HANDOFF if p >= 2 else HANDOFF_P_BELOW_2
+    # each row's relative residual at which it is next handed off; -inf: never
+    first = -np.inf if handoff is None else HANDOFF if p >= 2 else HANDOFF_P_BELOW_2
+    level = np.full(len(F), first)
     live = np.arange(len(F))
     for _ in range(MAX_ITERS):
         if not live.size:
@@ -257,10 +269,10 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
         g2 = _row_sqnorms(grad)
         scale = 1.0 + np.abs(lm)
         near = res <= 1e-3 * cfg.tol * scale
-        if handoff is not None:
-            for j in np.flatnonzero(handing[live] & (res <= level * scale)):
-                handing[live[j]] = False
-                near[j] |= handoff(int(live[j]), f[j], float(lm[j]))
+        for j in np.flatnonzero(res <= level[live] * scale):
+            i = live[j]
+            level[i] = REHANDOFF * (res[j] / scale[j]) if p < 2 else -np.inf
+            near[j] |= handoff(int(i), f[j], float(lm[j]))
         go = ~near & ~(g2 <= 1e-30)
         live, f, lm, grad, g2 = live[go], f[go], lm[go], grad[go], g2[go]
         t = step[live]
@@ -488,7 +500,10 @@ def _best_restart(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool,
     and each result is polished, in start order.  A row is polished as soon
     as it reaches the HANDOFF residual (HANDOFF_P_BELOW_2 at p < 2); if that
     polish misses the tolerance, the row resumes its ascent as if it had
-    never been handed off and its end point is polished instead.
+    never been handed off.  At p < 2 it is polished again each time its
+    relative residual has fallen to REHANDOFF times that of its last polish,
+    and ends at the first polish that meets the tolerance; a row that never
+    gets there has its end point polished instead.
     """
     def ok(lam, res):
         return res <= cfg.tol * (1.0 + abs(lam))

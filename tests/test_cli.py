@@ -11,6 +11,8 @@ from plap import cli, families, graph
 from plap.cli import main
 from plap.report import Report
 
+from conftest import random_weighted
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -172,6 +174,23 @@ def test_verify_all_skips_inapplicable_limit(tmp_path, capsys):
     rep = json.loads(out)
     limit = [c for c in rep["checks"] if c["name"] == "eigenfunction limit"]
     assert limit and limit[0]["status"] == "skip"
+
+
+@pytest.mark.parametrize("g,reason", [
+    (random_weighted(7, 0.5, 1), "monotonicity check requires kappa >= 0"),
+    (families.edgeless(3), "D must be positive (graph without edges or potential)"),
+], ids=["negative-kappa", "edgeless"])
+def test_verify_all_skips_inapplicable_monotonicity(g, reason, tmp_path, capsys):
+    # verify all reports the suite as skipped; verify monotonicity alone
+    # still refuses the graph
+    path = _write_graph(tmp_path, g)
+    code, out, _ = _run(capsys, "verify", "all", path, "--p-grid", "2,3")
+    assert code == 0
+    mono = [c for c in json.loads(out)["checks"] if c["name"] == "monotonicity"]
+    assert len(mono) == 1 and mono[0]["status"] == "skip"
+    assert mono[0]["values"] == {"reason": reason}
+    code, _, err = _run(capsys, "verify", "monotonicity", path)
+    assert code == 2 and err == f"plap: error: {reason}\n"
 
 
 def test_verify_monotonicity_csv(tmp_path, capsys):

@@ -57,6 +57,30 @@ def test_tracer_sees_one_ascent_and_every_restart():
 
 
 @needs_spans
+def test_tracer_counts_every_polish_of_a_p15_solve(monkeypatch):
+    # below p = 2 a row may be handed to the polish several times; perfbench's
+    # restart.attempts_per_solve counts _finish calls, so each hand-off and
+    # each end-of-ascent polish must be one traced _finish call
+    answers, rows = [], []     # (row, whether the hand-off ended it)
+    ascent = solver._ascent
+
+    def spy(g, p, F0, cfg, maximize, handoff=None):
+        def logged(i, f, lam):
+            answers.append((i, handoff(i, f, lam)))
+            return answers[-1][1]
+        rows.append(len(F0))
+        return ascent(g, p, F0, cfg, maximize, logged)
+    monkeypatch.setattr(solver, "_ascent", spy)
+    g = families.random_graph(6, 0.5, 0, signed=True)
+    calls, counters = _traced(lambda: solver.solve_largest(g, 1.5))
+    handed = [i for i, _ in answers]
+    assert len(handed) > len(set(handed))
+    ended = sum(done for _, done in answers)
+    assert calls["solver._finish"] == len(answers) + rows[0] - ended
+    assert counters["solver.restart.attempts"] == calls["solver._finish"]
+
+
+@needs_spans
 def test_traced_exact_ln_records_one_sign_search():
     # perfbench's cutoff._lambda_max_signs.self_ms and cutoff.sign_space read
     # this one span by name; sign_space adds the 2^(n-1) codes it covers
