@@ -17,7 +17,7 @@ from .solver import (MonotonicityReport, PEigenPair, ShiftReport, SolverConfig,
                      SolverError, apply_plap, closed_form_complete,
                      closed_form_star, complete_extremes,
                      monotonicity_functionals, potential_shift_check, rayleigh,
-                     residual, solve_largest, solve_smallest)
+                     residual, solve_largest, solve_largest_grid, solve_smallest)
 from .cutoff import (CutoffBracket, LimitScanResult, bracket, brackets, exact_ln,
                      interlacing_check, interlacing_checks, limit_scan, lower_bound_full,
                      lower_bound_subgraphs, r_q_infty, upper_bound_from_p,

@@ -27,10 +27,11 @@ import numpy as np
 from .graph import (GraphError, SignedGraph, connected_antibalancing_tau,
                     induced_subgraph, switch, with_zero_kappa)
 from .linalg import normalized_adjacency, normalized_spectrum, normalized_values
-from .solver import SolverConfig, solve_largest
+from .solver import SolverConfig, solve_largest_grid
 
 EXACT_TOL = 1e-9
 DEFAULT_SIGN_CAP = 24
+DEFAULT_BUDGET = 2048       # pool and subset budget of the single-index forms
 _BATCH_BYTES = 1 << 17      # bytes of float64 matrices per stacked eigensolve,
                             # in the sign/subgraph scans and the subset scans
 
@@ -302,16 +303,15 @@ def lower_bounds_full_all(g: SignedGraph) -> np.ndarray:
     return np.maximum(0.0, 0.5 * normalized_values(g, negate=True))
 
 
-def lower_bound_subgraphs(g: SignedGraph, k: int,
-                          budget: int = 2048) -> tuple[float, tuple]:
+def lower_bound_subgraphs(g: SignedGraph, k: int) -> tuple[float, tuple]:
     """Best lower bound L_k >= lambda_k(A^mu of a negated spanning subgraph)/2
     over a candidate pool; valid whatever the pool, exhaustive within budget.
 
     The pool: all edges, none, the maximal antibalanced subgraphs (one per
     sign code) and every other edge subset, the last two while they fit the
-    budget.  The first member of the pool wins ties."""
+    budget (DEFAULT_BUDGET).  The first member of the pool wins ties."""
     _check_k(g, k)
-    return _subgraph_lowers(g, [k], budget)[0]
+    return _subgraph_lowers(g, [k], DEFAULT_BUDGET)[0]
 
 
 def _subgraph_lowers(g: SignedGraph, ks: Sequence[int],
@@ -329,14 +329,22 @@ def _subgraph_lowers(g: SignedGraph, ks: Sequence[int],
         rows = ((codes[:, None] >> np.arange(g.m - 1, -1, -1)) & 1).astype(bool)
         pool.append(rows[np.argsort(rows.sum(axis=1), kind="stable")])
     masks = np.concatenate(pool)
-    _, first = np.unique(masks, axis=0, return_index=True)
-    masks, step = masks[np.sort(first)], _batch_size(g.n)
+    masks, step = masks[_first_rows(masks)], _batch_size(g.n)
     vals, best = _first_max(g, (masks[lo:lo + step] for lo in range(0, len(masks), step)),
                             [k - 1 for k in ks], negate=True)
     return [(0.5 * float(val), ("spanning-subgraph",
                                 tuple((g.edges[i].u, g.edges[i].v)
                                       for i in np.flatnonzero(masks[pos]))))
             for val, pos in zip(vals, best)]
+
+
+def _first_rows(masks: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first occurrence of each distinct row of
+    the boolean matrix masks: np.sort(np.unique(masks, axis=0,
+    return_index=True)[1]), from one sort of the rows packed to bytes."""
+    packed = np.ascontiguousarray(np.packbits(masks, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    return np.sort(np.unique(keys, return_index=True)[1])
 
 
 def _subset_values(absadj: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -354,19 +362,18 @@ def _subset_values(absadj: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
-def upper_bound_subsets(g: SignedGraph, k: int, budget: int = 2048,
-                        seed: int = 0) -> tuple[float, tuple]:
+def upper_bound_subsets(g: SignedGraph, k: int) -> tuple[float, tuple]:
     """min over k-vertex subsets S of half the top eigenvalue of the
     normalized |A| restricted to S; exactly 0 on independent subsets.
 
-    Exhaustive when C(n,k) fits the budget, else greedy plus seeded random
-    subsets.  An independent set of size >= k short-circuits to 0.  The
-    first subset in combinations order wins ties, and the exhaustive scan
-    stops after the first batch that holds a 0.
+    Exhaustive when C(n,k) fits DEFAULT_BUDGET, else greedy plus random
+    subsets of seed 0.  An independent set of size >= k short-circuits to
+    0.  The first subset in combinations order wins ties, and the
+    exhaustive scan stops after the first batch that holds a 0.
     """
     from .combinatorics import max_independent_set
     _check_k(g, k)
-    return _subset_uppers(g, [k], budget, seed, max_independent_set(g))[0]
+    return _subset_uppers(g, [k], DEFAULT_BUDGET, 0, max_independent_set(g))[0]
 
 
 def _subset_uppers(g: SignedGraph, ks: Sequence[int], budget: int, seed: int,
@@ -417,13 +424,12 @@ def upper_bound_from_p(g: SignedGraph, k_label: int, p: float,
     return 2.0 ** (-p) * lam_hat
 
 
-def bracket(g: SignedGraph, k: int, budget: int = 2048,
-            seed: int = 0) -> CutoffBracket:
-    """The bracket for one index: brackets(g, [k], ...)[0]."""
-    return brackets(g, [k], budget, seed)[0]
+def bracket(g: SignedGraph, k: int) -> CutoffBracket:
+    """The bracket for one index: brackets(g, [k])[0]."""
+    return brackets(g, [k])[0]
 
 
-def brackets(g: SignedGraph, ks: Sequence[int], budget: int = 2048,
+def brackets(g: SignedGraph, ks: Sequence[int], budget: int = DEFAULT_BUDGET,
              seed: int = 0) -> list[CutoffBracket]:
     """Combine all bounds for each index in ks; exact when they meet within
     1e-9.
@@ -471,15 +477,14 @@ class InterlacingReport:
         return all(passed for _, passed, _ in self.items)
 
 
-def interlacing_check(g: SignedGraph, removed: Sequence[int],
-                      budget: int = 2048) -> InterlacingReport:
+def interlacing_check(g: SignedGraph, removed: Sequence[int]) -> InterlacingReport:
     """Check L_n(G - removed) <= L_n(G) and the per-index bracket consistency
     lower_k(G) <= upper_k(G - removed) for the computable indices."""
-    return interlacing_checks(g, [removed], budget)[0]
+    return interlacing_checks(g, [removed])[0]
 
 
 def interlacing_checks(g: SignedGraph, removals: Sequence[Sequence[int]],
-                       budget: int = 2048,
+                       budget: int = DEFAULT_BUDGET,
                        ln: Optional[CutoffBracket] = None) -> list[InterlacingReport]:
     """interlacing_check for each vertex set in removals.  Exact L_n(G) and
     the full-graph lower bounds of G are computed once for all of them, and
@@ -530,8 +535,7 @@ def limit_scan(g: SignedGraph, p_grid: Sequence[float],
     perron = np.abs(dec.vectors[:, -1])
     perron = perron / np.sqrt(np.sum(mu * perron ** 2))
     ps, dists, lams, funcs = [], [], [], []
-    for p in p_grid:
-        pair = solve_largest(gneg, p, cfg)
+    for p, pair in zip(p_grid, solve_largest_grid(gneg, p_grid, cfg)):
         if pair.certificate != "perron-certified":
             raise RuntimeError(f"top eigenpair at p={p} failed Perron certification")
         u = np.abs(pair.f) ** (p / 2.0)

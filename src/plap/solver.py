@@ -13,7 +13,12 @@ order-preserving, 1-homogeneous cone map (Delta_p f / mu)^(1/(p-1)) stops
 when its Collatz-Wielandt bracket min/max of T(f)/f has closed to 5e-16
 relative; lambda is then pinned to about (p-1) * 5e-16 and the pair is
 returned without a Newton polish.  The polish runs only where the iteration
-ran out of rounds and on the kappa < 0 ascent.
+ran out of rounds and on the kappa < 0 ascent.  solve_largest_grid solves a
+whole p-grid there as one (R, n) stack: each row iterates at its own p and
+stops at its own bracket, so the grid takes about as many rounds as its
+slowest p, and apply_plap, psi, pnorm and normalize_sp take one exponent per
+row.  Each row then is finished and certified exactly as a single solve,
+bit for bit; solve_largest is the grid of one p.
 
 At p = 2 the quotient is that of the pencil (Deg + K - A, diag(mu)), whose
 extreme generalized eigenvector is its global maximizer (minimizer); the
@@ -57,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import repeat, takewhile
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -109,26 +114,46 @@ class SolverError(RuntimeError):
     """An eigenpair solve did not reach the requested residual tolerance."""
 
 
-def psi(p: float, x: np.ndarray) -> np.ndarray:
+def _rowpow(x: np.ndarray, e) -> np.ndarray:
+    """x ** e for a scalar e, or for an array e of shape x.shape[:-1] with
+    e[i] the exponent of row x[i]; each row is bit for bit x[i] ** float(e[i]).
+    A scalar ** takes x * x at 2 and sqrt at 0.5, which round unlike the pow
+    that an exponent array goes through, so those rows are redone."""
+    if not isinstance(e, np.ndarray):
+        return x ** e
+    out = x ** e[..., None]
+    exps = e.ravel().tolist()       # a few rows: a Python scan beats numpy calls
+    if 0.5 in exps or 2.0 in exps:
+        for i, special in enumerate(exps):
+            if special in (0.5, 2.0):
+                row = np.unravel_index(i, e.shape) if e.ndim > 1 else i
+                out[row] = x[row] ** special
+    return out
+
+
+def psi(p, x: np.ndarray) -> np.ndarray:
     """Psi_p(t) = |t|^(p-2) t, with Psi_p(0) = 0 (p > 1 makes 0^(p-1) = 0,
-    and sign(-0.0) is +0.0); a NaN stays NaN."""
+    and sign(-0.0) is +0.0); a NaN stays NaN.  p is a float or one exponent
+    per row of x (see _rowpow)."""
     x = np.asarray(x, dtype=float)
-    return np.abs(x) ** (p - 1.0) * np.sign(x)
+    return _rowpow(np.abs(x), p - 1.0) * np.sign(x)
 
 
-def pnorm(f: np.ndarray, p: float, mu: np.ndarray):
+def pnorm(f: np.ndarray, p, mu: np.ndarray):
     """mu-weighted p-norm along the last axis: a float for one function, one
-    value per row for a stack.  The root is a scalar pow per row, since the
-    vectorized ** rounds differently in the last place."""
-    s = (mu * np.abs(f) ** p).sum(-1)
+    value per row for a stack, whose rows may each have their own p.  The
+    root is a scalar pow per row, since the vectorized ** rounds differently
+    in the last place."""
+    s = (mu * _rowpow(np.abs(f), p)).sum(-1)
     if s.ndim == 0:
         return float(s ** (1.0 / p))
-    return np.fromiter(map(pow, s.ravel().tolist(), repeat(1.0 / p)), float,
-                       s.size).reshape(s.shape)
+    roots = (1.0 / p).ravel().tolist() if isinstance(p, np.ndarray) else repeat(1.0 / p)
+    return np.fromiter(map(pow, s.ravel().tolist(), roots), float, s.size).reshape(s.shape)
 
 
-def normalize_sp(f: np.ndarray, p: float, mu: np.ndarray) -> np.ndarray:
-    """Project onto the mu-weighted unit p-sphere (each row of a stack)."""
+def normalize_sp(f: np.ndarray, p, mu: np.ndarray) -> np.ndarray:
+    """Project onto the mu-weighted unit p-sphere (each row of a stack, with
+    its own p if p is an array)."""
     nrm = pnorm(f, p, mu)
     if isinstance(nrm, np.ndarray):
         ok, nrm = (np.isfinite(nrm) & (nrm != 0)).all(), nrm[..., None]
@@ -139,14 +164,15 @@ def normalize_sp(f: np.ndarray, p: float, mu: np.ndarray) -> np.ndarray:
     return f / nrm
 
 
-def _check_p(p: float) -> None:
-    if not p > 1:
+def _check_p(p) -> None:
+    if not (np.all(p > 1) if isinstance(p, np.ndarray) else p > 1):
         raise ValueError(f"p must be > 1, got {p}")
 
 
-def apply_plap(g: SignedGraph, p: float, f: np.ndarray) -> np.ndarray:
+def apply_plap(g: SignedGraph, p, f: np.ndarray) -> np.ndarray:
     """(Delta_p f)(i) = sum_{j~i} w_ij Psi_p(f_i - sigma_ij f_j) + kappa_i Psi_p(f_i),
-    for one function or each row of a stack (..., n)."""
+    for one function or each row of a stack (..., n); p is a float or an
+    array of shape f.shape[:-1], one exponent per row."""
     _check_p(p)
     f = np.asarray(f, dtype=float)
     a = g._arrays
@@ -307,10 +333,12 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
     return F, lam
 
 
-def _power_refine(gneg: SignedGraph, p: float, f0: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Order-preserving fixed-point refinement in the positive cone; returns
-    the last iterate and whether the stop rule below ended the iteration
-    (False: CONE_ROUNDS ran out).
+def _power_refine(gneg: SignedGraph, ps: Sequence[float],
+                  F0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order-preserving fixed-point refinement in the positive cone, at the
+    exponent ps[i] from the start F0[i], all rows in lockstep; returns the
+    (R, n) stack of last iterates and, per row, whether the stop rule below
+    ended its iteration (False: CONE_ROUNDS ran out).
 
     Requires sigma identically -1 and kappa >= 0; then Delta_p maps positive
     functions to positive ones and the normalized iteration converges to the
@@ -320,13 +348,58 @@ def _power_refine(gneg: SignedGraph, p: float, f0: np.ndarray) -> tuple[np.ndarr
     max T(f)/f (the Collatz-Wielandt bracket of Gaubert & Gunawardena,
     Trans. AMS 2004).  The iteration stops once that spread is at most
     CONE_RTOL * max, which pins lambda to about (p-1) * CONE_RTOL relative.
+
+    Each row has its own exponent and its own stop, and leaves the live set
+    at that stop, so a grid of p costs about as many rounds as its slowest
+    p rather than their sum, each paying numpy's per-call overhead once.
+    The kernels take one exponent per row (_rowpow), so every row does the
+    arithmetic of its run alone, bit for bit.  The last live row, and the
+    one row of a single solve, finish in _cone_rounds on the scalar
+    exponent at the per-round cost of a one-function loop.  A row whose
+    iterate has a zero or non-finite p-norm, where its run alone raises in
+    normalize_sp, leaves the live set as NaN.
     """
     mu = gneg.mu_array()
-    f = np.abs(np.asarray(f0, dtype=float))
-    f[f == 0] = 1e-12
-    f = normalize_sp(f, p, mu)
+    F = np.abs(np.asarray(F0, dtype=float))
+    F[F == 0] = 1e-12
+    if len(F) > 1:
+        P = np.array(ps, dtype=float)
+        F = normalize_sp(F, P, mu)
+    stopped = np.zeros(len(F), dtype=bool)
+    live = np.arange(len(F))
+    rounds = 0
+    while live.size > 1 and rounds < CONE_ROUNDS:
+        rounds += 1
+        p = P[live]
+        f = F[live]
+        t = _rowpow(apply_plap(gneg, p, f) / mu, 1.0 / (p - 1.0))
+        ratio = t / f
+        top = ratio.max(-1)
+        closed = top - ratio.min(-1) <= CONE_RTOL * top
+        nrm = pnorm(t, p, mu)[:, None]
+        bad = ~(np.isfinite(nrm) & (nrm != 0))
+        nrm[bad] = np.nan
+        F[live] = t / nrm
+        bad = bad[:, 0]
+        stopped[live] = closed & ~bad
+        live = live[~(closed | bad)]
+    if live.size == 1:
+        i = live[0]
+        try:
+            f = normalize_sp(F[i], ps[i], mu) if len(F) == 1 else F[i]
+            F[i], stopped[i] = _cone_rounds(gneg, ps[i], f, CONE_ROUNDS - rounds)
+        except ValueError:      # normalize_sp's: a zero or non-finite p-norm
+            F[i] = np.nan
+    return F, stopped
+
+
+def _cone_rounds(gneg: SignedGraph, p: float, f: np.ndarray,
+                 rounds: int) -> tuple[np.ndarray, bool]:
+    """At most rounds rounds of _power_refine's iteration on one normalized
+    function at the scalar exponent p: (last iterate, whether it stopped)."""
+    mu = gneg.mu_array()
     invexp = 1.0 / (p - 1.0)
-    for _ in range(CONE_ROUNDS):
+    for _ in range(rounds):
         y = apply_plap(gneg, p, f)
         t = (y / mu) ** invexp
         ratio = t / f
@@ -549,40 +622,69 @@ def solve_largest(g: SignedGraph, p: float,
     when the cone iteration did not close its Collatz-Wielandt bracket
     (spread of T(f)/f at most 5e-16 of its max) or kappa < 0 forced the
     ascent; a closed bracket already pins the value to about (p-1) * 5e-16
-    relative.
+    relative.  This is the one-p case of solve_largest_grid.
     """
+    return solve_largest_grid(g, (p,), cfg)[0]
+
+
+def _check_solve_p(p: float) -> None:
     _check_p(p)
     if p > P_CAP:
         raise ValueError(f"p > {P_CAP:g} is not supported by the iterative solvers")
-    cfg = cfg or SolverConfig()
-    if g.m == 0:
-        return _edgeless_pair(g, p, largest=True)
 
-    witness = connected_antibalancing_tau(g)
+
+def solve_largest_grid(g: SignedGraph, ps: Sequence[float],
+                       cfg: Optional[SolverConfig] = None) -> list[PEigenPair]:
+    """[solve_largest(g, p, cfg) for p in ps]: the same pairs bit for bit,
+    or the exception the first failing p raises.
+
+    On a connected antibalanced graph with kappa >= 0, g is switched once
+    and every p the loop would reach (those before the first p outside
+    (1, P_CAP]) runs in one stacked cone iteration (_power_refine); each row
+    is then finished and tested as in a single solve.  A row that does not
+    certify, and every p on any other graph, is solved on its own, in grid
+    order.
+    """
+    cfg = cfg or SolverConfig()
+    ps = list(ps)
+    reached = list(takewhile(lambda p: p > 1 and not p > P_CAP, ps))
+    witness = connected_antibalancing_tau(g) if g.m and reached else None
     if witness is not None:
         tau = np.asarray(witness, dtype=float)
         gneg = switch(g, witness)
-        if np.min(gneg.kappa_array()) >= 0:
-            f, bracketed = _power_refine(gneg, p, np.ones(g.n))
-            lam = rayleigh(gneg, p, f)
-        else:
-            f0 = np.abs(np.random.default_rng(cfg.rng_seed).standard_normal(g.n)) + 0.1
-            F, lams = _ascent(gneg, p, f0[None, :], cfg, maximize=True)
-            f, lam, bracketed = F[0], float(lams[0]), False
-        # Newton has nothing left to gain on a pinned lambda; below p = 2 it
-        # could pin an entry to 0, and the pair would not be one-signed
-        if bracketed or p < 2:
-            res = residual(gneg, p, lam, f)
-        else:
-            f, lam, res = _finish(gneg, p, f, lam, cfg.tol)
-        one_signed = bool(np.all(f > 0) or np.all(f < 0))
-        ok = res <= cfg.tol * (1.0 + abs(lam))
-        if one_signed and ok:
-            return PEigenPair(p=p, value=lam, f=tau * np.abs(f), residual=res,
-                              certificate="perron-certified")
-        # fall through to the generic path if the cone route failed
-
-    return _best_restart(g, p, cfg, largest=True)
+        cone = np.min(gneg.kappa_array()) >= 0
+        if cone:
+            F, stopped = _power_refine(gneg, reached, np.ones((len(reached), g.n)))
+    pairs = []
+    for i, p in enumerate(ps):
+        _check_solve_p(p)
+        if g.m == 0:
+            pairs.append(_edgeless_pair(g, p, largest=True))
+            continue
+        if witness is not None:
+            if cone:
+                f, bracketed = F[i], bool(stopped[i])
+                if math.isnan(f[0]):      # a NaN row: where the run alone raised
+                    raise ValueError("cannot normalize the zero (or non-finite) function")
+                lam = rayleigh(gneg, p, f)
+            else:
+                f0 = np.abs(np.random.default_rng(cfg.rng_seed).standard_normal(g.n)) + 0.1
+                F1, lams = _ascent(gneg, p, f0[None, :], cfg, maximize=True)
+                f, lam, bracketed = F1[0], float(lams[0]), False
+            # Newton has nothing left to gain on a pinned lambda; below p = 2
+            # it could pin an entry to 0, and the pair would not be one-signed
+            if bracketed or p < 2:
+                res = residual(gneg, p, lam, f)
+            else:
+                f, lam, res = _finish(gneg, p, f, lam, cfg.tol)
+            one_signed = bool(np.all(f > 0) or np.all(f < 0))
+            if one_signed and res <= cfg.tol * (1.0 + abs(lam)):
+                pairs.append(PEigenPair(p=p, value=lam, f=tau * np.abs(f), residual=res,
+                                        certificate="perron-certified"))
+                continue
+            # fall through to the generic path if the cone route failed
+        pairs.append(_best_restart(g, p, cfg, largest=True))
+    return pairs
 
 
 def solve_smallest(g: SignedGraph, p: float,
@@ -593,9 +695,7 @@ def solve_smallest(g: SignedGraph, p: float,
     Balanced graphs with kappa proportional to mu (in particular kappa == 0)
     get the exact bottom pair: the switched-constant eigenfunction.
     """
-    _check_p(p)
-    if p > P_CAP:
-        raise ValueError(f"p > {P_CAP:g} is not supported by the iterative solvers")
+    _check_solve_p(p)
     cfg = cfg or SolverConfig()
     if g.m == 0:
         return _edgeless_pair(g, p, largest=False)

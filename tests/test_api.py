@@ -22,6 +22,7 @@ SETTERS = {
     "linalg.normalized_spectrum.negate": "cutoff.limit_scan",
     "linalg.normalized_values.negate": "cutoff.lower_bounds_full_all",
     "solver.solve_largest.cfg": "plap spectrum/verify --tol --restarts --seed",
+    "solver.solve_largest_grid.cfg": "plap verify monotonicity/limit --tol --restarts --seed",
     "solver.solve_smallest.cfg": "plap spectrum/verify --tol --restarts --seed",
     "cutoff.exact_ln.seed": "cutoff.brackets",
     "cutoff.brackets.budget": "plap cutoff --budget",
@@ -38,13 +39,6 @@ SETTERS = {
     "report.Report.add.values": "every plap command",
     "report.Report.add.witness": "plap bounds, plap verify interlacing",
     "cli.main.argv": "perfbench's cli workload",
-    # the single-index forms of the functions above take the same settings
-    "cutoff.bracket.budget": "the single-index form of cutoff.brackets",
-    "cutoff.bracket.seed": "the single-index form of cutoff.brackets",
-    "cutoff.lower_bound_subgraphs.budget": "the single-index form of cutoff.brackets",
-    "cutoff.upper_bound_subsets.budget": "the single-index form of cutoff.brackets",
-    "cutoff.upper_bound_subsets.seed": "the single-index form of cutoff.brackets",
-    "cutoff.interlacing_check.budget": "the single-index form of cutoff.interlacing_checks",
     # no caller in the package: the only way to check every signature
     # (full_signature_pool), and the paper's bound holds for each one
     "combinatorics.inertia_report.pool": "callers checking their own signatures",

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from plap import cli, families, graph
+from plap import cli, cutoff, families, graph, solver
 from plap.cli import main
 from plap.report import Report
 
@@ -356,3 +356,30 @@ def test_monotonicity_propagates_signs_three_times_on_an_antibalanced_cycle(
     calls.clear()
     code, _, _ = _run(capsys, "verify", "all", path)
     assert code == 0 and len(calls) == 4
+
+
+def _weighted_antibalanced_with_potential():
+    g = graph.negate(families.complete(6))
+    rng = np.random.default_rng(4)
+    edges = [(e.u, e.v, float(rng.uniform(0.2, 3.0)), e.sigma) for e in g.edges]
+    return graph.validate(6, edges, mu=rng.uniform(0.3, 4.0, 6).tolist(),
+                          kappa=rng.uniform(0.1, 2.0, 6).tolist())
+
+
+@pytest.mark.parametrize("suite", ["monotonicity", "limit", "all"])
+@pytest.mark.parametrize("g", [graph.negate(families.complete(5)),
+                               _weighted_antibalanced_with_potential()],
+                         ids=["kappa0", "kappa-positive"])
+def test_a_stacked_p_grid_reports_what_one_p_at_a_time_did(g, suite, tmp_path, capsys,
+                                                           monkeypatch):
+    path = _write_graph(tmp_path, g)
+    stacked = _run(capsys, "verify", suite, path)
+    grids, one_p = [], solver.solve_largest_grid
+
+    def serial(g, ps, cfg=None):
+        grids.append(len(ps))
+        return [one_p(g, (p,), cfg)[0] for p in ps]
+    monkeypatch.setattr(solver, "solve_largest_grid", serial)
+    monkeypatch.setattr(cutoff, "solve_largest_grid", serial)
+    assert _run(capsys, "verify", suite, path) == stacked
+    assert stacked[0] == 0 and grids

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plap import cutoff, families, graph
+from plap.combinatorics import max_independent_set
 from plap.cutoff import (bracket, brackets, exact_ln, interlacing_check,
                          interlacing_checks, limit_scan, lower_bound_full,
                          lower_bound_subgraphs, r_q_infty, upper_bound_from_p,
@@ -172,15 +173,29 @@ def test_exact_ln_dominates_full_graph_bound():
 
 
 def test_lower_bound_subgraphs():
-    val, cert = lower_bound_subgraphs(families.path(3), 2, budget=64)
+    val, cert = cutoff._subgraph_lowers(families.path(3), [2], 64)[0]
     assert val == 0.0
-    val, cert = lower_bound_subgraphs(families.complete(3), 2, budget=1024)
+    val, cert = cutoff._subgraph_lowers(families.complete(3), [2], 1024)[0]
     assert abs(val - 0.5) < 1e-12
     for seed in range(4):
         g = random_signed(5, 0.6, seed)
         ln = exact_ln(g)
-        val, cert = lower_bound_subgraphs(g, g.n, budget=1024)
+        val, cert = cutoff._subgraph_lowers(g, [g.n], 1024)[0]
         assert abs(val - ln.lower) < 1e-12   # k = n recovers the exact value
+        assert lower_bound_subgraphs(g, g.n) == cutoff._subgraph_lowers(g, [g.n], 2048)[0]
+
+
+def test_first_rows_are_the_first_occurrences_unique_finds(rng):
+    # packed byte keys must pick the same rows as np.unique over bool rows,
+    # whatever the padding of the last byte and however often a row repeats
+    for m in (1, 7, 8, 9, 16, 17, 35):
+        for rows in (1, 2, 5, 300):
+            masks = rng.random((rows, m)) < 0.5
+            masks = np.concatenate([masks, masks[rng.integers(0, rows, rows // 2 + 1)],
+                                    np.zeros((2, m), dtype=bool)])
+            masks = masks[rng.permutation(len(masks))]
+            want = np.sort(np.unique(masks, axis=0, return_index=True)[1])
+            assert cutoff._first_rows(masks).tolist() == want.tolist(), (m, rows)
 
 
 # --- the per-code, per-subset and per-k loops the batched scans replaced ---
@@ -326,8 +341,9 @@ def test_batched_scans_equal_the_loops(g, per_batch, monkeypatch):
     assert cutoff._lambda_max_signs(g) == _old_lambda_max_signs(g)
     for k in range(1, g.n + 1):
         for budget in (16, 2048):
-            assert (lower_bound_subgraphs(g, k, budget)
+            assert (cutoff._subgraph_lowers(g, [k], budget)[0]
                     == _old_lower_bound_subgraphs(g, k, budget))
+        assert lower_bound_subgraphs(g, k) == _old_lower_bound_subgraphs(g, k, 2048)
 
 
 @pytest.mark.parametrize("per_batch", [None, 1, 3, 7])
@@ -340,12 +356,17 @@ def test_brackets_equal_the_per_k_loops(g, per_batch, monkeypatch):
         old = [_old_bracket(g, k, budget) for k in ks]
         assert brackets(g, ks, budget) == old
         assert brackets(g, ks[::-1], budget) == old[::-1]
-        assert [bracket(g, k, budget) for k in ks] == old
-        assert ([upper_bound_subsets(g, k, budget) for k in ks]
-                == [_old_upper_bound_subsets(g, k, budget) for k in ks])
-        if g.n >= 2:
-            assert (interlacing_checks(g, [[v] for v in range(g.n)], budget)
-                    == [_old_interlacing_check(g, v, budget) for v in range(g.n)])
+        assert [brackets(g, [k], budget)[0] for k in ks] == old
+        mis = max_independent_set(g)
+        uppers = [_old_upper_bound_subsets(g, k, budget) for k in ks]
+        assert [cutoff._subset_uppers(g, [k], budget, 0, mis)[0] for k in ks] == uppers
+        checks = [_old_interlacing_check(g, v, budget) for v in range(g.n)]
+        assert interlacing_checks(g, [[v] for v in range(g.n)], budget) == checks
+    # the single-index forms run at the default budget, the loop's last
+    assert cutoff.DEFAULT_BUDGET == budget
+    assert [bracket(g, k) for k in ks] == old
+    assert [upper_bound_subsets(g, k) for k in ks] == uppers
+    assert [interlacing_check(g, [v]) for v in range(g.n)] == checks
 
 
 @pytest.fixture

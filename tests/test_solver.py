@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from plap import families, graph, solver
+from plap import cli, families, graph, solver
 from plap.linalg import adjacency
 from plap.solver import (PEigenPair, SolverConfig, SolverError, apply_plap,
                          closed_form_complete, closed_form_star,
@@ -83,6 +83,13 @@ def _masked_psi(p, x):
     return out
 
 
+def _grid_exponents():
+    """Every p of the CLI grids and the exponents p - 1 and 1/(p - 1) of the
+    cone map: 0.5, 1 and 2 among them, where a scalar ** is no pow."""
+    ps = sorted({*cli.DEFAULT_P_GRID, *cli.LIMIT_P_GRID})
+    return ps, sorted({*ps, *(p - 1.0 for p in ps), *(1.0 / (p - 1.0) for p in ps)})
+
+
 def test_psi_is_the_masked_definition_bit_for_bit(rng):
     for p in (1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0, 32.0, 64.0):
         for shape in ((1,), (7,), (40,), (3, 9), (17, 20), (2, 3, 5)):
@@ -93,6 +100,21 @@ def test_psi_is_the_masked_definition_bit_for_bit(rng):
                 got, want = psi(p, x), _masked_psi(p, x)
             assert got.tobytes() == want.tobytes(), (p, shape)
     assert psi(3.0, [-0.0, 0.0]).tobytes() == np.zeros(2).tobytes()
+    # one exponent per row: each row is the scalar call bit for bit
+    _, exps = _grid_exponents()
+    for n in (7, 40, 1000):
+        for order in (exps, exps[::-1], rng.permutation(exps)):
+            p = np.asarray(order) + 1.0         # psi raises to p - 1
+            x = rng.standard_normal((len(p), n)) * 10.0 ** rng.integers(-3, 3, n)
+            x[:, ::4] = 0.0
+            got = psi(p, x)
+            for i, pi in enumerate(p.tolist()):
+                assert got[i].tobytes() == psi(pi, x[i]).tobytes(), (pi, n)
+    p = rng.choice(exps, (4, 3)) + 1.0          # a (4, 3, 9) stack
+    x = rng.standard_normal((4, 3, 9))
+    got = psi(p, x)
+    for i, j in np.ndindex(p.shape):
+        assert got[i, j].tobytes() == psi(p[i, j], x[i, j]).tobytes()
 
 
 def test_pnorm_roots_are_the_scalar_pow_bit_for_bit(rng):
@@ -108,6 +130,24 @@ def test_pnorm_roots_are_the_scalar_pow_bit_for_bit(rng):
             assert got.shape == sums.shape and got.ravel().tolist() == want, (p, shape)
             assert got.ravel().tolist() == [solver.pnorm(row, p, mu)
                                             for row in f.reshape(-1, shape[-1])]
+    # one exponent per row: each a p of the grids or an exponent of the cone map
+    _, exps = _grid_exponents()
+    for n in (1, 8, 40, 1000):
+        mu = rng.uniform(0.5, 2.0, n)
+        for order in (exps, exps[::-1], rng.permutation(exps)):
+            p = np.asarray(order)
+            f = rng.standard_normal((len(p), n)) * 10.0 ** rng.integers(-2, 2, (len(p), n))
+            with np.errstate(over="ignore"):
+                got, unit = solver.pnorm(f, p, mu), normalize_sp(f, p, mu)
+                for i, pi in enumerate(p.tolist()):
+                    assert got[i] == solver.pnorm(f[i], pi, mu), (pi, n)
+                    assert unit[i].tobytes() == normalize_sp(f[i], pi, mu).tobytes()
+        grid = np.array(exps[:6]).reshape(2, 3)     # a (2, 3, n) stack
+        F = rng.standard_normal((2, 3, n))
+        got = solver.pnorm(F, grid, mu)
+        assert got.shape == (2, 3)
+        assert got.ravel().tolist() == [solver.pnorm(F[i, j], grid[i, j], mu)
+                                        for i in range(2) for j in range(3)]
 
 
 def test_nan_flows_through_psi_apply_plap_and_residual():
@@ -648,7 +688,7 @@ def test_the_polish_runs_when_the_cone_iteration_runs_out(monkeypatch):
     calls = _count_polish(monkeypatch)
     refine = solver._power_refine
     monkeypatch.setattr(solver, "_power_refine",
-                        lambda *args, **kw: (refine(*args, **kw)[0], False))
+                        lambda *args: (refine(*args)[0], np.zeros(len(args[1]), dtype=bool)))
     assert solve_largest(families.hypercube(6), 8.0).certificate == "perron-certified"
     assert calls == [8.0]
 
@@ -658,6 +698,154 @@ def test_the_polish_runs_on_the_negative_kappa_ascent(monkeypatch):
     monkeypatch.setattr(solver, "_power_refine", None)
     pair = solve_largest(IDENTITY_GRAPHS["antibalanced-kappa6"], 3.0)
     assert pair.certificate == "perron-certified" and calls == [3.0]
+
+
+# --- the stacked p-grid against the one-p cone loop it replaced -------------
+
+def _serial_cone(gneg, p, f0):
+    """The cone iteration one p at a time, on 1-D kernels: (f, stopped)."""
+    mu = gneg.mu_array()
+    f = np.abs(np.asarray(f0, dtype=float))
+    f[f == 0] = 1e-12
+    f = _ref_normalize(f, p, mu)
+    invexp = 1.0 / (p - 1.0)
+    for _ in range(solver.CONE_ROUNDS):
+        t = (_ref_apply(gneg, p, f) / mu) ** invexp
+        ratio = t / f
+        spread = float(ratio.max() - ratio.min())
+        f = _ref_normalize(t, p, mu)
+        if spread <= solver.CONE_RTOL * float(ratio.max()):
+            return f, True
+    return f, False
+
+
+def _serial_largest(g, p, cfg):
+    """solve_largest as it was before grids: one p, the serial cone loop."""
+    if not p > 1:
+        raise ValueError(f"p must be > 1, got {p}")
+    if p > solver.P_CAP:
+        raise ValueError(f"p > {solver.P_CAP:g} is not supported by the iterative solvers")
+    if g.m == 0:
+        return solver._edgeless_pair(g, p, largest=True)
+    witness = graph.connected_antibalancing_tau(g)
+    if witness is not None:
+        tau = np.asarray(witness, dtype=float)
+        gneg = graph.switch(g, witness)
+        if np.min(gneg.kappa_array()) >= 0:
+            f, bracketed = _serial_cone(gneg, p, np.ones(g.n))
+            lam = _ref_rayleigh(gneg, p, f)
+        else:
+            f0 = np.abs(np.random.default_rng(cfg.rng_seed).standard_normal(g.n)) + 0.1
+            F, lams = solver._ascent(gneg, p, f0[None, :], cfg, True)
+            f, lam, bracketed = F[0], float(lams[0]), False
+        if bracketed or p < 2:
+            res = residual(gneg, p, lam, f)
+        else:
+            f, lam, res = solver._finish(gneg, p, f, lam, cfg.tol)
+        if (np.all(f > 0) or np.all(f < 0)) and res <= cfg.tol * (1.0 + abs(lam)):
+            return PEigenPair(p=p, value=lam, f=tau * np.abs(f), residual=res,
+                              certificate="perron-certified")
+    return solver._best_restart(g, p, cfg, largest=True)
+
+
+def _assert_grid_is_serial(g, ps, cfg=None):
+    """solve_largest_grid(g, ps) against the serial loop: the same pairs bit
+    for bit, or the same exception; returns the certificates or "error"."""
+    cfg = cfg or SolverConfig()
+    try:
+        want = [_serial_largest(g, p, cfg) for p in ps]
+    except (SolverError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            solver.solve_largest_grid(g, ps, cfg)
+        assert str(got.value) == str(exc)
+        return "error"
+    got = solver.solve_largest_grid(g, ps, cfg)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.f.tobytes() == b.f.tobytes()
+        assert (a.p, a.value, a.residual, a.certificate) == \
+            (b.p, b.value, b.residual, b.certificate)
+        assert type(a.p) is type(b.p) and type(a.value) is float
+    return [pair.certificate for pair in got]
+
+
+def _weighted_antibalanced(n, seed):
+    """Connected antibalanced graph with non-unit w and mu and kappa > 0."""
+    g = random_connected_antibalanced(n, 0.5, seed)
+    rng = np.random.default_rng(seed)
+    edges = [(e.u, e.v, float(rng.uniform(0.2, 3.0)), e.sigma) for e in g.edges]
+    return graph.validate(n, edges, mu=rng.uniform(0.3, 4.0, n).tolist(),
+                          kappa=rng.uniform(0.1, 2.0, n).tolist())
+
+
+GRIDS = {"default": cli.DEFAULT_P_GRID, "limit": cli.LIMIT_P_GRID, "tensor": (2, 4),
+         "unsorted": (8.0, 2.0, 1.5, 16.0, 2.0, 3.0)}
+PERRON_GRAPHS = {"anti4": random_connected_antibalanced(4, 0.8, 1),
+                 "anti7": random_connected_antibalanced(7, 0.5, 2),
+                 "anti10": random_connected_antibalanced(10, 0.4, 3),
+                 "anti15": random_connected_antibalanced(15, 0.3, 4),
+                 "star6": families.star(6),
+                 "weighted-kappa9": _weighted_antibalanced(9, 5)}
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("name", PERRON_GRAPHS)
+def test_a_perron_grid_is_the_serial_loop_bit_for_bit(name, grid):
+    got = _assert_grid_is_serial(PERRON_GRAPHS[name], GRIDS[grid])
+    assert got == ["perron-certified"] * len(GRIDS[grid])
+
+
+def test_a_perron_grid_runs_one_stack(monkeypatch):
+    calls = []
+    refine = solver._power_refine
+
+    def counted(gneg, ps, F0):
+        calls.append(list(ps))
+        return refine(gneg, ps, F0)
+    monkeypatch.setattr(solver, "_power_refine", counted)
+    solver.solve_largest_grid(PERRON_GRAPHS["anti7"], cli.DEFAULT_P_GRID)
+    assert calls == [list(cli.DEFAULT_P_GRID)]
+
+
+@pytest.mark.parametrize("g,ps,want", [
+    (IDENTITY_GRAPHS["antibalanced-kappa6"], (3.0, 1.5, 4.0), None),   # kappa < 0: ascent
+    (IDENTITY_GRAPHS["K4"], (3.0, 2.0, 4.0), ["multi-restart"] * 3),   # not antibalanced
+    (families.edgeless(4), (2.0, 3.0), ["closed-form"] * 2),
+    (graph.negate(families.path(5)), (2.0, 3.0), ["perron-certified"] * 2),
+], ids=["negative-kappa", "not-antibalanced", "edgeless", "negated-path"])
+def test_a_grid_off_the_stack_is_the_serial_loop(g, ps, want):
+    got = _assert_grid_is_serial(g, ps)
+    assert got != "error" and (want is None or got == want)
+
+
+@pytest.mark.parametrize("rounds", [0, 3, 65, 72])
+def test_rows_that_run_out_of_cone_rounds_are_the_serial_loop(rounds, monkeypatch):
+    # too few rounds: rows at p >= 2 are polished, and rows below 2 that miss
+    # the tolerance fall through to the restarts, each as in a single solve.
+    # The rows stop after 67, 61, 69 and 77 rounds: at 65 the p = 2 row stops
+    # in the stack, at 72 the p = 8 row runs out as the last live row
+    monkeypatch.setattr(solver, "CONE_ROUNDS", rounds)
+    calls = _count_polish(monkeypatch)
+    got = _assert_grid_is_serial(PERRON_GRAPHS["anti7"], (1.5, 2.0, 3.0, 8.0))
+    assert got != "error" and 8.0 in calls
+
+
+@pytest.mark.parametrize("ps", [(2.0, 100.0), (2.0, 1.0), (1.0, 2.0), (100.0, 1.0),
+                                (3.0, float("nan"))])
+@pytest.mark.parametrize("name", ["anti7", "K4"])
+def test_a_grid_raises_the_serial_loops_error_at_the_same_p(name, ps):
+    g = PERRON_GRAPHS.get(name) or IDENTITY_GRAPHS[name]
+    assert _assert_grid_is_serial(g, ps) == "error"
+
+
+@pytest.mark.parametrize("ps", [(32.0, 2.0, 64.0), (2.0,), (32.0, 64.0, 3.0)])
+def test_a_row_whose_norm_overflows_raises_as_the_serial_loop(ps):
+    # at p = 2 the squared weight 1e400 overflows the p-norm of the first
+    # cone iterate, which the serial loop could not normalize
+    g = graph.validate(3, [(0, 1, 1e200, -1), (1, 2, 1.0, -1)])
+    with np.errstate(over="ignore"):
+        got = _assert_grid_is_serial(g, ps)
+    assert (got == "error") == (2.0 in ps)
 
 
 def _two_components():
@@ -914,6 +1102,16 @@ def test_stacked_kernels_equal_their_rows(rng):
                 assert np.array_equal(plap[i], _ref_apply(g, p, f))
                 assert np.array_equal(unit[i], _ref_normalize(f, p, mu))
             assert np.array_equal(apply_plap(g, p, F.reshape(5, 1, g.n))[:, 0], plap)
+        # one exponent per row: every p of the grids, in two orders
+        ps, _ = _grid_exponents()
+        for order in (ps, ps[::-1]):
+            P = np.asarray(order)
+            F = rng.standard_normal((len(P), g.n))
+            with np.errstate(over="ignore"):
+                plap, unit = apply_plap(g, P, F), normalize_sp(F, P, mu)
+                for i, p in enumerate(order):
+                    assert plap[i].tobytes() == apply_plap(g, p, F[i]).tobytes(), p
+                    assert unit[i].tobytes() == normalize_sp(F[i], p, mu).tobytes(), p
 
 
 # --- closed forms ------------------------------------------------------------

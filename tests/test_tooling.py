@@ -123,3 +123,16 @@ def test_verify_all_runs_exact_ln_once_per_graph(tmp_path):
     path.write_text(graph.dumps(families.random_graph(6, 0.6, 2, signed=True)))
     calls = _traced_cli_calls(["verify", "all", str(path)])
     assert calls["cutoff.exact_ln"] == 7
+
+
+@needs_spans
+@pytest.mark.parametrize("suite,solves", [("monotonicity", 8), ("limit", 4)])
+def test_a_perron_p_grid_is_one_traced_cone_iteration(suite, solves, tmp_path):
+    # the whole grid (8 p for monotonicity, 4 for the limit scan) is one
+    # stacked _power_refine call, not one per p; no solve_largest span opens
+    path = tmp_path / "g.json"
+    path.write_text(graph.dumps(graph.negate(families.complete(5))))
+    calls = _traced_cli_calls(["verify", suite, str(path)])
+    assert calls["solver._power_refine"] == 1
+    assert calls.get("solver.solve_largest", 0) == 0
+    assert calls["solver.rayleigh"] >= solves
