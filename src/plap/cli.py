@@ -145,7 +145,7 @@ def _verify_monotonicity(g, args, rep: Report, strict: bool) -> list[dict]:
     cfg = _solver_cfg(args)
     sides = []
     if g.m and graph.connected_antibalancing_tau(g) is not None:
-        pairs = solver.solve_largest_grid(g, grid, cfg)
+        pairs = list(solver.solve_largest_grid(g, grid, cfg))
         if all(pr.certificate == "perron-certified" for pr in pairs):
             sides.append(("top", g.n, pairs))
     if graph.classify_balance(g).balanced_witness is not None:

@@ -17,8 +17,8 @@ ran out of rounds and on the kappa < 0 ascent.  solve_largest_grid solves a
 whole p-grid there as one (R, n) stack: each row iterates at its own p and
 stops at its own bracket, so the grid takes about as many rounds as its
 slowest p, and apply_plap, psi, pnorm and normalize_sp take one exponent per
-row.  Each row then is finished and certified exactly as a single solve,
-bit for bit; solve_largest is the grid of one p.
+row.  The grid then yields its pairs in order, each finished and certified
+exactly as a single solve, bit for bit; solve_largest is the grid of one p.
 
 At p = 2 the quotient is that of the pencil (Deg + K - A, diag(mu)), whose
 extreme generalized eigenvector is its global maximizer (minimizer); the
@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat, takewhile
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -110,44 +110,48 @@ MONO_SLACK = 1e-8       # of monotonicity_functionals and the CLI's limit check
 SHIFT_SLACK = 1e-9      # of potential_shift_check
 
 
+_ZERO_NORM = "cannot normalize the zero (or non-finite) function"
+
+
 class SolverError(RuntimeError):
     """An eigenpair solve did not reach the requested residual tolerance."""
 
 
-def _rowpow(x: np.ndarray, e) -> np.ndarray:
-    """x ** e for a scalar e, or for an array e of shape x.shape[:-1] with
-    e[i] the exponent of row x[i]; each row is bit for bit x[i] ** float(e[i]).
-    A scalar ** takes x * x at 2 and sqrt at 0.5, which round unlike the pow
-    that an exponent array goes through, so those rows are redone."""
-    if not isinstance(e, np.ndarray):
-        return x ** e
-    out = x ** e[..., None]
-    exps = e.ravel().tolist()       # a few rows: a Python scan beats numpy calls
+def _rowpow(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x ** e[:, None] for a stack x (R, n) and its 1-D exponent array e;
+    each row is bit for bit x[i] ** float(e[i]).  A scalar ** takes x * x
+    at 2 and sqrt at 0.5, which round unlike the pow that an exponent array
+    goes through, so those rows are redone.  Callers use a plain ** for a
+    scalar exponent, which keeps its cost on every one-p kernel call."""
+    out = x ** e[:, None]
+    exps = e.tolist()               # a few rows: a Python scan beats numpy calls
     if 0.5 in exps or 2.0 in exps:
         for i, special in enumerate(exps):
             if special in (0.5, 2.0):
-                row = np.unravel_index(i, e.shape) if e.ndim > 1 else i
-                out[row] = x[row] ** special
+                out[i] = x[i] ** special
     return out
 
 
 def psi(p, x: np.ndarray) -> np.ndarray:
     """Psi_p(t) = |t|^(p-2) t, with Psi_p(0) = 0 (p > 1 makes 0^(p-1) = 0,
-    and sign(-0.0) is +0.0); a NaN stays NaN.  p is a float or one exponent
-    per row of x (see _rowpow)."""
+    and sign(-0.0) is +0.0); a NaN stays NaN.  p is a float, or one exponent
+    per row of a stack x (R, n) (see _rowpow)."""
     x = np.asarray(x, dtype=float)
-    return _rowpow(np.abs(x), p - 1.0) * np.sign(x)
+    if isinstance(p, np.ndarray):
+        return _rowpow(np.abs(x), p - 1.0) * np.sign(x)
+    return np.abs(x) ** (p - 1.0) * np.sign(x)
 
 
 def pnorm(f: np.ndarray, p, mu: np.ndarray):
     """mu-weighted p-norm along the last axis: a float for one function, one
-    value per row for a stack, whose rows may each have their own p.  The
+    value per row for a stack; a stack (R, n) may have one p per row.  The
     root is a scalar pow per row, since the vectorized ** rounds differently
     in the last place."""
-    s = (mu * _rowpow(np.abs(f), p)).sum(-1)
+    af = np.abs(f)
+    s = (mu * (_rowpow(af, p) if isinstance(p, np.ndarray) else af ** p)).sum(-1)
     if s.ndim == 0:
         return float(s ** (1.0 / p))
-    roots = (1.0 / p).ravel().tolist() if isinstance(p, np.ndarray) else repeat(1.0 / p)
+    roots = (1.0 / p).tolist() if isinstance(p, np.ndarray) else repeat(1.0 / p)
     return np.fromiter(map(pow, s.ravel().tolist(), roots), float, s.size).reshape(s.shape)
 
 
@@ -160,7 +164,7 @@ def normalize_sp(f: np.ndarray, p, mu: np.ndarray) -> np.ndarray:
     else:
         ok = nrm != 0 and math.isfinite(nrm)
     if not ok:
-        raise ValueError("cannot normalize the zero (or non-finite) function")
+        raise ValueError(_ZERO_NORM)
     return f / nrm
 
 
@@ -171,8 +175,8 @@ def _check_p(p) -> None:
 
 def apply_plap(g: SignedGraph, p, f: np.ndarray) -> np.ndarray:
     """(Delta_p f)(i) = sum_{j~i} w_ij Psi_p(f_i - sigma_ij f_j) + kappa_i Psi_p(f_i),
-    for one function or each row of a stack (..., n); p is a float or an
-    array of shape f.shape[:-1], one exponent per row."""
+    for one function or each row of a stack (..., n); p is a float, or one
+    exponent per row of a stack (R, n)."""
     _check_p(p)
     f = np.asarray(f, dtype=float)
     a = g._arrays
@@ -334,11 +338,12 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
 
 
 def _power_refine(gneg: SignedGraph, ps: Sequence[float],
-                  F0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  F0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Order-preserving fixed-point refinement in the positive cone, at the
     exponent ps[i] from the start F0[i], all rows in lockstep; returns the
-    (R, n) stack of last iterates and, per row, whether the stop rule below
-    ended its iteration (False: CONE_ROUNDS ran out).
+    (R, n) stack of last iterates and two masks per row: whether the stop
+    rule below ended its iteration (False: CONE_ROUNDS ran out), and whether
+    an iterate had a zero or non-finite p-norm, where normalize_sp raises.
 
     Requires sigma identically -1 and kappa >= 0; then Delta_p maps positive
     functions to positive ones and the normalized iteration converges to the
@@ -349,57 +354,55 @@ def _power_refine(gneg: SignedGraph, ps: Sequence[float],
     Trans. AMS 2004).  The iteration stops once that spread is at most
     CONE_RTOL * max, which pins lambda to about (p-1) * CONE_RTOL relative.
 
-    Each row has its own exponent and its own stop, and leaves the live set
-    at that stop, so a grid of p costs about as many rounds as its slowest
-    p rather than their sum, each paying numpy's per-call overhead once.
-    The kernels take one exponent per row (_rowpow), so every row does the
-    arithmetic of its run alone, bit for bit.  The last live row, and the
-    one row of a single solve, finish in _cone_rounds on the scalar
-    exponent at the per-round cost of a one-function loop.  A row whose
-    iterate has a zero or non-finite p-norm, where its run alone raises in
-    normalize_sp, leaves the live set as NaN.
+    Each row of a stack has its own exponent and its own stop, and leaves
+    the live set at that stop or at a failed p-norm, so a grid of p costs
+    about as many rounds as its slowest p rather than their sum, each
+    paying numpy's per-call overhead once.  The kernels take one exponent
+    per row (_rowpow), and a scalar one once the live rows share it, so
+    every row does the arithmetic of its run alone, bit for bit.  A single
+    row runs _cone_rounds on one function, at the per-round cost of a
+    one-p solve, and there normalize_sp raises.
     """
     mu = gneg.mu_array()
     F = np.abs(np.asarray(F0, dtype=float))
     F[F == 0] = 1e-12
-    if len(F) > 1:
-        P = np.array(ps, dtype=float)
-        F = normalize_sp(F, P, mu)
+    if len(F) == 1:
+        f, stopped = _cone_rounds(gneg, ps[0], normalize_sp(F[0], ps[0], mu))
+        return f[None, :], np.array([stopped]), np.zeros(1, dtype=bool)
+    P = np.array(ps, dtype=float)
+    F = normalize_sp(F, P, mu)
     stopped = np.zeros(len(F), dtype=bool)
-    live = np.arange(len(F))
-    rounds = 0
-    while live.size > 1 and rounds < CONE_ROUNDS:
-        rounds += 1
-        p = P[live]
-        f = F[live]
-        t = _rowpow(apply_plap(gneg, p, f) / mu, 1.0 / (p - 1.0))
+    failed = np.zeros(len(F), dtype=bool)
+    live, f, p = np.arange(len(F)), F, P
+    for _ in range(CONE_ROUNDS):
+        t, invexp = apply_plap(gneg, p, f) / mu, 1.0 / (p - 1.0)
+        t = _rowpow(t, invexp) if isinstance(p, np.ndarray) else t ** invexp
         ratio = t / f
         top = ratio.max(-1)
         closed = top - ratio.min(-1) <= CONE_RTOL * top
-        nrm = pnorm(t, p, mu)[:, None]
+        nrm = pnorm(t, p, mu)
         bad = ~(np.isfinite(nrm) & (nrm != 0))
-        nrm[bad] = np.nan
-        F[live] = t / nrm
-        bad = bad[:, 0]
-        stopped[live] = closed & ~bad
-        live = live[~(closed | bad)]
-    if live.size == 1:
-        i = live[0]
-        try:
-            f = normalize_sp(F[i], ps[i], mu) if len(F) == 1 else F[i]
-            F[i], stopped[i] = _cone_rounds(gneg, ps[i], f, CONE_ROUNDS - rounds)
-        except ValueError:      # normalize_sp's: a zero or non-finite p-norm
-            F[i] = np.nan
-    return F, stopped
+        nrm[bad] = np.nan               # a failed row divides without a warning
+        f = t / nrm[:, None]
+        leave = closed | bad
+        if leave.any():
+            F[live], stopped[live], failed[live] = f, closed & ~bad, bad
+            live, f = live[~leave], f[~leave]
+            if not live.size:
+                return F, stopped, failed
+            p = P[live]
+            if (p == p[0]).all():
+                p = float(p[0])
+    F[live] = f
+    return F, stopped, failed
 
 
-def _cone_rounds(gneg: SignedGraph, p: float, f: np.ndarray,
-                 rounds: int) -> tuple[np.ndarray, bool]:
-    """At most rounds rounds of _power_refine's iteration on one normalized
-    function at the scalar exponent p: (last iterate, whether it stopped)."""
+def _cone_rounds(gneg: SignedGraph, p: float, f: np.ndarray) -> tuple[np.ndarray, bool]:
+    """_power_refine's iteration on one normalized function at the scalar
+    exponent p: (last iterate, whether it stopped)."""
     mu = gneg.mu_array()
     invexp = 1.0 / (p - 1.0)
-    for _ in range(rounds):
+    for _ in range(CONE_ROUNDS):
         y = apply_plap(gneg, p, f)
         t = (y / mu) ** invexp
         ratio = t / f
@@ -624,7 +627,8 @@ def solve_largest(g: SignedGraph, p: float,
     ascent; a closed bracket already pins the value to about (p-1) * 5e-16
     relative.  This is the one-p case of solve_largest_grid.
     """
-    return solve_largest_grid(g, (p,), cfg)[0]
+    pair, = solve_largest_grid(g, (p,), cfg)   # ends the generator: cheaper than closing it
+    return pair
 
 
 def _check_solve_p(p: float) -> None:
@@ -634,16 +638,17 @@ def _check_solve_p(p: float) -> None:
 
 
 def solve_largest_grid(g: SignedGraph, ps: Sequence[float],
-                       cfg: Optional[SolverConfig] = None) -> list[PEigenPair]:
-    """[solve_largest(g, p, cfg) for p in ps]: the same pairs bit for bit,
-    or the exception the first failing p raises.
+                       cfg: Optional[SolverConfig] = None) -> Iterator[PEigenPair]:
+    """Yield solve_largest(g, p, cfg) for each p of ps in turn: the same
+    pairs bit for bit, and the exception the first failing p raises, when
+    the iteration reaches that p.
 
     On a connected antibalanced graph with kappa >= 0, g is switched once
     and every p the loop would reach (those before the first p outside
-    (1, P_CAP]) runs in one stacked cone iteration (_power_refine); each row
-    is then finished and tested as in a single solve.  A row that does not
-    certify, and every p on any other graph, is solved on its own, in grid
-    order.
+    (1, P_CAP]) runs in one stacked cone iteration (_power_refine) before
+    the first pair is yielded; each row is then finished and tested as in a
+    single solve, just before it is yielded.  A row that does not certify,
+    and every p on any other graph, is solved on its own, in grid order.
     """
     cfg = cfg or SolverConfig()
     ps = list(ps)
@@ -654,18 +659,17 @@ def solve_largest_grid(g: SignedGraph, ps: Sequence[float],
         gneg = switch(g, witness)
         cone = np.min(gneg.kappa_array()) >= 0
         if cone:
-            F, stopped = _power_refine(gneg, reached, np.ones((len(reached), g.n)))
-    pairs = []
+            F, stopped, failed = _power_refine(gneg, reached, np.ones((len(reached), g.n)))
     for i, p in enumerate(ps):
         _check_solve_p(p)
         if g.m == 0:
-            pairs.append(_edgeless_pair(g, p, largest=True))
+            yield _edgeless_pair(g, p, largest=True)
             continue
         if witness is not None:
             if cone:
+                if failed[i]:       # its run alone stops in normalize_sp
+                    raise ValueError(_ZERO_NORM)
                 f, bracketed = F[i], bool(stopped[i])
-                if math.isnan(f[0]):      # a NaN row: where the run alone raised
-                    raise ValueError("cannot normalize the zero (or non-finite) function")
                 lam = rayleigh(gneg, p, f)
             else:
                 f0 = np.abs(np.random.default_rng(cfg.rng_seed).standard_normal(g.n)) + 0.1
@@ -679,12 +683,11 @@ def solve_largest_grid(g: SignedGraph, ps: Sequence[float],
                 f, lam, res = _finish(gneg, p, f, lam, cfg.tol)
             one_signed = bool(np.all(f > 0) or np.all(f < 0))
             if one_signed and res <= cfg.tol * (1.0 + abs(lam)):
-                pairs.append(PEigenPair(p=p, value=lam, f=tau * np.abs(f), residual=res,
-                                        certificate="perron-certified"))
+                yield PEigenPair(p=p, value=lam, f=tau * np.abs(f), residual=res,
+                                 certificate="perron-certified")
                 continue
             # fall through to the generic path if the cone route failed
-        pairs.append(_best_restart(g, p, cfg, largest=True))
-    return pairs
+        yield _best_restart(g, p, cfg, largest=True)
 
 
 def solve_smallest(g: SignedGraph, p: float,

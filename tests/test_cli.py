@@ -378,7 +378,8 @@ def test_a_stacked_p_grid_reports_what_one_p_at_a_time_did(g, suite, tmp_path, c
 
     def serial(g, ps, cfg=None):
         grids.append(len(ps))
-        return [one_p(g, (p,), cfg)[0] for p in ps]
+        for p in ps:
+            yield next(one_p(g, (p,), cfg))
     monkeypatch.setattr(solver, "solve_largest_grid", serial)
     monkeypatch.setattr(cutoff, "solve_largest_grid", serial)
     assert _run(capsys, "verify", suite, path) == stacked

@@ -615,3 +615,26 @@ def test_limit_scan_rejects_bad_inputs():
     two = validate(4, [(0, 1, 1.0, -1), (2, 3, 1.0, -1)])
     with pytest.raises(GraphError):
         limit_scan(two, [2.0])                        # disconnected
+
+
+def test_limit_scan_stops_at_the_first_uncertified_p(monkeypatch):
+    # the first two rows leave the cone off the eigenfunction and fall
+    # through to the restarts: p = 4 returns a multi-restart pair and p = 8
+    # would raise, but the scan stops at p = 4 as the one-p loop did
+    from plap import solver
+    refine = solver._power_refine
+
+    def off_cone(gneg, ps, F0):
+        F, stopped, failed = refine(gneg, ps, F0)
+        F[:2, 0] *= -1.0
+        return F, stopped, failed
+
+    def restart(g, p, cfg, largest):
+        if p != 4.0:
+            raise solver.SolverError(f"no restart at p={p}")
+        return solver.PEigenPair(p=p, value=1.0, f=np.ones(g.n), residual=0.0,
+                                 certificate="multi-restart")
+    monkeypatch.setattr(solver, "_power_refine", off_cone)
+    monkeypatch.setattr(solver, "_best_restart", restart)
+    with pytest.raises(RuntimeError, match=r"at p=4\.0 failed Perron"):
+        limit_scan(negate(families.star(5)), [4.0, 8.0, 16.0, 32.0])

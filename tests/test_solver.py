@@ -110,11 +110,6 @@ def test_psi_is_the_masked_definition_bit_for_bit(rng):
             got = psi(p, x)
             for i, pi in enumerate(p.tolist()):
                 assert got[i].tobytes() == psi(pi, x[i]).tobytes(), (pi, n)
-    p = rng.choice(exps, (4, 3)) + 1.0          # a (4, 3, 9) stack
-    x = rng.standard_normal((4, 3, 9))
-    got = psi(p, x)
-    for i, j in np.ndindex(p.shape):
-        assert got[i, j].tobytes() == psi(p[i, j], x[i, j]).tobytes()
 
 
 def test_pnorm_roots_are_the_scalar_pow_bit_for_bit(rng):
@@ -142,12 +137,6 @@ def test_pnorm_roots_are_the_scalar_pow_bit_for_bit(rng):
                 for i, pi in enumerate(p.tolist()):
                     assert got[i] == solver.pnorm(f[i], pi, mu), (pi, n)
                     assert unit[i].tobytes() == normalize_sp(f[i], pi, mu).tobytes()
-        grid = np.array(exps[:6]).reshape(2, 3)     # a (2, 3, n) stack
-        F = rng.standard_normal((2, 3, n))
-        got = solver.pnorm(F, grid, mu)
-        assert got.shape == (2, 3)
-        assert got.ravel().tolist() == [solver.pnorm(F[i, j], grid[i, j], mu)
-                                        for i in range(2) for j in range(3)]
 
 
 def test_nan_flows_through_psi_apply_plap_and_residual():
@@ -688,7 +677,8 @@ def test_the_polish_runs_when_the_cone_iteration_runs_out(monkeypatch):
     calls = _count_polish(monkeypatch)
     refine = solver._power_refine
     monkeypatch.setattr(solver, "_power_refine",
-                        lambda *args: (refine(*args)[0], np.zeros(len(args[1]), dtype=bool)))
+                        lambda *args: (refine(*args)[0], np.zeros(len(args[1]), dtype=bool),
+                                       np.zeros(len(args[1]), dtype=bool)))
     assert solve_largest(families.hypercube(6), 8.0).certificate == "perron-certified"
     assert calls == [8.0]
 
@@ -756,10 +746,10 @@ def _assert_grid_is_serial(g, ps, cfg=None):
         want = [_serial_largest(g, p, cfg) for p in ps]
     except (SolverError, ValueError) as exc:
         with pytest.raises(type(exc)) as got:
-            solver.solve_largest_grid(g, ps, cfg)
+            list(solver.solve_largest_grid(g, ps, cfg))
         assert str(got.value) == str(exc)
         return "error"
-    got = solver.solve_largest_grid(g, ps, cfg)
+    got = list(solver.solve_largest_grid(g, ps, cfg))
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.f.tobytes() == b.f.tobytes()
@@ -803,8 +793,20 @@ def test_a_perron_grid_runs_one_stack(monkeypatch):
         calls.append(list(ps))
         return refine(gneg, ps, F0)
     monkeypatch.setattr(solver, "_power_refine", counted)
-    solver.solve_largest_grid(PERRON_GRAPHS["anti7"], cli.DEFAULT_P_GRID)
+    list(solver.solve_largest_grid(PERRON_GRAPHS["anti7"], cli.DEFAULT_P_GRID))
     assert calls == [list(cli.DEFAULT_P_GRID)]
+
+
+def test_a_grid_finishes_each_row_when_it_is_asked_for(monkeypatch):
+    # the stack runs before the first pair; each row's Rayleigh quotient and
+    # certificate come only when the caller takes that row, so a caller that
+    # stops at one p never finishes (nor raises at) a later one
+    calls = []
+    ray = solver.rayleigh
+    monkeypatch.setattr(solver, "rayleigh", lambda g, p, f: calls.append(p) or ray(g, p, f))
+    pairs = solver.solve_largest_grid(PERRON_GRAPHS["anti7"], (3.0, 2.0, 8.0, 1.0))
+    assert next(pairs).p == 3.0 and calls == [3.0]
+    assert next(pairs).p == 2.0 and calls == [3.0, 2.0]
 
 
 @pytest.mark.parametrize("g,ps,want", [
@@ -823,7 +825,7 @@ def test_rows_that_run_out_of_cone_rounds_are_the_serial_loop(rounds, monkeypatc
     # too few rounds: rows at p >= 2 are polished, and rows below 2 that miss
     # the tolerance fall through to the restarts, each as in a single solve.
     # The rows stop after 67, 61, 69 and 77 rounds: at 65 the p = 2 row stops
-    # in the stack, at 72 the p = 8 row runs out as the last live row
+    # in the stack, at 72 the p = 8 row runs out as the only live row
     monkeypatch.setattr(solver, "CONE_ROUNDS", rounds)
     calls = _count_polish(monkeypatch)
     got = _assert_grid_is_serial(PERRON_GRAPHS["anti7"], (1.5, 2.0, 3.0, 8.0))
