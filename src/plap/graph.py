@@ -11,6 +11,12 @@ hashing and pickling; switch and negate hand their result the view of their
 input with sigma replaced.  The balance classification is kept the same
 way, and so is the connected antibalancing witness.  A concurrent first
 use may build any of them twice; harmless.
+
+A switched or negated graph is made from that view alone: its edge tuples
+are built from the view the first time something reads g.edges, which
+equality, hashing, repr, pickling and JSON output do.  The Perron solver
+switches a graph once per solve and never reads them, and the sign
+propagation behind balance, antibalance and components reads the view.
 """
 
 from __future__ import annotations
@@ -39,7 +45,9 @@ class Edge(NamedTuple):
 class GraphArrays(NamedTuple):
     """Read-only flat arrays of one graph, in edge order: deg is the weighted
     degree, rt = 1/sqrt(mu), and scale = w * rt[u] * rt[v] the edge's entry
-    in the mu-normalized unsigned adjacency."""
+    in the mu-normalized unsigned adjacency.  ends = (0..n-1, u, v) is the
+    bincount index of the operator kernels: one bin per vertex term, then
+    each edge's u-end and v-end."""
 
     u: np.ndarray
     v: np.ndarray
@@ -50,10 +58,9 @@ class GraphArrays(NamedTuple):
     deg: np.ndarray
     rt: np.ndarray
     scale: np.ndarray
+    ends: np.ndarray
 
 
-# derived values kept on a SignedGraph instance, outside pickling
-_CACHES = ("_arrays", "_balance", "_antibalancing")
 # number types that skip the abstract-class test of _real, which costs more
 # than the rest of validate's work on an edge
 _PLAIN = frozenset((int, float))
@@ -74,7 +81,8 @@ class SignedGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        edges = self.__dict__.get("edges")
+        return len(self._arrays.u if edges is None else edges)
 
     @cached_property
     def _arrays(self) -> GraphArrays:
@@ -86,7 +94,8 @@ class SignedGraph:
         # interleaved (u0, v0, u1, v1, ...): an edge-by-edge loop's sum order
         deg = np.bincount(np.column_stack((u, v)).ravel(), np.repeat(w, 2), minlength=self.n)
         view = GraphArrays(u, v, w, np.asarray(cols[3], dtype=float), mu,
-                           np.asarray(self.kappa, dtype=float), deg, rt, w * rt[u] * rt[v])
+                           np.asarray(self.kappa, dtype=float), deg, rt, w * rt[u] * rt[v],
+                           np.concatenate((np.arange(self.n), u, v)))
         for arr in view:
             arr.setflags(write=False)
         return view
@@ -100,8 +109,20 @@ class SignedGraph:
         tau, root, consistent = _propagate(self, -1)
         return tuple(tau) if consistent and not any(root) else None
 
+    def __getattr__(self, name: str):
+        # only reached when the instance has no such attribute: the edge
+        # tuples of a graph that _resigned built from a view
+        if name != "edges" or "_arrays" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        a = self.__dict__["_arrays"]
+        edges = tuple(map(Edge, a.u.tolist(), a.v.tolist(), a.w.tolist(),
+                          a.sigma.astype(int).tolist()))
+        self.__dict__["edges"] = edges
+        return edges
+
     def __getstate__(self) -> dict:
-        return {k: val for k, val in self.__dict__.items() if k not in _CACHES}
+        # the fields only: the view and the other derived values stay behind
+        return {"n": self.n, "edges": self.edges, "mu": self.mu, "kappa": self.kappa}
 
     def mu_array(self) -> np.ndarray:
         return self._arrays.mu
@@ -191,23 +212,38 @@ def validate(n: int,
 
 
 def _check_tau(g: SignedGraph, tau: Sequence[int]) -> np.ndarray:
-    t = np.asarray(tau, dtype=int)
+    """tau as an int array, if it has n entries, each a number equal to +1
+    or -1 (not a bool): validate's rule for sigma, so 1.0 passes and 1.5
+    does not.  Nothing is silently truncated."""
+    t = np.asarray(tau)
     if t.shape != (g.n,):
         raise GraphError(f"switching function has length {t.size}, expected {g.n}")
-    if not np.all(np.abs(t) == 1):
-        raise GraphError("switching function entries must be +1 or -1")
+    # an int array, or a sequence of plain ints, needs only the value test;
+    # anything else (a list holding True gives an int array too) is checked
+    # entry by entry
+    if not (isinstance(tau, np.ndarray) and t.dtype.kind in "iu"
+            or {int}.issuperset(map(type, tau))):
+        for pos, x in enumerate(tau):
+            if not (_real(x) and x in (1, -1)):
+                raise GraphError(f"switching function entry #{pos} must be +1 or -1, got {x!r}")
+        return t.astype(int)
+    bad = np.flatnonzero((t != 1) & (t != -1))
+    if bad.size:
+        raise GraphError(f"switching function entry #{bad[0]} must be +1 or -1, "
+                         f"got {int(t[bad[0]])!r}")
     return t
 
 
 def _resigned(g: SignedGraph, sigma: np.ndarray) -> SignedGraph:
-    """g with the float signature sigma (in edge order).  deg, rt and scale
-    do not depend on signs, so the new graph gets g's view with sigma
-    replaced instead of one rebuilt from its edge tuples."""
-    a = g._arrays
+    """g with the float signature sigma (in edge order), made from g's view
+    alone.  deg, rt, scale and ends do not depend on signs, so the new graph
+    gets g's view with sigma replaced, and no edge tuples: __getattr__
+    builds them from that view the first time g.edges is read.  Equality,
+    hashing, repr, pickling and to_json_dict read them, so they see the
+    same edges as a graph validated from the switched description."""
     sigma.setflags(write=False)
-    edges = tuple(map(Edge, a.u.tolist(), a.v.tolist(), a.w.tolist(), sigma.astype(int).tolist()))
-    out = SignedGraph(g.n, edges, g.mu, g.kappa)
-    out.__dict__["_arrays"] = a._replace(sigma=sigma)
+    out = object.__new__(SignedGraph)
+    out.__dict__.update(n=g.n, mu=g.mu, kappa=g.kappa, _arrays=g._arrays._replace(sigma=sigma))
     return out
 
 
@@ -265,10 +301,11 @@ def _propagate(g: SignedGraph, target: int) -> tuple[list[int], list[int], bool]
     """Depth-first tau(v) = target * sigma_uv * tau(u) from each unvisited
     vertex in ascending order: (tau, root = smallest vertex of each vertex's
     component, whether sigma^tau == target on every edge)."""
+    a = g._arrays
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e in g.edges:
-        adj[e.u].append((e.v, target * e.sigma))
-        adj[e.v].append((e.u, target * e.sigma))
+    for u, v, s in zip(a.u.tolist(), a.v.tolist(), (target * a.sigma).astype(int).tolist()):
+        adj[u].append((v, s))
+        adj[v].append((u, s))
     tau, root, consistent = [0] * g.n, list(range(g.n)), True
     for r in range(g.n):
         if tau[r]:

@@ -19,6 +19,11 @@ stops at its own bracket, so the grid takes about as many rounds as its
 slowest p, and apply_plap, psi, pnorm and normalize_sp take one exponent per
 row.  The grid then yields its pairs in order, each finished and certified
 exactly as a single solve, bit for bit; solve_largest is the grid of one p.
+The cone rounds apply Delta_p with _cone_apply, which on sigma == -1,
+kappa >= 0 and f >= 0 is apply_plap bit for bit at a fraction of its
+cost: one gather-add f_u + f_v, one power with no abs or sign, w t for
+both edge ends, no vertex terms when kappa == 0, and the graph's own
+scatter index.  apply_plap still computes the finished pair's residual.
 
 At p = 2 the quotient is that of the pencil (Deg + K - A, diag(mu)), whose
 extreme generalized eigenvector is its global maximizer (minimizer); the
@@ -183,14 +188,43 @@ def apply_plap(g: SignedGraph, p, f: np.ndarray) -> np.ndarray:
     t = psi(p, f.take(a.u, axis=-1) - a.sigma * f.take(a.v, axis=-1))
     # one pass over (vertex terms, u-ends, v-ends) sums each vertex in the
     # same order as kappa * psi(f) followed by np.add.at over u, then v
-    idx = np.concatenate((np.arange(g.n), a.u, a.v))
     vals = np.concatenate((a.kappa * psi(p, f), a.w * t, -a.sigma * a.w * t), axis=-1)
-    if f.ndim == 1:
-        return np.bincount(idx, vals, minlength=g.n)
-    # row r of a stack scatters into bins r*n .. r*n + n-1
-    rows = f.size // g.n
-    idx = idx + g.n * np.arange(rows)[:, None]
-    return np.bincount(idx.ravel(), vals.ravel(), minlength=rows * g.n).reshape(f.shape)
+    return _scatter(g.n, a.ends, vals)
+
+
+def _scatter(n: int, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Sum vals (..., len(idx)) into n bins per row, bin idx[k] taking
+    vals[..., k] in index order; row r of a stack fills bins r*n .. r*n + n-1."""
+    if vals.ndim == 1:
+        return np.bincount(idx, vals, minlength=n)
+    rows = vals.size // len(idx)
+    idx = idx + n * np.arange(rows)[:, None]
+    return np.bincount(idx.ravel(), vals.ravel(), minlength=rows * n).reshape(*vals.shape[:-1], n)
+
+
+def _cone_apply(gneg: SignedGraph, p, F: np.ndarray) -> np.ndarray:
+    """apply_plap(gneg, p, F), bit for bit, where sigma is identically -1,
+    kappa >= 0 and F >= 0 (one function or a stack (R, n), p a float or one
+    exponent per row): the cone iteration's kernel, for these reasons.
+      - f_u - sigma f_v is f_u - (-1) f_v, exactly f_u + f_v: one gather-add.
+      - Psi_p(d) = |d|^(p-1) sign(d) is d^(p-1) for d >= 0, zero included
+        (0^(p-1) = 0 and sign(0) = 0), so one power and no abs or sign.
+      - Both ends of an edge get w t: apply_plap's v-end term
+        ((-sigma) w) t is (1.0 w) t.
+      - With kappa identically 0 the vertex terms are all zeros; bincount
+        starts each bin at +0.0, and 0.0 + (+-0.0) is +0.0, so leaving them
+        out adds the same terms to each bin in the same order.  (Where
+        F^(p-1) overflows, apply_plap's 0 * inf is NaN and this is inf, but
+        the edge term at that vertex overflows too, and both make the
+        iterate's p-norm non-finite: the same failed row.)
+      - The scatter index is the graph's ends, built once per graph."""
+    a = gneg._arrays
+    d = F.take(a.u, axis=-1) + F.take(a.v, axis=-1)
+    t = a.w * (_rowpow(d, p - 1.0) if isinstance(p, np.ndarray) else d ** (p - 1.0))
+    if a.kappa.any():
+        fp = _rowpow(F, p - 1.0) if isinstance(p, np.ndarray) else F ** (p - 1.0)
+        return _scatter(gneg.n, a.ends, np.concatenate((a.kappa * fp, t, t), axis=-1))
+    return _scatter(gneg.n, a.ends[gneg.n:], np.concatenate((t, t), axis=-1))
 
 
 def rayleigh(g: SignedGraph, p: float, f: np.ndarray):
@@ -375,7 +409,7 @@ def _power_refine(gneg: SignedGraph, ps: Sequence[float],
     failed = np.zeros(len(F), dtype=bool)
     live, f, p = np.arange(len(F)), F, P
     for _ in range(CONE_ROUNDS):
-        t, invexp = apply_plap(gneg, p, f) / mu, 1.0 / (p - 1.0)
+        t, invexp = _cone_apply(gneg, p, f) / mu, 1.0 / (p - 1.0)
         t = _rowpow(t, invexp) if isinstance(p, np.ndarray) else t ** invexp
         ratio = t / f
         top = ratio.max(-1)
@@ -403,8 +437,7 @@ def _cone_rounds(gneg: SignedGraph, p: float, f: np.ndarray) -> tuple[np.ndarray
     mu = gneg.mu_array()
     invexp = 1.0 / (p - 1.0)
     for _ in range(CONE_ROUNDS):
-        y = apply_plap(gneg, p, f)
-        t = (y / mu) ** invexp
+        t = (_cone_apply(gneg, p, f) / mu) ** invexp
         ratio = t / f
         spread = float(ratio.max() - ratio.min())
         f = normalize_sp(t, p, mu)

@@ -45,3 +45,16 @@ def random_balanced(n: int, prob: float, seed: int) -> graph.SignedGraph:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def sparse_antibalanced(n: int, m: int, seed: int) -> graph.SignedGraph:
+    """Ring plus random chords (connected, m unit edges), with the
+    antibalanced signature sigma_uv = -tau_u tau_v of a random tau."""
+    rng = np.random.default_rng(seed)
+    edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+    while len(edges) < m:
+        a, b = (int(x) for x in rng.integers(0, n, 2))
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    tau = np.where(rng.random(n) < 0.5, 1, -1)
+    return graph.validate(n, [(a, b, 1.0, int(-tau[a] * tau[b])) for a, b in sorted(edges)])

@@ -6,15 +6,17 @@ bit; only apply_tensor, whose vectorized powers may differ from scalar ones
 in the last place, is held to a relative tolerance.
 """
 
+import copy
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
-from plap import families, graph, linalg, solver, tensor
+from plap import cli, cutoff, families, graph, linalg, solver, tensor
 from plap.solver import psi
 
-from conftest import random_weighted
+from conftest import random_connected_antibalanced, random_weighted
 
 GRAPHS = ([random_weighted(n, 0.5, seed, isolated=seed % 3) for seed, n in enumerate(range(3, 15))]
           + [graph.validate(4, [], mu=[1.0, 2.0, 0.5, 3.0], kappa=[0.5, -1.0, 0.0, 2.0]),
@@ -258,3 +260,64 @@ def test_connected_antibalancing_witness_is_kept_outside_pickle(monkeypatch):
     back = pickle.loads(pickle.dumps(g))
     assert "_antibalancing" not in back.__dict__
     assert graph.connected_antibalancing_tau(back) == tau
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_the_scatter_index_is_built_once_per_graph(g):
+    a = g._arrays
+    assert np.array_equal(a.ends, np.concatenate((np.arange(g.n), a.u, a.v)))
+    assert a.ends.dtype == a.u.dtype and not a.ends.flags.writeable
+    tau = np.where(np.arange(g.n) % 2, 1, -1)
+    assert graph.switch(g, tau)._arrays.ends is a.ends
+    assert graph.negate(g)._arrays.ends is a.ends
+
+
+# --- graphs built without edge tuples ---------------------------------------
+
+def test_a_switched_graph_is_solved_without_its_edge_tuples():
+    # a Perron solve and the limit scan switch their graph once more; none
+    # of these reads the edge tuples of the switched graph, or of the ones
+    # they make
+    base = random_connected_antibalanced(9, 0.5, 3)
+    tau = np.where(np.arange(9) % 3, 1, -1)
+    weighted = graph.validate(9, [(e.u, e.v, 0.5 + e.u, e.sigma) for e in base.edges],
+                              mu=np.linspace(0.5, 2.0, 9).tolist(), kappa=[0.25] * 9)
+    made = []
+    switch = graph.switch
+    for g in (base, weighted):
+        h = graph.switch(g, tau)
+        assert h.m == g.m
+        assert graph.classify_balance(h).kind in ("antibalanced", "both")
+        assert graph.components(h) == [list(range(9))]
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (solver, cutoff):
+                mp.setattr(module, "switch", lambda g, t: made.append(switch(g, t)) or made[-1])
+            pair = solver.solve_largest(h, 3.0)
+            pairs = list(solver.solve_largest_grid(h, cli.DEFAULT_P_GRID))
+            if not any(g.kappa):
+                cutoff.limit_scan(h, cli.LIMIT_P_GRID)
+        assert pair.certificate == "perron-certified"
+        assert {q.certificate for q in pairs} == {"perron-certified"}
+        assert "edges" not in h.__dict__
+    # solve, grid, and the limit scan's switch and grid; solve and grid
+    assert len(made) == 6 and not any("edges" in x.__dict__ for x in made)
+
+
+def test_a_switched_graph_keeps_the_dataclass_contract():
+    # equality, hash, repr, pickle and JSON: tests/test_properties.py
+    g = GRAPHS[6]
+    tau = np.where(np.arange(g.n) % 3, 1, -1)
+    for make, sigmas in ((lambda: graph.negate(g), [-e.sigma for e in g.edges]),
+                         (lambda: graph.switch(g, tau),
+                          [int(tau[e.u] * e.sigma * tau[e.v]) for e in g.edges])):
+        eager = graph.validate(g.n, [(e.u, e.v, e.w, s) for e, s in zip(g.edges, sigmas)],
+                               mu=g.mu, kappa=g.kappa)
+        for twin in (dataclasses.replace(make()), copy.copy(make()), copy.deepcopy(make())):
+            assert twin == eager and "edges" in twin.__dict__
+        lazy = make()
+        assert lazy.m == eager.m and "edges" not in lazy.__dict__
+        assert lazy.edges is lazy.edges == eager.edges
+        with pytest.raises(AttributeError, match="no attribute 'edge'"):
+            make().edge
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            make().edges = ()

@@ -1,6 +1,8 @@
 """Data-model invariants: validation, switching, balance classification."""
 
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +114,34 @@ def test_switch_flips_k2():
     assert switch(g, (1, 1)) == g
     with pytest.raises(GraphError):
         switch(g, (1,))
+
+
+@pytest.mark.parametrize("tau,where", [
+    ([1.5, -1, 1], "#0 must be +1 or -1, got 1.5"),
+    ([1, True, 1], "#1 must be +1 or -1, got True"),
+    ([1, -1, np.bool_(True)], "#2 must be +1 or -1, got "),
+    ([1, math.nan, 1], "#1 must be +1 or -1, got nan"),
+    ([1, -1, "1"], "#2 must be +1 or -1, got '1'"),
+    ([1, 0, 2], "#1 must be +1 or -1, got 0"),
+    (np.array([1, -1, 3]), "#2 must be +1 or -1, got 3"),
+    (np.array([1.0, -0.5, 1.0]), "#1 must be +1 or -1, got "),
+    (np.array([True, True, False]), "#0 must be +1 or -1, got "),
+    ([1, None, 1], "#1 must be +1 or -1, got None"),
+    ([2 ** 70, 1, 1], f"#0 must be +1 or -1, got {2 ** 70}"),
+])
+def test_switch_rejects_what_is_not_plus_or_minus_one(tau, where):
+    # nothing is truncated: 1.5 used to switch as 1, True as +1
+    with pytest.raises(GraphError, match="switching function entry " + re.escape(where)):
+        switch(families.cycle(3), tau)
+
+
+def test_switch_accepts_integers_and_integral_floats():
+    c3 = families.cycle(3)
+    want = switch(c3, (1, -1, 1))
+    for tau in ([1, -1, 1], np.array([1, -1, 1]), np.array([1, -1, 1], dtype=np.int8),
+                [np.int64(1), np.int32(-1), 1], [1.0, -1.0, 1], np.array([1.0, -1.0, 1.0])):
+        assert switch(c3, tau) == want
+    assert [e.sigma for e in want.edges] == [-1, 1, -1]
 
 
 def test_negate_examples():

@@ -1,5 +1,8 @@
 """Property tests over generated signed graphs: the graph JSON round trip,
-where validation says a graph is wrong, and switching invariance."""
+where validation says a graph is wrong, switching invariance, and switched
+graphs that build their edge tuples on first read."""
+
+import pickle
 
 import numpy as np
 from hypothesis import given, settings
@@ -79,3 +82,24 @@ def test_switching_leaves_exact_ln_unchanged(data):
     g = data.draw(signed_graphs(max_n=8))
     t = data.draw(switchings(g))
     assert cutoff.exact_ln(graph.switch(g, t)).lower == cutoff.exact_ln(g).lower
+
+
+@PROPERTY
+@given(st.data())
+def test_a_switched_graph_is_the_validated_graph(data):
+    # switch and negate build no edge tuples; whatever reads them first must
+    # see the graph validate makes from the switched description
+    g = data.draw(signed_graphs())
+    t = data.draw(switchings(g))
+    for lazy, sigmas in ((graph.switch(g, t), [t[e.u] * e.sigma * t[e.v] for e in g.edges]),
+                         (graph.negate(g), [-e.sigma for e in g.edges])):
+        eager = graph.validate(g.n, [(e.u, e.v, e.w, int(s)) for e, s in zip(g.edges, sigmas)],
+                               mu=g.mu, kappa=g.kappa)
+        assert "edges" not in lazy.__dict__
+        for _ in range(2):          # before the tuples are built, and after
+            assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+            assert repr(lazy) == repr(eager)
+            assert pickle.loads(pickle.dumps(lazy)) == eager
+            assert pickle.dumps(lazy) == pickle.dumps(eager)
+            assert graph.dumps(lazy) == graph.dumps(eager)
+            assert "edges" in lazy.__dict__

@@ -14,7 +14,7 @@ from plap.solver import (PEigenPair, SolverConfig, SolverError, apply_plap,
                          residual, solve_largest, solve_smallest)
 
 from conftest import (random_balanced, random_connected_antibalanced,
-                      random_signed, random_weighted)
+                      random_signed, random_weighted, sparse_antibalanced)
 
 
 def _signless_laplacian_eigs(g):
@@ -1114,6 +1114,47 @@ def test_stacked_kernels_equal_their_rows(rng):
                 for i, p in enumerate(order):
                     assert plap[i].tobytes() == apply_plap(g, p, F[i]).tobytes(), p
                     assert unit[i].tobytes() == normalize_sp(F[i], p, mu).tobytes(), p
+
+
+# --- the positive-cone kernel against apply_plap ---------------------------
+
+def _cone_graphs():
+    """Graphs switched to sigma == -1: unit weights for n = 2..15, the same
+    with non-unit w and mu and kappa > 0, and with kappa == 0, and one
+    n = 1000 graph."""
+    graphs = []
+    for n in range(2, 16):
+        weighted = _weighted_antibalanced(n, n)
+        graphs += [random_connected_antibalanced(n, 0.5, n), weighted,
+                   graph.with_zero_kappa(weighted)]
+    graphs.append(sparse_antibalanced(1000, 5000, 3))
+    return [graph.switch(g, graph.connected_antibalancing_tau(g)) for g in graphs]
+
+
+CONE_GRAPHS = _cone_graphs()
+
+
+@pytest.mark.parametrize("gneg", CONE_GRAPHS,
+                         ids=lambda g: f"n{g.n}m{g.m}{'-kappa' if any(g.kappa) else ''}")
+def test_the_cone_kernel_is_apply_plap_bit_for_bit(gneg, rng):
+    assert all(gneg._arrays.sigma == -1) and min(gneg.kappa) >= 0
+    ps = sorted({*cli.DEFAULT_P_GRID, *cli.LIMIT_P_GRID, 2.0, 64.0})
+    n = gneg.n
+
+    def positive(rows):
+        # entries 0 and spread over six decades, small enough that p = 64
+        # does not overflow
+        F = rng.random((rows, n)) * 10.0 ** rng.integers(-4, 1, (rows, n))
+        F[:, ::3] = 0.0
+        return F
+    for p in ps:
+        F = positive(3)
+        assert solver._cone_apply(gneg, p, F[0]).tobytes() == apply_plap(gneg, p, F[0]).tobytes()
+        assert solver._cone_apply(gneg, p, F).tobytes() == apply_plap(gneg, p, F).tobytes()
+    # one exponent per row, in two orders
+    for order in (ps, ps[::-1]):
+        P, F = np.asarray(order), positive(len(ps))
+        assert solver._cone_apply(gneg, P, F).tobytes() == apply_plap(gneg, P, F).tobytes()
 
 
 # --- closed forms ------------------------------------------------------------

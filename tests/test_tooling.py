@@ -12,6 +12,8 @@ import pytest
 
 from plap import cli, cutoff, families, graph, solver
 
+from conftest import sparse_antibalanced
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 needs_spans = pytest.mark.skipif(not SPANS.exists(), reason="perfbench/ is absent")
 
@@ -136,3 +138,18 @@ def test_a_perron_p_grid_is_one_traced_cone_iteration(suite, solves, tmp_path):
     assert calls["solver._power_refine"] == 1
     assert calls.get("solver.solve_largest", 0) == 0
     assert calls["solver.rayleigh"] >= solves
+
+
+@needs_spans
+@pytest.mark.parametrize("g", [families.hypercube(9), sparse_antibalanced(1000, 5000, 0)],
+                         ids=["hypercube9", "n1000"])
+def test_a_perron_solve_calls_apply_plap_only_for_its_residual(g):
+    # the cone rounds run solver._cone_apply, which perfbench does not wrap:
+    # their time is _power_refine's self time, and apply_plap is called once,
+    # by the residual of the finished pair
+    certificates = []
+    traced, _ = _traced(lambda: certificates.append(solver.solve_largest(g, 3.0).certificate))
+    assert certificates == ["perron-certified"]
+    assert traced["solver._power_refine"] == 1
+    assert traced["solver.apply_plap"] == 1
+    assert traced.get("solver._finish", 0) == 0
