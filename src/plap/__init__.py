@@ -20,8 +20,7 @@ from .solver import (MonotonicityReport, PEigenPair, ShiftReport, SolverConfig,
                      residual, solve_largest, solve_largest_grid, solve_smallest)
 from .cutoff import (CutoffBracket, LimitScanResult, bracket, brackets, exact_ln,
                      interlacing_check, interlacing_checks, limit_scan, lower_bound_full,
-                     lower_bound_subgraphs, r_q_infty, upper_bound_from_p,
-                     upper_bound_subsets)
+                     lower_bound_subgraphs, r_q_infty, upper_bound_subsets)
 from .combinatorics import (EdgeCover, IndependentSet, InertiaReport, Matching,
                             cvetkovic_bound, inertia_report, max_independent_set,
                             max_matching, min_edge_cover)

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph, validate
+from .graph import GraphError, SignedGraph
 from .linalg import adjacency, sign_counts
 
 MIS_CAP = 32
@@ -187,13 +187,6 @@ def _extend_to_cover(g: SignedGraph, matching: Matching) -> EdgeCover:
     return EdgeCover(size=len(cover), edges=tuple(sorted(cover)))
 
 
-def is_strict_support(g: SignedGraph, m: np.ndarray) -> bool:
-    """True when m_ij != 0 exactly on the edges (the strict matrix family)."""
-    m = np.asarray(m, dtype=float)
-    upper = np.triu_indices(g.n, 1)
-    return bool(np.array_equal(adjacency(g)[upper] != 0.0, m[upper] != 0.0))
-
-
 def cvetkovic_bound(g: SignedGraph, m: np.ndarray) -> int:
     """min(n - n_plus, n - n_minus) for a finite symmetric matrix supported
     on the edge set (zero diagonal); an upper bound for the independence
@@ -226,22 +219,6 @@ def default_signature_pool(g: SignedGraph, seed: int = 0) -> list[tuple[int, ...
     return pool
 
 
-def full_signature_pool(g: SignedGraph) -> list[tuple[int, ...]]:
-    if g.m > 16:
-        raise GraphError(f"full signature enumeration capped at 16 edges, got {g.m}")
-    out = []
-    for code in range(1 << g.m):
-        out.append(tuple(1 - 2 * ((code >> i) & 1) for i in range(g.m)))
-    return out
-
-
-def with_signature(g: SignedGraph, sigma: Sequence[int]) -> SignedGraph:
-    if len(sigma) != g.m:
-        raise GraphError(f"signature has length {len(sigma)}, expected {g.m}")
-    edges = [(e.u, e.v, e.w, int(s)) for e, s in zip(g.edges, sigma)]
-    return validate(g.n, edges, mu=g.mu, kappa=g.kappa)
-
-
 @dataclass(frozen=True)
 class InertiaReport:
     alpha: int
@@ -261,15 +238,16 @@ class InertiaReport:
         return all(passed for _, passed, _ in self.checks)
 
 
-def inertia_report(g: SignedGraph,
-                   pool: Optional[Sequence[Sequence[int]]] = None,
-                   budget: int = 2048, seed: int = 0) -> InertiaReport:
+def inertia_report(g: SignedGraph, budget: int = 2048, seed: int = 0) -> InertiaReport:
     """Run every independence/cover inequality on one graph.
 
-    For each signature in the pool, the zero count of the full-graph lower
-    bounds upper-bounds the number of zero cutoff eigenvalues, so the
-    independence number must not exceed it.  Failures carry the witness
-    graph in their details; nothing raises.
+    For each signature of default_signature_pool, the zero count of the
+    full-graph lower bounds upper-bounds the number of zero cutoff
+    eigenvalues, so the independence number must not exceed it.  The whole
+    pool is scored in one stacked eigh of the normalized adjacencies with
+    entries -sigma_s w, one matrix per signature s, on g's own view: the
+    bounds are bit for bit those of each re-signed graph on its own.
+    Failures carry the witness graph in their details; nothing raises.
     """
     from . import cutoff
     from .graph import to_json_dict
@@ -293,14 +271,10 @@ def inertia_report(g: SignedGraph,
                beta == g.n - matching.size,
                {"beta": beta, "n": g.n, "matching": matching.size})
 
-    sig_pool = ([tuple(int(x) for x in s) for s in pool] if pool is not None
-                else default_signature_pool(g, seed))
-    proxies = []
-    for sigma in sig_pool:
-        gs = with_signature(g, sigma)
-        lows = cutoff.lower_bounds_full_all(gs)
-        proxy = int(np.sum(lows <= ZERO_TOL))
-        proxies.append(proxy)
+    sig_pool = default_signature_pool(g, seed)
+    lows = cutoff._signed_lowers(g, np.array(sig_pool, dtype=float))
+    proxies = np.sum(lows <= ZERO_TOL, axis=1).tolist()
+    for sigma, proxy in zip(sig_pool, proxies):
         record("alpha <= #{k : lower_k = 0} for every signature",
                alpha <= proxy, {"sigma": sigma, "alpha": alpha, "proxy": proxy})
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .graph import (GraphError, SignedGraph, connected_antibalancing_tau,
                     induced_subgraph, switch, with_zero_kappa)
-from .linalg import normalized_adjacency, normalized_spectrum, normalized_values
+from .linalg import _scaled, normalized_adjacency, normalized_spectrum
 from .solver import SolverConfig, solve_largest_grid
 
 EXACT_TOL = 1e-9
@@ -300,7 +300,14 @@ def lower_bound_full(g: SignedGraph, k: int) -> float:
 
 def lower_bounds_full_all(g: SignedGraph) -> np.ndarray:
     """The full-graph lower-bound vector for k = 1..n (one eigensolve)."""
-    return np.maximum(0.0, 0.5 * normalized_values(g, negate=True))
+    return _signed_lowers(g, g._arrays.sigma)
+
+
+def _signed_lowers(g: SignedGraph, sigma: np.ndarray) -> np.ndarray:
+    """lower_bounds_full_all of g with the signature sigma (in edge order),
+    or one row of bounds per row of an (S, m) stack of signatures, from one
+    stacked eigh (eigvalsh rounds differently)."""
+    return np.maximum(0.0, 0.5 * np.linalg.eigh(_scaled(g, -sigma * g._arrays.w))[0])
 
 
 def lower_bound_subgraphs(g: SignedGraph, k: int) -> tuple[float, tuple]:
@@ -409,19 +416,6 @@ def _subset_uppers(g: SignedGraph, ks: Sequence[int], budget: int, seed: int,
                 break
         out.append((best[0], ("vertex-subset", best[1])))
     return out
-
-
-def upper_bound_from_p(g: SignedGraph, k_label: int, p: float,
-                       lam_hat: float) -> float:
-    """L_1 <= 2^-p * lam_hat for any certified upper bound lam_hat of the
-    bottom eigenvalue at exponent p (kappa must vanish)."""
-    if k_label != 1:
-        raise ValueError("only k = 1 has certified upper bounds from finite p")
-    if any(x != 0 for x in g.kappa):
-        raise ValueError("the finite-p upper bound requires kappa == 0")
-    if not p > 1:
-        raise ValueError("p must be > 1")
-    return 2.0 ** (-p) * lam_hat
 
 
 def bracket(g: SignedGraph, k: int) -> CutoffBracket:

@@ -7,16 +7,16 @@ instances are safe to share across threads.
 
 Kernels read a graph through one read-only array view (GraphArrays), built
 on first use (never by validate) and kept on the instance, outside equality,
-hashing and pickling; switch and negate hand their result the view of their
-input with sigma replaced.  The balance classification is kept the same
-way, and so is the connected antibalancing witness.  A concurrent first
-use may build any of them twice; harmless.
+hashing and pickling; switch, negate and with_zero_kappa hand their result
+the view of their input with sigma (kappa) replaced.  The balance
+classification is kept the same way, and so is the connected antibalancing
+witness.  A concurrent first use may build any of them twice; harmless.
 
-A switched or negated graph is made from that view alone: its edge tuples
-are built from the view the first time something reads g.edges, which
-equality, hashing, repr, pickling and JSON output do.  The Perron solver
-switches a graph once per solve and never reads them, and the sign
-propagation behind balance, antibalance and components reads the view.
+A switched, negated or kappa-zeroed graph is made from that view alone: its
+edge tuples are built from the view the first time something reads
+g.edges, which equality, hashing, repr, pickling and JSON output do.  The
+Perron solver switches a graph once per solve and never reads them, and the
+sign propagation behind balance, antibalance and components reads the view.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class SignedGraph:
 
     def __getattr__(self, name: str):
         # only reached when the instance has no such attribute: the edge
-        # tuples of a graph that _resigned built from a view
+        # tuples of a graph that _from_view built from a view
         if name != "edges" or "_arrays" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         a = self.__dict__["_arrays"]
@@ -234,16 +234,19 @@ def _check_tau(g: SignedGraph, tau: Sequence[int]) -> np.ndarray:
     return t
 
 
-def _resigned(g: SignedGraph, sigma: np.ndarray) -> SignedGraph:
-    """g with the float signature sigma (in edge order), made from g's view
-    alone.  deg, rt, scale and ends do not depend on signs, so the new graph
-    gets g's view with sigma replaced, and no edge tuples: __getattr__
-    builds them from that view the first time g.edges is read.  Equality,
-    hashing, repr, pickling and to_json_dict read them, so they see the
-    same edges as a graph validated from the switched description."""
-    sigma.setflags(write=False)
+def _from_view(g: SignedGraph, **fields: np.ndarray) -> SignedGraph:
+    """g with the named arrays of its view replaced (the float signature
+    sigma in edge order, or kappa), made from that view alone.  deg, rt,
+    scale and ends depend on neither, so the new graph gets g's view with
+    those arrays replaced, and no edge tuples: __getattr__ builds them from
+    that view the first time g.edges is read.  Equality, hashing, repr,
+    pickling and to_json_dict read them, so they see the same graph as one
+    validated from the changed description."""
+    for arr in fields.values():
+        arr.setflags(write=False)
+    kappa = tuple(fields["kappa"].tolist()) if "kappa" in fields else g.kappa
     out = object.__new__(SignedGraph)
-    out.__dict__.update(n=g.n, mu=g.mu, kappa=g.kappa, _arrays=g._arrays._replace(sigma=sigma))
+    out.__dict__.update(n=g.n, mu=g.mu, kappa=kappa, _arrays=g._arrays._replace(**fields))
     return out
 
 
@@ -251,19 +254,19 @@ def switch(g: SignedGraph, tau: Sequence[int]) -> SignedGraph:
     """Switch the signature: sigma_uv -> tau(u)*sigma_uv*tau(v)."""
     t = _check_tau(g, tau)
     a = g._arrays
-    return _resigned(g, t[a.u] * a.sigma * t[a.v])
+    return _from_view(g, sigma=t[a.u] * a.sigma * t[a.v])
 
 
 def negate(g: SignedGraph) -> SignedGraph:
     """Flip every edge sign; the adjacency matrix of the result is -A."""
-    return _resigned(g, -g._arrays.sigma)
+    return _from_view(g, sigma=-g._arrays.sigma)
 
 
 def with_zero_kappa(g: SignedGraph) -> SignedGraph:
     """g with kappa zeroed; g itself, array view included, if it already is."""
     if not any(g.kappa):
         return g
-    return SignedGraph(g.n, g.edges, g.mu, (0.0,) * g.n)
+    return _from_view(g, kappa=np.zeros(g.n))
 
 
 def induced_subgraph(g: SignedGraph, keep: Iterable[int]) -> SignedGraph:
@@ -329,10 +332,6 @@ def components(g: SignedGraph) -> list[list[int]]:
     for i, r in enumerate(_propagate(g, 1)[1]):
         out.setdefault(r, []).append(i)
     return list(out.values())
-
-
-def is_connected(g: SignedGraph) -> bool:
-    return len(components(g)) == 1
 
 
 @dataclass(frozen=True)

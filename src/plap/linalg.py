@@ -5,6 +5,14 @@ through the symmetric similarity D^{-1/2} A D^{-1/2}, never by forming
 D^{-1} A, so exact symmetry is preserved.  Eigenvalues come back ascending
 and eigenvector signs are canonicalized (first significant component
 positive) so repeated runs are bit-identical.
+
+_scaled is the one builder of that form from per-edge values x (one row or
+a stack of them): X * rt[:, None] * rt[None, :], entry (i, j) = (x rt_i)
+rt_j.  The full-graph spectra, the inertia scan's stack of signatures and
+the solver's p = 2 pencil and |A|-Perron start use it.  normalized_adjacency,
+behind cutoff's masked subgraph stacks, puts scale = (w rt_u) rt_v in both
+triangles instead.  eigh reads the lower triangle, (x rt_v) rt_u in the
+first form, so merging the two would move eigenvalues in the last place.
 """
 
 from __future__ import annotations
@@ -33,20 +41,28 @@ class EigenDecomposition:
 
 
 def _symmetric(n: int, u: np.ndarray, v: np.ndarray, vals: np.ndarray,
-               lead: tuple = (), at: tuple = ()) -> np.ndarray:
+               lead: tuple = (), at: tuple = (Ellipsis,)) -> np.ndarray:
     """vals at (u, v) and (v, u) of an n x n matrix; given a lead shape, of
-    a stack of them, entry t going to the matrix indexed by at[0][t], ..."""
+    a stack of them, entry t going to the matrix indexed by at[0][t], ...,
+    or by default vals[..., t] to every matrix of the stack."""
     a = np.zeros(lead + (n, n))
     a[(*at, u, v)] = vals
     a[(*at, v, u)] = vals
     return a
 
 
-def adjacency(g: SignedGraph, negate: bool = False) -> np.ndarray:
-    """Signed adjacency matrix: a_ij = sigma_ij * w_ij on edges, else 0;
-    negate flips every sign (the adjacency of graph.negate(g), bit for bit)."""
+def adjacency(g: SignedGraph) -> np.ndarray:
+    """Signed adjacency matrix: a_ij = sigma_ij * w_ij on edges, else 0."""
     a = g._arrays
-    return _symmetric(g.n, a.u, a.v, (-a.sigma if negate else a.sigma) * a.w)
+    return _symmetric(g.n, a.u, a.v, a.sigma * a.w)
+
+
+def _scaled(g: SignedGraph, vals: np.ndarray) -> np.ndarray:
+    """D^{-1/2} X D^{-1/2} for the symmetric X holding vals on the edges (in
+    edge order) and zeros elsewhere, as X * rt[:, None] * rt[None, :]; vals
+    of shape (S, m) give the (S, n, n) stack of its rows' matrices."""
+    a = g._arrays
+    return _symmetric(g.n, a.u, a.v, vals, np.shape(vals)[:-1]) * a.rt[:, None] * a.rt[None, :]
 
 
 def normalized_adjacency(g: SignedGraph, edge_mask: Optional[np.ndarray] = None,
@@ -79,11 +95,6 @@ def eigh_sorted(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, _canonical_signs(vecs)
 
 
-def _normalized_sym(g: SignedGraph, negate: bool) -> np.ndarray:
-    rt = g._arrays.rt
-    return adjacency(g, negate) * rt[:, None] * rt[None, :]
-
-
 def normalized_spectrum(g: SignedGraph, negate: bool = False) -> EigenDecomposition:
     """Spectrum of the normalized adjacency D^{-1} A via D^{-1/2} A D^{-1/2};
     with negate, of -A (that of graph.negate(g), bit for bit).
@@ -92,15 +103,9 @@ def normalized_spectrum(g: SignedGraph, negate: bool = False) -> EigenDecomposit
     product and solve A v = lambda D v.
     """
     a = g._arrays
-    vals, vecs = eigh_sorted(_normalized_sym(g, negate))
+    vals, vecs = eigh_sorted(_scaled(g, (-a.sigma if negate else a.sigma) * a.w))
     return EigenDecomposition(values=vals, vectors=_canonical_signs(a.rt[:, None] * vecs),
                               mu=a.mu)
-
-
-def normalized_values(g: SignedGraph, negate: bool = False) -> np.ndarray:
-    """normalized_spectrum(g, negate).values bit for bit, without the work on
-    eigenvectors.  It keeps the same eigh call: eigvalsh rounds differently."""
-    return np.linalg.eigh(_normalized_sym(g, negate))[0]
 
 
 def sign_counts(dec, tol: float) -> tuple[int, int, int]:

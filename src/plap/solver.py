@@ -74,7 +74,7 @@ import numpy as np
 
 from .graph import (SignedGraph, classify_balance, connected_antibalancing_tau,
                     structural_constants, switch, with_zero_kappa)
-from .linalg import adjacency, eigh_sorted
+from .linalg import _scaled, eigh_sorted
 
 P_CAP = 64.0
 # relative residual at which a p > 2 restart leaves the ascent for Newton:
@@ -377,7 +377,7 @@ def _power_refine(gneg: SignedGraph, ps: Sequence[float],
     exponent ps[i] from the start F0[i], all rows in lockstep; returns the
     (R, n) stack of last iterates and two masks per row: whether the stop
     rule below ended its iteration (False: CONE_ROUNDS ran out), and whether
-    an iterate had a zero or non-finite p-norm, where normalize_sp raises.
+    a round failed, where _cone_rounds raises ValueError.
 
     Requires sigma identically -1 and kappa >= 0; then Delta_p maps positive
     functions to positive ones and the normalized iteration converges to the
@@ -387,6 +387,13 @@ def _power_refine(gneg: SignedGraph, ps: Sequence[float],
     max T(f)/f (the Collatz-Wielandt bracket of Gaubert & Gunawardena,
     Trans. AMS 2004).  The iteration stops once that spread is at most
     CONE_RTOL * max, which pins lambda to about (p-1) * CONE_RTOL relative.
+
+    At huge finite weights T(f) or its p-norm overflows.  A round whose
+    p-norm is zero or not finite is redone from Delta_p f / mu over its
+    largest entry: T is 1-homogeneous, so the direction is the same, and a
+    finite round does no extra work.  The round still fails if Delta_p f
+    overflowed, or if an entry of the rescaled T(f) underflowed to 0 (below
+    p = 2) and the iterate left the open cone.
 
     Each row of a stack has its own exponent and its own stop, and leaves
     the live set at that stop or at a failed p-norm, so a grid of p costs
@@ -408,25 +415,32 @@ def _power_refine(gneg: SignedGraph, ps: Sequence[float],
     stopped = np.zeros(len(F), dtype=bool)
     failed = np.zeros(len(F), dtype=bool)
     live, f, p = np.arange(len(F)), F, P
-    for _ in range(CONE_ROUNDS):
-        t, invexp = _cone_apply(gneg, p, f) / mu, 1.0 / (p - 1.0)
-        t = _rowpow(t, invexp) if isinstance(p, np.ndarray) else t ** invexp
-        ratio = t / f
-        top = ratio.max(-1)
-        closed = top - ratio.min(-1) <= CONE_RTOL * top
-        nrm = pnorm(t, p, mu)
-        bad = ~(np.isfinite(nrm) & (nrm != 0))
-        nrm[bad] = np.nan               # a failed row divides without a warning
-        f = t / nrm[:, None]
-        leave = closed | bad
-        if leave.any():
-            F[live], stopped[live], failed[live] = f, closed & ~bad, bad
-            live, f = live[~leave], f[~leave]
-            if not live.size:
-                return F, stopped, failed
-            p = P[live]
-            if (p == p[0]).all():
-                p = float(p[0])
+    with np.errstate(over="ignore"):    # in a round that a rescale redoes
+        for _ in range(CONE_ROUNDS):
+            d, invexp = _cone_apply(gneg, p, f) / mu, 1.0 / (p - 1.0)
+            t = _rowpow(d, invexp) if isinstance(p, np.ndarray) else d ** invexp
+            nrm = pnorm(t, p, mu)
+            bad = ~(np.isfinite(nrm) & (nrm != 0))
+            if bad.any():       # those rows again from d over its largest entry
+                with np.errstate(invalid="ignore"):
+                    d = d / np.where(bad, d.max(-1), 1.0)[:, None]
+                t = _rowpow(d, invexp) if isinstance(p, np.ndarray) else d ** invexp
+                nrm = pnorm(t, p, mu)
+                bad = ~(np.isfinite(nrm) & (nrm != 0)) | bad & ~t.all(-1)
+            ratio = t / f
+            top = ratio.max(-1)
+            closed = top - ratio.min(-1) <= CONE_RTOL * top
+            nrm[bad] = np.nan               # a failed row divides without a warning
+            f = t / nrm[:, None]
+            leave = closed | bad
+            if leave.any():
+                F[live], stopped[live], failed[live] = f, closed & ~bad, bad
+                live, f = live[~leave], f[~leave]
+                if not live.size:
+                    return F, stopped, failed
+                p = P[live]
+                if (p == p[0]).all():
+                    p = float(p[0])
     F[live] = f
     return F, stopped, failed
 
@@ -436,13 +450,22 @@ def _cone_rounds(gneg: SignedGraph, p: float, f: np.ndarray) -> tuple[np.ndarray
     exponent p: (last iterate, whether it stopped)."""
     mu = gneg.mu_array()
     invexp = 1.0 / (p - 1.0)
-    for _ in range(CONE_ROUNDS):
-        t = (_cone_apply(gneg, p, f) / mu) ** invexp
-        ratio = t / f
-        spread = float(ratio.max() - ratio.min())
-        f = normalize_sp(t, p, mu)
-        if spread <= CONE_RTOL * float(ratio.max()):
-            return f, True
+    with np.errstate(over="ignore"):    # in a round that a rescale redoes
+        for _ in range(CONE_ROUNDS):
+            d = _cone_apply(gneg, p, f) / mu
+            t = d ** invexp
+            nrm = pnorm(t, p, mu)
+            if not (nrm != 0 and math.isfinite(nrm)):
+                with np.errstate(invalid="ignore"):
+                    t = (d / d.max()) ** invexp
+                nrm = pnorm(t, p, mu)
+                if not (nrm != 0 and math.isfinite(nrm) and t.all()):
+                    raise ValueError(_ZERO_NORM)
+            ratio = t / f
+            spread = float(ratio.max() - ratio.min())
+            f = t / nrm
+            if spread <= CONE_RTOL * float(ratio.max()):
+                return f, True
     return f, False
 
 
@@ -565,11 +588,12 @@ def _edgeless_pair(g: SignedGraph, p: float, largest: bool) -> PEigenPair:
 def _pencil_vector(g: SignedGraph, largest: bool) -> np.ndarray:
     """Top (bottom) generalized eigenvector of the p = 2 pencil
     (Deg + K - A, diag(mu)): the maximizer (minimizer) of the p = 2 quotient."""
+    a = g._arrays
+    lap = _scaled(g, -a.sigma * a.w)
     # kappa enters the p=2 pencil through the diagonal of Deg + K - A
-    lap = np.diag(g.weighted_degrees() + g.kappa_array()) - adjacency(g)
-    rt = g._arrays.rt
-    _, vecs = eigh_sorted(lap * rt[:, None] * rt[None, :])
-    return rt * vecs[:, -1 if largest else 0]
+    lap[np.diag_indices(g.n)] = (g.weighted_degrees() + g.kappa_array()) * a.rt * a.rt
+    _, vecs = eigh_sorted(lap)
+    return a.rt * vecs[:, -1 if largest else 0]
 
 
 def _starts(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool) -> list[np.ndarray]:
@@ -577,9 +601,9 @@ def _starts(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool) -> list[
     two-point edge vectors (the sparse maximizers that dominate for p < 2),
     then seeded random points."""
     starts = [_pencil_vector(g, largest)]
-    rt = g._arrays.rt
-    _, pvecs = eigh_sorted(np.abs(adjacency(g)) * rt[:, None] * rt[None, :])
-    starts.append(np.abs(rt * pvecs[:, -1]) + 1e-9)
+    a = g._arrays
+    _, pvecs = eigh_sorted(_scaled(g, a.w))
+    starts.append(np.abs(a.rt * pvecs[:, -1]) + 1e-9)
     if largest:
         heavy = sorted(g.edges, key=lambda e: (-e.w, e.u, e.v))[:12]
         for e in heavy:

@@ -16,7 +16,7 @@ import pytest
 from plap import cli, cutoff, families, graph, linalg, solver, tensor
 from plap.solver import psi
 
-from conftest import random_connected_antibalanced, random_weighted
+from conftest import random_connected_antibalanced, random_signed, random_weighted
 
 GRAPHS = ([random_weighted(n, 0.5, seed, isolated=seed % 3) for seed, n in enumerate(range(3, 15))]
           + [graph.validate(4, [], mu=[1.0, 2.0, 0.5, 3.0], kappa=[0.5, -1.0, 0.0, 2.0]),
@@ -76,6 +76,27 @@ def _old_neg_sym_matrix(g, edge_mask=None):
             continue
         m[e.u, e.v] = m[e.v, e.u] = -e.sigma * e.w * rt[e.u] * rt[e.v]
     return m
+
+
+# the three copies of D^{-1/2} X D^{-1/2} that linalg._scaled replaced
+def _old_normalized_sym(g, negate):
+    a = g._arrays
+    adj = np.zeros((g.n, g.n))
+    adj[a.u, a.v] = adj[a.v, a.u] = (-a.sigma if negate else a.sigma) * a.w
+    return adj * a.rt[:, None] * a.rt[None, :]
+
+
+def _old_pencil_vector(g, largest):
+    lap = np.diag(g.weighted_degrees() + g.kappa_array()) - linalg.adjacency(g)
+    rt = g._arrays.rt
+    _, vecs = linalg.eigh_sorted(lap * rt[:, None] * rt[None, :])
+    return rt * vecs[:, -1 if largest else 0]
+
+
+def _old_perron_start(g):
+    rt = g._arrays.rt
+    _, pvecs = linalg.eigh_sorted(np.abs(linalg.adjacency(g)) * rt[:, None] * rt[None, :])
+    return np.abs(rt * pvecs[:, -1]) + 1e-9
 
 
 def _old_build_tensor(g, p):
@@ -145,10 +166,36 @@ def test_normalized_adjacency_equals_the_edge_loops(g):
 def test_negate_flag_equals_the_negated_graph_bit_for_bit(g):
     neg = graph.validate(g.n, [(e.u, e.v, e.w, -e.sigma) for e in g.edges],
                          mu=g.mu, kappa=g.kappa)
-    assert linalg.adjacency(g, negate=True).tobytes() == linalg.adjacency(neg).tobytes()
     got, want = linalg.normalized_spectrum(g, negate=True), linalg.normalized_spectrum(neg)
     assert got.values.tobytes() == want.values.tobytes()
     assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
+# signed graphs with n 1-13 and weighted ones with non-unit mu and kappa != 0
+BUILDER_GRAPHS = ([random_signed(n, 0.5, seed) for n in range(1, 14) for seed in range(6)]
+                  + [random_weighted(n, 0.6, seed, isolated=seed % 2)
+                     for n in range(2, 10) for seed in range(6)])
+
+
+def test_the_one_builder_reproduces_the_three_old_copies():
+    assert len(BUILDER_GRAPHS) == 126
+    for g in BUILDER_GRAPHS:
+        a = g._arrays
+        for negate in (False, True):
+            want = _old_normalized_sym(g, negate)
+            assert linalg._scaled(g, (-a.sigma if negate else a.sigma) * a.w).tobytes() \
+                == want.tobytes()
+            dec = linalg.normalized_spectrum(g, negate=negate)
+            vals, vecs = linalg.eigh_sorted(want)
+            assert dec.values.tobytes() == vals.tobytes()
+            assert dec.vectors.tobytes() == linalg._canonical_signs(a.rt[:, None] * vecs).tobytes()
+        for largest in (False, True):
+            assert solver._pencil_vector(g, largest).tobytes() \
+                == _old_pencil_vector(g, largest).tobytes()
+        assert linalg._scaled(g, a.w).tobytes() \
+            == (np.abs(linalg.adjacency(g)) * a.rt[:, None] * a.rt[None, :]).tobytes()
+        start = solver._starts(g, 3.0, solver.SolverConfig(), largest=True)[1]
+        assert start.tobytes() == _old_perron_start(g).tobytes()
 
 
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
@@ -249,6 +296,20 @@ def test_with_zero_kappa_reuses_a_zero_potential_graph():
     assert h.kappa == (0.0,) * h.n and h.edges == GRAPHS[4].edges
 
 
+def test_with_zero_kappa_zeroes_the_view():
+    # the rest of the view is the input's own; equality, hash, repr and
+    # pickle bytes: tests/test_properties.py
+    g = GRAPHS[4]
+    h = graph.with_zero_kappa(g)
+    a, b = g._arrays, h._arrays
+    assert "edges" not in h.__dict__
+    assert b.kappa.tobytes() == np.zeros(g.n).tobytes() and not b.kappa.flags.writeable
+    assert all(x is y for x, y, name in zip(a, b, a._fields) if name != "kappa")
+    want = graph.validate(g.n, [tuple(e) for e in g.edges], mu=g.mu, kappa=[0.0] * g.n)
+    assert h == want and hash(h) == hash(want) and repr(h) == repr(want)
+    assert pickle.dumps(h) == pickle.dumps(want)
+
+
 def test_connected_antibalancing_witness_is_kept_outside_pickle(monkeypatch):
     g = graph.negate(families.cycle(6))
     calls = []
@@ -275,9 +336,10 @@ def test_the_scatter_index_is_built_once_per_graph(g):
 # --- graphs built without edge tuples ---------------------------------------
 
 def test_a_switched_graph_is_solved_without_its_edge_tuples():
-    # a Perron solve and the limit scan switch their graph once more; none
-    # of these reads the edge tuples of the switched graph, or of the ones
-    # they make
+    # a Perron solve, the limit scan and the potential shift check switch
+    # their graph once more, and the last two zero its potential; none of
+    # these reads the edge tuples of the switched graph, or of the ones they
+    # make
     base = random_connected_antibalanced(9, 0.5, 3)
     tau = np.where(np.arange(9) % 3, 1, -1)
     weighted = graph.validate(9, [(e.u, e.v, 0.5 + e.u, e.sigma) for e in base.edges],
@@ -294,13 +356,15 @@ def test_a_switched_graph_is_solved_without_its_edge_tuples():
                 mp.setattr(module, "switch", lambda g, t: made.append(switch(g, t)) or made[-1])
             pair = solver.solve_largest(h, 3.0)
             pairs = list(solver.solve_largest_grid(h, cli.DEFAULT_P_GRID))
-            if not any(g.kappa):
-                cutoff.limit_scan(h, cli.LIMIT_P_GRID)
+            cutoff.limit_scan(h, cli.LIMIT_P_GRID)
+            if any(g.kappa):
+                assert solver.potential_shift_check(h, 3.0, h.n).passed
         assert pair.certificate == "perron-certified"
         assert {q.certificate for q in pairs} == {"perron-certified"}
         assert "edges" not in h.__dict__
-    # solve, grid, and the limit scan's switch and grid; solve and grid
-    assert len(made) == 6 and not any("edges" in x.__dict__ for x in made)
+    # solve, grid, and the limit scan's switch and grid, for both graphs;
+    # the shift check's two solves for the weighted one
+    assert len(made) == 10 and not any("edges" in x.__dict__ for x in made)
 
 
 def test_a_switched_graph_keeps_the_dataclass_contract():

@@ -120,6 +120,15 @@ def test_spectrum_at_p32_answers_on_k4(tmp_path, capsys):
     assert json.loads(out)["checks"][0]["status"] == "pass"
 
 
+def test_spectrum_answers_on_a_huge_finite_weight(tmp_path, capsys):
+    # the first cone iterate's p-norm overflows; the rescaled round certifies
+    g = graph.validate(3, [(0, 1, 1e200, -1), (1, 2, 1.0, -1)])
+    path = _write_graph(tmp_path, g)
+    code, out, _ = _run(capsys, "spectrum", path, "--p", "2", "--which", "largest")
+    assert code == 0
+    assert json.loads(out)["values"]["certificate"] == "perron-certified"
+
+
 def test_report_refuses_non_finite_numbers():
     rep = Report(command=["plap"], input_digest="sha256:0", seed=None)
     rep.add("check", "anchor", True, {"value": float("nan")})

@@ -7,15 +7,14 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from plap import combinatorics, families
+from plap import combinatorics, cutoff, families
 from plap.combinatorics import (cvetkovic_bound, default_signature_pool,
-                                full_signature_pool, inertia_report,
-                                is_strict_support, max_independent_set,
+                                inertia_report, max_independent_set,
                                 max_matching, min_edge_cover)
 from plap.graph import GraphError, validate
 from plap.linalg import adjacency
 
-from conftest import random_signed
+from conftest import random_signed, random_weighted
 
 
 def _to_nx(g):
@@ -156,14 +155,6 @@ def test_cvetkovic_rejects_non_finite_entries(value):
         cvetkovic_bound(k4, m)
 
 
-def test_strict_support_family():
-    p3 = families.path(3)
-    assert is_strict_support(p3, adjacency(p3))
-    partial = adjacency(p3).copy()
-    partial[0, 1] = partial[1, 0] = 0.0
-    assert not is_strict_support(p3, partial)
-
-
 def test_cvetkovic_dominates_alpha_on_random_graphs():
     for seed in range(10):
         g = random_signed(8, 0.5, seed)
@@ -175,9 +166,6 @@ def test_signature_pools():
     pool = default_signature_pool(g, seed=0)
     assert len(pool) == 10 and pool[0] == (1, 1, 1) and pool[1] == (-1, -1, -1)
     assert default_signature_pool(g, seed=0) == pool     # deterministic
-    assert len(full_signature_pool(g)) == 2 ** 3
-    with pytest.raises(GraphError):
-        full_signature_pool(families.complete(7))        # 21 edges > 16
 
 
 def test_inertia_report_star():
@@ -232,12 +220,47 @@ def test_inertia_report_computes_the_maximum_matching_once(g, monkeypatch):
     assert rep.beta == min_edge_cover(g).size == g.n - rep.matching_size
 
 
-def test_inertia_report_full_pool_small_graph():
-    g = families.path(3)
-    rep = inertia_report(g, pool=full_signature_pool(g))
-    assert rep.ok
-    assert len(rep.zero_count_proxies) == 4
-    assert all(p >= rep.alpha for p in rep.zero_count_proxies)
+def _resigned(g, sigma):
+    """g validated anew with the signature sigma, as the old per-signature
+    scan built it."""
+    return validate(g.n, [(e.u, e.v, e.w, int(s)) for e, s in zip(g.edges, sigma)],
+                    mu=g.mu, kappa=g.kappa)
+
+
+# edgeless graphs, n = 1 and n = 2, signed graphs, and weighted graphs with
+# non-unit mu and kappa != 0
+SCAN_GRAPHS = ([families.edgeless(n) for n in (1, 2, 4)] + [families.complete(2)]
+               + [validate(2, [(0, 1, 2.5, -1)], mu=[0.5, 3.0], kappa=[1.0, -1.0])]
+               + [random_signed(n, 0.5, seed) for n in range(3, 12) for seed in range(6)]
+               + [random_weighted(n, 0.6, seed, isolated=seed % 2)
+                  for n in range(3, 10) for seed in range(6)])
+
+
+def test_the_stacked_signature_scan_is_each_resigned_graph_bit_for_bit():
+    assert len(SCAN_GRAPHS) >= 100
+    for seed, g in enumerate(SCAN_GRAPHS):
+        pool = default_signature_pool(g, seed)
+        lows = cutoff._signed_lowers(g, np.array(pool, dtype=float))
+        assert lows.shape == (len(pool), g.n)
+        for sigma, row in zip(pool, lows):
+            assert row.tobytes() == cutoff.lower_bounds_full_all(_resigned(g, sigma)).tobytes()
+        if g.n <= 8:
+            want = [int(np.sum(row <= combinatorics.ZERO_TOL)) for row in lows]
+            rep = inertia_report(g, seed=seed)
+            assert list(rep.zero_count_proxies) == want and rep.pool == tuple(pool)
+
+
+@pytest.mark.parametrize("g", [families.path(3), families.star(5), families.cycle(5),
+                               families.complete(4), families.cycle(10),
+                               random_signed(7, 0.35, 1), random_weighted(6, 0.5, 2)],
+                         ids=["P3", "star5", "C5", "K4", "C10", "signed7", "weighted6"])
+def test_alpha_is_at_most_the_zero_count_of_every_signature(g):
+    # the paper's bound holds for every signature: check all 2^m of them
+    assert g.m <= 10
+    codes = np.arange(2 ** g.m)[:, None] >> np.arange(g.m) & 1
+    lows = cutoff._signed_lowers(g, 1.0 - 2.0 * codes)
+    zero_counts = np.sum(lows <= combinatorics.ZERO_TOL, axis=1)
+    assert max_independent_set(g).size <= zero_counts.min()
 
 
 def test_failed_checks_carry_witness():

@@ -13,11 +13,10 @@ from plap import cutoff, families, graph
 from plap.combinatorics import max_independent_set
 from plap.cutoff import (bracket, brackets, exact_ln, interlacing_check,
                          interlacing_checks, limit_scan, lower_bound_full,
-                         lower_bound_subgraphs, r_q_infty, upper_bound_from_p,
-                         upper_bound_subsets)
+                         lower_bound_subgraphs, r_q_infty, upper_bound_subsets)
 from plap.graph import GraphError, negate, switch, validate
 from plap.linalg import adjacency, normalized_adjacency
-from plap.solver import solve_largest, solve_smallest
+from plap.solver import solve_largest
 
 from conftest import random_connected_antibalanced, random_signed, random_weighted
 
@@ -497,18 +496,16 @@ def test_upper_bound_subsets_examples():
         assert val == 0.0
 
 
-def test_upper_bound_from_p():
-    c4 = families.cycle(4)
-    lam = solve_smallest(c4, 2.0).value
-    assert upper_bound_from_p(c4, 1, 2.0, lam) == 0.0
-    k3n = negate(families.complete(3))
-    lam = solve_smallest(k3n, 8.0).value
-    up = upper_bound_from_p(k3n, 1, 8.0, lam)
-    assert 0.0 <= up == 2.0 ** -8 * lam
-    with pytest.raises(ValueError):
-        upper_bound_from_p(c4, 2, 2.0, lam)
-    with pytest.raises(ValueError):
-        upper_bound_from_p(validate(2, [(0, 1)], kappa=[1.0, 0.0]), 1, 2.0, 0.0)
+def test_brackets_pin_the_bottom_cutoff_eigenvalue_to_zero():
+    # one vertex is an independent set, so upper_1 = 0, and lower_1 >= 0:
+    # no finite-p bound can tighten L_1
+    graphs = [families.cycle(4), negate(families.complete(3)), families.edgeless(2),
+              validate(2, [(0, 1)], kappa=[1.0, 0.0]),
+              *(families.random_graph(n, 0.5, seed, signed=True)
+                for n in (1, 5, 8) for seed in range(4))]
+    for g in graphs:
+        b = bracket(g, 1)
+        assert b.lower == b.upper == 0.0 and b.exact
 
 
 TABLE_N3 = [

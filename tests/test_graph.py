@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from plap import families, graph
 from plap.graph import (GraphError, classify_balance, components,
-                        induced_subgraph, is_connected, negate, spanning_subgraph,
+                        induced_subgraph, negate, spanning_subgraph,
                         structural_constants, switch, validate)
 
 from conftest import random_connected_antibalanced, random_signed, random_weighted
@@ -273,7 +273,7 @@ def _balance_cases():
 def test_connected_antibalancing_tau_agrees_with_classify_balance(g):
     want = classify_balance(g).antibalanced_witness
     got = graph.connected_antibalancing_tau(g)
-    assert got == (want if is_connected(g) else None)
+    assert got == (want if len(components(g)) == 1 else None)
     if got is not None:
         assert all(e.sigma == -1 for e in switch(g, got).edges)
 

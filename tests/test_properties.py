@@ -1,6 +1,6 @@
 """Property tests over generated signed graphs: the graph JSON round trip,
 where validation says a graph is wrong, switching invariance, and switched
-graphs that build their edge tuples on first read."""
+or kappa-zeroed graphs that build their edge tuples on first read."""
 
 import pickle
 
@@ -87,14 +87,17 @@ def test_switching_leaves_exact_ln_unchanged(data):
 @PROPERTY
 @given(st.data())
 def test_a_switched_graph_is_the_validated_graph(data):
-    # switch and negate build no edge tuples; whatever reads them first must
-    # see the graph validate makes from the switched description
+    # switch, negate and with_zero_kappa build no edge tuples; whatever reads
+    # them first must see the graph validate makes from the changed description
     g = data.draw(signed_graphs())
     t = data.draw(switchings(g))
-    for lazy, sigmas in ((graph.switch(g, t), [t[e.u] * e.sigma * t[e.v] for e in g.edges]),
-                         (graph.negate(g), [-e.sigma for e in g.edges])):
+    cases = [(graph.switch(g, t), [t[e.u] * e.sigma * t[e.v] for e in g.edges], g.kappa),
+             (graph.negate(g), [-e.sigma for e in g.edges], g.kappa)]
+    if any(g.kappa):
+        cases.append((graph.with_zero_kappa(graph.switch(g, t)), cases[0][1], [0.0] * g.n))
+    for lazy, sigmas, kappa in cases:
         eager = graph.validate(g.n, [(e.u, e.v, e.w, int(s)) for e, s in zip(g.edges, sigmas)],
-                               mu=g.mu, kappa=g.kappa)
+                               mu=g.mu, kappa=kappa)
         assert "edges" not in lazy.__dict__
         for _ in range(2):          # before the tuples are built, and after
             assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)

@@ -700,7 +700,15 @@ def _serial_cone(gneg, p, f0):
     f = _ref_normalize(f, p, mu)
     invexp = 1.0 / (p - 1.0)
     for _ in range(solver.CONE_ROUNDS):
-        t = (_ref_apply(gneg, p, f) / mu) ** invexp
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = _ref_apply(gneg, p, f) / mu
+            t = d ** invexp
+            try:
+                _ref_normalize(t, p, mu)
+            except ValueError:      # redo the round from d over its largest entry
+                t = (d / d.max()) ** invexp
+                if not t.all():     # an entry underflowed: out of the open cone
+                    raise
         ratio = t / f
         spread = float(ratio.max() - ratio.min())
         f = _ref_normalize(t, p, mu)
@@ -840,14 +848,40 @@ def test_a_grid_raises_the_serial_loops_error_at_the_same_p(name, ps):
     assert _assert_grid_is_serial(g, ps) == "error"
 
 
+def _heavy_path(w):
+    """The path 0 - 1 - 2, all negative, with weights w and 1."""
+    return graph.validate(3, [(0, 1, w, -1), (1, 2, 1.0, -1)])
+
+
 @pytest.mark.parametrize("ps", [(32.0, 2.0, 64.0), (2.0,), (32.0, 64.0, 3.0)])
 def test_a_row_whose_norm_overflows_raises_as_the_serial_loop(ps):
-    # at p = 2 the squared weight 1e400 overflows the p-norm of the first
-    # cone iterate, which the serial loop could not normalize
-    g = graph.validate(3, [(0, 1, 1e200, -1), (1, 2, 1.0, -1)])
-    with np.errstate(over="ignore"):
-        got = _assert_grid_is_serial(g, ps)
-    assert (got == "error") == (2.0 in ps)
+    # at p >= 32, Delta_p of the first cone iterate overflows with weight
+    # 1e300, so no rescale can save the round; p = 2 and 3 rescale and certify
+    got = _assert_grid_is_serial(_heavy_path(1e300), ps)
+    assert (got == "error") == (32.0 in ps)
+
+
+@pytest.mark.parametrize("w,ps", [(1e200, (2.0, 3.0, 8.0, 32.0, 64.0)),
+                                  (1e300, (2.0, 3.0, 4.0, 8.0, 16.0))])
+def test_a_huge_finite_weight_is_certified_after_a_rescale(w, ps):
+    # the p-norm of T(f) overflows; T is 1-homogeneous, so the round is
+    # redone from Delta_p f / mu over its largest entry.  The heavy edge
+    # dominates: lambda = w 2^(p-1) to far below the last place
+    g = _heavy_path(w)
+    assert _assert_grid_is_serial(g, ps) == ["perron-certified"] * len(ps)
+    for p in ps:
+        pair = solve_largest(g, p)
+        assert pair.value == pytest.approx(w * 2.0 ** (p - 1.0), rel=1e-12)
+        assert np.all(pair.f > 0) and pair.residual <= 1e-8 * (1.0 + pair.value)
+
+
+@pytest.mark.parametrize("w,p", [(1e200, 1.5), (1e300, 1.5), (1e300, 1.9), (1e300, 32.0),
+                                 (1e300, 64.0)])
+def test_a_huge_weight_that_no_rescale_saves_fails_by_name(w, p):
+    # below p = 2 the rescaled T(f) underflows to 0 at the light end and
+    # leaves the open cone; at p >= 32, Delta_p itself overflows at 1e300
+    with pytest.raises(ValueError, match="cannot normalize the zero"):
+        solve_largest(_heavy_path(w), p)
 
 
 def _two_components():

@@ -8,9 +8,10 @@ import inspect
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from plap import cli, cutoff, families, graph, solver
+from plap import cli, combinatorics, cutoff, families, graph, solver
 
 from conftest import sparse_antibalanced
 
@@ -153,3 +154,18 @@ def test_a_perron_solve_calls_apply_plap_only_for_its_residual(g):
     assert traced["solver._power_refine"] == 1
     assert traced["solver.apply_plap"] == 1
     assert traced.get("solver._finish", 0) == 0
+
+
+@needs_spans
+def test_a_traced_inertia_report_scores_its_signature_pool_in_one_eigensolve(monkeypatch):
+    # perfbench's linalg.dense_eig counts every eigh and eigvalsh call; the
+    # ten signatures of the pool add one call to those of the rest of the
+    # report (a fresh graph each time, so nothing is reused)
+    def report():
+        combinatorics.inertia_report(families.random_graph(9, 0.5, 1, signed=True))
+    with_pool, _ = _traced(report)
+    monkeypatch.setattr(cutoff, "_signed_lowers",
+                        lambda g, sigma: np.zeros(sigma.shape[:-1] + (g.n,)))
+    without_pool, _ = _traced(report)
+    assert with_pool["combinatorics.inertia_report"] == 1
+    assert with_pool["linalg.dense_eig"] == without_pool["linalg.dense_eig"] + 1
