@@ -451,7 +451,8 @@ def brackets(g: SignedGraph, ks: Sequence[int], budget: int = DEFAULT_BUDGET,
                 uppers.append((ln.upper, ("exact",)))
         lower, lower_cert = max(lowers, key=lambda t: t[0])
         upper, upper_cert = min(uppers, key=lambda t: t[0])
-        if not lower <= upper + EXACT_TOL:    # a NaN side fails too
+        # relative, so one ulp between two bounds near 1e200 passes; a NaN fails
+        if not lower <= upper + EXACT_TOL * (1.0 + max(abs(lower), abs(upper))):
             raise RuntimeError(f"inconsistent bracket for k={k}: "
                                f"lower {lower!r} > upper {upper!r}")
         out.append(CutoffBracket(k=k, lower=lower, upper=upper,

@@ -28,19 +28,27 @@ scatter index.  apply_plap still computes the finished pair's residual.
 At p = 2 the quotient is that of the pencil (Deg + K - A, diag(mu)), whose
 extreme generalized eigenvector is its global maximizer (minimizer); the
 generic path returns it, Newton-polished, without any restart.  At every
-other p each restart leaves the ascent at relative residual HANDOFF (p > 2)
-or HANDOFF_P_BELOW_2 (p < 2) and Newton's method on the eigen-equation
-finishes it; a restart whose polish misses the tolerance resumes its ascent
-where it left off, under the tolerance stop.  The ascent converges only
-linearly below p = 2 (Buhler & Hein, ICML 2009), so there such a restart is
-handed to Newton again each time its relative residual has fallen to
-REHANDOFF times that of its last try; above p = 2 it gets one try.  Below
-p = 2 an eigenfunction also often has zero entries, where |f_i|^(p-2) in
-the Jacobian is infinite; when plain Newton misses the tolerance the polish
-sets the entries below PIN of the largest to exactly 0, solves for the
-others, and accepts a step only if the residual over all vertices, the
-pinned ones included, falls.  The Perron path skips the polish below p = 2:
-a pinned zero would break its one-signed certificate.
+other p each restart is parked at relative residual HANDOFF (p > 2) or
+HANDOFF_P_BELOW_2 (p < 2), and Newton's method on the eigen-equation
+finishes it.  The parked restarts are polished as one stack, once no
+restart is still ascending or once the first of them has waited
+POLISH_ROUNDS iterations: each row keeps its own lambda, best residual,
+stop and pinned set, and a round in which every row solves for the same
+unknowns makes one stacked np.linalg.solve, which returns each row the bits
+of a solve on its matrix alone.  A restart whose polish meets the tolerance
+ends there; the others resume their ascent from the state they were parked
+in, each with its own iteration count against MAX_ITERS, under the
+tolerance stop.  The ascent converges only linearly below p = 2 (Buhler &
+Hein, ICML 2009), so there such a restart is parked again each time its
+relative residual has fallen to REHANDOFF times that of its last try; above
+p = 2 it gets one try.  The end points of the restarts that no polish ended
+are polished as one stack as well.  Below p = 2 an eigenfunction also often
+has zero entries, where |f_i|^(p-2) in the Jacobian is infinite; when plain
+Newton misses the tolerance the polish sets the entries below PIN of the
+largest to exactly 0, solves for the others, and accepts a step only if the
+residual over all vertices, the pinned ones included, falls.  The Perron
+path skips the polish below p = 2: a pinned zero would break its
+one-signed certificate.
 
 All restarts ascend together as one (R, n) stack, so each iteration pays
 numpy's per-call overhead once rather than R times; apply_plap, rayleigh and
@@ -98,7 +106,10 @@ REHANDOFF = 0.5
 # |f_i| <= PIN * max|f| set to exactly 0
 PIN = 1e-3
 # Newton rounds are cheap next to the ascent; a row at a linear rate (a
-# degenerate Jacobian) needs more than a handful to reach the tolerance
+# degenerate Jacobian) needs more than a handful to reach the tolerance.
+# A parked row also waits at most this many ascent iterations for others
+# to join its polish: about what a polish costs, so waiting longer could
+# only delay a row that misses the tolerance
 POLISH_ROUNDS = 30
 # Armijo trial steps of one row tried together; a row needs 1-3 in nearly
 # every iteration, so a block of 4 almost always settles it in one round
@@ -184,12 +195,17 @@ def apply_plap(g: SignedGraph, p, f: np.ndarray) -> np.ndarray:
     exponent per row of a stack (R, n)."""
     _check_p(p)
     f = np.asarray(f, dtype=float)
+    # a stack of one row costs as much as one function
+    one = f.ndim == 2 and len(f) == 1 and not isinstance(p, np.ndarray)
+    if one:
+        f = f[0]
     a = g._arrays
     t = psi(p, f.take(a.u, axis=-1) - a.sigma * f.take(a.v, axis=-1))
     # one pass over (vertex terms, u-ends, v-ends) sums each vertex in the
     # same order as kappa * psi(f) followed by np.add.at over u, then v
     vals = np.concatenate((a.kappa * psi(p, f), a.w * t, -a.sigma * a.w * t), axis=-1)
-    return _scatter(g.n, a.ends, vals)
+    out = _scatter(g.n, a.ends, vals)
+    return out[None, :] if one else out
 
 
 def _scatter(n: int, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -294,50 +310,75 @@ def _row_sqnorms(G: np.ndarray) -> np.ndarray:
 
 def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
             maximize: bool,
-            handoff: Optional[Callable[[int, np.ndarray, float], bool]] = None
+            handoff: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
             ) -> tuple[np.ndarray, np.ndarray]:
     """Armijo projected gradient on the unit p-sphere from each row of the
     (R, n) stack F0, all rows in lockstep; returns the (R, n) stack F and the
     (R,) values lam.
 
-    Each row keeps its own value, step and backtracking, and leaves the live
-    set when its own run would stop: residual below 1e-3 * tol, a vanishing
-    gradient, no Armijo step, or MAX_ITERS iterations.  Every row does exactly the
-    arithmetic of a one-row run, so its result is the same bit for bit.
+    Each row keeps its own value, step, backtracking and iteration count,
+    and leaves the live set when its own run would stop: residual below
+    1e-3 * tol, a vanishing gradient, no Armijo step, or MAX_ITERS
+    iterations.  Every row does exactly the arithmetic of a one-row run, so
+    its result is the same bit for bit.
 
-    With handoff, a row first stops at residual HANDOFF * (1 + |lambda|)
-    (HANDOFF_P_BELOW_2 at p < 2) and handoff(i, f, lambda) is called with
-    its index and point.  If it returns True the row ends there; otherwise
-    the row goes on from the same state (value, step, iterations left)
-    under the stops above, so its run and result are those it would have
-    had without the hand-off.  At p < 2 the row is handed off again each
-    time its relative residual has fallen to REHANDOFF times that of its
-    last call; at p >= 2 it is handed off at most once.
+    With handoff, a row is first parked at residual HANDOFF * (1 + |lambda|)
+    (HANDOFF_P_BELOW_2 at p < 2): it leaves the live set in the middle of
+    that iteration.  Once no row is live, or once the first parked row has
+    waited POLISH_ROUNDS rounds (about what one polish costs), handoff(rows,
+    F, lam) gets the parked rows' indices, points and values as one stack
+    and returns a mask of the rows that end there.  The others resume that
+    iteration from the state they were parked in (value, step, iterations
+    left), under the stops above, so each run and result is the one it
+    would have had without the hand-off.  At p < 2 a row is parked again
+    each time its relative residual has fallen to REHANDOFF times that of
+    its last hand-off; at p >= 2 it is handed off at most once.
     """
     mu = g.mu_array()
     sgn = 1.0 if maximize else -1.0
     F = normalize_sp(np.asarray(F0, dtype=float), p, mu)
     lam = rayleigh(g, p, F)
     step = np.full(len(F), float(INITIAL_STEP))
-    # each row's relative residual at which it is next handed off; -inf: never
+    # each row's relative residual at which it is next parked; -inf: never
     first = -np.inf if handoff is None else HANDOFF if p >= 2 else HANDOFF_P_BELOW_2
     level = np.full(len(F), first)
-    live = np.arange(len(F))
-    for _ in range(MAX_ITERS):
-        if not live.size:
-            break
+    # round after which each row has run MAX_ITERS iterations: a row parked
+    # in round r that resumes in round s redoes that iteration, s - r later
+    deadline = np.full(len(F), MAX_ITERS)
+    parked, parked_in, rounds, soonest = [], np.zeros(len(F), dtype=int), 0, MAX_ITERS
+    redo = None     # rows redoing the iteration they were parked in, not parked again in it
+    live = np.arange(len(F) if MAX_ITERS > 0 else 0)
+    while live.size or parked:
+        if parked and (not live.size or rounds - parked_in[parked[0][0]] >= POLISH_ROUNDS):
+            rows = np.sort(np.concatenate(parked))
+            back = rows[~handoff(rows, F[rows], lam[rows])]
+            parked = []
+            if not back.size:
+                continue
+            deadline[back] += rounds + 1 - parked_in[back]
+            soonest = min(soonest, int(deadline[back].min()))
+            redo = np.zeros(len(F), dtype=bool)
+            redo[back] = True
+            live = np.sort(np.concatenate((live, back)))
+        rounds += 1
         f, lm = F[live], lam[live]
         defect = apply_plap(g, p, f) - lm[:, None] * mu * psi(p, f)
         res = np.max(np.abs(defect), axis=1)
+        scale = 1.0 + np.abs(lm)
+        due = res <= level[live] * scale
+        if redo is not None:
+            due &= ~redo[live]
+            redo = None
+        if due.any():
+            i = live[due]
+            level[i] = REHANDOFF * (res[due] / scale[due]) if p < 2 else -np.inf
+            parked_in[i] = rounds
+            parked.append(i)
+            go = ~due
+            live, f, lm, defect, res, scale = (t[go] for t in (live, f, lm, defect, res, scale))
         grad = sgn * (p * defect)
         g2 = _row_sqnorms(grad)
-        scale = 1.0 + np.abs(lm)
-        near = res <= 1e-3 * cfg.tol * scale
-        for j in np.flatnonzero(res <= level[live] * scale):
-            i = live[j]
-            level[i] = REHANDOFF * (res[j] / scale[j]) if p < 2 else -np.inf
-            near[j] |= handoff(int(i), f[j], float(lm[j]))
-        go = ~near & ~(g2 <= 1e-30)
+        go = ~(res <= 1e-3 * cfg.tol * scale) & ~(g2 <= 1e-30)
         live, f, lm, grad, g2 = live[go], f[go], lm[go], grad[go], g2[go]
         t = step[live]
         moved = np.zeros(live.size, dtype=bool)
@@ -368,6 +409,9 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
             search = search[t[search] > 1e-18]
         live = live[moved]
         step[live] = np.minimum(np.maximum(t[moved] * 2.0, 1e-12), 1e3)
+        if rounds >= soonest:
+            live = live[deadline[live] > rounds]
+            soonest = int(deadline[live].min()) if live.size else MAX_ITERS
     return F, lam
 
 
@@ -469,109 +513,178 @@ def _cone_rounds(gneg: SignedGraph, p: float, f: np.ndarray) -> tuple[np.ndarray
     return f, False
 
 
-def _newton_rounds(g: SignedGraph, p: float, lam: float, x: np.ndarray,
-                   pin: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Newton steps on the eigen-equation plus sphere constraint from (lam, x),
-    holding the entries marked in pin (zeros of x) at 0.
+def _newton_rounds(g: SignedGraph, p: float, lam: np.ndarray, X: np.ndarray,
+                   pin: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton steps on the eigen-equation plus sphere constraint from each
+    row of (lam (R,), X (R, n)), holding the entries marked in pin (R, n)
+    (zeros of X; None: no entry) at 0; lam and X are overwritten.
 
-    Runs while the residual falls, up to POLISH_ROUNDS steps, and returns the
-    best (residual, lambda, f) seen, the start included.  Each round's
-    right-hand side is the defect of the eigen-equation that the residual of
-    the accepted iterate already computed.  At p > 2 a vertex with f_i = 0
-    whose neighbours are all zero too (an isolated vertex, say) has a
-    vanishing Jacobian row and column; the step leaves it at zero and solves
-    for the other unknowns, as it does for the pinned ones.  At p < 2 the
-    Jacobian is infinite where a free entry or an edge difference with a free
-    end is 0, and the rounds stop there.
+    Each row runs while its residual falls, up to POLISH_ROUNDS steps, and
+    ends at the best (residual, lambda, f) it saw, the start included;
+    returns those as (R,), (R,) and (R, n) stacks.  Each round's right-hand
+    side is the defect of the eigen-equation that the residual of the
+    accepted iterate already computed, and its Psi_p(f) too.  At p > 2 a
+    vertex with f_i = 0 whose neighbours are all zero too (an isolated
+    vertex, say) has a vanishing Jacobian row and column; the step leaves it
+    at zero and solves for the other unknowns, as it does for the pinned
+    ones.  At p < 2 the Jacobian is infinite where a free entry or an edge
+    difference with a free end is 0, and the row stops there, before its
+    Jacobian is built.  A row leaves the stack when it stops, and a round in
+    which every row solves for the same unknowns makes one stacked
+    np.linalg.solve, which gives each row the bits of a solve on its matrix
+    alone (see _newton_steps).
     """
     n = g.n
     a = g._arrays
     mu, kap, u, v, w, s = a.mu, a.kappa, a.u, a.v, a.w, a.sigma
-    # flat (n+1)^2 positions of the (u,u), (v,v), (u,v), (v,u) blocks, in the
-    # order of the four np.add.at calls that one bincount replaces
+    # flat (n+1)^2 positions of the (u,u), (v,v), (u,v), (v,u) blocks and of
+    # the diagonal, in the order of the four np.add.at calls and the += on
+    # the diagonal that one bincount replaces (it adds each bin's terms in
+    # that order), offset by (n+1)^2 for each further row of the stack
     side = n + 1
-    cells = np.concatenate((u * side + u, v * side + v, u * side + v, v * side + u))
-    unknown = np.append(~pin, True)
-    defect = _defect(g, p, lam, x)
-    best = (float(np.max(np.abs(defect))), lam, x)
+    cells = np.concatenate((u * side + u, v * side + v, u * side + v, v * side + u,
+                            np.arange(n) * (side + 1)))
+    if len(X) > 1:
+        cells = (cells + side * side * np.arange(len(X))[:, None]).ravel()
+    px = psi(p, X)
+    defect = apply_plap(g, p, X) - lam[:, None] * mu * px
+    res = np.abs(defect).max(axis=1)
+    # the live rows and their best pairs so far, written back when they stop
+    live, x, lm, r = np.arange(len(X)), X, lam, res
+
+    def keep(go, *rows):
+        """Write back the best pairs of the rows that stop (go False; some
+        row goes on); the live rows and each of rows where go is True."""
+        end = ~go
+        gone = live[end]
+        res[gone], lam[gone], X[gone] = r[end], lm[end], x[end]
+        return [t[go] for t in (live, *rows)]
+
     for _ in range(POLISH_ROUNDS):
-        lm = best[1]
         absx = np.abs(x)
-        d = x[u] - s * x[v]
-        with np.errstate(divide="ignore"):   # 0 ** (p - 2) at p < 2 only
-            dx = np.ones_like(x) if p == 2 else absx ** (p - 2.0)
-            dd = np.ones_like(d) if p == 2 else np.abs(d) ** (p - 2.0)
+        if p == 2:
+            dx, dd = np.ones_like(x), np.ones((len(x), len(u)))
+        else:
+            d = x.take(u, axis=1) - s * x.take(v, axis=1)
+            with np.errstate(divide="ignore"):   # 0 ** (p - 2) at p < 2 only
+                dx, dd = absx ** (p - 2.0), np.abs(d) ** (p - 2.0)
         if p < 2:
-            # a pinned vertex has no equation of its own, and an edge between
-            # two pinned ones adds nothing to the free equations
-            dx[pin] = 0.0
-            dd[pin[u] & pin[v]] = 0.0
+            if pin is not None:
+                # a pinned vertex has no equation of its own, and an edge
+                # between two pinned ones adds nothing to the free equations
+                pn = pin[live]
+                dx[pn] = 0.0
+                dd[pn.take(u, axis=1) & pn.take(v, axis=1)] = 0.0
             if not (np.isfinite(dx).all() and np.isfinite(dd).all()):
-                break
-        px = psi(p, x)
+                go = np.isfinite(dx).all(axis=1) & np.isfinite(dd).all(axis=1)
+                if not go.any():
+                    break
+                live, x, lm, r, px, defect, absx, dx, dd = keep(go, x, lm, r, px, defect,
+                                                               absx, dx, dd)
+        k = len(live)
         coef = (p - 1.0) * w * dd
         off = -s * coef
-        jac = np.bincount(cells, np.concatenate((coef, coef, off, off)),
-                          minlength=side * side).reshape(side, side)
-        idx = np.arange(n)
-        jac[idx, idx] += (p - 1.0) * (kap - lm * mu) * dx
-        jac[:n, n] = -mu * px
-        jac[n, :n] = p * mu * px
-        rhs = np.empty(n + 1)
-        rhs[:n] = defect
-        rhs[n] = float(np.sum(mu * absx ** p) - 1.0)
+        vals = (coef, coef, off, off, (p - 1.0) * (kap - lm[:, None] * mu) * dx)
+        jac = np.bincount(cells[:k * (4 * len(u) + n)], np.concatenate(vals, axis=1).ravel(),
+                          minlength=k * side * side).reshape(k, side, side)
+        jac[:, :n, n] = -mu * px
+        jac[:, n, :n] = p * mu * px
+        rhs = np.concatenate((defect, (mu * absx ** p).sum(axis=1)[:, None] - 1.0), axis=1)
         # the n x n block is symmetric and the border entries of vertex i are
         # multiples of psi(x_i), so row i vanishes exactly when column i does
-        solved = jac.any(axis=1) & unknown
-        try:
-            if solved.all():
-                delta = np.linalg.solve(jac, -rhs)
-            else:
-                keep = np.flatnonzero(solved)
-                delta = np.zeros(side)
-                delta[keep] = np.linalg.solve(jac[np.ix_(keep, keep)], -rhs[keep])
-        except np.linalg.LinAlgError:
-            break
-        x2 = x + delta[:n]
-        lm2 = lm + float(delta[n])
+        solved = jac.any(axis=2)
+        if pin is not None:
+            solved[:, :n] &= ~pin[live]
+        delta, ok = _newton_steps(jac, -rhs, solved)
+        if ok is not None:          # a singular system stops its row
+            if not ok.any():
+                break
+            live, x, lm, r, delta = keep(ok, x, lm, r, delta)
+        x2 = x + delta[:, :n]
+        lm2 = lm + delta[:, n]
         with np.errstate(over="ignore", invalid="ignore"):
-            nrm2 = np.sum(mu * np.abs(x2) ** p)
-        if not (np.isfinite(nrm2) and nrm2 > 0):
-            break
-        x2 = x2 / nrm2 ** (1.0 / p)
-        defect2 = _defect(g, p, lm2, x2)
-        r2 = float(np.max(np.abs(defect2)))
-        if r2 < best[0]:
-            best = (r2, lm2, x2)
-            x, defect = x2, defect2
-        else:
-            break
-    return best
+            nrm2 = (mu * np.abs(x2) ** p).sum(axis=1)
+        norms = nrm2.tolist()
+        if not all(0 < t < math.inf for t in norms):        # a NaN fails too
+            go = (nrm2 > 0) & (nrm2 < np.inf)
+            if not go.any():
+                break
+            live, x, lm, r, x2, lm2, nrm2 = keep(go, x, lm, r, x2, lm2, nrm2)
+            norms = nrm2.tolist()
+        x2 = x2 / np.fromiter(map(pow, norms, repeat(1.0 / p)), float, live.size)[:, None]
+        px = psi(p, x2)
+        defect = apply_plap(g, p, x2) - lm2[:, None] * mu * px
+        r2 = np.abs(defect).max(axis=1)
+        if not all(map(float.__lt__, r2.tolist(), r.tolist())):
+            go = r2 < r
+            if not go.any():
+                break
+            live, x2, lm2, r2, px, defect = keep(go, x2, lm2, r2, px, defect)
+        x, lm, r = x2, lm2, r2
+    res[live], lam[live], X[live] = r, lm, x      # the rows still live, or all stopping
+    return res, lam, X
 
 
-def _newton_polish(g: SignedGraph, p: float, lam: float, f: np.ndarray,
-                   tol: float) -> tuple[float, float, np.ndarray]:
-    """Newton's method on the eigen-equation from (lam, f); returns
-    (residual, lambda, f) of the pair of least residual seen, (lam, f)
-    itself if no round lowers it.
+def _newton_steps(jac: np.ndarray, rhs: np.ndarray,
+                  solved: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """jac[i]^-1 rhs[i] over the unknowns marked in solved[i], 0 for the
+    others, for each matrix of the stack (k, m, m), and a mask of the rows
+    whose system was not singular (None: all of them).  Rows that solve for
+    the same unknowns (all of them, or all but a decoupled vertex, say) make
+    one stacked solve; otherwise, or if that raises for a stack of two or
+    more, each row is solved alone."""
+    try:
+        if len(rhs) == 1 or (solved == solved[0]).all():
+            if solved[0].all():
+                return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0], None
+            keep = np.flatnonzero(solved[0])
+            delta = np.zeros(rhs.shape)
+            delta[:, keep] = np.linalg.solve(jac[:, keep[:, None], keep], rhs[:, keep, None])[:, :, 0]
+            return delta, None
+    except np.linalg.LinAlgError:
+        if len(rhs) == 1:
+            return np.zeros(rhs.shape), np.zeros(1, dtype=bool)
+    delta = np.zeros(rhs.shape)
+    ok = np.ones(len(rhs), dtype=bool)
+    for i, row in enumerate(solved):
+        keep = np.flatnonzero(row)
+        try:
+            delta[i, keep] = np.linalg.solve(jac[i][np.ix_(keep, keep)], rhs[i, keep])
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return delta, ok
+
+
+def _newton_polish(g: SignedGraph, p: float, lam, F: np.ndarray,
+                   tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton's method on the eigen-equation from each row of (lam (R,),
+    F (R, n)); returns the (residual, lambda, f) stacks of each row's pair of
+    least residual seen, the start itself if no round lowers it.
 
     At p < 2, |f_i|^(p-2) is infinite at f_i = 0, so Newton cannot reach an
-    eigenfunction with a zero entry.  When the plain rounds miss the relative
-    tolerance tol, a second try sets every entry with |f_i| <= PIN * max|f|
-    to exactly 0 and solves for the others.  Its residual still counts the
-    pinned vertices, whose equation sum_j w_ij Psi_p(-sigma_ij f_j) = 0 must
-    then hold, so every pair returned is certified by residual as before.
+    eigenfunction with a zero entry.  A row whose plain rounds miss the
+    relative tolerance tol tries again with every entry of |f_i| <= PIN *
+    max|f| set to exactly 0, solving for the others.  Its residual still
+    counts the pinned vertices, whose equation sum_j w_ij Psi_p(-sigma_ij
+    f_j) = 0 must then hold, so every pair returned is certified by residual
+    as before.  Every row does the arithmetic of a polish of it alone.
     """
-    x = np.asarray(f, dtype=float).copy()
-    pin = np.zeros(g.n, dtype=bool)
-    best = _newton_rounds(g, p, float(lam), x, pin)
-    if p < 2 and not best[0] <= tol * (1.0 + abs(best[1])):
-        _, lm, x = best
-        pin = np.abs(x) <= PIN * np.abs(x).max()
-        if pin.any():
-            x = normalize_sp(np.where(pin, 0.0, x), p, g.mu_array())
-            best = min(best, _newton_rounds(g, p, lm, x, pin), key=lambda b: b[0])
-    return best
+    X = np.array(F, dtype=float)
+    res, lam, X = _newton_rounds(g, p, np.array(lam, dtype=float), X, None)
+    miss = [i for i, (r, lm) in enumerate(zip(res.tolist(), lam.tolist()))
+            if not r <= tol * (1.0 + abs(lm))] if p < 2 else []
+    if miss:
+        ax = np.abs(X[miss])
+        pin = ax <= PIN * ax.max(axis=1)[:, None]
+        some = pin.any(axis=1)
+        rows, pin = np.array(miss)[some], pin[some]
+        if rows.size:
+            x = normalize_sp(np.where(pin, 0.0, X[rows]), p, g.mu_array())
+            r2, l2, x = _newton_rounds(g, p, lam[rows], x, pin)
+            win = r2 < res[rows]        # a tie keeps the plain rounds' pair
+            rows = rows[win]
+            res[rows], lam[rows], X[rows] = r2[win], l2[win], x[win]
+    return res, lam, X
 
 
 def _edgeless_pair(g: SignedGraph, p: float, largest: bool) -> PEigenPair:
@@ -617,9 +730,20 @@ def _starts(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool) -> list[
     return starts
 
 
-def _finish(g, p, f, lam, tol):
-    res, lam, f = _newton_polish(g, p, lam, f, tol)
-    return f, lam, res
+def _finish(res: list, lam: list, F: np.ndarray, i: int) -> tuple[np.ndarray, float, float]:
+    """Row i of a polished stack (res and lam as lists) as the pair (f,
+    lambda, residual) of one polished start.  perfbench traces this by name
+    and counts each call as one restart attempt."""
+    return F[i], lam[i], res[i]
+
+
+def _polish_rows(g: SignedGraph, p: float, lam, F: np.ndarray,
+                 tol: float) -> list[tuple[np.ndarray, float, float]]:
+    """The pair (f, lambda, residual) of each row of F, polished from (lam,
+    F) as one stack."""
+    res, lam, F = _newton_polish(g, p, lam, F, tol)
+    res, lam = res.tolist(), lam.tolist()
+    return [_finish(res, lam, F, i) for i in range(len(F))]
 
 
 def _best_restart(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool,
@@ -629,34 +753,41 @@ def _best_restart(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool,
 
     At p = 2 the one restart is the pencil's extreme eigenvector, polished:
     it maximizes (minimizes) the quotient, so no other start could win.
-    Otherwise the starts (lead, then _starts) ascend (descend) as one stack
-    and each result is polished, in start order.  A row is polished as soon
-    as it reaches the HANDOFF residual (HANDOFF_P_BELOW_2 at p < 2); if that
-    polish misses the tolerance, the row resumes its ascent as if it had
-    never been handed off.  At p < 2 it is polished again each time its
-    relative residual has fallen to REHANDOFF times that of its last polish,
-    and ends at the first polish that meets the tolerance; a row that never
-    gets there has its end point polished instead.
+    Otherwise the starts (lead, then _starts) ascend (descend) as one stack.
+    _ascent parks each row that reaches the HANDOFF residual
+    (HANDOFF_P_BELOW_2 at p < 2) and hands the parked rows over together,
+    to be polished as one stack: a row whose polish meets the tolerance ends
+    there, and the others resume their ascent as if never handed off, each
+    with its own iteration count.  At p < 2 a row is parked again each
+    time its relative residual has fallen to REHANDOFF times that of its
+    last polish.  The end points of the rows that no polish ended are then
+    polished as one stack too.  Each row's polishes are those of polishing
+    it alone, so the pairs, and the pick among them in start order, are
+    those of one start at a time.
     """
     def ok(lam, res):
         return res <= cfg.tol * (1.0 + abs(lam))
 
     if p == 2:
         f = normalize_sp(_pencil_vector(g, largest), p, g.mu_array())
-        pairs = [_finish(g, p, f, rayleigh(g, p, f), cfg.tol)]
+        pairs = _polish_rows(g, p, [rayleigh(g, p, f)], f[None, :], cfg.tol)
     else:
-        handed = {}
+        by_row = {}
 
-        def handoff(i, f, lam):
-            pair = _finish(g, p, f.copy(), lam, cfg.tol)
-            if ok(*pair[1:]):
-                handed[i] = pair
-            return i in handed
+        def handoff(rows, F, lams):
+            ended = []
+            for i, pair in zip(rows.tolist(), _polish_rows(g, p, lams, F, cfg.tol)):
+                ended.append(ok(*pair[1:]))
+                if ended[-1]:
+                    by_row[i] = pair
+            return np.array(ended, dtype=bool)
 
         starts = np.array([*lead, *_starts(g, p, cfg, largest)], dtype=float)
         F, lams = _ascent(g, p, starts, cfg, largest, handoff)
-        pairs = [handed[i] if i in handed else _finish(g, p, f.copy(), lam, cfg.tol)
-                 for i, (f, lam) in enumerate(zip(F, lams.tolist()))]
+        rest = [i for i in range(len(F)) if i not in by_row]
+        if rest:
+            by_row.update(zip(rest, _polish_rows(g, p, lams[rest], F[rest], cfg.tol)))
+        pairs = [by_row[i] for i in range(len(F))]
     best = None
     for f, lam, res in pairs:
         better = best is None or (lam > best[1] if largest else lam < best[1])
@@ -737,7 +868,7 @@ def solve_largest_grid(g: SignedGraph, ps: Sequence[float],
             if bracketed or p < 2:
                 res = residual(gneg, p, lam, f)
             else:
-                f, lam, res = _finish(gneg, p, f, lam, cfg.tol)
+                (f, lam, res), = _polish_rows(gneg, p, [lam], f[None, :], cfg.tol)
             one_signed = bool(np.all(f > 0) or np.all(f < 0))
             if one_signed and res <= cfg.tol * (1.0 + abs(lam)):
                 yield PEigenPair(p=p, value=lam, f=tau * np.abs(f), residual=res,

@@ -129,6 +129,16 @@ def test_spectrum_answers_on_a_huge_finite_weight(tmp_path, capsys):
     assert json.loads(out)["values"]["certificate"] == "perron-certified"
 
 
+def test_cutoff_all_answers_on_a_huge_finite_weight(tmp_path, capsys):
+    # the two certified bounds of L_3 differ by one ulp near 5e199, far
+    # beyond an absolute slack of 1e-9 but within a relative one
+    g = graph.validate(3, [(0, 1, 1e200, -1), (1, 2, 1.0, -1)])
+    code, out, err = _run(capsys, "cutoff", _write_graph(tmp_path, g), "--k", "all")
+    assert code == 0 and err == ""
+    top = json.loads(out)["values"]["brackets"][-1]
+    assert top["lower"] == pytest.approx(5e199, rel=1e-12) and top["exact"]
+
+
 def test_report_refuses_non_finite_numbers():
     rep = Report(command=["plap"], input_digest="sha256:0", seed=None)
     rep.add("check", "anchor", True, {"value": float("nan")})

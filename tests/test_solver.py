@@ -307,6 +307,90 @@ def _ref_normalize(f, p, mu):
     return f / nrm
 
 
+def _ref_newton_rounds(g, p, lam, x, pin):
+    """The one-row Newton rounds the stacked polish replaced, verbatim:
+    (residual, lambda, f) of the best pair seen from (lam, x), holding the
+    entries marked in pin at 0."""
+    n = g.n
+    a = g._arrays
+    mu, kap, u, v, w, s = a.mu, a.kappa, a.u, a.v, a.w, a.sigma
+    side = n + 1
+    cells = np.concatenate((u * side + u, v * side + v, u * side + v, v * side + u))
+    unknown = np.append(~pin, True)
+    defect = apply_plap(g, p, x) - lam * g.mu_array() * psi(p, x)
+    best = (float(np.max(np.abs(defect))), lam, x)
+    for _ in range(solver.POLISH_ROUNDS):
+        lm = best[1]
+        absx = np.abs(x)
+        d = x[u] - s * x[v]
+        with np.errstate(divide="ignore"):   # 0 ** (p - 2) at p < 2 only
+            dx = np.ones_like(x) if p == 2 else absx ** (p - 2.0)
+            dd = np.ones_like(d) if p == 2 else np.abs(d) ** (p - 2.0)
+        if p < 2:
+            dx[pin] = 0.0
+            dd[pin[u] & pin[v]] = 0.0
+            if not (np.isfinite(dx).all() and np.isfinite(dd).all()):
+                break
+        px = psi(p, x)
+        coef = (p - 1.0) * w * dd
+        off = -s * coef
+        jac = np.bincount(cells, np.concatenate((coef, coef, off, off)),
+                          minlength=side * side).reshape(side, side)
+        idx = np.arange(n)
+        jac[idx, idx] += (p - 1.0) * (kap - lm * mu) * dx
+        jac[:n, n] = -mu * px
+        jac[n, :n] = p * mu * px
+        rhs = np.empty(n + 1)
+        rhs[:n] = defect
+        rhs[n] = float(np.sum(mu * absx ** p) - 1.0)
+        solved = jac.any(axis=1) & unknown
+        try:
+            if solved.all():
+                delta = np.linalg.solve(jac, -rhs)
+            else:
+                keep = np.flatnonzero(solved)
+                delta = np.zeros(side)
+                delta[keep] = np.linalg.solve(jac[np.ix_(keep, keep)], -rhs[keep])
+        except np.linalg.LinAlgError:
+            break
+        x2 = x + delta[:n]
+        lm2 = lm + float(delta[n])
+        with np.errstate(over="ignore", invalid="ignore"):
+            nrm2 = np.sum(mu * np.abs(x2) ** p)
+        if not (np.isfinite(nrm2) and nrm2 > 0):
+            break
+        x2 = x2 / nrm2 ** (1.0 / p)
+        defect2 = apply_plap(g, p, x2) - lm2 * g.mu_array() * psi(p, x2)
+        r2 = float(np.max(np.abs(defect2)))
+        if r2 < best[0]:
+            best = (r2, lm2, x2)
+            x, defect = x2, defect2
+        else:
+            break
+    return best
+
+
+def _ref_polish(g, p, lam, f, tol):
+    """The one-row polish the stacked one replaced, verbatim: plain rounds,
+    then below p = 2 a pinned try if they miss tol; (residual, lambda, f)."""
+    x = np.asarray(f, dtype=float).copy()
+    pin = np.zeros(g.n, dtype=bool)
+    best = _ref_newton_rounds(g, p, float(lam), x, pin)
+    if p < 2 and not best[0] <= tol * (1.0 + abs(best[1])):
+        _, lm, x = best
+        pin = np.abs(x) <= solver.PIN * np.abs(x).max()
+        if pin.any():
+            x = normalize_sp(np.where(pin, 0.0, x), p, g.mu_array())
+            best = min(best, _ref_newton_rounds(g, p, lm, x, pin), key=lambda b: b[0])
+    return best
+
+
+def _ref_finish(g, p, f, lam, tol):
+    """One start's serial polish as (f, lambda, residual)."""
+    res, lam, f = _ref_polish(g, p, lam, f, tol)
+    return f, lam, res
+
+
 def _handoff_level(p):
     """The relative residual at which a row is handed to the polish."""
     return solver.HANDOFF if p >= 2 else solver.HANDOFF_P_BELOW_2
@@ -373,26 +457,26 @@ def _pick(pairs, p, cfg, largest):
     return PEigenPair(p=p, value=lam, f=f, residual=res, certificate="multi-restart")
 
 
-def _serial_best_restart(g, p, cfg, largest, lead=()):
-    """The restart loop one start at a time.  At p = 2 the one start is the
-    first of _starts, the pencil vector.  Otherwise each start is polished
-    at each hand-off and, while that misses the tolerance, ascends on; if no
-    hand-off meets it, its end point is polished instead."""
+def _serial_best_restart(g, p, cfg, largest, lead=(), finish=_ref_finish):
+    """The restart loop one start at a time, each polish the serial one
+    (finish).  At p = 2 the one start is the first of _starts, the pencil
+    vector.  Otherwise each start is polished at each hand-off and, while
+    that misses the tolerance, ascends on; if no hand-off meets it, its end
+    point is polished instead."""
     if p == 2:
         f = _ref_normalize(solver._starts(g, p, cfg, largest)[0], p, g.mu_array())
-        return _pick([solver._finish(g, p, f, _ref_rayleigh(g, p, f), cfg.tol)],
+        return _pick([finish(g, p, f, _ref_rayleigh(g, p, f), cfg.tol)],
                      p, cfg, largest)
     pairs = []
     for f0 in _solver_starts(g, p, cfg, largest, lead):
         handed = []
 
         def handoff(f, lam):
-            handed.append(solver._finish(g, p, f, lam, cfg.tol))
+            handed.append(finish(g, p, f, lam, cfg.tol))
             _, lam, res = handed[-1]
             return res <= cfg.tol * (1.0 + abs(lam))
         f, lam, why = _serial_ascent(g, p, f0, cfg, largest, handoff)
-        pairs.append(handed[-1] if why == "handoff"
-                     else solver._finish(g, p, f, lam, cfg.tol))
+        pairs.append(handed[-1] if why == "handoff" else finish(g, p, f, lam, cfg.tol))
     return _pick(pairs, p, cfg, largest)
 
 
@@ -458,11 +542,25 @@ def _assert_same_solve(g, p, cfg, largest, lead=()):
 
 
 def _recording_handoff(g, p, cfg, calls):
-    """A hand-off that polishes like _best_restart's and logs each call."""
+    """A serial hand-off that polishes one row as _best_restart did before
+    its polish was stacked, and logs each call."""
     def handoff(f, lam):
-        _, lm, res = solver._finish(g, p, f, lam, cfg.tol)
+        _, lm, res = _ref_finish(g, p, f, lam, cfg.tol)
         calls.append((f.copy(), lam))
         return res <= cfg.tol * (1.0 + abs(lm))
+    return handoff
+
+
+def _recording_stacked_handoff(g, p, cfg, calls, stacks):
+    """_ascent's hand-off as _best_restart makes it: polish the parked rows
+    as one stack and end those that meet the tolerance; logs each row's
+    point in calls[row] and each stack's rows in stacks."""
+    def handoff(rows, F, lam):
+        res, lms, _ = solver._newton_polish(g, p, lam, F, cfg.tol)
+        stacks.append(rows.tolist())
+        for i, f, lm in zip(rows.tolist(), F, lam.tolist()):
+            calls[i].append((f.copy(), lm))
+        return res <= cfg.tol * (1.0 + np.abs(lms))
     return handoff
 
 
@@ -474,11 +572,8 @@ def test_lockstep_ascent_equals_the_serial_loop(name, p, monkeypatch):
         lead = _lead(g, largest)
         starts = _solver_starts(g, p, cfg, largest, lead)
         for handing in (False, True):
-            got = {i: [] for i in range(len(starts))}
-            handoff = None
-            if handing:
-                def handoff(i, f, lam):
-                    return _recording_handoff(g, p, cfg, got[i])(f, lam)
+            got, stacks = {i: [] for i in range(len(starts))}, []
+            handoff = _recording_stacked_handoff(g, p, cfg, got, stacks) if handing else None
             F, lam = solver._ascent(g, p, np.array(starts), cfg, largest, handoff)
             assert F.shape == (len(starts), g.n) and lam.shape == (len(starts),)
             for i, f0 in enumerate(starts):
@@ -486,8 +581,10 @@ def test_lockstep_ascent_equals_the_serial_loop(name, p, monkeypatch):
                 f, lm, _ = _serial_ascent(g, p, f0, cfg, largest,
                                           _recording_handoff(g, p, cfg, want) if handing else None)
                 assert np.array_equal(F[i], f) and lam[i] == lm, (i, largest, handing)
-                # below p = 2 a row may be handed off more than once
+                # below p = 2 a row may be handed off more than once, and
+                # each stack holds a row at most once
                 assert len(got[i]) == len(want) and (p < 2 or len(want) <= 1)
+                assert all(len(set(rows)) == len(rows) for rows in stacks)
                 assert all(np.array_equal(a[0], b[0]) and a[1] == b[1]
                            for a, b in zip(got[i], want))
                 if not handing:
@@ -618,25 +715,31 @@ def test_a_handed_off_row_that_misses_the_tolerance_resumes(name, p, largest, mo
     # must go on exactly as if it had never been handed off
     g, cfg = IDENTITY_GRAPHS[name], _short(monkeypatch, MAX_ITERS=300)
     lead = _lead(g, largest)
-    monkeypatch.setattr(solver, "_newton_polish",
-                        lambda g, p, lam, f, tol: (residual(g, p, lam, f), lam, f))
+
+    def no_polish(g, p, lam, F, tol):
+        return (np.array([residual(g, p, lm, f) for lm, f in zip(lam, F)]),
+                np.array(lam, dtype=float), np.array(F, dtype=float))
+    monkeypatch.setattr(solver, "_newton_polish", no_polish)
+
+    def no_finish(g, p, f, lam, tol):
+        return f, lam, residual(g, p, lam, f)
     answers = []
     ascent = solver._ascent
 
     def spy(g, p, F0, cfg, maximize, handoff=None):
-        def logged(i, f, lam):
-            answers.append((residual(g, p, lam, f) <= cfg.tol * (1 + abs(lam)),
-                            handoff(i, f, lam)))
-            return answers[-1][1]
+        def logged(rows, F, lam):
+            ended = handoff(rows, F, lam)
+            answers.extend((residual(g, p, lm, f) <= cfg.tol * (1 + abs(lm)), bool(end))
+                           for f, lm, end in zip(F, lam.tolist(), ended))
+            return ended
         return ascent(g, p, F0, cfg, maximize, logged)
     monkeypatch.setattr(solver, "_ascent", spy)
     got = solver._best_restart(g, p, cfg, largest, lead)
     assert answers and all(ok == ended for ok, ended in answers)
     assert sum(not ended for _, ended in answers) >= 3
-    no_handoff = [solver._finish(g, p, *_serial_ascent(g, p, f0, cfg, largest)[:2],
-                                 cfg.tol)
+    no_handoff = [no_finish(g, p, *_serial_ascent(g, p, f0, cfg, largest)[:2], cfg.tol)
                   for f0 in _solver_starts(g, p, cfg, largest, lead)]
-    for want in (_serial_best_restart(g, p, cfg, largest, lead),
+    for want in (_serial_best_restart(g, p, cfg, largest, lead, no_finish),
                  _pick(no_handoff, p, cfg, largest)):
         assert np.array_equal(got.f, want.f)
         assert (got.value, got.residual) == (want.value, want.residual)
@@ -657,9 +760,9 @@ def _count_polish(monkeypatch) -> list:
     calls = []
     polish = solver._newton_polish
 
-    def counted(g, p, lam, f, tol):
+    def counted(g, p, lam, F, tol):
         calls.append(p)
-        return polish(g, p, lam, f, tol)
+        return polish(g, p, lam, F, tol)
     monkeypatch.setattr(solver, "_newton_polish", counted)
     return calls
 
@@ -739,7 +842,7 @@ def _serial_largest(g, p, cfg):
         if bracketed or p < 2:
             res = residual(gneg, p, lam, f)
         else:
-            f, lam, res = solver._finish(gneg, p, f, lam, cfg.tol)
+            f, lam, res = _ref_finish(gneg, p, f, lam, cfg.tol)
         if (np.all(f > 0) or np.all(f < 0)) and res <= cfg.tol * (1.0 + abs(lam)):
             return PEigenPair(p=p, value=lam, f=tau * np.abs(f), residual=res,
                               certificate="perron-certified")
@@ -926,13 +1029,119 @@ def test_polish_solves_around_a_decoupled_vertex(p):
     assert not any(4 in (e.u, e.v) for e in g.edges)
     cfg = SolverConfig()
     F, lam = solver._ascent(g, p, np.array(solver._starts(g, p, cfg, True)), cfg, True,
-                            lambda i, f, lam: True)
+                            lambda rows, F, lam: np.ones(len(rows), dtype=bool))
     rows = np.flatnonzero(F[:, 4] == 0)
-    assert rows.size
-    for i in rows:
-        _, lm, x = solver._newton_polish(g, p, float(lam[i]), F[i], cfg.tol)
+    assert rows.size >= 2
+    # the rows share their unknowns, so they are solved as one stack
+    res, lms, X = solver._newton_polish(g, p, lam[rows], F[rows], cfg.tol)
+    for i, r, lm, x in zip(rows, res, lms, X):
         assert x[4] == 0
         assert residual(g, p, lm, x) <= 1e-14 * (1 + abs(lm))
+        want = _ref_polish(g, p, lam[i], F[i], cfg.tol)
+        assert (r, lm, x.tobytes()) == (want[0], want[1], want[2].tobytes())
+
+
+def _assert_stack_is_the_serial_polish(g, p, lam, F, tol):
+    """Each row of _newton_polish on the stack (lam, F) is _ref_polish of
+    that row alone: residual, lambda and the bytes of f."""
+    res, lms, X = solver._newton_polish(g, p, lam, F, tol)
+    assert res.shape == lms.shape == (len(F),) and X.shape == F.shape
+    for lm, f, r, got_lm, x in zip(np.asarray(lam).tolist(), F, res.tolist(), lms.tolist(), X):
+        want = _ref_polish(g, p, lm, f, tol)
+        assert (r, got_lm, x.tobytes()) == (want[0], want[1], want[2].tobytes())
+    return res, lms
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 4.0, 8.0])
+def test_every_stacked_polish_is_the_serial_polish(p, monkeypatch):
+    # every stack _ascent hands over (each row polished where the serial
+    # loop would hand it off, and handed back to the ascent when it misses
+    # the tolerance), then every row's end point as one stack
+    cfg = _short(monkeypatch, MAX_ITERS=60)
+    pinned = []
+    rounds = solver._newton_rounds
+
+    def spy(g, p, lam, X, pin):
+        pinned.append(0 if pin is None else len(X))
+        return rounds(g, p, lam, X, pin)
+    monkeypatch.setattr(solver, "_newton_rounds", spy)
+    stacks = []
+    for g in IDENTITY_GRAPHS.values():
+        for largest in (True, False):
+            def handoff(rows, F, lam):
+                stacks.append(len(rows))
+                res, lms = _assert_stack_is_the_serial_polish(g, p, lam, F, cfg.tol)
+                return res <= cfg.tol * (1.0 + np.abs(lms))
+            starts = np.array(_solver_starts(g, p, cfg, largest, _lead(g, largest)))
+            F, lam = solver._ascent(g, p, starts, cfg, largest, handoff)
+            _assert_stack_is_the_serial_polish(g, p, lam, F, cfg.tol)
+    assert max(stacks) >= 2
+    # below p = 2 some rows miss the tolerance and take the pinned retry
+    assert (sum(pinned) > 0) == (p < 2)
+
+
+def test_a_singular_jacobian_stops_only_its_row(monkeypatch):
+    # numpy raises for a whole stack when one matrix is singular; that row
+    # then keeps its start, as the serial polish's break did, and the other
+    # rows are solved one by one and go on
+    g, p, cfg = IDENTITY_GRAPHS["signed9"], 3.0, SolverConfig()
+    points = []
+
+    def handoff(rows, F, lam):
+        points.extend(zip(lam.tolist(), F))
+        return np.ones(len(rows), dtype=bool)
+    solver._ascent(g, p, np.array(_solver_starts(g, p, cfg, True)), cfg, True, handoff)
+    lam, F = np.array([lm for lm, _ in points[:4]]), np.array([f for _, f in points[:4]])
+    real = np.linalg.solve
+    seen = []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: seen.append(a.copy()) or real(a, b))
+    _ref_polish(g, p, lam[2], F[2], cfg.tol)
+    bad, calls = seen[0].tobytes(), []
+
+    def solve(a, b):
+        calls.append(a.shape)
+        if any(m.tobytes() == bad for m in a.reshape(-1, *a.shape[-2:])):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, b)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    res, lms = _assert_stack_is_the_serial_polish(g, p, lam, F, cfg.tol)
+    assert calls[0] == (4, g.n + 1, g.n + 1) and (g.n + 1, g.n + 1) in calls
+    assert res[2] == residual(g, p, lam[2], F[2]) and lms[2] == lam[2]
+    assert all(res[i] < residual(g, p, lam[i], F[i]) for i in (0, 1, 3))
+
+
+def test_a_row_with_an_infinite_jacobian_entry_stops_before_it_is_built():
+    # below p = 2 an exact zero entry makes |f_i|^(p-2) infinite: that row
+    # ends at its start, and no Jacobian of it is built (tier-1 turns the
+    # 'invalid value' of inf * 0 into an error)
+    g, p, cfg = IDENTITY_GRAPHS["signed9"], 1.5, SolverConfig()
+    points = []
+
+    def handoff(rows, F, lam):
+        points.extend(F)
+        return np.ones(len(rows), dtype=bool)
+    solver._ascent(g, p, np.array(_solver_starts(g, p, cfg, True)), cfg, True, handoff)
+    F = np.array(points[:3])
+    F[1, np.argmin(np.abs(F[1]))] = 0.0
+    F = normalize_sp(F, p, g.mu_array())
+    lam = rayleigh(g, p, F)
+    res, lms, X = solver._newton_rounds(g, p, lam.copy(), F.copy(), None)
+    assert (res[1], lms[1], X[1].tobytes()) == (residual(g, p, lam[1], F[1]), lam[1], F[1].tobytes())
+    assert res[0] < residual(g, p, lam[0], F[0]) and res[2] < residual(g, p, lam[2], F[2])
+    _assert_stack_is_the_serial_polish(g, p, lam, F, cfg.tol)
+
+
+def test_a_generic_solve_batches_its_newton_steps(monkeypatch):
+    # each hand-off polished alone made 71 one-matrix solves here; the
+    # parked rows and the end points now go through stacked solves
+    calls = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: calls.append(a.shape) or real(a, b))
+    pair = solve_largest(families.complete(6), 4.0)
+    assert pair.value == pytest.approx(complete_extremes(6, 4.0)[1], rel=1e-12)
+    assert len(calls) <= 15
+    assert any(len(shape) == 3 and shape[0] >= 2 for shape in calls)
 
 
 def _inline_polish(g, p, lam, f):
@@ -999,15 +1208,17 @@ def test_polish_from_p2_up_is_the_inline_polish_bit_for_bit(p, monkeypatch):
             starts = np.array(_solver_starts(g, p, cfg, largest, _lead(g, largest)))
             handed = []
 
-            def handoff(i, f, lm):
-                handed.append((lm, f.copy()))
-                return False
+            def handoff(rows, F, lam):
+                handed.extend(zip(lam.tolist(), F.copy()))
+                return np.zeros(len(rows), dtype=bool)
             F, lam = solver._ascent(g, p, starts, cfg, largest, handoff)
-            for lm, f in [*handed, *zip(lam.tolist(), F)]:
-                res, got_lm, got_f = solver._newton_polish(g, p, lm, f, cfg.tol)
+            points = [*handed, *zip(lam.tolist(), F)]
+            res, lms, X = solver._newton_polish(g, p, [lm for lm, _ in points],
+                                                np.array([f for _, f in points]), cfg.tol)
+            for (lm, f), r, got_lm, got_f in zip(points, res.tolist(), lms.tolist(), X):
                 want = _inline_polish(g, p, lm, f)
                 assert got_lm == want[0] and np.array_equal(got_f, want[1])
-                assert res == residual(g, p, got_lm, got_f)
+                assert r == residual(g, p, got_lm, got_f)
 
 
 # the values of the random_graph(n, 0.5, i, signed=True) solves at p = 1.5 in
@@ -1056,9 +1267,10 @@ def test_each_hand_off_follows_a_fall_by_rehandoff(n, i, largest, monkeypatch):
     ascent = solver._ascent
 
     def spy(g, p, F0, cfg, maximize, handoff=None):
-        def logged(i, f, lam):
-            rel.setdefault(i, []).append(residual(g, p, lam, f) / (1.0 + abs(lam)))
-            return handoff(i, f, lam)
+        def logged(rows, F, lam):
+            for i, f, lm in zip(rows.tolist(), F, lam.tolist()):
+                rel.setdefault(i, []).append(residual(g, p, lm, f) / (1.0 + abs(lm)))
+            return handoff(rows, F, lam)
         return ascent(g, p, F0, cfg, maximize, logged)
     monkeypatch.setattr(solver, "_ascent", spy)
     (solve_largest if largest else solve_smallest)(g, 1.5)
@@ -1089,7 +1301,7 @@ def test_pinned_polish_reaches_an_edge_eigenvector(n, p, rng):
     f[:2] = 1.0, -1.0
     f = f + rng.uniform(-1e-5, 1e-5, n)
     lam = rayleigh(g, p, f)
-    _, lm, x = solver._newton_polish(g, p, lam, f, SolverConfig().tol)
+    _, (lm,), (x,) = solver._newton_polish(g, p, [lam], f[None, :], SolverConfig().tol)
     assert np.all(x[2:] == 0)
     assert residual(g, p, lm, x) <= 1e-14
     assert abs(lm - (2.0 ** (p - 1) + n - 2)) <= 1e-13 * lm
@@ -1101,9 +1313,9 @@ def test_a_wrong_pin_never_raises_the_residual(rng, monkeypatch):
     pins = []
     rounds = solver._newton_rounds
 
-    def spy(g, p, lam, x, pin):
-        pins.append(pin.any())
-        return rounds(g, p, lam, x, pin)
+    def spy(g, p, lam, X, pin):
+        pins.append(pin is not None and pin.any())
+        return rounds(g, p, lam, X, pin)
     monkeypatch.setattr(solver, "_newton_rounds", spy)
     for name in ("signed9", "weighted8", "K5"):
         g = IDENTITY_GRAPHS[name]
@@ -1112,7 +1324,8 @@ def test_a_wrong_pin_never_raises_the_residual(rng, monkeypatch):
                 f = rng.standard_normal(g.n)
                 f[rng.integers(g.n)] = 1e-4 * np.abs(f).max()
                 lam = rayleigh(g, p, f)
-                _, lm, x = solver._newton_polish(g, p, lam, f, SolverConfig().tol)
+                _, (lm,), (x,) = solver._newton_polish(g, p, [lam], f[None, :],
+                                                       SolverConfig().tol)
                 assert residual(g, p, lm, x) <= residual(g, p, lam, f)
     assert any(pins)
 

@@ -68,9 +68,10 @@ def test_tracer_counts_every_polish_of_a_p15_solve(monkeypatch):
     ascent = solver._ascent
 
     def spy(g, p, F0, cfg, maximize, handoff=None):
-        def logged(i, f, lam):
-            answers.append((i, handoff(i, f, lam)))
-            return answers[-1][1]
+        def logged(handed, F, lam):
+            ended = handoff(handed, F, lam)
+            answers.extend(zip(handed.tolist(), ended.tolist()))
+            return ended
         rows.append(len(F0))
         return ascent(g, p, F0, cfg, maximize, logged)
     monkeypatch.setattr(solver, "_ascent", spy)
