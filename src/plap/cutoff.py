@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import (GraphError, SignedGraph, connected_antibalancing_tau,
+from .graph import (GraphError, SignedGraph, _vertex, connected_antibalancing_tau,
                     induced_subgraph, switch, with_zero_kappa)
 from .linalg import _scaled, normalized_adjacency, normalized_spectrum
 from .solver import SolverConfig, solve_largest_grid
@@ -486,13 +486,10 @@ def interlacing_checks(g: SignedGraph, removals: Sequence[Sequence[int]],
     one upper-bound pass per removal serves every k.  ln is exact_ln(g) when
     the caller has it already."""
     from .combinatorics import max_independent_set
-    rems = [sorted(set(int(i) for i in removed)) for removed in removals]
-    for rem in rems:
-        if not (1 <= len(rem) <= g.n - 1):
-            raise GraphError("must remove between 1 and n-1 vertices")
-        for i in rem:
-            if not (0 <= i < g.n):
-                raise GraphError(f"vertex index {i} out of range [0,{g.n})")
+    rems = [sorted({_vertex(g, x, f"removed vertex #{pos}") for pos, x in enumerate(removed)})
+            for removed in removals]
+    if not all(1 <= len(rem) <= g.n - 1 for rem in rems):
+        raise GraphError("must remove between 1 and n-1 vertices")
     ln_g = exact_ln(g) if ln is None else ln
     lows = lower_bounds_full_all(g)
     out = []

@@ -269,14 +269,21 @@ def with_zero_kappa(g: SignedGraph) -> SignedGraph:
     return _from_view(g, kappa=np.zeros(g.n))
 
 
+def _vertex(g: SignedGraph, x, what: str) -> int:
+    """x as a vertex of g: a number (not a bool) equal to an integer in
+    [0, n), so 1.0 passes and 1.5 is not truncated; what names x in errors."""
+    if not (_real(x) and x % 1 == 0):
+        raise GraphError(f"{what} must be an integer vertex index, got {x!r}")
+    if not 0 <= x < g.n:
+        raise GraphError(f"vertex index {int(x)} out of range [0,{g.n})")
+    return int(x)
+
+
 def induced_subgraph(g: SignedGraph, keep: Iterable[int]) -> SignedGraph:
     """Restrict to a vertex subset, reindexing vertices in ascending order."""
-    kept = sorted(set(int(i) for i in keep))
+    kept = sorted({_vertex(g, x, f"vertex #{pos}") for pos, x in enumerate(keep)})
     if not kept:
         raise GraphError("induced subgraph needs a nonempty vertex subset")
-    for i in kept:
-        if not (0 <= i < g.n):
-            raise GraphError(f"vertex index {i} out of range [0,{g.n})")
     index = {old: new for new, old in enumerate(kept)}
     edges = tuple(Edge(index[e.u], index[e.v], e.w, e.sigma)
                   for e in g.edges if e.u in index and e.v in index)
@@ -289,10 +296,8 @@ def spanning_subgraph(g: SignedGraph, keep_edges: Iterable[tuple[int, int]]) -> 
     """Keep the full vertex set but only the listed edges (as (u,v) pairs)."""
     want = set()
     have = {(e.u, e.v) for e in g.edges}
-    for u, v in keep_edges:
-        u, v = int(u), int(v)
-        if u > v:
-            u, v = v, u
+    for pos, (u, v) in enumerate(keep_edges):
+        u, v = sorted((_vertex(g, u, f"edge #{pos}: u"), _vertex(g, v, f"edge #{pos}: v")))
         if (u, v) not in have:
             raise GraphError(f"({u},{v}) is not an edge of the graph")
         want.add((u, v))

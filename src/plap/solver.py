@@ -8,22 +8,24 @@ pins the value down as the top eigenvalue (tag "perron-certified"); in every
 other case the returned value is a certified eigenvalue and only a lower
 bound for the top (resp. upper bound for the bottom) one.
 
-On that Perron path with kappa >= 0 a fixed-point iteration of the
-order-preserving, 1-homogeneous cone map (Delta_p f / mu)^(1/(p-1)) stops
-when its Collatz-Wielandt bracket min/max of T(f)/f has closed to 5e-16
-relative; lambda is then pinned to about (p-1) * 5e-16 and the pair is
-returned without a Newton polish.  The polish runs only where the iteration
-ran out of rounds and on the kappa < 0 ascent.  solve_largest_grid solves a
-whole p-grid there as one (R, n) stack: each row iterates at its own p and
-stops at its own bracket, so the grid takes about as many rounds as its
-slowest p, and apply_plap, psi, pnorm and normalize_sp take one exponent per
-row.  The grid then yields its pairs in order, each finished and certified
-exactly as a single solve, bit for bit; solve_largest is the grid of one p.
-The cone rounds apply Delta_p with _cone_apply, which on sigma == -1,
-kappa >= 0 and f >= 0 is apply_plap bit for bit at a fraction of its
-cost: one gather-add f_u + f_v, one power with no abs or sign, w t for
-both edge ends, no vertex terms when kappa == 0, and the graph's own
-scatter index.  apply_plap still computes the finished pair's residual.
+On that Perron path a fixed-point iteration of the order-preserving,
+1-homogeneous cone map (Delta_p f / mu)^(1/(p-1)) stops when its
+Collatz-Wielandt bracket min/max of T(f)/f has closed to 5e-16 relative;
+lambda is then pinned to about (p-1) * 5e-16 and the pair is returned
+without the Newton polish, which runs only where the iteration ran out of
+rounds.  The map needs kappa >= 0, but R_p with kappa + c mu in place of
+kappa is R_p + c: every eigenvalue rises by c and every eigenfunction
+stays.  So where some kappa_i < 0 the cone iterates with c = max(-kappa_i /
+mu_i), and lambda, residual, polish and certificate use the unshifted graph.
+solve_largest_grid solves a whole p-grid there as one (R, n) stack: each
+row iterates at its own p and stops at its own bracket, so the grid takes
+about as many rounds as its slowest p, and _cone_apply, pnorm and
+normalize_sp take one exponent per row.  The grid then yields its pairs in
+order, each finished and certified exactly as a single solve, bit for bit;
+solve_largest is the grid of one p.  _cone_apply, on sigma == -1, kappa >= 0
+and f >= 0, is apply_plap bit for bit at a fraction of its cost: one
+gather-add f_u + f_v, one power with no abs or sign, w t for both edge ends,
+no vertex terms when kappa == 0, and the graph's own scatter index.
 
 At p = 2 the quotient is that of the pencil (Deg + K - A, diag(mu)), whose
 extreme generalized eigenvector is its global maximizer (minimizer); the
@@ -80,7 +82,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import (SignedGraph, classify_balance, connected_antibalancing_tau,
+from .graph import (SignedGraph, _from_view, classify_balance, connected_antibalancing_tau,
                     structural_constants, switch, with_zero_kappa)
 from .linalg import _scaled, eigh_sorted
 
@@ -148,13 +150,10 @@ def _rowpow(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
-def psi(p, x: np.ndarray) -> np.ndarray:
+def psi(p: float, x: np.ndarray) -> np.ndarray:
     """Psi_p(t) = |t|^(p-2) t, with Psi_p(0) = 0 (p > 1 makes 0^(p-1) = 0,
-    and sign(-0.0) is +0.0); a NaN stays NaN.  p is a float, or one exponent
-    per row of a stack x (R, n) (see _rowpow)."""
+    and sign(-0.0) is +0.0); a NaN stays NaN."""
     x = np.asarray(x, dtype=float)
-    if isinstance(p, np.ndarray):
-        return _rowpow(np.abs(x), p - 1.0) * np.sign(x)
     return np.abs(x) ** (p - 1.0) * np.sign(x)
 
 
@@ -184,19 +183,18 @@ def normalize_sp(f: np.ndarray, p, mu: np.ndarray) -> np.ndarray:
     return f / nrm
 
 
-def _check_p(p) -> None:
-    if not (np.all(p > 1) if isinstance(p, np.ndarray) else p > 1):
+def _check_p(p: float) -> None:
+    if not p > 1:
         raise ValueError(f"p must be > 1, got {p}")
 
 
-def apply_plap(g: SignedGraph, p, f: np.ndarray) -> np.ndarray:
+def apply_plap(g: SignedGraph, p: float, f: np.ndarray) -> np.ndarray:
     """(Delta_p f)(i) = sum_{j~i} w_ij Psi_p(f_i - sigma_ij f_j) + kappa_i Psi_p(f_i),
-    for one function or each row of a stack (..., n); p is a float, or one
-    exponent per row of a stack (R, n)."""
+    for one function or each row of a stack (..., n)."""
     _check_p(p)
     f = np.asarray(f, dtype=float)
     # a stack of one row costs as much as one function
-    one = f.ndim == 2 and len(f) == 1 and not isinstance(p, np.ndarray)
+    one = f.ndim == 2 and len(f) == 1
     if one:
         f = f[0]
     a = g._arrays
@@ -309,8 +307,7 @@ def _row_sqnorms(G: np.ndarray) -> np.ndarray:
 
 
 def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
-            maximize: bool,
-            handoff: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+            maximize: bool, handoff: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
             ) -> tuple[np.ndarray, np.ndarray]:
     """Armijo projected gradient on the unit p-sphere from each row of the
     (R, n) stack F0, all rows in lockstep; returns the (R, n) stack F and the
@@ -322,7 +319,7 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
     iterations.  Every row does exactly the arithmetic of a one-row run, so
     its result is the same bit for bit.
 
-    With handoff, a row is first parked at residual HANDOFF * (1 + |lambda|)
+    A row is first parked at residual HANDOFF * (1 + |lambda|)
     (HANDOFF_P_BELOW_2 at p < 2): it leaves the live set in the middle of
     that iteration.  Once no row is live, or once the first parked row has
     waited POLISH_ROUNDS rounds (about what one polish costs), handoff(rows,
@@ -330,9 +327,10 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
     and returns a mask of the rows that end there.  The others resume that
     iteration from the state they were parked in (value, step, iterations
     left), under the stops above, so each run and result is the one it
-    would have had without the hand-off.  At p < 2 a row is parked again
-    each time its relative residual has fallen to REHANDOFF times that of
-    its last hand-off; at p >= 2 it is handed off at most once.
+    would have had without the hand-off (a handoff ending no row changes
+    nothing).  At p < 2 a row is parked again each time its relative
+    residual has fallen to REHANDOFF times that of its last hand-off; at
+    p >= 2 it is handed off at most once.
     """
     mu = g.mu_array()
     sgn = 1.0 if maximize else -1.0
@@ -340,8 +338,7 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
     lam = rayleigh(g, p, F)
     step = np.full(len(F), float(INITIAL_STEP))
     # each row's relative residual at which it is next parked; -inf: never
-    first = -np.inf if handoff is None else HANDOFF if p >= 2 else HANDOFF_P_BELOW_2
-    level = np.full(len(F), first)
+    level = np.full(len(F), HANDOFF if p >= 2 else HANDOFF_P_BELOW_2)
     # round after which each row has run MAX_ITERS iterations: a row parked
     # in round r that resumes in round s redoes that iteration, s - r later
     deadline = np.full(len(F), MAX_ITERS)
@@ -415,22 +412,23 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
     return F, lam
 
 
-def _power_refine(gneg: SignedGraph, ps: Sequence[float],
-                  F0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Order-preserving fixed-point refinement in the positive cone, at the
-    exponent ps[i] from the start F0[i], all rows in lockstep; returns the
-    (R, n) stack of last iterates and two masks per row: whether the stop
-    rule below ended its iteration (False: CONE_ROUNDS ran out), and whether
-    a round failed, where _cone_rounds raises ValueError.
+def _power_refine(gneg: SignedGraph, ps: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """Order-preserving fixed-point refinement in the positive cone from the
+    constant function, row i at the exponent ps[i], all rows in lockstep;
+    returns the (R, n) stack of last iterates and two masks per row: whether
+    the stop rule below ended its iteration (False: CONE_ROUNDS ran out), and
+    whether a round failed, where _cone_rounds raises ValueError.
 
     Requires sigma identically -1 and kappa >= 0; then Delta_p maps positive
     functions to positive ones and the normalized iteration converges to the
-    one-signed top eigenfunction.  The map T(f) = (Delta_p f / mu)^(1/(p-1))
-    is order-preserving and 1-homogeneous on the cone, so the ratios T(f)/f
-    bracket its eigenvalue r = lambda^(1/(p-1)): min T(f)/f <= r <=
-    max T(f)/f (the Collatz-Wielandt bracket of Gaubert & Gunawardena,
-    Trans. AMS 2004).  The iteration stops once that spread is at most
-    CONE_RTOL * max, which pins lambda to about (p-1) * CONE_RTOL relative.
+    one-signed top eigenfunction (kappa < 0 comes shifted to kappa + c mu,
+    which keeps every eigenfunction).  The map T(f) = (Delta_p f /
+    mu)^(1/(p-1)) is order-preserving and 1-homogeneous on the cone, so the
+    ratios T(f)/f bracket its eigenvalue r = lambda^(1/(p-1)): min T(f)/f
+    <= r <= max T(f)/f (the Collatz-Wielandt bracket of Gaubert &
+    Gunawardena, Trans. AMS 2004).  The iteration stops once that spread is
+    at most CONE_RTOL * max, which pins lambda to about (p-1) * CONE_RTOL
+    relative.
 
     At huge finite weights T(f) or its p-norm overflows.  A round whose
     p-norm is zero or not finite is redone from Delta_p f / mu over its
@@ -449,13 +447,11 @@ def _power_refine(gneg: SignedGraph, ps: Sequence[float],
     one-p solve, and there normalize_sp raises.
     """
     mu = gneg.mu_array()
-    F = np.abs(np.asarray(F0, dtype=float))
-    F[F == 0] = 1e-12
-    if len(F) == 1:
-        f, stopped = _cone_rounds(gneg, ps[0], normalize_sp(F[0], ps[0], mu))
+    if len(ps) == 1:
+        f, stopped = _cone_rounds(gneg, ps[0], normalize_sp(np.ones(gneg.n), ps[0], mu))
         return f[None, :], np.array([stopped]), np.zeros(1, dtype=bool)
     P = np.array(ps, dtype=float)
-    F = normalize_sp(F, P, mu)
+    F = normalize_sp(np.ones((len(P), gneg.n)), P, mu)
     stopped = np.zeros(len(F), dtype=bool)
     failed = np.zeros(len(F), dtype=bool)
     live, f, p = np.arange(len(F)), F, P
@@ -809,11 +805,12 @@ def solve_largest(g: SignedGraph, p: float,
     one-signed; then the value is exactly the top eigenvalue.  Otherwise the
     value is a certified eigenvalue and a lower bound for it.
 
-    On the cone path the pair is polished by Newton only at p >= 2 and only
-    when the cone iteration did not close its Collatz-Wielandt bracket
-    (spread of T(f)/f at most 5e-16 of its max) or kappa < 0 forced the
-    ascent; a closed bracket already pins the value to about (p-1) * 5e-16
-    relative.  This is the one-p case of solve_largest_grid.
+    The cone path serves every kappa, through the potential shift of the
+    module docstring.  There Newton polishes the pair only at p >= 2 and
+    only when the cone iteration did not close its Collatz-Wielandt bracket
+    (spread of T(f)/f at most 5e-16 of its max); a closed bracket already
+    pins the value to about (p-1) * 5e-16 relative.  This is the one-p case
+    of solve_largest_grid.
     """
     pair, = solve_largest_grid(g, (p,), cfg)   # ends the generator: cheaper than closing it
     return pair
@@ -831,11 +828,13 @@ def solve_largest_grid(g: SignedGraph, ps: Sequence[float],
     pairs bit for bit, and the exception the first failing p raises, when
     the iteration reaches that p.
 
-    On a connected antibalanced graph with kappa >= 0, g is switched once
-    and every p the loop would reach (those before the first p outside
-    (1, P_CAP]) runs in one stacked cone iteration (_power_refine) before
-    the first pair is yielded; each row is then finished and tested as in a
-    single solve, just before it is yielded.  A row that does not certify,
+    On a connected antibalanced graph, g is switched once and every p the
+    loop would reach (those before the first p outside (1, P_CAP]) runs in
+    one stacked cone iteration (_power_refine) before the first pair is
+    yielded; where some kappa_i < 0 the iteration runs on the switched graph
+    with kappa + c mu, c = max(-kappa_i / mu_i), clipped at 0.  Each row is
+    then finished and tested on the unshifted switched graph as in a single
+    solve, just before it is yielded.  A row that does not certify,
     and every p on any other graph, is solved on its own, in grid order.
     """
     cfg = cfg or SolverConfig()
@@ -844,28 +843,26 @@ def solve_largest_grid(g: SignedGraph, ps: Sequence[float],
     witness = connected_antibalancing_tau(g) if g.m and reached else None
     if witness is not None:
         tau = np.asarray(witness, dtype=float)
-        gneg = switch(g, witness)
-        cone = np.min(gneg.kappa_array()) >= 0
-        if cone:
-            F, stopped, failed = _power_refine(gneg, reached, np.ones((len(reached), g.n)))
+        gneg = gcone = switch(g, witness)
+        a = gneg._arrays
+        if np.min(a.kappa) < 0:
+            # the shift of the module docstring, clipped at 0 where the
+            # entry that sets c rounds below it
+            c = np.max(-a.kappa / a.mu)
+            gcone = _from_view(gneg, kappa=np.maximum(a.kappa + c * a.mu, 0.0))
+        F, stopped, failed = _power_refine(gcone, reached)
     for i, p in enumerate(ps):
         _check_solve_p(p)
         if g.m == 0:
             yield _edgeless_pair(g, p, largest=True)
             continue
         if witness is not None:
-            if cone:
-                if failed[i]:       # its run alone stops in normalize_sp
-                    raise ValueError(_ZERO_NORM)
-                f, bracketed = F[i], bool(stopped[i])
-                lam = rayleigh(gneg, p, f)
-            else:
-                f0 = np.abs(np.random.default_rng(cfg.rng_seed).standard_normal(g.n)) + 0.1
-                F1, lams = _ascent(gneg, p, f0[None, :], cfg, maximize=True)
-                f, lam, bracketed = F1[0], float(lams[0]), False
+            if failed[i]:       # its run alone stops in normalize_sp
+                raise ValueError(_ZERO_NORM)
+            f, lam = F[i], rayleigh(gneg, p, F[i])
             # Newton has nothing left to gain on a pinned lambda; below p = 2
             # it could pin an entry to 0, and the pair would not be one-signed
-            if bracketed or p < 2:
+            if stopped[i] or p < 2:
                 res = residual(gneg, p, lam, f)
             else:
                 (f, lam, res), = _polish_rows(gneg, p, [lam], f[None, :], cfg.tol)

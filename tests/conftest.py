@@ -33,6 +33,13 @@ def random_connected_antibalanced(n: int, prob: float, seed: int) -> graph.Signe
     return graph.validate(n, edges)
 
 
+def antibalanced_negative_kappa() -> graph.SignedGraph:
+    """A connected antibalanced graph on 6 vertices with kappa_0, kappa_4 < 0."""
+    g = random_connected_antibalanced(6, 0.5, 4)
+    return graph.validate(6, [tuple(e) for e in g.edges],
+                          kappa=[-0.5, 0.3, 0.0, 1.0, -0.2, 0.4])
+
+
 def random_balanced(n: int, prob: float, seed: int) -> graph.SignedGraph:
     """Random graph with sigma_uv = tau_u tau_v (balanced by construction)."""
     g = families.random_graph(n, prob, seed)

@@ -11,7 +11,7 @@ from plap import cli, cutoff, families, graph, solver
 from plap.cli import main
 from plap.report import Report
 
-from conftest import random_weighted
+from conftest import antibalanced_negative_kappa, random_weighted
 
 
 def _run(capsys, *argv):
@@ -118,6 +118,16 @@ def test_spectrum_at_p32_answers_on_k4(tmp_path, capsys):
     code, out, _ = _run(capsys, "spectrum", path, "--p", "32", "--which", "largest")
     assert code == 0
     assert json.loads(out)["checks"][0]["status"] == "pass"
+
+
+def test_spectrum_certifies_a_negative_potential_at_p11(tmp_path, capsys):
+    # kappa < 0 runs the cone iteration on a shifted potential; the single
+    # ascent it replaced missed the Perron certificate at p = 1.1, and every
+    # restart then missed the tolerance, so the command exited 1
+    path = _write_graph(tmp_path, antibalanced_negative_kappa())
+    code, out, _ = _run(capsys, "spectrum", path, "--p", "1.1", "--which", "largest")
+    assert code == 0
+    assert json.loads(out)["values"]["certificate"] == "perron-certified"
 
 
 def test_spectrum_answers_on_a_huge_finite_weight(tmp_path, capsys):

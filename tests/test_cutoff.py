@@ -571,6 +571,16 @@ def test_interlacing_examples():
         interlacing_check(families.complete(3), [0, 1, 2])
 
 
+def test_interlacing_rejects_a_non_integral_vertex():
+    # int() truncated 1.9 to 1 and removed vertex 1; 1.0 still names it
+    with pytest.raises(GraphError) as err:
+        interlacing_check(families.path(4), [1.9])
+    assert str(err.value) == "removed vertex #0 must be an integer vertex index, got 1.9"
+    with pytest.raises(GraphError, match="removed vertex #1 .* got True"):
+        interlacing_check(families.path(4), [2, True])
+    assert interlacing_check(families.path(4), [1.0]).removed == (1,)
+
+
 def test_interlacing_random_single_removals():
     for seed in range(5):
         g = random_signed(6, 0.5, seed)
@@ -621,8 +631,8 @@ def test_limit_scan_stops_at_the_first_uncertified_p(monkeypatch):
     from plap import solver
     refine = solver._power_refine
 
-    def off_cone(gneg, ps, F0):
-        F, stopped, failed = refine(gneg, ps, F0)
+    def off_cone(gneg, ps):
+        F, stopped, failed = refine(gneg, ps)
         F[:2, 0] *= -1.0
         return F, stopped, failed
 

@@ -173,6 +173,28 @@ def test_spanning_subgraph():
         spanning_subgraph(c4, [(0, 2)])
 
 
+@pytest.mark.parametrize("keep,entry", [([0.9, 1.5, 2], "#0 ... got 0.9"),
+                                        ([True, 2], "#0 ... got True"),
+                                        ([0, float("nan")], "#1 ... got nan")],
+                         ids=["fractions", "bool", "nan"])
+def test_induced_subgraph_rejects_a_non_integral_vertex(keep, entry):
+    # int() truncated these to {0, 1, 2} and {1, 2}; integral floats still pass
+    with pytest.raises(GraphError) as err:
+        induced_subgraph(families.path(4), keep)
+    assert str(err.value) == "vertex " + entry.replace("...", "must be an integer vertex index,")
+    assert induced_subgraph(families.path(4), [1.0, np.int64(2)]) == families.path(2)
+
+
+def test_spanning_subgraph_rejects_a_non_integral_endpoint():
+    # int() truncated (0.7, 1.2) to the edge (0, 1)
+    with pytest.raises(GraphError) as err:
+        spanning_subgraph(families.path(4), [(0, 1), (0.7, 1.2)])
+    assert str(err.value) == "edge #1: u must be an integer vertex index, got 0.7"
+    with pytest.raises(GraphError, match="edge #0: v must be an integer vertex index, got False"):
+        spanning_subgraph(families.path(4), [(1, False)])
+    assert spanning_subgraph(families.path(4), [(1.0, 0.0)]).m == 1
+
+
 def test_components():
     assert components(families.complete(3)) == [[0, 1, 2]]
     assert components(families.edgeless(3)) == [[0], [1], [2]]

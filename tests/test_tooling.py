@@ -13,7 +13,7 @@ import pytest
 
 from plap import cli, combinatorics, cutoff, families, graph, solver
 
-from conftest import sparse_antibalanced
+from conftest import antibalanced_negative_kappa, sparse_antibalanced
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 needs_spans = pytest.mark.skipif(not SPANS.exists(), reason="perfbench/ is absent")
@@ -67,7 +67,7 @@ def test_tracer_counts_every_polish_of_a_p15_solve(monkeypatch):
     answers, rows = [], []     # (row, whether the hand-off ended it)
     ascent = solver._ascent
 
-    def spy(g, p, F0, cfg, maximize, handoff=None):
+    def spy(g, p, F0, cfg, maximize, handoff):
         def logged(handed, F, lam):
             ended = handoff(handed, F, lam)
             answers.extend(zip(handed.tolist(), ended.tolist()))
@@ -155,6 +155,20 @@ def test_a_perron_solve_calls_apply_plap_only_for_its_residual(g):
     assert traced["solver._power_refine"] == 1
     assert traced["solver.apply_plap"] == 1
     assert traced.get("solver._finish", 0) == 0
+
+
+@needs_spans
+def test_a_negative_kappa_perron_grid_is_one_traced_cone_iteration():
+    # kappa < 0 shifts into the stacked cone iteration: no ascent runs, and
+    # every row closes its bracket, so no row is polished
+    g = antibalanced_negative_kappa()
+    certificates = []
+    calls, _ = _traced(lambda: certificates.extend(
+        pair.certificate for pair in solver.solve_largest_grid(g, cli.DEFAULT_P_GRID)))
+    assert certificates == ["perron-certified"] * len(cli.DEFAULT_P_GRID)
+    assert calls["solver._power_refine"] == 1
+    assert calls.get("solver._ascent", 0) == 0
+    assert calls.get("solver._finish", 0) == 0
 
 
 @needs_spans
