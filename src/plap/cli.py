@@ -3,7 +3,7 @@
 Reads graph JSON from a file or stdin ('-'), writes a replayable report
 JSON (and optional CSV for p-grids).  Exit codes: 0 all checks pass,
 1 at least one check failed (witness in the report), 2 usage or input
-error.
+error, a file that cannot be read or written (any OSError) included.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -41,7 +42,7 @@ ANCHORS = {
 
 
 def _read_graph(path: str) -> tuple[graph.SignedGraph, bytes]:
-    raw = sys.stdin.buffer.read() if path == "-" else open(path, "rb").read()
+    raw = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     try:
         doc = json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
@@ -99,9 +100,6 @@ def _cmd_spectrum(g, args, rep: Report) -> None:
 
 def _cmd_cutoff(g, args, rep: Report) -> None:
     ks = list(range(1, g.n + 1)) if args.k == "all" else [int(args.k)]
-    for k in ks:
-        if not (1 <= k <= g.n):
-            raise SystemExit(_usage_error(f"k must be in [1, {g.n}], got {k}"))
     brackets = []
     for b in cutoff.brackets(g, ks, budget=args.budget, seed=args.seed):
         brackets.append({"k": b.k, "lower": b.lower, "upper": b.upper,
@@ -250,12 +248,9 @@ _COMMANDS = {"validate": _cmd_validate, "spectrum": _cmd_spectrum,
 
 
 def _cmd_generate(args) -> int:
-    params = {}
-    for key in ("n", "m", "d"):
-        if getattr(args, key) is not None:
-            params[key] = getattr(args, key)
-    if args.family == "random":
-        params.update(n=args.n, prob=args.prob, seed=args.seed, signed=args.signed)
+    # only the flags given: generate rejects one the family does not take
+    params = {key: getattr(args, key) for key in ("n", "m", "d", "prob", "seed", "signed")
+              if getattr(args, key) is not None}
     g = families.generate(args.family, negated=args.negate, **params)
     _emit(graph.dumps(g, indent=2), args.out)
     return 0
@@ -265,8 +260,10 @@ def _cmd_generate(args) -> int:
 
 # (type, default) of the flags several commands share; each command
 # registers the ones it reads
-_SHARED_FLAGS = {"seed": (int, 0), "tol": (float, 1e-8), "restarts": (int, 10),
-                 "budget": (int, 2048)}
+_SHARED_FLAGS = {"seed": (int, solver.SolverConfig.rng_seed),
+                 "tol": (float, solver.SolverConfig.tol),
+                 "restarts": (int, solver.SolverConfig.restarts),
+                 "budget": (int, cutoff.DEFAULT_BUDGET)}
 
 # one parser per process: parse_args leaves it as it was, and building it
 # takes about 1.5 ms, a large share of a short command
@@ -318,9 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, default=None)
     p_gen.add_argument("--m", type=int, default=None)
     p_gen.add_argument("--d", type=int, default=None)
-    p_gen.add_argument("--prob", type=float, default=0.5)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--signed", action="store_true",
+    p_gen.add_argument("--prob", type=float, default=None)
+    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--signed", action="store_true", default=None,
                        help="draw random edge signs (random family)")
     p_gen.add_argument("--negate", action="store_true",
                        help="flip every sign afterwards")
@@ -351,11 +348,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1 if rep.failed else 0
     except SystemExit as exc:
         return int(exc.code or 0)
-    except graph.GraphError as exc:
-        return _usage_error(str(exc))
-    except FileNotFoundError as exc:
-        return _usage_error(str(exc))
-    except (ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:   # GraphError is a ValueError
         return _usage_error(str(exc))
 
 

@@ -12,7 +12,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import GraphError, SignedGraph
+from . import cutoff
+from .graph import GraphError, SignedGraph, to_json_dict
 from .linalg import adjacency, sign_counts
 
 MIS_CAP = 32
@@ -238,7 +239,8 @@ class InertiaReport:
         return all(passed for _, passed, _ in self.checks)
 
 
-def inertia_report(g: SignedGraph, budget: int = 2048, seed: int = 0) -> InertiaReport:
+def inertia_report(g: SignedGraph, budget: int = cutoff.DEFAULT_BUDGET,
+                   seed: int = 0) -> InertiaReport:
     """Run every independence/cover inequality on one graph.
 
     For each signature of default_signature_pool, the zero count of the
@@ -249,9 +251,6 @@ def inertia_report(g: SignedGraph, budget: int = 2048, seed: int = 0) -> Inertia
     bounds are bit for bit those of each re-signed graph on its own.
     Failures carry the witness graph in their details; nothing raises.
     """
-    from . import cutoff
-    from .graph import to_json_dict
-
     mis = max_independent_set(g)
     alpha = mis.size
     checks: list[tuple[str, bool, dict]] = []

@@ -289,7 +289,7 @@ def exact_ln(g: SignedGraph, seed: int = 0) -> CutoffBracket:
 
 def _check_k(g: SignedGraph, k: int) -> None:
     if not (1 <= k <= g.n):
-        raise ValueError(f"k must be in [1, {g.n}]")
+        raise ValueError(f"k must be in [1, {g.n}], got {k}")
 
 
 def lower_bound_full(g: SignedGraph, k: int) -> float:

@@ -51,7 +51,7 @@ def hypercube(d: int) -> SignedGraph:
     return validate(n, edges)
 
 
-def random_graph(n: int, prob: float, seed: int,
+def random_graph(n: int, prob: float = 0.5, seed: int = 0,
                  signed: bool = False) -> SignedGraph:
     """G(n, prob) with a fixed seed; signed=True also draws random edge signs."""
     if n < 1 or not (0.0 <= prob <= 1.0):

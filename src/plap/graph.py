@@ -8,15 +8,16 @@ instances are safe to share across threads.
 Kernels read a graph through one read-only array view (GraphArrays), built
 on first use (never by validate) and kept on the instance, outside equality,
 hashing and pickling; switch, negate and with_zero_kappa hand their result
-the view of their input with sigma (kappa) replaced.  The balance
-classification is kept the same way, and so is the connected antibalancing
-witness.  A concurrent first use may build any of them twice; harmless.
+the view of their input with sigma (kappa) replaced.  The one depth-first
+sign search that balance, antibalance, connectivity and components are read
+from is kept the same way, and so is the balance classification.  A
+concurrent first use may build any of them twice; harmless.
 
 A switched, negated or kappa-zeroed graph is made from that view alone: its
 edge tuples are built from the view the first time something reads
-g.edges, which equality, hashing, repr, pickling and JSON output do.  The
-Perron solver switches a graph once per solve and never reads them, and the
-sign propagation behind balance, antibalance and components reads the view.
+g.edges, which equality, hashing, repr, pickling and JSON output do; the
+Perron solver, which switches a graph once per solve, and the sign search
+never do.
 """
 
 from __future__ import annotations
@@ -101,13 +102,12 @@ class SignedGraph:
         return view
 
     @cached_property
-    def _balance(self) -> "BalanceClass":
-        return _classify(self)
+    def _search(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _propagate(self)
 
     @cached_property
-    def _antibalancing(self) -> Optional[tuple[int, ...]]:
-        tau, root, consistent = _propagate(self, -1)
-        return tuple(tau) if consistent and not any(root) else None
+    def _balance(self) -> "BalanceClass":
+        return _classify(self)
 
     def __getattr__(self, name: str):
         # only reached when the instance has no such attribute: the edge
@@ -305,16 +305,18 @@ def spanning_subgraph(g: SignedGraph, keep_edges: Iterable[tuple[int, int]]) -> 
     return SignedGraph(g.n, edges, g.mu, g.kappa)
 
 
-def _propagate(g: SignedGraph, target: int) -> tuple[list[int], list[int], bool]:
-    """Depth-first tau(v) = target * sigma_uv * tau(u) from each unvisited
-    vertex in ascending order: (tau, root = smallest vertex of each vertex's
-    component, whether sigma^tau == target on every edge)."""
+def _propagate(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One depth-first search from each unvisited vertex in ascending order:
+    (tau, parity, root) with tau(v) = sigma_uv * tau(u) along the search
+    tree, parity = (-1)^depth and root the smallest vertex of v's component.
+    tau is the balancing and tau * parity the antibalancing switching, if
+    there is one."""
     a = g._arrays
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for u, v, s in zip(a.u.tolist(), a.v.tolist(), (target * a.sigma).astype(int).tolist()):
+    for u, v, s in zip(a.u.tolist(), a.v.tolist(), a.sigma.astype(int).tolist()):
         adj[u].append((v, s))
         adj[v].append((u, s))
-    tau, root, consistent = [0] * g.n, list(range(g.n)), True
+    tau, parity, root = [0] * g.n, [1] * g.n, list(range(g.n))
     for r in range(g.n):
         if tau[r]:
             continue
@@ -324,17 +326,15 @@ def _propagate(g: SignedGraph, target: int) -> tuple[list[int], list[int], bool]
             i = stack.pop()
             for j, s in adj[i]:
                 if tau[j] == 0:
-                    tau[j], root[j] = s * tau[i], r
+                    tau[j], parity[j], root[j] = s * tau[i], -parity[i], r
                     stack.append(j)
-                elif tau[j] != s * tau[i]:
-                    consistent = False
-    return tau, root, consistent
+    return np.array(tau), np.array(parity), np.array(root)
 
 
 def components(g: SignedGraph) -> list[list[int]]:
     """Connected components by edge reachability, smallest vertex first."""
     out: dict[int, list[int]] = {}
-    for i, r in enumerate(_propagate(g, 1)[1]):
+    for i, r in enumerate(g._search[2].tolist()):
         out.setdefault(r, []).append(i)
     return list(out.values())
 
@@ -353,40 +353,36 @@ class BalanceClass:
     antibalanced_witness: Optional[tuple[int, ...]]
 
 
-def _balancing_tau(g: SignedGraph, target: int) -> Optional[tuple[int, ...]]:
-    """A tau with sigma^tau == target on every edge, or None."""
-    tau, _, consistent = _propagate(g, target)
-    return tuple(tau) if consistent else None
-
-
 def connected_antibalancing_tau(g: SignedGraph) -> Optional[tuple[int, ...]]:
-    """classify_balance(g).antibalanced_witness when g is connected, else
-    None; one sign propagation decides both, once per graph: the answer is
+    """classify_balance(g).antibalanced_witness when g is connected (every
+    search root is vertex 0), else None; both come from the one sign search
     kept on the instance."""
-    return g._antibalancing
+    return None if g._search[2].any() else g._balance.antibalanced_witness
 
 
 def classify_balance(g: SignedGraph) -> BalanceClass:
     """Decide balance and antibalance, with switching witnesses.
 
     Balanced means some tau switches every sign to +1; antibalanced means the
-    negated graph is balanced.  Decided in O(n+m) by two depth-first sign
-    propagations, once per graph: the answer is kept on the instance.
+    negated graph is balanced.  Decided in O(n+m) from one depth-first sign
+    search, once per graph: the answer is kept on the instance.
     """
     return g._balance
 
 
 def _classify(g: SignedGraph) -> BalanceClass:
-    bal = _balancing_tau(g, 1)
-    anti = _balancing_tau(g, -1)
-    if bal is not None and anti is not None:
-        kind = "both"
-    elif bal is not None:
-        kind = "balanced"
-    elif anti is not None:
-        kind = "antibalanced"
+    tau, parity, _ = g._search
+    a = g._arrays
+
+    def witness(t: np.ndarray, target: int) -> Optional[tuple[int, ...]]:
+        # the search tree's edges hold by construction; this tests them all
+        return tuple(t.tolist()) if (a.sigma * t[a.u] * t[a.v] == target).all() else None
+
+    bal, anti = witness(tau, 1), witness(tau * parity, -1)
+    if bal is not None:
+        kind = "balanced" if anti is None else "both"
     else:
-        kind = "neither"
+        kind = "antibalanced" if anti is not None else "neither"
     return BalanceClass(kind=kind, balanced_witness=bal, antibalanced_witness=anti)
 
 
@@ -406,10 +402,14 @@ def structural_constants(g: SignedGraph) -> tuple[float, float]:
 #             "sigma": 1|-1 (default 1)}],
 #  "mu": [number]*n (default all 1),
 #  "kappa": [number]*n (default all 0)}
+# and no other key: a misspelt one would leave its field at the default.
 
 def from_json_dict(doc: dict) -> SignedGraph:
     if not isinstance(doc, dict) or "n" not in doc:
         raise GraphError('graph JSON must be an object with an "n" field')
+    for key in doc:
+        if key not in ("n", "edges", "mu", "kappa"):
+            raise GraphError(f"unknown graph key {key!r}; expected n, edges, mu, kappa")
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise GraphError(f'edges must be a list of edge objects, got {raw_edges!r}')
@@ -417,6 +417,9 @@ def from_json_dict(doc: dict) -> SignedGraph:
     for pos, e in enumerate(raw_edges):
         if not isinstance(e, dict) or "u" not in e or "v" not in e:
             raise GraphError(f'edge #{pos}: expected an object with "u" and "v"')
+        for key in e:
+            if key not in ("u", "v", "w", "sigma"):
+                raise GraphError(f"edge #{pos}: unknown key {key!r}; expected u, v, w, sigma")
         edges.append((e["u"], e["v"], e.get("w", 1), e.get("sigma", 1)))
     return validate(doc["n"], edges, mu=doc.get("mu"), kappa=doc.get("kappa"))
 

@@ -36,6 +36,8 @@ SETTERS = {
     "combinatorics.inertia_report.budget": "plap bounds --budget",
     "combinatorics.inertia_report.seed": "plap bounds --seed",
     "tensor.eigen_correspondence.ln": "plap verify (one exact_ln for every suite)",
+    "families.random_graph.prob": "families.generate (plap generate --prob)",
+    "families.random_graph.seed": "families.generate (plap generate --seed)",
     "families.random_graph.signed": "families.generate (plap generate --signed)",
     "families.generate.negated": "plap generate --negate",
     "report.Report.add.values": "every plap command",

@@ -314,13 +314,15 @@ def test_connected_antibalancing_witness_is_kept_outside_pickle(monkeypatch):
     g = graph.negate(families.cycle(6))
     calls = []
     propagate = graph._propagate
-    monkeypatch.setattr(graph, "_propagate",
-                        lambda h, target: calls.append(target) or propagate(h, target))
+    monkeypatch.setattr(graph, "_propagate", lambda h: calls.append(h) or propagate(h))
     tau = graph.connected_antibalancing_tau(g)
-    assert graph.connected_antibalancing_tau(g) is tau and calls == [-1]
+    assert graph.connected_antibalancing_tau(g) is tau
+    assert graph.classify_balance(g).antibalanced_witness is tau
+    assert graph.components(g) == [list(range(6))] and calls == [g]
     back = pickle.loads(pickle.dumps(g))
-    assert "_antibalancing" not in back.__dict__
+    assert "_search" not in back.__dict__ and "_balance" not in back.__dict__
     assert graph.connected_antibalancing_tau(back) == tau
+    assert graph.components(back) == [list(range(6))] and len(calls) == 2
 
 
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")

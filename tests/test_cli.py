@@ -59,6 +59,28 @@ def test_generate_random_deterministic(capsys):
     assert graph.loads(out1).edges == graph.loads(out2).edges
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["complete", "--n", "3", "--prob", "0.1", "--signed", "--seed", "5"],
+     "unknown parameters for complete: ['prob', 'seed', 'signed']"),
+    (["hypercube", "--d", "2", "--seed", "3"], "unknown parameters for hypercube: ['seed']"),
+    (["random"], "missing 1 required positional argument: 'n'"),
+], ids=["complete", "hypercube", "random"])
+def test_generate_rejects_a_flag_the_family_does_not_read(capsys, argv, err):
+    code, out, got = _run(capsys, "generate", *argv)
+    assert code == 2 and out == ""
+    assert got.startswith("plap: error: ") and err in got
+
+
+def test_generate_random_defaults_are_the_library_defaults(capsys):
+    # the flags not given take the family's defaults: prob 0.5, seed 0, unsigned
+    code, out, _ = _run(capsys, "generate", "random", "--n", "6")
+    assert code == 0
+    assert out == graph.dumps(families.random_graph(6, 0.5, 0, signed=False), indent=2) + "\n"
+    code, out2, _ = _run(capsys, "generate", "random", "--n", "6", "--prob", "0.5",
+                         "--seed", "0")
+    assert code == 0 and out2 == out
+
+
 def test_validate_good_and_bad(tmp_path, capsys):
     path = _write_graph(tmp_path, families.complete(3))
     code, out, _ = _run(capsys, "validate", path)
@@ -71,6 +93,30 @@ def test_validate_good_and_bad(tmp_path, capsys):
     bad.write_text('{"n": 2, "edges": [{"u": 0, "v": 0}]}')
     code, out, err = _run(capsys, "validate", str(bad))
     assert code == 2 and "self-loop" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{}"], ["spectrum", "{}", "--p", "3", "--which", "largest"],
+    ["cutoff", "{}"], ["bounds", "{}"], ["verify", "all", "{}"]], ids=lambda argv: argv[0])
+def test_every_command_rejects_an_unknown_graph_key(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 2, "edges": [{"u": 0, "v": 1, "weight": 5}], "kapa": [3, 3]}')
+    code, out, err = _run(capsys, *[a.format(bad) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("plap: error: unknown graph key 'kapa'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{dir}"],
+    ["validate", "{graph}", "--out", "{dir}"],
+    ["verify", "monotonicity", "{graph}", "--p-grid", "2,3", "--csv", "{dir}"],
+], ids=["graph", "out", "csv"])
+def test_a_directory_for_a_file_is_an_input_error(tmp_path, capsys, argv):
+    # an OSError on any path the command reads or writes exits 2, not 1
+    path = _write_graph(tmp_path, graph.negate(families.star(5)))
+    code, out, err = _run(capsys, *[a.format(graph=path, dir=tmp_path) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("plap: error: ") and str(tmp_path) in err
 
 
 def test_malformed_json_reports_byte_offset(tmp_path, capsys):
@@ -237,21 +283,21 @@ def test_verify_monotonicity_csv(tmp_path, capsys):
 
 
 def test_verify_monotonicity_classifies_balance_once(tmp_path, capsys, monkeypatch):
-    # one propagation asks "connected and antibalanced", two classify the
-    # balance; the bottom solve at every p of the grid reuses that answer
+    # one sign search answers "connected and antibalanced" and classifies
+    # the balance; the bottom solve at every p of the grid reuses that answer
     calls = []
     propagate = graph._propagate
 
-    def counted(g, target):
-        calls.append(target)
-        return propagate(g, target)
+    def counted(g):
+        calls.append(g)
+        return propagate(g)
     monkeypatch.setattr(graph, "_propagate", counted)
     g = families.random_graph(7, 0.6, 1)
     assert graph.classify_balance(g).kind == "balanced"
     calls.clear()
     code, _, _ = _run(capsys, "verify", "monotonicity", _write_graph(tmp_path, g))
     assert code == 0
-    assert sorted(calls) == [-1, -1, 1]
+    assert len(calls) == 1
 
 
 def test_report_values_are_replayable(tmp_path, capsys):
@@ -269,6 +315,24 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+    # the grid is parsed before the graph is read
+    assert main(["verify", "monotonicity", "g.json", "--p-grid", "1.5,x"]) == 2
+    assert capsys.readouterr().err == "plap: error: bad p-grid '1.5,x'\n"
+
+
+@pytest.mark.parametrize("k", ["0", "4"])
+def test_cutoff_rejects_k_outside_one_to_n(tmp_path, capsys, k):
+    path = _write_graph(tmp_path, families.complete(3))
+    code, out, err = _run(capsys, "cutoff", path, "--k", k)
+    assert (code, out, err) == (2, "", f"plap: error: k must be in [1, 3], got {k}\n")
+
+
+def test_verify_interlacing_skips_a_one_vertex_graph(tmp_path, capsys):
+    path = _write_graph(tmp_path, families.edgeless(1))
+    code, out, _ = _run(capsys, "verify", "interlacing", path)
+    assert code == 0
+    assert [(c["name"], c["status"], c["values"]) for c in json.loads(out)["checks"]] == [
+        ("interlacing", "skip", {"reason": "need at least 2 vertices"})]
 
 
 def test_a_reused_parser_answers_as_a_fresh_one(tmp_path, capsys):
@@ -366,25 +430,25 @@ def test_cutoff_reports_ignore_the_potential(tmp_path, capsys):
         assert reps[0]["checks"] == reps[1]["checks"]
 
 
-def test_monotonicity_propagates_signs_three_times_on_an_antibalanced_cycle(
+def test_monotonicity_searches_signs_once_on_an_antibalanced_cycle(
         tmp_path, capsys, monkeypatch):
-    # one propagation asks "connected and antibalanced" and every top solve
-    # of the grid reuses the answer; two classify the balance
+    # one sign search answers "connected and antibalanced" for every top
+    # solve of the grid and classifies the balance
     calls = []
     propagate = graph._propagate
 
-    def counted(g, target):
-        calls.append(target)
-        return propagate(g, target)
+    def counted(g):
+        calls.append(g)
+        return propagate(g)
     monkeypatch.setattr(graph, "_propagate", counted)
     path = _write_graph(tmp_path, graph.negate(families.cycle(6)))
     code, _, _ = _run(capsys, "verify", "monotonicity", path)
-    assert code == 0 and sorted(calls) == [-1, -1, 1]
+    assert code == 0 and len(calls) == 1
     # verify all adds one: the limit scan's switched copy, whose top solves
     # share its answer
     calls.clear()
     code, _, _ = _run(capsys, "verify", "all", path)
-    assert code == 0 and len(calls) == 4
+    assert code == 0 and len(calls) == 2
 
 
 def _weighted_antibalanced_with_potential():

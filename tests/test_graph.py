@@ -91,6 +91,19 @@ def test_graph_json_rejects_non_numbers_and_names_where(doc, where):
         graph.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("doc, where", [
+    ({"n": 2, "edges": [{"u": 0, "v": 1, "weight": 5}], "kapa": [3, 3]},
+     "unknown graph key 'kapa'"),
+    ({"n": 2, "edges": [{"u": 0, "v": 1, "weight": 5}]}, "edge #0: unknown key 'weight'"),
+    ({"n": 3, "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2, "sign": -1}]},
+     "edge #1: unknown key 'sign'"),
+], ids=["top", "edge0", "edge1"])
+def test_graph_json_rejects_an_unknown_key_and_names_it(doc, where):
+    # a misspelt key would otherwise leave its field at the default
+    with pytest.raises(GraphError, match=re.escape(where)):
+        graph.from_json_dict(doc)
+
+
 def test_validate_rejects_non_finite_json_fields():
     doc = {"n": 2, "edges": [{"u": 0, "v": 1, "w": 1.0, "sigma": 1.5}]}
     with pytest.raises(GraphError, match="sigma"):
@@ -318,3 +331,5 @@ def test_json_round_trip_with_defaults():
     assert g.edges == (graph.Edge(0, 1, 1.0, 1), graph.Edge(1, 2, 2.5, -1))
     assert g.mu == (1.0,) * 3 and g.kappa == (0.0,) * 3
     assert graph.loads(graph.dumps(g)) == g
+    full = validate(3, [(0, 1, 0.5, -1)], mu=[1.0, 2.0, 3.0], kappa=[0.0, -1.0, 2.0])
+    assert graph.from_json_dict(graph.to_json_dict(full)) == full

@@ -193,6 +193,14 @@ def test_solve_smallest_balanced_exact():
         assert pair.residual == 0.0
 
 
+def test_solve_smallest_on_an_edgeless_graph_is_the_smallest_potential_ratio():
+    # kappa/mu = (3, -1, 0.25): the bottom pair sits on vertex 1
+    g = graph.validate(3, [], mu=[1.0, 2.0, 4.0], kappa=[3.0, -2.0, 1.0])
+    pair = solve_smallest(g, 3.0)
+    assert pair.value == -1.0 and pair.certificate == "closed-form"
+    assert np.flatnonzero(pair.f).tolist() == [1] and pair.residual == 0.0
+
+
 def test_solve_smallest_k2_negative():
     pair = solve_smallest(graph.negate(families.complete(2)), 2.0)
     assert pair.value == 0.0
@@ -1560,6 +1568,17 @@ def test_monotonicity_rejects_negative_kappa():
     g = graph.validate(2, [(0, 1)], kappa=[-1.0, 0.0])
     with pytest.raises(ValueError):
         monotonicity_functionals(g, 2, (2.0, 3.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("g, k_label, grid, match", [
+    (families.star(4), 2, [2.0, 3.0], r"k_label must be 1 or n"),
+    (families.edgeless(3), 3, [2.0, 3.0], r"D must be positive"),
+    (families.star(4), 4, [2.0, 2.0], r"p-grid must be strictly increasing"),
+    (families.star(4), 4, [3.0, 2.0], r"p-grid must be strictly increasing"),
+], ids=["k-label", "D", "flat-grid", "falling-grid"])
+def test_monotonicity_rejects_an_index_d_or_grid_it_cannot_score(g, k_label, grid, match):
+    with pytest.raises(ValueError, match=match):
+        monotonicity_functionals(g, k_label, grid, [1.0] * len(grid))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

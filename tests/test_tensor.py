@@ -1,5 +1,7 @@
 """Even-p tensor construction, application, and eigenpair correspondence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,18 @@ def test_eigen_correspondence_lower_bound_negative_cliques():
         if n == 3:
             assert rep.lower_bound == pytest.approx(16.0, abs=1e-9)
         assert pair.value >= rep.lower_bound - 1e-8 * (1 + pair.value)
+
+
+@pytest.mark.parametrize("certificate, confirmed", [("perron-certified", False),
+                                                     ("multi-restart", None)])
+def test_eigen_correspondence_under_the_bound(certificate, confirmed):
+    # a certified top value under the bound is a failure; a multi-restart
+    # value is only a lower bound for the top one, so nothing is decided
+    g = graph.negate(families.complete(3))
+    pair = dataclasses.replace(solve_largest(g, 4), value=1.0, certificate=certificate)
+    rep = eigen_correspondence(g, 4, pair)
+    assert rep.lower_bound == pytest.approx(16.0, abs=1e-9)
+    assert rep.bound_confirmed is confirmed
 
 
 def test_eigen_correspondence_rejects_mismatched_p():
