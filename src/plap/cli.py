@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -113,7 +114,7 @@ def _cmd_cutoff(g, args, rep: Report) -> None:
 
 
 def _cmd_bounds(g, args, rep: Report) -> None:
-    ir = combinatorics.inertia_report(g, budget=args.budget, seed=args.seed)
+    ir = combinatorics.inertia_report(g, seed=args.seed)
     for name, passed, details in ir.checks:
         witness = details.pop("witness", None)
         rep.add(name, ANCHORS["inertia"], passed, details,
@@ -248,6 +249,9 @@ _COMMANDS = {"validate": _cmd_validate, "spectrum": _cmd_spectrum,
 
 
 def _cmd_generate(args) -> int:
+    size = families._FAMILIES[args.family][1][0]
+    if getattr(args, size) is None:
+        return _usage_error(f"generate {args.family} needs --{size}")
     # only the flags given: generate rejects one the family does not take
     params = {key: getattr(args, key) for key in ("n", "m", "d", "prob", "seed", "signed")
               if getattr(args, key) is not None}
@@ -298,8 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cut.add_argument("--exact", action="store_true",
                        help="fail unless every requested bracket is exact")
 
-    common(sub.add_parser("bounds", help="independence/edge-cover bound report"),
-           "seed", "budget")
+    common(sub.add_parser("bounds", help="independence/edge-cover bound report"), "seed")
 
     p_ver = sub.add_parser("verify", help="one-command verification suites")
     p_ver.add_argument("suite", choices=("monotonicity", "interlacing", "limit",
@@ -338,6 +341,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         except ValueError:
             return _usage_error(f"bad p-grid {args.p_grid!r}")
     try:
+        # an output that cannot be written fails before the work; an
+        # output that can is left as it was until the report is written
+        for path in (args.out, getattr(args, "csv", None)):
+            if path not in (None, "-"):
+                made = not os.path.lexists(path)
+                open(path, "a").close()
+                if made:
+                    os.remove(path)
         if args.cmd == "generate":
             return _cmd_generate(args)
         g, raw = _read_graph(args.graph)

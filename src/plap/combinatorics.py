@@ -239,8 +239,7 @@ class InertiaReport:
         return all(passed for _, passed, _ in self.checks)
 
 
-def inertia_report(g: SignedGraph, budget: int = cutoff.DEFAULT_BUDGET,
-                   seed: int = 0) -> InertiaReport:
+def inertia_report(g: SignedGraph, seed: int = 0) -> InertiaReport:
     """Run every independence/cover inequality on one graph.
 
     For each signature of default_signature_pool, the zero count of the
@@ -277,8 +276,8 @@ def inertia_report(g: SignedGraph, budget: int = cutoff.DEFAULT_BUDGET,
         record("alpha <= #{k : lower_k = 0} for every signature",
                alpha <= proxy, {"sigma": sigma, "alpha": alpha, "proxy": proxy})
 
-    for k, (up, cert) in enumerate(
-            cutoff._subset_uppers(g, range(1, alpha + 1), budget, seed, mis), start=1):
+    uppers = cutoff._subset_uppers(g, range(1, alpha + 1), cutoff.DEFAULT_BUDGET, seed, mis)
+    for k, (up, cert) in enumerate(uppers, start=1):
         record("upper bound vanishes for k up to the independence number",
                up == 0.0, {"k": k, "upper": up, "certificate": cert})
 

@@ -33,7 +33,7 @@ def jsonable(obj: Any) -> Any:
         return [jsonable(x) for x in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
-    return repr(obj)
+    raise TypeError(f"a report value cannot be a {type(obj).__name__}")
 
 
 def digest(raw: Optional[bytes]) -> str:

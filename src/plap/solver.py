@@ -326,11 +326,11 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
     F, lam) gets the parked rows' indices, points and values as one stack
     and returns a mask of the rows that end there.  The others resume that
     iteration from the state they were parked in (value, step, iterations
-    left), under the stops above, so each run and result is the one it
+    finished), under the stops above, so each run and result is the one it
     would have had without the hand-off (a handoff ending no row changes
-    nothing).  At p < 2 a row is parked again each time its relative
-    residual has fallen to REHANDOFF times that of its last hand-off; at
-    p >= 2 it is handed off at most once.
+    nothing).  A row is parked at most once per iteration, and at p < 2
+    again each time its relative residual has fallen to REHANDOFF times
+    that of its last hand-off; at p >= 2 it is handed off at most once.
     """
     mu = g.mu_array()
     sgn = 1.0 if maximize else -1.0
@@ -339,37 +339,23 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
     step = np.full(len(F), float(INITIAL_STEP))
     # each row's relative residual at which it is next parked; -inf: never
     level = np.full(len(F), HANDOFF if p >= 2 else HANDOFF_P_BELOW_2)
-    # round after which each row has run MAX_ITERS iterations: a row parked
-    # in round r that resumes in round s redoes that iteration, s - r later
-    deadline = np.full(len(F), MAX_ITERS)
-    parked, parked_in, rounds, soonest = [], np.zeros(len(F), dtype=int), 0, MAX_ITERS
-    redo = None     # rows redoing the iteration they were parked in, not parked again in it
-    live = np.arange(len(F) if MAX_ITERS > 0 else 0)
-    while live.size or parked:
-        if parked and (not live.size or rounds - parked_in[parked[0][0]] >= POLISH_ROUNDS):
-            rows = np.sort(np.concatenate(parked))
-            back = rows[~handoff(rows, F[rows], lam[rows])]
-            parked = []
-            if not back.size:
-                continue
-            deadline[back] += rounds + 1 - parked_in[back]
-            soonest = min(soonest, int(deadline[back].min()))
-            redo = np.zeros(len(F), dtype=bool)
-            redo[back] = True
-            live = np.sort(np.concatenate((live, back)))
+    # iterations each row has finished, and that count when it was last parked
+    iters, parked_at = np.zeros(len(F), dtype=int), np.full(len(F), -1)
+    parked, parked_in, rounds = [], np.zeros(len(F), dtype=int), 0
+    live = np.arange(len(F))
+    while live.size:
         rounds += 1
         f, lm = F[live], lam[live]
         defect = apply_plap(g, p, f) - lm[:, None] * mu * psi(p, f)
         res = np.max(np.abs(defect), axis=1)
         scale = 1.0 + np.abs(lm)
         due = res <= level[live] * scale
-        if redo is not None:
-            due &= ~redo[live]
-            redo = None
+        if due.any():   # not parked again before it finishes an iteration
+            due &= iters[live] > parked_at[live]
         if due.any():
             i = live[due]
             level[i] = REHANDOFF * (res[due] / scale[due]) if p < 2 else -np.inf
-            parked_in[i] = rounds
+            parked_at[i], parked_in[i] = iters[i], rounds
             parked.append(i)
             go = ~due
             live, f, lm, defect, res, scale = (t[go] for t in (live, f, lm, defect, res, scale))
@@ -406,9 +392,13 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
             search = search[t[search] > 1e-18]
         live = live[moved]
         step[live] = np.minimum(np.maximum(t[moved] * 2.0, 1e-12), 1e3)
-        if rounds >= soonest:
-            live = live[deadline[live] > rounds]
-            soonest = int(deadline[live].min()) if live.size else MAX_ITERS
+        iters[live] += 1
+        if rounds >= MAX_ITERS:
+            live = live[iters[live] < MAX_ITERS]
+        if parked and (not live.size or rounds - parked_in[parked[0][0]] >= POLISH_ROUNDS):
+            rows = np.sort(np.concatenate(parked))
+            live = np.sort(np.concatenate((live, rows[~handoff(rows, F[rows], lam[rows])])))
+            parked = []
     return F, lam
 
 

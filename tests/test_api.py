@@ -33,7 +33,6 @@ SETTERS = {
     "cutoff.interlacing_checks.ln": "plap verify (one exact_ln for every suite)",
     "cutoff.limit_scan.cfg": "plap verify limit --tol --restarts --seed",
     "combinatorics.default_signature_pool.seed": "combinatorics.inertia_report",
-    "combinatorics.inertia_report.budget": "plap bounds --budget",
     "combinatorics.inertia_report.seed": "plap bounds --seed",
     "tensor.eigen_correspondence.ln": "plap verify (one exact_ln for every suite)",
     "families.random_graph.prob": "families.generate (plap generate --prob)",

@@ -9,7 +9,7 @@ import pytest
 
 from plap import cli, cutoff, families, graph, solver
 from plap.cli import main
-from plap.report import Report
+from plap.report import Report, jsonable
 
 from conftest import antibalanced_negative_kappa, random_weighted
 
@@ -63,12 +63,20 @@ def test_generate_random_deterministic(capsys):
     (["complete", "--n", "3", "--prob", "0.1", "--signed", "--seed", "5"],
      "unknown parameters for complete: ['prob', 'seed', 'signed']"),
     (["hypercube", "--d", "2", "--seed", "3"], "unknown parameters for hypercube: ['seed']"),
-    (["random"], "missing 1 required positional argument: 'n'"),
+    (["random", "--n", "4", "--m", "3"], "unknown parameters for random: ['m']"),
 ], ids=["complete", "hypercube", "random"])
 def test_generate_rejects_a_flag_the_family_does_not_read(capsys, argv, err):
     code, out, got = _run(capsys, "generate", *argv)
     assert code == 2 and out == ""
     assert got.startswith("plap: error: ") and err in got
+
+
+@pytest.mark.parametrize("family, flag", [
+    ("complete", "--n"), ("star", "--m"), ("path", "--n"), ("cycle", "--n"),
+    ("edgeless", "--n"), ("hypercube", "--d"), ("random", "--n")])
+def test_generate_names_a_missing_size_flag(capsys, family, flag):
+    code, out, err = _run(capsys, "generate", family, "--negate")
+    assert (code, out, err) == (2, "", f"plap: error: generate {family} needs {flag}\n")
 
 
 def test_generate_random_defaults_are_the_library_defaults(capsys):
@@ -119,6 +127,53 @@ def test_a_directory_for_a_file_is_an_input_error(tmp_path, capsys, argv):
     assert err.startswith("plap: error: ") and str(tmp_path) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cutoff", "{graph}", "--out", "{bad}"],
+    ["verify", "all", "{graph}", "--out", "{ok}", "--csv", "{bad}"],
+    ["verify", "monotonicity", "{graph}", "--out", "{bad}", "--csv", "{ok}"],
+    ["generate", "complete", "--n", "3", "--out", "{bad}"],
+], ids=["cutoff-out", "verify-csv", "verify-out", "generate-out"])
+def test_an_output_that_cannot_be_written_fails_before_the_work(tmp_path, capsys,
+                                                                 monkeypatch, argv):
+    def work(*args):
+        pytest.fail("the command ran before its outputs were checked")
+    monkeypatch.setattr(cli, "_read_graph", work)
+    monkeypatch.setattr(families, "generate", work)
+    bad, ok = tmp_path / "missing" / "x.json", tmp_path / "ok.json"
+    path = _write_graph(tmp_path, families.star(4))
+    code, out, err = _run(capsys, *[a.format(graph=path, bad=bad, ok=ok) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"plap: error: [Errno 2] No such file or directory: '{bad}'\n"
+    assert not ok.exists()
+
+
+def test_checking_the_outputs_leaves_them_as_they_were(tmp_path, capsys):
+    # a run that fails after the check creates no file and keeps an old one
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 2, "edges": [{"u": 0, "v": 0}]}')
+    new, old = tmp_path / "new.json", tmp_path / "old.csv"
+    old.write_text("kept")
+    code, out, err = _run(capsys, "verify", "all", str(bad), "--out", str(new),
+                          "--csv", str(old))
+    assert (code, out) == (2, "") and "self-loop" in err
+    assert not new.exists() and old.read_text() == "kept"
+
+
+def test_a_report_written_to_a_file_is_the_one_printed(tmp_path, capsys):
+    path = _write_graph(tmp_path, families.random_graph(6, 0.6, 2, signed=True))
+    argv = ["spectrum", path, "--p", "3", "--which", "largest"]
+    code, printed, _ = _run(capsys, *argv)
+    dest = tmp_path / "rep.json"
+    dest.write_text("an older report, longer than the one that replaces it" * 100)
+    code2, out, _ = _run(capsys, *argv, "--out", str(dest))
+    assert code == code2 == 0 and out == ""
+    written = dest.read_text()
+    assert written.endswith("}\n")
+    want, got = json.loads(printed), json.loads(written)
+    assert got.pop("command") == ["plap", *argv, "--out", str(dest)]
+    assert want.pop("command") == ["plap", *argv] and got == want
+
+
 def test_malformed_json_reports_byte_offset(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -157,6 +212,43 @@ def test_spectrum_rejects_infinite_tol(tmp_path, capsys):
     assert "SolverConfig.tol must be positive and finite" in err
 
 
+def test_spectrum_reports_a_solver_error_as_a_failed_check(tmp_path, capsys):
+    path = _write_graph(tmp_path, families.random_graph(8, 0.35, 2, signed=True))
+    code, out, _ = _run(capsys, "spectrum", path, "--p", "1.25", "--which", "largest")
+    assert code == 1
+    rep = json.loads(out)
+    [check] = rep["checks"]
+    assert check["name"] == "solver convergence" and check["status"] == "fail"
+    assert check["values"]["error"].startswith("no restart reached residual tolerance")
+    assert "lambda" not in rep["values"]
+
+
+def test_verify_tensor_reports_a_solver_error_as_a_failed_check(tmp_path, capsys,
+                                                                monkeypatch):
+    def fails(g, p, cfg=None):
+        raise solver.SolverError(f"no pair at p={p}")
+    monkeypatch.setattr(solver, "solve_largest", fails)
+    path = _write_graph(tmp_path, families.star(4))
+    code, out, _ = _run(capsys, "verify", "tensor", path)
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    for p in (2, 4):
+        assert checks[f"tensor correspondence p={p}"]["status"] == "fail"
+        assert checks[f"tensor correspondence p={p}"]["values"] == {"error": f"no pair at p={p}"}
+        assert f"tensor spectral bound p={p}" not in checks
+    assert checks["tensor apply identity"]["status"] == "pass"
+
+
+def test_a_report_value_of_an_unknown_type_is_an_error(tmp_path, capsys, monkeypatch):
+    def body(g, args, rep):
+        rep.values["graph"] = g
+    monkeypatch.setitem(cli._COMMANDS, "validate", body)
+    path = _write_graph(tmp_path, families.star(4))
+    code, out, err = _run(capsys, "validate", path)
+    assert (code, out) == (2, "")
+    assert err == "plap: error: a report value cannot be a SignedGraph\n"
+
+
 def test_spectrum_at_p32_answers_on_k4(tmp_path, capsys):
     # the first Armijo trial's p-norm overflows at p = 32; it is rejected
     # like a failed trial instead of ending the command with exit code 2
@@ -193,6 +285,16 @@ def test_cutoff_all_answers_on_a_huge_finite_weight(tmp_path, capsys):
     assert code == 0 and err == ""
     top = json.loads(out)["values"]["brackets"][-1]
     assert top["lower"] == pytest.approx(5e199, rel=1e-12) and top["exact"]
+
+
+def test_report_values_take_numpy_scalars_and_refuse_other_types():
+    assert jsonable({"a": (np.float64(0.5), np.int32(3), np.bool_(True)),
+                     1: np.array([[1, 2]])}) == {"a": [0.5, 3, True], "1": [[1, 2]]}
+    assert [type(x) for x in jsonable([np.float32(1.5), np.int64(2), np.bool_(False)])] \
+        == [float, int, bool]
+    for bad in (object(), {1, 2}, b"bytes", 1j):
+        with pytest.raises(TypeError, match=f"a report value cannot be a {type(bad).__name__}"):
+            jsonable({"values": [bad]})
 
 
 def test_report_refuses_non_finite_numbers():
@@ -361,7 +463,8 @@ def test_entry_point_version(capsys):
 @pytest.mark.parametrize("cmd, flag", [
     ("validate", "--seed"), ("validate", "--tol"), ("validate", "--restarts"),
     ("validate", "--budget"), ("spectrum", "--budget"), ("cutoff", "--tol"),
-    ("cutoff", "--restarts"), ("bounds", "--tol"), ("bounds", "--restarts")])
+    ("cutoff", "--restarts"), ("bounds", "--tol"), ("bounds", "--restarts"),
+    ("bounds", "--budget")])
 def test_a_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, cmd, flag):
     path = _write_graph(tmp_path, families.complete(4))
     extra = ["--p", "3", "--which", "largest"] if cmd == "spectrum" else []

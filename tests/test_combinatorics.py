@@ -135,6 +135,8 @@ def test_cvetkovic_support_violations():
     diag = np.eye(3)
     with pytest.raises(ValueError, match="diagonal"):
         cvetkovic_bound(p3, diag)
+    with pytest.raises(ValueError, match="matrix must be 3x3"):
+        cvetkovic_bound(p3, np.zeros((3, 4)))
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -53,6 +53,8 @@ def test_validate_rejects_nonpositive_weight():
     ([(0, 1)], 5, None, r"mu must be a list of numbers, got 5"),
     ([(0, 1)], None, [0.0, False, 1.0], r"vertex 1: potential must be finite, got False"),
     ([(0, 1)], None, "000", r"kappa must be a list of numbers, got '000'"),
+    ([(0, 1)], [1.0, 1.0], None, r"mu has length 2, expected 3"),
+    ([(0, 1)], None, [0.0] * 4, r"kappa has length 4, expected 3"),
 ])
 def test_validate_rejects_non_integral_and_non_finite_inputs(edges, mu, kappa, where):
     with pytest.raises(GraphError, match=where):
@@ -85,6 +87,12 @@ def test_validate_accepts_integral_floats_and_numpy_ints():
     ({"n": 2, "mu": 5}, r"mu must be a list of numbers, got 5"),
     ({"n": 2, "kappa": [False, 1]}, r"vertex 0: potential must be finite, got False"),
     ({"n": 2, "kappa": "00"}, r"kappa must be a list of numbers, got '00'"),
+    ([2], r'graph JSON must be an object with an "n" field'),
+    ({"edges": []}, r'graph JSON must be an object with an "n" field'),
+    ({"n": 2, "edges": [{"u": 0}]}, r'edge #0: expected an object with "u" and "v"'),
+    ({"n": 2, "edges": [{"u": 0, "v": 1}, {"v": 1}]},
+     r'edge #1: expected an object with "u" and "v"'),
+    ({"n": 2, "edges": [[0, 1]]}, r'edge #0: expected an object with "u" and "v"'),
 ])
 def test_graph_json_rejects_non_numbers_and_names_where(doc, where):
     with pytest.raises(GraphError, match=where):
@@ -188,8 +196,10 @@ def test_spanning_subgraph():
 
 @pytest.mark.parametrize("keep,entry", [([0.9, 1.5, 2], "#0 ... got 0.9"),
                                         ([True, 2], "#0 ... got True"),
-                                        ([0, float("nan")], "#1 ... got nan")],
-                         ids=["fractions", "bool", "nan"])
+                                        ([0, float("nan")], "#1 ... got nan"),
+                                        ([0, 4], "index 4 out of range [0,4)"),
+                                        ([-1.0], "index -1 out of range [0,4)")],
+                         ids=["fractions", "bool", "nan", "past-n", "negative"])
 def test_induced_subgraph_rejects_a_non_integral_vertex(keep, entry):
     # int() truncated these to {0, 1, 2} and {1, 2}; integral floats still pass
     with pytest.raises(GraphError) as err:

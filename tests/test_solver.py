@@ -608,6 +608,32 @@ def test_lockstep_covers_every_stop_reason(monkeypatch):
     assert reasons == {"residual", "gradient", "no-armijo-step", "max-iters"}
 
 
+@pytest.mark.parametrize("largest", [True, False], ids=["largest", "smallest"])
+def test_a_row_at_residual_zero_is_parked_once_per_iteration(largest, monkeypatch):
+    # on K3 at p = 1.5 the two-point start e0 - e1 is an exact eigenfunction:
+    # its residual is 0.0, under every hand-off level, so a row resumed from
+    # a hand-off that ends nothing is due again at once.  It must redo the
+    # iteration it was parked in and stop there, as the serial loop does;
+    # the raise makes a row parked again and again a failure, not a hang
+    g, cfg = IDENTITY_GRAPHS["K3"], _short(monkeypatch)
+    f0 = np.array([1.0, -1.0, 0.0])
+    stacks, calls = [], []
+
+    def ends_none(rows, F, lam):
+        stacks.append(rows.tolist())
+        if len(stacks) > 10:
+            raise AssertionError("a resumed row was parked again in the same iteration")
+        return np.zeros(len(rows), dtype=bool)
+
+    def serial_ends_none(f, lam):
+        calls.append(lam)
+        return False
+    F, lam = solver._ascent(g, 1.5, f0[None, :], cfg, largest, ends_none)
+    f, lm, why = _serial_ascent(g, 1.5, f0, cfg, largest, serial_ends_none)
+    assert why == "residual" and stacks == [[0]] and len(calls) == 1
+    assert np.array_equal(F[0], f) and lam[0] == lm
+
+
 def _assert_rows_equal_the_serial_loop(g, p, cfg, largest, rows=None):
     starts = _solver_starts(g, p, cfg, largest, _lead(g, largest))[:rows]
     F, lam = solver._ascent(g, p, np.array(starts), cfg, largest, _never)
@@ -1579,6 +1605,18 @@ def test_monotonicity_rejects_negative_kappa():
 def test_monotonicity_rejects_an_index_d_or_grid_it_cannot_score(g, k_label, grid, match):
     with pytest.raises(ValueError, match=match):
         monotonicity_functionals(g, k_label, grid, [1.0] * len(grid))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda g: normalize_sp(np.zeros(4), 3.0, g.mu_array()), "cannot normalize the zero"),
+    (lambda g: normalize_sp(np.array([[1.0, 0, 0, 0], [0.0] * 4]), 3.0, g.mu_array()),
+     "cannot normalize the zero"),
+    (lambda g: residual(g, 3.0, 1.0, np.zeros(4)), "residual of the zero function"),
+    (lambda g: potential_shift_check(g, 3.0, 2), "k_label must be 1 or n"),
+], ids=["normalize", "normalize-stack", "residual", "shift-k-label"])
+def test_the_zero_function_and_a_middle_index_are_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(families.star(4))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,6 +1,7 @@
 """Even-p tensor construction, application, and eigenpair correspondence."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -145,3 +146,17 @@ def test_eigen_correspondence_rejects_mismatched_p():
     pair = solve_largest(families.star(4), 4)
     with pytest.raises(ValueError):
         eigen_correspondence(families.star(4), 6, pair)
+
+
+def test_eigen_correspondence_rejects_an_uncertified_pair():
+    pair = dataclasses.replace(solve_largest(families.star(4), 4), certificate="none")
+    with pytest.raises(ValueError, match="uncertified eigenpair"):
+        eigen_correspondence(families.star(4), 4, pair)
+
+
+@pytest.mark.parametrize("apply", [apply_tensor, apply_tensor_reference])
+@pytest.mark.parametrize("shape", [(2,), (1, 3)])
+def test_apply_tensor_rejects_a_function_of_the_wrong_shape(apply, shape):
+    t = build_tensor(families.complete(3), 4)
+    with pytest.raises(ValueError, match=re.escape(f"function has shape {shape}, expected (3,)")):
+        apply(t, np.ones(shape))
