@@ -24,6 +24,6 @@ from .cutoff import (CutoffBracket, LimitScanResult, bracket, brackets, exact_ln
 from .combinatorics import (EdgeCover, IndependentSet, InertiaReport, Matching,
                             cvetkovic_bound, inertia_report, max_independent_set,
                             max_matching, min_edge_cover)
-from .tensor import (CorrespondenceReport, PLapTensor, apply_tensor,
-                     apply_tensor_reference, build_tensor, eigen_correspondence)
+from .tensor import (CorrespondenceReport, PLapTensor, apply_tensor, build_tensor,
+                     eigen_correspondence)
 from .families import generate

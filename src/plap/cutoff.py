@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import (GraphError, SignedGraph, _vertex, connected_antibalancing_tau,
+from .graph import (GraphError, SignedGraph, _real, _vertex, connected_antibalancing_tau,
                     induced_subgraph, switch, with_zero_kappa)
 from .linalg import _scaled, normalized_adjacency, normalized_spectrum
 from .solver import SolverConfig, solve_largest_grid
@@ -58,10 +58,16 @@ class LimitScanResult:
 
 
 def r_q_infty(g: SignedGraph, q: float, f: np.ndarray) -> float:
-    """sum_E w (max(-f_i sigma_ij f_j, 0))^(q/2) / sum_i mu |f_i|^q."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+    """sum_E w (max(-f_i sigma_ij f_j, 0))^(q/2) / sum_i mu |f_i|^q, for
+    1 <= q < inf and a finite f with one entry per vertex."""
+    if not (_real(q) and 1 <= q < np.inf):
+        raise ValueError(f"q must be a number in [1, inf), got {q!r}")
     f = np.asarray(f, dtype=float)
+    if f.shape != (g.n,):
+        raise ValueError(f"function has shape {f.shape}, expected ({g.n},)")
+    bad = np.flatnonzero(~np.isfinite(f))
+    if bad.size:
+        raise ValueError(f"function entry #{bad[0]} must be finite, got {float(f[bad[0]])!r}")
     a = g._arrays
     den = float(np.sum(a.mu * np.abs(f) ** q))
     if den == 0:
@@ -94,16 +100,15 @@ def _batch_size(n: int) -> int:
     return max(1, _BATCH_BYTES // (8 * n * n))
 
 
-def _first_max(g: SignedGraph, batches, cols: Sequence[int],
-               **flags) -> tuple[np.ndarray, np.ndarray]:
-    """(values, positions) of the first maximum of each eigenvalue column in
-    cols of normalized_adjacency(g, mask, **flags) over the rows of the mask
+def _first_max(g: SignedGraph, batches, **flags) -> tuple[np.ndarray, np.ndarray]:
+    """(values, positions) of the first maximum of each eigenvalue column of
+    normalized_adjacency(g, mask, **flags) over the rows of the mask
     batches; one stacked eigensolve per batch serves every column."""
-    best_val, best_pos, pos = np.full(len(cols), -np.inf), np.zeros(len(cols), int), 0
+    best_val, best_pos, pos = np.full(g.n, -np.inf), np.zeros(g.n, int), 0
     for masks in batches:
-        vals = np.linalg.eigvalsh(normalized_adjacency(g, masks, **flags))[:, cols]
+        vals = np.linalg.eigvalsh(normalized_adjacency(g, masks, **flags))
         i = np.argmax(vals, axis=0)
-        top = vals[i, np.arange(len(cols))]
+        top = vals[i, np.arange(g.n)]
         better = top > best_val
         best_val[better], best_pos[better] = top[better], pos + i[better]
         pos += len(masks)
@@ -287,15 +292,19 @@ def exact_ln(g: SignedGraph, seed: int = 0) -> CutoffBracket:
                          exact=False)
 
 
-def _check_k(g: SignedGraph, k: int) -> None:
-    if not (1 <= k <= g.n):
-        raise ValueError(f"k must be in [1, {g.n}], got {k}")
+def _check_k(g: SignedGraph, k) -> int:
+    """k as an index of g: a number (not a bool) equal to an integer in
+    [1, n], _vertex's rule, so 2.0 passes as 2 and 2.5 is not truncated."""
+    if not (_real(k) and k % 1 == 0):
+        raise ValueError(f"k must be an integer index, got {k!r}")
+    if not 1 <= k <= g.n:
+        raise ValueError(f"k must be in [1, {g.n}], got {int(k)}")
+    return int(k)
 
 
 def lower_bound_full(g: SignedGraph, k: int) -> float:
     """max(0, lambda_k(A^mu of the negated graph) / 2)."""
-    _check_k(g, k)
-    return float(lower_bounds_full_all(g)[k - 1])
+    return float(lower_bounds_full_all(g)[_check_k(g, k) - 1])
 
 
 def lower_bounds_full_all(g: SignedGraph) -> np.ndarray:
@@ -316,33 +325,40 @@ def lower_bound_subgraphs(g: SignedGraph, k: int) -> tuple[float, tuple]:
 
     The pool: all edges, none, the maximal antibalanced subgraphs (one per
     sign code) and every other edge subset, the last two while they fit the
-    budget (DEFAULT_BUDGET).  The first member of the pool wins ties."""
-    _check_k(g, k)
-    return _subgraph_lowers(g, [k], DEFAULT_BUDGET)[0]
+    budget (DEFAULT_BUDGET).  The first member of the pool wins ties.  The
+    scan serves every k and is kept on g (see _subgraph_lowers)."""
+    return _subgraph_lowers(g, [_check_k(g, k)], DEFAULT_BUDGET)[0]
 
 
 def _subgraph_lowers(g: SignedGraph, ks: Sequence[int],
                      budget: int) -> list[tuple[float, tuple]]:
-    """lower_bound_subgraphs for every k in ks from one scan of the pool."""
+    """lower_bound_subgraphs for every k in ks.  One scan of the pool gives
+    the first maximum of every eigenvalue column and its member; it is kept
+    on g, keyed by which of the sign codes and edge subsets the budget
+    admits, so every later call whose budget gives the same pool reads it."""
     if not g.m:
         return [(0.0, ("spanning-subgraph", ()))] * len(ks)
-    pool = [np.ones((1, g.m), dtype=bool), np.zeros((1, g.m), dtype=bool)]
-    if (1 << (g.n - 1)) <= budget:
-        pool.append(_active_edges(g, _code_signs(g.n, np.arange(1 << (g.n - 1)))))
-    if (1 << g.m) <= budget:
-        # itertools.combinations order: by size, then by members; within a
-        # size that is descending code order with edge 0 as the top bit
-        codes = np.arange((1 << g.m) - 2, 0, -1)
-        rows = ((codes[:, None] >> np.arange(g.m - 1, -1, -1)) & 1).astype(bool)
-        pool.append(rows[np.argsort(rows.sum(axis=1), kind="stable")])
-    masks = np.concatenate(pool)
-    masks, step = masks[_first_rows(masks)], _batch_size(g.n)
-    vals, best = _first_max(g, (masks[lo:lo + step] for lo in range(0, len(masks), step)),
-                            [k - 1 for k in ks], negate=True)
-    return [(0.5 * float(val), ("spanning-subgraph",
-                                tuple((g.edges[i].u, g.edges[i].v)
-                                      for i in np.flatnonzero(masks[pos]))))
-            for val, pos in zip(vals, best)]
+    key = ((1 << (g.n - 1)) <= budget, (1 << g.m) <= budget)
+    if key not in g._pools:
+        pool = [np.ones((1, g.m), dtype=bool), np.zeros((1, g.m), dtype=bool)]
+        if key[0]:
+            pool.append(_active_edges(g, _code_signs(g.n, np.arange(1 << (g.n - 1)))))
+        if key[1]:
+            # itertools.combinations order: by size, then by members; within
+            # a size that is descending code order with edge 0 as the top bit
+            codes = np.arange((1 << g.m) - 2, 0, -1)
+            rows = ((codes[:, None] >> np.arange(g.m - 1, -1, -1)) & 1).astype(bool)
+            pool.append(rows[np.argsort(rows.sum(axis=1), kind="stable")])
+        masks = np.concatenate(pool)
+        masks, step = masks[_first_rows(masks)], _batch_size(g.n)
+        vals, best = _first_max(g, (masks[lo:lo + step] for lo in range(0, len(masks), step)),
+                                negate=True)
+        g._pools[key] = (vals, masks[best])
+    vals, winners = g._pools[key]
+    return [(0.5 * float(vals[k - 1]), ("spanning-subgraph",
+                                        tuple((g.edges[i].u, g.edges[i].v)
+                                              for i in np.flatnonzero(winners[k - 1]))))
+            for k in ks]
 
 
 def _first_rows(masks: np.ndarray) -> np.ndarray:
@@ -379,8 +395,7 @@ def upper_bound_subsets(g: SignedGraph, k: int) -> tuple[float, tuple]:
     exhaustive scan stops after the first batch that holds a 0.
     """
     from .combinatorics import max_independent_set
-    _check_k(g, k)
-    return _subset_uppers(g, [k], DEFAULT_BUDGET, 0, max_independent_set(g))[0]
+    return _subset_uppers(g, [_check_k(g, k)], DEFAULT_BUDGET, 0, max_independent_set(g))[0]
 
 
 def _subset_uppers(g: SignedGraph, ks: Sequence[int], budget: int, seed: int,
@@ -430,14 +445,15 @@ def brackets(g: SignedGraph, ks: Sequence[int], budget: int = DEFAULT_BUDGET,
 
     Lower: the full-graph bound, the subgraph pool, and at k = n the exact
     (or sampled) L_n; upper: the vertex subsets, and at k = n an exact L_n.
-    The first bound in that order wins ties on each side.  One pool scan,
-    one maximum independent set and at most one exact_ln serve every k.
+    The first bound in that order wins ties on each side.  One maximum
+    independent set and at most one exact_ln serve every k of a call, and
+    one pool scan per graph object serves every k of every call: it is kept
+    on g, so bracket(g, k) over every k scans the pool once.
     An inverted bracket (lower > upper beyond tolerance) is an implementation
     bug by construction and raises immediately, and so does a NaN side.
     """
     from .combinatorics import max_independent_set
-    for k in ks:
-        _check_k(g, k)
+    ks = [_check_k(g, k) for k in ks]
     full = lower_bounds_full_all(g)
     subgraphs = _subgraph_lowers(g, ks, budget)
     subsets = _subset_uppers(g, ks, budget, seed, max_independent_set(g))

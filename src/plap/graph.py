@@ -10,8 +10,10 @@ on first use (never by validate) and kept on the instance, outside equality,
 hashing and pickling; switch, negate and with_zero_kappa hand their result
 the view of their input with sigma (kappa) replaced.  The one depth-first
 sign search that balance, antibalance, connectivity and components are read
-from is kept the same way, and so is the balance classification.  A
-concurrent first use may build any of them twice; harmless.
+from is kept the same way, and so are the balance classification and the
+cutoff module's spanning-subgraph pool scans (_pools), which switch, negate
+and with_zero_kappa results start without.  A concurrent first use may
+build any of them twice; harmless.
 
 A switched, negated or kappa-zeroed graph is made from that view alone: its
 edge tuples are built from the view the first time something reads
@@ -108,6 +110,11 @@ class SignedGraph:
     @cached_property
     def _balance(self) -> "BalanceClass":
         return _classify(self)
+
+    @cached_property
+    def _pools(self) -> dict:
+        # cutoff._subgraph_lowers's scans, keyed by the pool's composition
+        return {}
 
     def __getattr__(self, name: str):
         # only reached when the instance has no such attribute: the edge

@@ -5,24 +5,21 @@ Entries are defined by index-multiset pattern, never as a dense order-p
 array: an edge (i,j) contributes one entry per split {i^(l), j^(p-l)} and
 each vertex one diagonal pattern {i^(p)}.  A tensor stores them as flat
 arrays, per edge (i, j, w, sigma) and per vertex its diagonal entry, built
-from the graph's array view; the pattern dict is built only when read.
-Applying the tensor collapses edgewise to
-w_ij (f_i - sigma_ij f_j)^(p-1) + kappa_i f_i^(p-1); a slow reference path
-expands the binomial sums over patterns instead, for cross-validation.
+from the graph's array view.  Applying the tensor collapses edgewise to
+w_ij (f_i - sigma_ij f_j)^(p-1) + kappa_i f_i^(p-1); the tests check that
+collapse against the binomial sums over the patterns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 
 import numpy as np
 
 from .graph import SignedGraph
 from .solver import PEigenPair
 
-Pattern = tuple[tuple[int, int], ...]   # ((vertex, multiplicity), ...), sorted
 CORRESPONDENCE_TOL = 1e-8   # eigen_correspondence: defect, relative bound slack
 
 
@@ -45,17 +42,6 @@ class PLapTensor:
     w: np.ndarray
     sigma: np.ndarray
     diag: np.ndarray
-
-    @cached_property
-    def entries(self) -> dict[Pattern, float]:
-        """The pattern dict: the diagonals, then each edge's l = 1..p-1."""
-        out = {((i, self.p),): val for i, val in enumerate(self.diag.tolist())}
-        ls = range(1, self.p)
-        for i, j, w, s in zip(self.i.tolist(), self.j.tolist(), self.w.tolist(),
-                              self.sigma.tolist()):
-            for l in ls:
-                out[((i, l), (j, self.p - l))] = (-s) ** l * w
-        return out
 
     @cached_property
     def _collapse(self) -> tuple[np.ndarray, ...]:
@@ -104,28 +90,6 @@ def apply_tensor(t: PLapTensor, f: np.ndarray) -> np.ndarray:
                                             w * (fj - sigma * fi) ** q)).ravel(),
                            coef * f ** q))
     return np.bincount(idx, vals, minlength=t.n)
-
-
-def apply_tensor_reference(t: PLapTensor, f: np.ndarray) -> np.ndarray:
-    """Slow path: expand each stored pattern with its binomial multiplicity.
-
-    A pattern {i^(l), j^(p-l)} seen from row i stands for C(p-1, l-1) index
-    tuples and contributes that many copies of value * f_i^(l-1) * f_j^(p-l).
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (t.n,):
-        raise ValueError(f"function has shape {f.shape}, expected ({t.n},)")
-    p = t.p
-    out = np.zeros(t.n)
-    for pattern, val in t.entries.items():
-        if len(pattern) == 1:
-            i = pattern[0][0]
-            out[i] += val * f[i] ** (p - 1)
-        else:
-            (i, li), (j, lj) = pattern
-            out[i] += comb(p - 1, li - 1) * val * f[i] ** (li - 1) * f[j] ** lj
-            out[j] += comb(p - 1, lj - 1) * val * f[j] ** (lj - 1) * f[i] ** li
-    return out
 
 
 @dataclass(frozen=True)

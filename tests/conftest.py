@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,33 @@ def sparse_antibalanced(n: int, m: int, seed: int) -> graph.SignedGraph:
             edges.add((min(a, b), max(a, b)))
     tau = np.where(rng.random(n) < 0.5, 1, -1)
     return graph.validate(n, [(a, b, 1.0, int(-tau[a] * tau[b])) for a, b in sorted(edges)])
+
+
+def tensor_entries(t) -> dict:
+    """The pattern dict of a PLapTensor, ((vertex, multiplicity), ...) ->
+    value: the diagonals, then each edge's l = 1..p-1."""
+    out = {((i, t.p),): val for i, val in enumerate(t.diag.tolist())}
+    for i, j, w, s in zip(t.i.tolist(), t.j.tolist(), t.w.tolist(), t.sigma.tolist()):
+        for l in range(1, t.p):
+            out[((i, l), (j, t.p - l))] = (-s) ** l * w
+    return out
+
+
+def apply_tensor_reference(t, f) -> np.ndarray:
+    """tensor.apply_tensor the slow way: expand each pattern with its binomial
+    multiplicity.  A pattern {i^(l), j^(p-l)} seen from row i stands for
+    C(p-1, l-1) index tuples and contributes that many copies of
+    value * f_i^(l-1) * f_j^(p-l)."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (t.n,):
+        raise ValueError(f"function has shape {f.shape}, expected ({t.n},)")
+    p, out = t.p, np.zeros(t.n)
+    for pattern, val in tensor_entries(t).items():
+        if len(pattern) == 1:
+            i = pattern[0][0]
+            out[i] += val * f[i] ** (p - 1)
+        else:
+            (i, li), (j, lj) = pattern
+            out[i] += math.comb(p - 1, li - 1) * val * f[i] ** (li - 1) * f[j] ** lj
+            out[j] += math.comb(p - 1, lj - 1) * val * f[j] ** (lj - 1) * f[i] ** li
+    return out

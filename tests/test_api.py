@@ -59,7 +59,6 @@ UNCALLED = {
     "solver.closed_form_star": "paper quantity; perfbench's extremal oracle calls it",
     "solver.complete_extremes": "paper quantity; perfbench's extremal oracle calls it",
     "solver.potential_shift_check": "paper quantity: the potential shift bound",
-    "tensor.apply_tensor_reference": "reference implementation of apply_tensor",
 }
 
 

@@ -16,7 +16,8 @@ import pytest
 from plap import cli, cutoff, families, graph, linalg, solver, tensor
 from plap.solver import psi
 
-from conftest import random_connected_antibalanced, random_signed, random_weighted
+from conftest import (apply_tensor_reference, random_connected_antibalanced, random_signed,
+                      random_weighted, tensor_entries)
 
 GRAPHS = ([random_weighted(n, 0.5, seed, isolated=seed % 3) for seed, n in enumerate(range(3, 15))]
           + [graph.validate(4, [], mu=[1.0, 2.0, 0.5, 3.0], kappa=[0.5, -1.0, 0.0, 2.0]),
@@ -112,7 +113,7 @@ def _old_build_tensor(g, p):
 
 def _old_apply_tensor(t, f):
     out, degree_part = np.zeros(t.n), np.zeros(t.n)
-    for pattern, val in t.entries.items():
+    for pattern, val in tensor_entries(t).items():
         if len(pattern) != 2 or pattern[0][1] != 1:
             continue
         (i, _), (j, _) = pattern
@@ -121,7 +122,7 @@ def _old_apply_tensor(t, f):
         out[j] += w * (f[j] - sigma * f[i]) ** (t.p - 1)
         degree_part[i] += w
         degree_part[j] += w
-    for pattern, val in t.entries.items():
+    for pattern, val in tensor_entries(t).items():
         if len(pattern) == 1:
             i = pattern[0][0]
             out[i] += (val - degree_part[i]) * f[i] ** (t.p - 1)
@@ -222,7 +223,7 @@ def test_apply_tensor_matches_the_loop_and_the_reference(g):
             got = tensor.apply_tensor(t, f)
             scale = 1.0 + float(np.max(np.abs(got)))
             assert np.max(np.abs(got - _old_apply_tensor(t, f))) <= 1e-12 * scale
-            assert np.max(np.abs(got - tensor.apply_tensor_reference(t, f))) <= 1e-12 * scale
+            assert np.max(np.abs(got - apply_tensor_reference(t, f))) <= 1e-12 * scale
 
 
 def _old_collapse(p, n, entries):
@@ -246,10 +247,9 @@ def test_build_tensor_equals_the_edge_loop(g):
         t = tensor.build_tensor(g, p)
         f = rng.standard_normal(g.n)
         got = tensor.apply_tensor(t, f)
-        assert "entries" not in t.__dict__
         want = _old_build_tensor(g, p)
-        assert list(t.entries.items()) == list(want.items())
-        assert all(type(val) is float for val in t.entries.values())
+        assert list(tensor_entries(t).items()) == list(want.items())
+        assert all(type(val) is float for val in tensor_entries(t).values())
         for x, y in zip(t._collapse, _old_collapse(p, g.n, want), strict=True):
             assert x.dtype == y.dtype and np.array_equal(x, y)
         scale = 1.0 + float(np.max(np.abs(got)))
@@ -287,6 +287,14 @@ def test_cache_is_outside_equality_hash_and_pickle():
     assert np.array_equal(solver.apply_plap(back, 3.0, f), before)
     with pytest.raises(ValueError):
         back.mu_array()[0] = 1.0
+    # the spanning-subgraph pool scans the cutoff brackets keep
+    assert "_pools" not in back.__dict__
+    plain = pickle.dumps(back)
+    assert cutoff.bracket(back, 2) == cutoff.bracket(fresh, 2) and back._pools
+    assert back == fresh and hash(back) == hash(fresh) and pickle.dumps(back) == plain
+    again = pickle.loads(plain)
+    assert "_pools" not in again.__dict__ and again == back
+    assert cutoff.bracket(again, 2) == cutoff.bracket(back, 2)
 
 
 def test_with_zero_kappa_reuses_a_zero_potential_graph():

@@ -1,6 +1,10 @@
 """Cutoff eigenvalue brackets: exact top values, bounds, interlacing, limits."""
 
 import math
+import pickle
+import re
+import sys
+import threading
 from functools import lru_cache
 from itertools import combinations
 
@@ -14,7 +18,7 @@ from plap.combinatorics import max_independent_set
 from plap.cutoff import (bracket, brackets, exact_ln, interlacing_check,
                          interlacing_checks, limit_scan, lower_bound_full,
                          lower_bound_subgraphs, r_q_infty, upper_bound_subsets)
-from plap.graph import GraphError, negate, switch, validate
+from plap.graph import GraphError, induced_subgraph, negate, switch, validate, with_zero_kappa
 from plap.linalg import adjacency, normalized_adjacency
 from plap.solver import solve_largest
 
@@ -32,6 +36,24 @@ def test_r_q_infty_examples():
         r_q_infty(k2, 2.0, np.zeros(2))
     with pytest.raises(ValueError):
         r_q_infty(k2, 0.5, f[:2])
+
+
+@pytest.mark.parametrize("q", [float("nan"), float("inf"), 0.5, -1, True, "2", None])
+def test_r_q_infty_rejects_a_q_outside_one_to_infinity(q):
+    with pytest.raises(ValueError, match=re.escape(f"q must be a number in [1, inf), got {q!r}")):
+        r_q_infty(families.complete(2), q, np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("f, msg", [
+    ([1.0], "function has shape (1,), expected (2,)"),
+    ([1.0, -1.0, 0.0], "function has shape (3,), expected (2,)"),
+    ([[1.0, -1.0]], "function has shape (1, 2), expected (2,)"),
+    ([1.0, float("nan")], "function entry #1 must be finite, got nan"),
+    ([float("-inf"), 1.0], "function entry #0 must be finite, got -inf"),
+])
+def test_r_q_infty_rejects_a_function_of_the_wrong_shape_or_not_finite(f, msg):
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        r_q_infty(families.complete(2), 2.0, np.array(f))
 
 
 def test_r_2_infty_matches_negated_quadratic_form_when_cutoff_inactive(rng):
@@ -332,24 +354,51 @@ SCAN_GRAPHS = ([random_weighted(n, 0.5, seed, isolated=seed % 3)
                + [negate(families.complete(5)), families.edgeless(3)])
 
 
+def _fresh(g):
+    """g without anything kept on it: a pickle round trip keeps the fields only."""
+    return pickle.loads(pickle.dumps(g))
+
+
+def _pool_key(g, budget):
+    """The composition of g's spanning-subgraph pool at a budget: whether it
+    holds the sign codes and whether it holds the edge subsets."""
+    return (1 << (g.n - 1)) <= budget, (1 << g.m) <= budget
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The graph of every spanning-subgraph pool scan (cutoff._first_max call)."""
+    first_max, graphs = cutoff._first_max, []
+
+    def spy(g, *args, **kwargs):
+        graphs.append(g)
+        return first_max(g, *args, **kwargs)
+
+    monkeypatch.setattr(cutoff, "_first_max", spy)
+    return graphs
+
+
 @pytest.mark.parametrize("per_batch", [None, 1, 3, 7])
 @pytest.mark.parametrize("g", SCAN_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
-def test_batched_scans_equal_the_loops(g, per_batch, monkeypatch):
+def test_batched_scans_equal_the_loops(g, per_batch, monkeypatch, scans):
     if per_batch is not None:
         monkeypatch.setattr(cutoff, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
+    g = _fresh(g)       # a case of its own scans, at its own batch size
     assert cutoff._lambda_max_signs(g) == _old_lambda_max_signs(g)
     for k in range(1, g.n + 1):
         for budget in (16, 2048):
             assert (cutoff._subgraph_lowers(g, [k], budget)[0]
                     == _old_lower_bound_subgraphs(g, k, budget))
         assert lower_bound_subgraphs(g, k) == _old_lower_bound_subgraphs(g, k, 2048)
+    assert len(scans) == (len({_pool_key(g, 16), _pool_key(g, 2048)}) if g.m else 0)
 
 
 @pytest.mark.parametrize("per_batch", [None, 1, 3, 7])
 @pytest.mark.parametrize("g", SCAN_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
-def test_brackets_equal_the_per_k_loops(g, per_batch, monkeypatch):
+def test_brackets_equal_the_per_k_loops(g, per_batch, monkeypatch, scans):
     if per_batch is not None:
         monkeypatch.setattr(cutoff, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
+    g = _fresh(g)
     ks = list(range(1, g.n + 1))
     for budget in (16, 2048):
         old = [_old_bracket(g, k, budget) for k in ks]
@@ -366,6 +415,85 @@ def test_brackets_equal_the_per_k_loops(g, per_batch, monkeypatch):
     assert [bracket(g, k) for k in ks] == old
     assert [upper_bound_subsets(g, k) for k in ks] == uppers
     assert [interlacing_check(g, [v]) for v in range(g.n)] == checks
+    assert len(scans) == (len({_pool_key(g, 16), _pool_key(g, 2048)}) if g.m else 0)
+
+
+@pytest.mark.parametrize("g", SCAN_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_kept_scans_give_the_answers_of_fresh_graphs(g):
+    ks = list(range(1, g.n + 1))
+    for budget in (16, 2048):
+        want = [brackets(_fresh(g), [k], budget)[0] for k in ks]
+        one = _fresh(g)
+        assert [brackets(one, [k], budget)[0] for k in ks] == want
+        assert brackets(one, ks, budget) == want
+        assert brackets(one, ks[::-1], budget) == want[::-1]
+        assert brackets(_fresh(g), ks, budget) == want
+    assert [bracket(one, k) for k in ks] == want
+    assert ([lower_bound_subgraphs(one, k) for k in ks]
+            == [lower_bound_subgraphs(_fresh(g), k) for k in ks])
+
+
+def test_bracket_over_every_k_scans_the_pool_once(scans):
+    g = random_weighted(9, 0.5, 3)
+    ks = list(range(g.n, 0, -1))
+    got = [bracket(g, k) for k in ks]
+    assert len(scans) == 1 and scans[0] is g
+    assert ([lower_bound_subgraphs(g, k) for k in ks]
+            == [_old_lower_bound_subgraphs(g, k, 2048) for k in ks])
+    assert brackets(g, ks) == got and len(scans) == 1
+    assert brackets(_fresh(g), ks) == got and len(scans) == 2
+
+
+@pytest.mark.parametrize("g, budgets, keys", [
+    # 2^7 sign codes, more than 2^12 edge subsets
+    (random_weighted(8, 0.6, 5), (16, 2048, 16, 4096, 2048), [(False, False), (True, False)]),
+    # 2^5 sign codes and 2^5 edge subsets
+    (families.path(6), (16, 32, 2048, 16), [(False, False), (True, True)]),
+])
+def test_each_pool_composition_is_scanned_once(g, budgets, keys, scans):
+    g = _fresh(g)
+    assert sorted({_pool_key(g, budget) for budget in budgets}) == keys
+    for budget in budgets:
+        for k in range(1, g.n + 1):
+            assert (cutoff._subgraph_lowers(g, [k], budget)[0]
+                    == _old_lower_bound_subgraphs(g, k, budget))
+    assert len(scans) == 2 and all(h is g for h in scans) and sorted(g._pools) == keys
+
+
+def test_threads_sharing_one_graph_get_the_serial_brackets():
+    g = random_weighted(9, 0.5, 4)
+    ks = list(range(1, g.n + 1))
+    want = brackets(_fresh(g), ks)
+    got = [None] * 4
+
+    def work(i):
+        got[i] = [bracket(g, k) for k in ks]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(got))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * len(got)
+
+
+def test_derived_graphs_start_without_the_kept_scans():
+    g = random_weighted(7, 0.6, 2)
+    assert any(g.kappa)
+    bracket(g, 3)
+    assert g._pools
+    tau = [1, -1, 1, 1, -1, -1, 1]
+    for h in (switch(g, tau), negate(g), with_zero_kappa(g), induced_subgraph(g, range(g.n)),
+              induced_subgraph(g, range(1, g.n))):
+        assert "_pools" not in h.__dict__
+        for k in range(1, h.n + 1):
+            assert lower_bound_subgraphs(h, k) == _old_lower_bound_subgraphs(h, k, 2048)
 
 
 @pytest.fixture
@@ -481,6 +609,35 @@ def test_one_stacked_eigensolve_when_every_code_fits_one_batch(n, eigvalsh_shape
 def test_lower_bounds_reject_k_out_of_range(fn, k):
     with pytest.raises(ValueError, match=r"k must be in \[1, 4\]"):
         fn(families.complete(4), k)
+
+
+SINGLE_K = [bracket, lower_bound_full, lower_bound_subgraphs, upper_bound_subsets,
+            lambda g, k: brackets(g, [1, k])]
+
+
+@pytest.mark.parametrize("k", [2.0, np.int64(2), np.float64(2.0), np.int8(2)])
+def test_an_integral_k_is_read_as_an_int(k):
+    g = families.complete(4)
+    for fn in SINGLE_K:
+        assert fn(g, k) == fn(g, 2)
+    assert type(bracket(g, k).k) is int
+    assert [type(b.k) for b in brackets(g, [k, 4.0])] == [int, int]
+    assert brackets(g, [k, 4.0]) == brackets(g, [2, 4])
+
+
+@pytest.mark.parametrize("k", [True, False, 2.5, "3", None, float("nan"), float("inf"), 2 + 0j])
+def test_a_k_that_is_not_an_integer_index_is_named(k):
+    g = families.complete(4)
+    for fn in SINGLE_K:
+        with pytest.raises(ValueError, match=re.escape(f"k must be an integer index, got {k!r}")):
+            fn(g, k)
+
+
+@pytest.mark.parametrize("k, shown", [(0.0, "0"), (5.0, "5"), (np.int64(-1), "-1")])
+def test_an_integral_k_out_of_range_is_named(k, shown):
+    for fn in SINGLE_K:
+        with pytest.raises(ValueError, match=re.escape(f"k must be in [1, 4], got {shown}")):
+            fn(families.complete(4), k)
 
 
 def test_upper_bound_subsets_examples():
