@@ -191,6 +191,11 @@ def _verify_limit(g, args, rep: Report, strict: bool) -> None:
         rep.add("eigenfunction limit", ANCHORS["limit"], None,
                 {"reason": "graph is not connected antibalanced"})
         return
+    if not g.m:
+        if strict:
+            raise SystemExit(_usage_error("limit scan needs an edge"))
+        rep.add("eigenfunction limit", ANCHORS["limit"], None, {"reason": "graph has no edge"})
+        return
     scan = cutoff.limit_scan(g, LIMIT_P_GRID, _solver_cfg(args))
     overall = scan.distances[-1] <= scan.distances[0] + solver.MONO_SLACK
     rep.add("eigenfunction limit", ANCHORS["limit"], overall,

@@ -250,7 +250,7 @@ def inertia_report(g: SignedGraph, seed: int = 0) -> InertiaReport:
     bounds are bit for bit those of each re-signed graph on its own.
     Failures carry the witness graph in their details; nothing raises.
     """
-    mis = max_independent_set(g)
+    mis = cutoff._mis(g)
     alpha = mis.size
     checks: list[tuple[str, bool, dict]] = []
 
@@ -276,7 +276,7 @@ def inertia_report(g: SignedGraph, seed: int = 0) -> InertiaReport:
         record("alpha <= #{k : lower_k = 0} for every signature",
                alpha <= proxy, {"sigma": sigma, "alpha": alpha, "proxy": proxy})
 
-    uppers = cutoff._subset_uppers(g, range(1, alpha + 1), cutoff.DEFAULT_BUDGET, seed, mis)
+    uppers = cutoff._subset_uppers(g, range(1, alpha + 1), cutoff.DEFAULT_BUDGET, seed)
     for k, (up, cert) in enumerate(uppers, start=1):
         record("upper bound vanishes for k up to the independence number",
                up == 0.0, {"k": k, "upper": up, "certificate": cert})

@@ -18,7 +18,7 @@ also keeps every edge at an unsigned vertex bounds every completion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Optional, Sequence
 
@@ -204,7 +204,7 @@ def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
             if depth == n - 1:      # every code in the first group: the scan
                 leaves, vals = [nodes], [_code_values(g, nodes)]
                 break
-            absadj, leaves, vals = normalized_adjacency(g, absolute=True), [], []
+            absadj, leaves, vals = _absadj(g), [], []
             slack = 4.0 * n * n * np.finfo(float).eps * absadj.sum(axis=1).max()
             threshold = _flip_ascent(g) - slack
             x = np.abs(np.linalg.eigh(absadj)[1][:, -1])
@@ -285,7 +285,7 @@ def exact_ln(g: SignedGraph, seed: int = 0) -> CutoffBracket:
                              lower_certificate=("sign-vector", signs),
                              upper_certificate=("exact",), exact=True)
     val, signs = _hill_climb_signs(g, seed)
-    upper = 0.5 * float(np.linalg.eigvalsh(normalized_adjacency(g, absolute=True))[-1])
+    upper = 0.5 * float(np.linalg.eigvalsh(_absadj(g))[-1])
     return CutoffBracket(k=g.n, lower=0.5 * val, upper=upper,
                          lower_certificate=("sign-vector-sampled", signs),
                          upper_certificate=("vertex-subset", tuple(range(g.n))),
@@ -308,8 +308,9 @@ def lower_bound_full(g: SignedGraph, k: int) -> float:
 
 
 def lower_bounds_full_all(g: SignedGraph) -> np.ndarray:
-    """The full-graph lower-bound vector for k = 1..n (one eigensolve)."""
-    return _signed_lowers(g, g._arrays.sigma)
+    """The full-graph lower-bound vector for k = 1..n: one eigensolve per
+    graph object, kept on g; each call returns a fresh copy."""
+    return _stored(g, "lowers", lambda g: _signed_lowers(g, g._arrays.sigma)).copy()
 
 
 def _signed_lowers(g: SignedGraph, sigma: np.ndarray) -> np.ndarray:
@@ -338,12 +339,12 @@ def _subgraph_lowers(g: SignedGraph, ks: Sequence[int],
     admits, so every later call whose budget gives the same pool reads it."""
     if not g.m:
         return [(0.0, ("spanning-subgraph", ()))] * len(ks)
-    key = ((1 << (g.n - 1)) <= budget, (1 << g.m) <= budget)
-    if key not in g._pools:
+    key = ("pool", (1 << (g.n - 1)) <= budget, (1 << g.m) <= budget)
+    if key not in g._store:
         pool = [np.ones((1, g.m), dtype=bool), np.zeros((1, g.m), dtype=bool)]
-        if key[0]:
-            pool.append(_active_edges(g, _code_signs(g.n, np.arange(1 << (g.n - 1)))))
         if key[1]:
+            pool.append(_active_edges(g, _code_signs(g.n, np.arange(1 << (g.n - 1)))))
+        if key[2]:
             # itertools.combinations order: by size, then by members; within
             # a size that is descending code order with edge 0 as the top bit
             codes = np.arange((1 << g.m) - 2, 0, -1)
@@ -353,8 +354,8 @@ def _subgraph_lowers(g: SignedGraph, ks: Sequence[int],
         masks, step = masks[_first_rows(masks)], _batch_size(g.n)
         vals, best = _first_max(g, (masks[lo:lo + step] for lo in range(0, len(masks), step)),
                                 negate=True)
-        g._pools[key] = (vals, masks[best])
-    vals, winners = g._pools[key]
+        g._store[key] = (vals, masks[best])
+    vals, winners = g._store[key]
     return [(0.5 * float(vals[k - 1]), ("spanning-subgraph",
                                         tuple((g.edges[i].u, g.edges[i].v)
                                               for i in np.flatnonzero(winners[k - 1]))))
@@ -385,51 +386,136 @@ def _subset_values(absadj: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _least_subset(absadj: np.ndarray, k: int) -> tuple[float, tuple]:
+    """(float, subset) of the exhaustive scan of upper_bound_subsets: the
+    first k-subset of least _subset_values float, eigensolving only the
+    subsets that the bounds there cannot rule out."""
+    n = len(absadj)
+    with np.errstate(all="ignore"):
+        c = absadj.max()
+        r = max(absadj.sum(axis=1).max(), np.finfo(float).tiny)
+        slack = 8.0 * k * k * np.finfo(float).eps * r / c
+        scaled = absadj / c
+    edges = (absadj != 0) * 1.0
+    subsets, total = combinations(range(n), k), comb(n, k)
+    step = max(1, _BATCH_BYTES // (8 * max(k * k, n)))   # a block or a membership row
+    cap, best = np.inf, (np.inf, ())
+    for start in range(0, total, step):
+        size = min(step, total - start)
+        idx = np.fromiter(chain.from_iterable(islice(subsets, size)), np.intp,
+                          size * k).reshape(size, k)
+        member = np.zeros((size, n))
+        member[np.arange(size)[:, None], idx] = 1.0
+        zero = ((member @ edges) * member).sum(axis=1) == 0
+        with np.errstate(all="ignore"):
+            x = (member @ scaled) * member          # B 1, zero off the subset
+            walk = (x @ scaled) * member            # B x
+            lo = np.maximum(x.sum(axis=1) / k,
+                            np.einsum("si,si->s", x, walk) / np.einsum("si,si->s", x, x))
+            hi = (walk / np.where(x > 0, x, 1.0)).max(axis=1)
+            cap = min(cap, 0.0 if zero.any() else np.inf, (hi[~zero] + slack).min(initial=np.inf))
+            keep = np.flatnonzero(zero | ~(lo > cap + slack))
+        if not keep.size:
+            continue
+        vals, solve = np.zeros(keep.size), ~zero[keep]
+        if solve.any():
+            vals[solve] = _subset_values(absadj, idx[keep[solve]])
+        with np.errstate(all="ignore"):
+            cap = min(cap, 2.0 * vals.min() / c)
+        i = int(np.argmin(vals))
+        if vals[i] < best[0]:
+            best = (float(vals[i]), tuple(idx[keep[i]].tolist()))
+        if best[0] == 0.0:
+            break
+    return best
+
+
 def upper_bound_subsets(g: SignedGraph, k: int) -> tuple[float, tuple]:
     """min over k-vertex subsets S of half the top eigenvalue of the
     normalized |A| restricted to S; exactly 0 on independent subsets.
 
     Exhaustive when C(n,k) fits DEFAULT_BUDGET, else greedy plus random
     subsets of seed 0.  An independent set of size >= k short-circuits to
-    0.  The first subset in combinations order wins ties, and the
-    exhaustive scan stops after the first batch that holds a 0.
+    0.  The first subset in combinations order wins ties.  The exhaustive
+    scan returns the float and subset of a scan that eigensolves every
+    subset, but eigensolves only the subsets these bounds cannot rule out.
+
+    The bounds.  For the nonnegative symmetric block B of S and x = B 1,
+    Rayleigh quotients give lambda_max(B) >= max(1'B1 / k, x'Bx / x'x), and
+    Perron-Frobenius gives lambda_max(B) <= max_{x_i > 0} (Bx)_i / x_i (the
+    Collatz-Wielandt ratio; a row with x_i = 0 is zero, and the ratio is at
+    most the largest row sum, since (Bx)_i <= x_i max_j x_j).  They are
+    computed without gathering B, by products of |A| / c (c its largest
+    entry, so none overflows) with 0/1 vertex memberships; a zero term
+    adds nothing to a float sum, so each sum rounds as one of k terms.
+    With r the largest row sum of |A| (at least the smallest normal float),
+    (4k + 4) eps r / c covers their rounding and the scaling's, 2 eps r / c
+    that of the cap and of a solved float over c, and 2k eps r / c the
+    absolute error of a result in the subnormal range.
+
+    The slack.  LAPACK returns lambda_max(B) within k^2 u ||B||_2 <= k^2 u r
+    (the bound of _lambda_max_signs, u = eps / 2), so slack = 8 k^2 eps r / c
+    covers that and the rounding above for every k >= 2.  The cap, the
+    least of the solved floats and of the upper bounds + slack seen so far
+    (over c), is then at least the least float of all subsets, and a subset
+    whose lower bound exceeds cap + slack holds a float above it: it is
+    dropped unsolved.  So the first subset of least float is solved, with
+    the matrix and eigensolve of a full scan.  A subset with no nonzero
+    entry is exactly 0 without an eigensolve, and the scan stops after the
+    first batch that holds one.  A non-finite c or slack drops nothing.
+    Each batch of at most _BATCH_BYTES takes the cap down by its upper
+    bounds, then solves, then takes it down by the floats it solved.
     """
+    return _subset_uppers(g, [_check_k(g, k)], DEFAULT_BUDGET, 0)[0]
+
+
+def _stored(g: SignedGraph, key, make):
+    """make(g), computed on the first call for this graph object and kept in
+    g._store under key; the pool scans of _subgraph_lowers are kept there
+    too, under ("pool", composition)."""
+    store = g._store
+    if key not in store:
+        store[key] = make(g)
+    return store[key]
+
+
+def _mis(g: SignedGraph):
+    """combinatorics.max_independent_set(g), once per graph object."""
     from .combinatorics import max_independent_set
-    return _subset_uppers(g, [_check_k(g, k)], DEFAULT_BUDGET, 0, max_independent_set(g))[0]
+    return _stored(g, "mis", max_independent_set)
 
 
-def _subset_uppers(g: SignedGraph, ks: Sequence[int], budget: int, seed: int,
-                   mis) -> list[tuple[float, tuple]]:
-    """upper_bound_subsets for every k in ks, given g's maximum independent
-    set mis."""
-    absadj = normalized_adjacency(g, absolute=True)
+def _absadj(g: SignedGraph) -> np.ndarray:
+    """normalized_adjacency(g, absolute=True), once per graph object."""
+    return _stored(g, "absadj", lambda g: normalized_adjacency(g, absolute=True))
+
+
+def _subset_uppers(g: SignedGraph, ks: Sequence[int], budget: int,
+                   seed: int) -> list[tuple[float, tuple]]:
+    """upper_bound_subsets for every k in ks."""
+    absadj, mis = _absadj(g), _mis(g)
     out = []
     for k in ks:
         if mis.size >= k:
             out.append((0.0, ("vertex-subset", tuple(sorted(mis.vertices)[:k]))))
             continue
         if comb(g.n, k) <= budget:
-            subsets = combinations(range(g.n), k)
-            chunks = iter(lambda: list(islice(subsets, _batch_size(k))), [])
-        else:
-            cur: list[int] = []
-            while len(cur) < k:     # add the first vertex of least value
-                free = [x for x in range(g.n) if x not in cur]
-                vals = _subset_values(absadj, np.array([sorted(cur + [x]) for x in free]))
-                cur.append(free[int(np.argmin(vals))])
-            rng = np.random.default_rng(seed)
-            chunks = [[tuple(sorted(cur))] + [
-                tuple(int(x) for x in np.sort(rng.choice(g.n, k, replace=False)))
-                for _ in range(min(budget, 256))]]
-        best = (np.inf, ())
-        for chunk in chunks:
-            vals = _subset_values(absadj, np.array(chunk))
-            i = int(np.argmin(vals))
-            if vals[i] < best[0]:
-                best = (float(vals[i]), chunk[i])
-            if best[0] == 0.0:
-                break
-        out.append((best[0], ("vertex-subset", best[1])))
+            val, subset = _least_subset(absadj, k)
+            out.append((val, ("vertex-subset", subset)))
+            continue
+        cur: list[int] = []
+        while len(cur) < k:     # add the first vertex of least value
+            free = [x for x in range(g.n) if x not in cur]
+            vals = _subset_values(absadj, np.array([sorted(cur + [x]) for x in free]))
+            cur.append(free[int(np.argmin(vals))])
+        rng = np.random.default_rng(seed)
+        chunk = [tuple(sorted(cur))] + [
+            tuple(int(x) for x in np.sort(rng.choice(g.n, k, replace=False)))
+            for _ in range(min(budget, 256))]
+        vals = _subset_values(absadj, np.array(chunk))
+        i = int(np.argmin(vals))
+        out.append((float(vals[i]), ("vertex-subset", chunk[i])) if vals[i] < np.inf
+                   else (np.inf, ("vertex-subset", ())))
     return out
 
 
@@ -445,18 +531,17 @@ def brackets(g: SignedGraph, ks: Sequence[int], budget: int = DEFAULT_BUDGET,
 
     Lower: the full-graph bound, the subgraph pool, and at k = n the exact
     (or sampled) L_n; upper: the vertex subsets, and at k = n an exact L_n.
-    The first bound in that order wins ties on each side.  One maximum
-    independent set and at most one exact_ln serve every k of a call, and
-    one pool scan per graph object serves every k of every call: it is kept
-    on g, so bracket(g, k) over every k scans the pool once.
+    The first bound in that order wins ties on each side.  At most one
+    exact_ln serves every k of a call, and the pool scan, the full-graph
+    lower bounds, the normalized |A| and the maximum independent set are
+    kept on g, so bracket(g, k) over every k computes each of them once.
     An inverted bracket (lower > upper beyond tolerance) is an implementation
     bug by construction and raises immediately, and so does a NaN side.
     """
-    from .combinatorics import max_independent_set
     ks = [_check_k(g, k) for k in ks]
     full = lower_bounds_full_all(g)
     subgraphs = _subgraph_lowers(g, ks, budget)
-    subsets = _subset_uppers(g, ks, budget, seed, max_independent_set(g))
+    subsets = _subset_uppers(g, ks, budget, seed)
     ln = exact_ln(g, seed=seed) if g.n in ks else None
     out = []
     for k, subgraph, subset in zip(ks, subgraphs, subsets):
@@ -501,7 +586,6 @@ def interlacing_checks(g: SignedGraph, removals: Sequence[Sequence[int]],
     the full-graph lower bounds of G are computed once for all of them, and
     one upper-bound pass per removal serves every k.  ln is exact_ln(g) when
     the caller has it already."""
-    from .combinatorics import max_independent_set
     rems = [sorted({_vertex(g, x, f"removed vertex #{pos}") for pos, x in enumerate(removed)})
             for removed in removals]
     if not all(1 <= len(rem) <= g.n - 1 for rem in rems):
@@ -515,7 +599,7 @@ def interlacing_checks(g: SignedGraph, removals: Sequence[Sequence[int]],
         items = [("top-index interlacing", ln_sub.lower <= ln_g.upper + EXACT_TOL,
                   {"L_n(subgraph)": ln_sub.lower, "L_n(graph)": ln_g.upper,
                    "exact": ln_g.exact and ln_sub.exact})]
-        ups = _subset_uppers(sub, range(1, sub.n + 1), budget, 0, max_independent_set(sub))
+        ups = _subset_uppers(sub, range(1, sub.n + 1), budget, 0)
         for k, (up, _) in enumerate(ups, start=1):
             lo = float(lows[k - 1])
             items.append((f"bracket consistency k={k}", lo <= up + EXACT_TOL,
@@ -529,14 +613,18 @@ def limit_scan(g: SignedGraph, p_grid: Sequence[float],
     """Track |f_p|^(p/2) of the top eigenfunction along a p-grid against the
     Perron vector of the negated normalized adjacency.
 
-    Requires a connected graph that is switching equivalent to all-negative
-    (switched internally); the potential is zeroed, which changes no limit.
+    Requires a connected graph with an edge that is switching equivalent to
+    all-negative (switched internally); the potential is zeroed, which
+    changes no limit.  A single vertex is connected and antibalanced, but
+    its edgeless solve is not Perron-certified.
     Distances are l2(mu) after unit normalization and sign alignment.
     """
     g = with_zero_kappa(g)
     tau = connected_antibalancing_tau(g)
     if tau is None:
         raise GraphError("limit scan needs a connected antibalanced graph")
+    if not g.m:
+        raise GraphError("limit scan needs an edge")
     gneg = switch(g, tau)
     mu = gneg.mu_array()
     dec = normalized_spectrum(gneg, negate=True)   # nonnegative matrix

@@ -10,10 +10,12 @@ on first use (never by validate) and kept on the instance, outside equality,
 hashing and pickling; switch, negate and with_zero_kappa hand their result
 the view of their input with sigma (kappa) replaced.  The one depth-first
 sign search that balance, antibalance, connectivity and components are read
-from is kept the same way, and so are the balance classification and the
-cutoff module's spanning-subgraph pool scans (_pools), which switch, negate
-and with_zero_kappa results start without.  A concurrent first use may
-build any of them twice; harmless.
+from is kept the same way, and so are the balance classification and
+_store, the one dict of what the cutoff module computes once per graph: the
+normalized |A|, the full-graph lower bounds, the maximum independent set
+and the spanning-subgraph pool scans.  switch, negate and with_zero_kappa
+results start without the store.  A concurrent first use may build any of
+them twice; harmless.
 
 A switched, negated or kappa-zeroed graph is made from that view alone: its
 edge tuples are built from the view the first time something reads
@@ -112,8 +114,8 @@ class SignedGraph:
         return _classify(self)
 
     @cached_property
-    def _pools(self) -> dict:
-        # cutoff._subgraph_lowers's scans, keyed by the pool's composition
+    def _store(self) -> dict:
+        # what the cutoff module computes once per graph object (cutoff._stored)
         return {}
 
     def __getattr__(self, name: str):

@@ -21,7 +21,7 @@ SETTERS = {
     "graph.dumps.indent": "plap generate",
     "linalg.normalized_adjacency.edge_mask": "cutoff._first_max, cutoff._top_values",
     "linalg.normalized_adjacency.negate": "cutoff._subgraph_lowers",
-    "linalg.normalized_adjacency.absolute": "cutoff._top_values, cutoff._subset_uppers",
+    "linalg.normalized_adjacency.absolute": "cutoff._top_values, cutoff._absadj",
     "linalg.normalized_spectrum.negate": "cutoff.limit_scan",
     "solver.solve_largest.cfg": "plap spectrum/verify --tol --restarts --seed",
     "solver.solve_largest_grid.cfg": "plap verify monotonicity/limit --tol --restarts --seed",

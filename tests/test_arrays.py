@@ -287,13 +287,15 @@ def test_cache_is_outside_equality_hash_and_pickle():
     assert np.array_equal(solver.apply_plap(back, 3.0, f), before)
     with pytest.raises(ValueError):
         back.mu_array()[0] = 1.0
-    # the spanning-subgraph pool scans the cutoff brackets keep
-    assert "_pools" not in back.__dict__
+    # what the cutoff brackets keep: the normalized |A|, the full-graph
+    # lower bounds, the maximum independent set and the pool scans
+    assert "_store" not in back.__dict__
     plain = pickle.dumps(back)
-    assert cutoff.bracket(back, 2) == cutoff.bracket(fresh, 2) and back._pools
+    assert cutoff.bracket(back, 2) == cutoff.bracket(fresh, 2)
+    assert {"absadj", "lowers", "mis"} <= set(back._store)
     assert back == fresh and hash(back) == hash(fresh) and pickle.dumps(back) == plain
     again = pickle.loads(plain)
-    assert "_pools" not in again.__dict__ and again == back
+    assert "_store" not in again.__dict__ and again == back
     assert cutoff.bracket(again, 2) == cutoff.bracket(back, 2)
 
 

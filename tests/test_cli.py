@@ -437,6 +437,23 @@ def test_verify_interlacing_skips_a_one_vertex_graph(tmp_path, capsys):
         ("interlacing", "skip", {"reason": "need at least 2 vertices"})]
 
 
+def test_verify_limit_needs_an_edge(tmp_path, capsys):
+    # one vertex is connected antibalanced, but has no Perron pair to track
+    path = _write_graph(tmp_path, families.complete(1))
+    assert _run(capsys, "verify", "limit", path) == (2, "", "plap: error: limit scan needs an edge\n")
+    code, out, err = _run(capsys, "verify", "all", path)
+    assert code == 0 and err == ""
+    limit = [c for c in json.loads(out)["checks"] if c["name"] == "eigenfunction limit"]
+    assert [(c["status"], c["values"]) for c in limit] == [("skip", {"reason": "graph has no edge"})]
+
+
+@pytest.mark.parametrize("suite", ["monotonicity", "interlacing", "limit", "tensor", "all"])
+def test_no_verify_suite_raises_on_one_vertex(suite, tmp_path, capsys):
+    # a skip or a usage error (monotonicity: D must be positive), not an exception
+    code, _, err = _run(capsys, "verify", suite, _write_graph(tmp_path, families.complete(1)))
+    assert (code, err.startswith("plap: error: ")) in ((0, False), (2, True))
+
+
 def test_a_reused_parser_answers_as_a_fresh_one(tmp_path, capsys):
     path = _write_graph(tmp_path, families.random_graph(6, 0.5, 1, signed=True))
     runs = [("spectrum", path, "--p", "1.5", "--which", "largest"),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plap import cutoff, families, graph
-from plap.combinatorics import max_independent_set
+from plap.combinatorics import IndependentSet
 from plap.cutoff import (bracket, brackets, exact_ln, interlacing_check,
                          interlacing_checks, limit_scan, lower_bound_full,
                          lower_bound_subgraphs, r_q_infty, upper_bound_subsets)
@@ -405,9 +405,8 @@ def test_brackets_equal_the_per_k_loops(g, per_batch, monkeypatch, scans):
         assert brackets(g, ks, budget) == old
         assert brackets(g, ks[::-1], budget) == old[::-1]
         assert [brackets(g, [k], budget)[0] for k in ks] == old
-        mis = max_independent_set(g)
         uppers = [_old_upper_bound_subsets(g, k, budget) for k in ks]
-        assert [cutoff._subset_uppers(g, [k], budget, 0, mis)[0] for k in ks] == uppers
+        assert [cutoff._subset_uppers(g, [k], budget, 0)[0] for k in ks] == uppers
         checks = [_old_interlacing_check(g, v, budget) for v in range(g.n)]
         assert interlacing_checks(g, [[v] for v in range(g.n)], budget) == checks
     # the single-index forms run at the default budget, the loop's last
@@ -457,7 +456,8 @@ def test_each_pool_composition_is_scanned_once(g, budgets, keys, scans):
         for k in range(1, g.n + 1):
             assert (cutoff._subgraph_lowers(g, [k], budget)[0]
                     == _old_lower_bound_subgraphs(g, k, budget))
-    assert len(scans) == 2 and all(h is g for h in scans) and sorted(g._pools) == keys
+    assert len(scans) == 2 and all(h is g for h in scans)
+    assert sorted(key[1:] for key in g._store if key[0] == "pool") == keys
 
 
 def test_threads_sharing_one_graph_get_the_serial_brackets():
@@ -487,13 +487,38 @@ def test_derived_graphs_start_without_the_kept_scans():
     g = random_weighted(7, 0.6, 2)
     assert any(g.kappa)
     bracket(g, 3)
-    assert g._pools
+    assert {"absadj", "lowers", "mis"} <= set(g._store)
+    assert any(key[0] == "pool" for key in g._store)
     tau = [1, -1, 1, 1, -1, -1, 1]
     for h in (switch(g, tau), negate(g), with_zero_kappa(g), induced_subgraph(g, range(g.n)),
               induced_subgraph(g, range(1, g.n))):
-        assert "_pools" not in h.__dict__
+        assert "_store" not in h.__dict__
         for k in range(1, h.n + 1):
             assert lower_bound_subgraphs(h, k) == _old_lower_bound_subgraphs(h, k, 2048)
+
+
+def test_a_kept_input_is_computed_once_and_handed_out_fresh(monkeypatch):
+    # the full-graph lower bounds and the normalized |A|, each built once
+    g = random_weighted(8, 0.6, 6)
+    calls = []
+    for name in ("_signed_lowers", "normalized_adjacency"):
+        def spy(*args, _fn=getattr(cutoff, name), _name=name, **kwargs):
+            if _name == "_signed_lowers" or kwargs.get("absolute"):
+                calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cutoff, name, spy)
+    want = _fresh(g)
+    lows = cutoff.lower_bounds_full_all(g)
+    assert lows.flags.writeable and np.array_equal(lows, cutoff.lower_bounds_full_all(want))
+    lows[:] = -1.0
+    assert np.array_equal(cutoff.lower_bounds_full_all(g), cutoff.lower_bounds_full_all(want))
+    assert calls == ["_signed_lowers"] * 2
+    calls.clear()
+    ks = range(1, g.n)       # exact_ln, at k = n, builds |A| of its sign codes
+    first = [bracket(g, k) for k in ks]
+    assert calls == ["normalized_adjacency"]
+    assert [bracket(g, k) for k in ks] == first and len(calls) == 1
+    assert [bracket(_fresh(g), k) for k in ks] == first
 
 
 @pytest.fixture
@@ -522,6 +547,76 @@ def test_stacked_eigensolves_stay_within_the_batch_bytes(per_batch, eigvalsh_sha
     assert {s[-1] for s in stacks} >= {12, 38, 39, 40}
     for s in stacks:
         assert 8 * math.prod(s) <= max(cutoff._BATCH_BYTES, 8 * s[-1] ** 2), s
+
+
+def _with_weight(g, w):
+    """g with every third edge (from the first) weighted w."""
+    return validate(g.n, [(e.u, e.v, w if i % 3 == 0 else e.w, e.sigma)
+                          for i, e in enumerate(g.edges)], mu=g.mu)
+
+
+# tied subsets (complete graphs, cycles, the 3-cube), isolated vertices,
+# mu != 1, and weights of 1e300 and 1e-300 beside unit ones
+SUBSET_GRAPHS = ([families.complete(n) for n in (6, 9)]
+                 + [families.cycle(n) for n in (8, 11)]
+                 + [families.hypercube(3), random_weighted(10, 0.5, 3, isolated=3),
+                    random_weighted(12, 0.6, 4), random_weighted(9, 0.7, 5, isolated=1)]
+                 + [_with_weight(random_signed(n, 0.6, n), w)
+                    for n, w in ((10, 1e300), (9, 1e-300), (11, 1e300), (8, 1e-300))])
+
+
+@pytest.mark.parametrize("per_batch", [None, 1, 7])
+@pytest.mark.parametrize("g", SUBSET_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_the_pruned_subset_scan_equals_solving_every_subset(g, per_batch, monkeypatch,
+                                                            eigvalsh_shapes):
+    if per_batch is not None:
+        monkeypatch.setattr(cutoff, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
+    ks = range(1, g.n + 1)
+    for budget in (16, 2048):
+        want = [_old_upper_bound_subsets(g, k, budget) for k in ks]
+        eigvalsh_shapes.clear()
+        assert cutoff._subset_uppers(_fresh(g), ks, budget, 0) == want
+        # one batch of blocks per eigensolve, at most
+        for shape in eigvalsh_shapes:
+            assert 8 * math.prod(shape) <= max(cutoff._BATCH_BYTES, 8 * shape[-1] ** 2)
+    assert [upper_bound_subsets(g, k) for k in ks] == want
+
+
+def test_the_subset_scans_of_a_random_n12_solve_few_subsets(eigvalsh_shapes):
+    # alpha = 4; solving every subset of 5 to 12 vertices took 3,302 blocks
+    g = families.random_graph(12, 0.5, 1, signed=True)
+    ups = [upper_bound_subsets(g, k) for k in range(1, 13)]
+    assert _matrices(eigvalsh_shapes) == 172
+    assert ups == [_old_upper_bound_subsets(g, k, cutoff.DEFAULT_BUDGET) for k in range(1, 13)]
+
+
+@pytest.mark.parametrize("per_batch, solved", [(None, 0), (1, 7), (3, 0)])
+def test_a_subset_without_an_inner_edge_is_zero_and_unsolved(per_batch, solved, monkeypatch):
+    # an independent set below alpha (a greedy one, above MIS_CAP) leaves
+    # zero subsets to the scan: the first in combinations order wins at
+    # exactly 0.0, and no zero block is eigensolved.  A batch that holds a
+    # zero solves nothing; at 4 subsets of 3 a batch, the single-edge blocks
+    # of the two batches before (0, 3, 5) are solved, the triangle is not
+    if per_batch is not None:
+        monkeypatch.setattr(cutoff, "_BATCH_BYTES", 8 * 36 * per_batch)
+    g = validate(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    absadj = normalized_adjacency(g, absolute=True)
+    firsts = {2: (0, 3), 3: (0, 3, 5)}
+    for k, first in firsts.items():
+        assert min(combinations(range(g.n), k),
+                   key=lambda s: _old_subset_value(absadj, s)) == first
+    monkeypatch.setattr(cutoff, "_mis", lambda g: IndependentSet(1, (0,), False))
+    eigvalsh, blocks = np.linalg.eigvalsh, []
+
+    def spy(a):
+        blocks.extend(a)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for k, first in firsts.items():
+        assert cutoff._subset_uppers(g, [k], 2048, 0) == [(0.0, ("vertex-subset", first))]
+    assert all(b.any() for b in blocks)
+    assert len(blocks) == solved
 
 
 def test_sign_scan_equals_the_loop_at_n14():
@@ -746,6 +841,13 @@ def test_interlacing_random_single_removals():
             sub = graph.induced_subgraph(g, [i for i in range(6) if i != v])
             assert exact_ln(sub).lower <= full + 1e-9
             assert interlacing_check(g, [v]).ok
+
+
+def test_limit_scan_needs_an_edge():
+    with pytest.raises(GraphError, match="limit scan needs an edge"):
+        limit_scan(families.complete(1), [2.0, 4.0])
+    with pytest.raises(GraphError, match="connected antibalanced"):
+        limit_scan(families.edgeless(2), [2.0, 4.0])
 
 
 def test_perron_pairs_dominate_exact_ln():

@@ -111,6 +111,23 @@ def test_cutoff_all_runs_one_mis_and_one_exact_ln(tmp_path):
 
 
 @needs_spans
+def test_a_traced_bracket_sweep_finds_the_independent_set_once_per_graph():
+    # perfbench's enumerate brackets every k of each graph object, twice
+    # over; the maximum independent set is kept on the object
+    graphs = [families.random_graph(9, 0.5, 2, signed=True), families.cycle(8)]
+
+    def sweeps():
+        for _ in range(2):
+            for g in graphs:
+                for k in range(1, g.n + 1):
+                    cutoff.bracket(g, k)
+    calls, counters = _traced(sweeps)
+    assert calls["cutoff.bracket"] == 2 * sum(g.n for g in graphs)
+    assert calls["combinatorics.max_independent_set"] == len(graphs)
+    assert counters["combinatorics.max_independent_set.repeats"] == 0
+
+
+@needs_spans
 def test_verify_interlacing_runs_exact_ln_once_per_graph(tmp_path):
     # L_n of the graph once, and once for each of its six one-vertex removals
     path = tmp_path / "g.json"
