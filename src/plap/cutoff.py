@@ -147,6 +147,43 @@ def _flip_ascent(g: SignedGraph) -> float:
         code = int(codes[i])
 
 
+def _perron_bounds(b: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, lower) bounds on the top eigenvalue of each matrix of the
+    (S, n, n) stack b of nonnegative symmetric matrices, r at least every
+    row sum of every one; NaN on both sides where they decide nothing.
+
+    x = (B / s + I / 11)^32 1 with s = 1.1 r, by five squarings.  The shift
+    (0.1 r, over s) keeps 11^-32 or more on the diagonal of every power, so
+    x > 0, and keeps a bipartite part from alternating; the scale keeps
+    every row sum of every power at most 1, so x <= 1 and nothing
+    overflows.  For any x > 0, Collatz-Wielandt gives lambda_max(B) <=
+    max_i (Bx)_i / x_i and Rayleigh gives lambda_max(B) >= x'Bx / x'x; how
+    near x is to the Perron vector only decides how tight they are.
+
+    The rounding.  Bx is ((B / s) x) s: each entry of B / s rounds once,
+    each (B / s x)_i is a float sum of n nonnegative products, and the
+    quotient by x_i and the product by s round once each, so the float upper
+    bound is at least 1 - (n + 2) eps times the exact ratio, short of
+    products below the normal range, which lose at most n 2^-1074 / x_i <=
+    n 11^32 2^-1074 (in units of s), far below eps.  A zero or non-finite r
+    or entry makes x or the bounds NaN or infinite: the bounds count only
+    where x is finite and positive and the upper bound finite and positive.
+    """
+    with np.errstate(all="ignore"):
+        s = 1.1 * r
+        scaled = b / s
+        power = scaled + np.eye(b.shape[-1]) / 11.0
+        for _ in range(5):      # 2^5 = 32 steps of the power iteration
+            power = power @ power
+        x = power.sum(axis=1)   # power 1, bar rounding (power is symmetric); any x > 0 serves
+        y = (scaled @ x[..., None])[..., 0]
+        upper = (y / x).max(axis=1) * s
+        lower = np.vecdot(x, y) / np.vecdot(x, x) * s
+        bad = ~((x.min(axis=1) > 0) & (x.max(axis=1) < np.inf) & (0 < upper) & (upper < np.inf))
+    upper[bad] = lower[bad] = np.nan
+    return upper, lower
+
+
 def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
     """Exact max over all sign vectors (first entry pinned by symmetry); the
     smallest code wins ties.  Branch and bound that returns the float and the
@@ -160,29 +197,37 @@ def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
     first over groups of at most half a batch of nodes, each group expanded
     by as many levels as fit in one batch; with every code in one batch the
     first group is the scan itself.  Otherwise a best single-flip ascent
-    gives the incumbent, which each leaf batch may raise, and a node whose
-    bound is below incumbent - slack is pruned.  Leaves get the scan's
-    matrix and eigensolve, so the scan's float; the largest float, then the
-    smallest code, wins.
+    gives the incumbent, which each leaf batch may raise, and threshold =
+    incumbent - slack.  Leaves get the scan's matrix and eigensolve, so the
+    scan's float; the largest float, then the smallest code, wins.
+
+    The tests, in order.  B is nonnegative and symmetric, so lambda_max(B)^2
+    = rho(B^2) <= max_i (B r_B)_i with r_B its row sums: a node or leaf
+    whose root of that is below threshold is dropped unsolved.  Every other
+    leaf is eigensolved.  A node whose Rayleigh quotient x'Bx / x'x (x the
+    |A| Perron vector plus a floor) clears threshold is kept unsolved.  The
+    nodes left get B, built once, and the Collatz-Wielandt and Rayleigh
+    bounds of _perron_bounds: a node is pruned when the upper one is below
+    threshold and kept when the lower one clears it.  Only the nodes that
+    neither decides are eigensolved, and pruned when their float is below
+    threshold.
 
     The slack.  LAPACK's symmetric eigensolvers return each eigenvalue of B
     within p(n) u ||B||_2 of the exact one (backward stability and Weyl;
     the LAPACK Users' Guide, section 4.7, calls p(n) a modestly growing
     function of n; here p(n) = n^2, u = eps / 2), and ||B||_2 is at most the
-    largest row sum r of the full |A|.  A leaf's float therefore exceeds its
-    node's float by at most n^2 eps r, and slack = 4 n^2 eps r covers that
-    with room for the rounding of the cheap bound below (under (n + 1) eps
-    r).  A pruned node holds no leaf whose float could reach the
-    incumbent's, so the incumbent's own leaf is always solved; a larger
-    slack would keep more nodes and change nothing.
-
-    Two cheap bounds save eigensolves.  B is nonnegative and symmetric, so
-    lambda_max(B)^2 = rho(B^2) <= max_i (B r_B)_i with r_B its row sums: a
-    node or leaf whose root of that is below incumbent - slack is dropped
-    unsolved.  The Rayleigh quotient x'Bx / x'x (x the |A| Perron vector
-    plus a floor) is at most lambda_max(B): a node whose quotient clears
-    incumbent - slack is kept unsolved.  Neither can drop a leaf whose float
-    could reach the incumbent's.
+    largest row sum r of the full |A|.  A leaf's float is therefore at most
+    the exact lambda_max(B) of any node above it plus n^2 eps r / 2.  Each
+    test that prunes shows lambda_max(B) < threshold + e, with e its
+    rounding: under (n + 1) eps r for the root of max_i (B r_B)_i, n^2 eps
+    r / 2 for a node's float, and (n + 2) eps r for the Collatz-Wielandt
+    ratio (a relative (n + 2) eps of a float below threshold <= r).  So
+    with slack = 4 n^2 eps r, every leaf of a pruned node has a float below
+    threshold + (n^2 + n + 2) eps r < incumbent (n >= 2): the incumbent's
+    leaf, and every leaf that could tie it, is solved.  The tests that keep
+    a node need no slack, since keeping a node can never lose a leaf, and a
+    larger slack would keep more nodes and change nothing.  A bound that is
+    not a number decides nothing.
     """
     n, a, step = g.n, g._arrays, _batch_size(g.n)
     deg = np.bincount(np.concatenate((a.u, a.v)), minlength=n)
@@ -205,7 +250,8 @@ def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
                 leaves, vals = [nodes], [_code_values(g, nodes)]
                 break
             absadj, leaves, vals = _absadj(g), [], []
-            slack = 4.0 * n * n * np.finfo(float).eps * absadj.sum(axis=1).max()
+            r = absadj.sum(axis=1).max()
+            slack = 4.0 * n * n * np.finfo(float).eps * r
             threshold = _flip_ascent(g) - slack
             x = np.abs(np.linalg.eigh(absadj)[1][:, -1])
             x += 0.1 * x.max()
@@ -220,13 +266,21 @@ def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
             walks = (ws * rows[:, a.v]) @ at_u + (ws * rows[:, a.u]) @ at_v
             solve = ~(np.sqrt(walks.max(axis=1)) < threshold)
             if depth == n - 1:
-                leaves.append(chunk[solve])
-                vals.append(_top_values(g, masks[solve]))
-                threshold = max(threshold, vals[-1].max(initial=-np.inf) - slack)
+                if solve.any():
+                    leaves.append(chunk[solve])
+                    vals.append(_top_values(g, masks[solve]))
+                    threshold = max(threshold, vals[-1].max() - slack)
                 continue
             sure = ws @ quad >= threshold
             solve &= ~sure
-            sure[solve] = ~(_top_values(g, masks[solve]) < threshold)
+            if solve.any():
+                b = normalized_adjacency(g, masks[solve], absolute=True)
+                upper, lower = _perron_bounds(b, r)
+                keep = lower >= threshold
+                rest = ~(keep | (upper < threshold))
+                if rest.any():
+                    keep[rest] = ~(np.linalg.eigvalsh(b[rest])[:, -1] < threshold)
+                sure[solve] = keep
             if sure.any():
                 stack.append((depth, chunk[sure]))
     leaves, vals = np.concatenate(leaves), np.concatenate(vals)
@@ -265,11 +319,12 @@ def exact_ln(g: SignedGraph, seed: int = 0) -> CutoffBracket:
     """L_n, exact for n <= DEFAULT_SIGN_CAP.
 
     A batched branch and bound over the 2^(n-1) sign codes returns the value
-    and sign vector a scan of every code would.  On 2 vCPUs it takes 10-60
-    ms on random signed graphs with n = 14-16 (0.7 s for the scan at n = 16),
-    0.1-0.3 s at n = 18-20 and seconds at n = 22-24.  Complete graphs are its
-    worst case, since every balanced bipartition ties: 0.08 s for K14, 0.5 s
-    for K16.  Above the cap the enumeration degrades to seeded sampling with
+    and sign vector a scan of every code would.  On 2 vCPUs with one BLAS
+    thread it takes 1-30 ms on random signed graphs with n = 14-16 (0.7 s
+    for the scan at n = 16), 0.04-0.8 s at n = 18-20, about 2 s at n = 22
+    and 4-8 s at n = 24.  Complete graphs are its worst case, since every
+    balanced bipartition ties: 0.05 s for K14, 0.23 s for K16.  Above the
+    cap the enumeration degrades to seeded sampling with
     local sign flips; the result is then only a certified lower bound
     (exact=False) and the upper side falls back to half the top eigenvalue
     of the normalized unsigned adjacency.

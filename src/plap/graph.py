@@ -165,8 +165,11 @@ def validate(n: int,
     Each raw edge is (u, v), (u, v, w) or (u, v, w, sigma); omitted weights
     default to 1, omitted signs to +1.  mu defaults to all ones, kappa to all
     zeros.  Every field must be a number, not a bool; endpoints and signs
-    must be integral, weights, measures and potentials finite.  Violations
-    raise GraphError naming the offending edge or vertex, or mu or kappa.
+    must be integral, weights, measures and potentials finite, and so must
+    each edge's normalized weight w / sqrt(mu_u mu_v) and each vertex's
+    weighted degree, the entries of the normalized adjacency and of the
+    degree vector that the kernels read.  Violations raise GraphError
+    naming the offending edge or vertex, or mu or kappa.
     """
     if type(n) is not int or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
@@ -216,7 +219,22 @@ def validate(n: int,
             raise GraphError(f"vertex {i}: measure must be positive and finite, got {m!r}")
         if not (_real(k) and math.isfinite(k)):
             raise GraphError(f"vertex {i}: potential must be finite, got {k!r}")
-    return SignedGraph(n=n, edges=tuple(canon), mu=tuple(map(float, mu_t)),
+    mu_f = tuple(map(float, mu_t))
+    if canon:
+        # the view's scale and deg, by its formulas, in its edge order
+        u, v, w = map(np.array, list(zip(*canon))[:3])
+        rt = 1.0 / np.sqrt(np.array(mu_f))
+        with np.errstate(over="ignore"):
+            scale = w * rt[u] * rt[v]
+            deg = np.bincount(np.column_stack((u, v)).ravel(), np.repeat(w, 2), minlength=n)
+        if not np.isfinite(scale).all():
+            e = canon[np.flatnonzero(~np.isfinite(scale))[0]]
+            raise GraphError(f"edge ({e.u},{e.v}): normalized weight w / sqrt(mu_u mu_v) = "
+                             f"{e.w} / sqrt({mu_f[e.u]} * {mu_f[e.v]}) is not finite")
+        if not np.isfinite(deg).all():
+            raise GraphError(f"vertex {np.flatnonzero(~np.isfinite(deg))[0]}: weighted degree "
+                             f"(the sum of its edge weights) is not finite")
+    return SignedGraph(n=n, edges=tuple(canon), mu=mu_f,
                        kappa=tuple(map(float, kappa_t)))
 
 

@@ -636,11 +636,13 @@ def _union(g, h):
     return validate(g.n + h.n, edges, mu=g.mu + h.mu)
 
 
-# complete graphs (every balanced bipartition ties) and their negations,
+# complete graphs (every balanced bipartition ties) and their negations, a
+# random signed n = 16 whose flip ascent already holds the optimum,
 # antibalanced graphs, weighted graphs with non-unit mu and isolated
 # vertices, two components, n = 1 and m = 0
-BNB_GRAPHS = ([families.complete(n) for n in range(2, 13)]
+BNB_GRAPHS = ([families.complete(n) for n in (*range(2, 13), 14)]
               + [negate(families.complete(n)) for n in (5, 9, 12)]
+              + [random_signed(16, 0.5, 9)]
               + [random_connected_antibalanced(n, 0.5, n) for n in (7, 10, 12)]
               + [random_weighted(n, 0.6, n, isolated=2) for n in (9, 11, 13)]
               + [_union(random_weighted(5, 0.8, 1), random_signed(6, 0.6, 2)),
@@ -675,6 +677,61 @@ def test_branch_and_bound_equals_the_scan_on_random_graphs(g, per_batch):
         assert cutoff._lambda_max_signs(g) == _old_lambda_max_signs(g)
 
 
+@st.composite
+def _nonnegative_stacks(draw):
+    """A stack of nonnegative symmetric matrices: zero matrices, isolated
+    vertices, bipartite blocks, and entries of 1e300 and 1e-300 beside
+    ordinary ones (1e308 makes a row sum overflow)."""
+    n, size = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0.0), st.sampled_from([1.0, 1e300, 1e-300, 1e308]),
+                      st.floats(0.0, 10.0))
+    stack = np.zeros((size, n, n))
+    for b in stack:
+        kind = draw(st.sampled_from(["zero", "dense", "bipartite"]))
+        if kind == "zero":
+            continue
+        for i, j in combinations(range(n), 2):
+            b[i, j] = b[j, i] = draw(entry)
+        if kind == "bipartite":
+            side = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            b[side[:, None] == side[None, :]] = 0.0
+        else:
+            b[np.diag_indices(n)] = draw(st.lists(entry, min_size=n, max_size=n))
+        isolated = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+        b[isolated], b[:, isolated] = 0.0, 0.0
+    return stack
+
+
+@given(_nonnegative_stacks())
+@settings(max_examples=300, deadline=None)
+def test_the_perron_bounds_enclose_the_top_eigenvalue(stack):
+    n = stack.shape[-1]
+    with np.errstate(over="ignore"):
+        r = stack.sum(axis=2).max()
+    upper, lower = cutoff._perron_bounds(stack, r)
+    decided = ~np.isnan(upper)
+    assert np.array_equal(decided, ~np.isnan(lower))
+    assert r < np.inf or not decided.any()          # an overflowing row sum decides nothing
+    top = np.linalg.eigvalsh(stack[decided])[:, -1]
+    slack = 4.0 * n * n * np.finfo(float).eps * r
+    assert (upper[decided] >= top - slack).all()
+    assert (lower[decided] <= top + slack).all()
+    assert (0 < upper[decided]).all() and (upper[decided] < np.inf).all()
+
+
+def test_the_perron_bounds_of_non_finite_matrices_decide_nothing():
+    stack = np.ones((3, 4, 4)) - np.eye(4)
+    stack[0, 1, 2] = stack[0, 2, 1] = np.inf
+    stack[1, 0, 3] = stack[1, 3, 0] = np.nan
+    stack[2] = 0.0
+    for r in (np.inf, np.nan, 3.0):
+        upper, lower = cutoff._perron_bounds(stack, r)
+        assert np.isnan(upper).all() and np.isnan(lower).all()
+    upper, lower = cutoff._perron_bounds(np.ones((1, 4, 4)) - np.eye(4), 3.0)    # K4: 3
+    slack = 4 * 16 * np.finfo(float).eps * 3
+    assert 3.0 - slack <= lower[0] <= 3.0 + slack and 3.0 - slack <= upper[0] <= 3.0 + slack
+
+
 def _matrices(shapes):
     return sum(s[0] if len(s) == 3 else 1 for s in shapes)
 
@@ -682,6 +739,13 @@ def _matrices(shapes):
 def test_branch_and_bound_work_on_a_random_signed_n16(eigvalsh_shapes):
     exact_ln(families.random_graph(16, 0.5, 0, signed=True))
     assert _matrices(eigvalsh_shapes) <= (1 << 15) // 8
+
+
+def test_the_perron_bounds_spare_most_node_eigensolves(eigvalsh_shapes):
+    # the flip ascent already holds the optimum; eigensolving every node
+    # the cheap tests leave open took 5,292 matrices
+    cutoff._lambda_max_signs(random_signed(16, 0.5, 9))
+    assert _matrices(eigvalsh_shapes) <= 1000
 
 
 @pytest.mark.parametrize("n", range(2, 13))

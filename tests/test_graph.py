@@ -61,6 +61,20 @@ def test_validate_rejects_non_integral_and_non_finite_inputs(edges, mu, kappa, w
         validate(3, edges, mu=mu, kappa=kappa)
 
 
+def test_validate_rejects_scales_and_degrees_that_overflow():
+    # finite weights and measures whose normalized weight 1e300 / 1e-10
+    # overflows (it used to reach exact_ln as inf and fail there), and two
+    # finite weights whose sum at vertex 1 overflows
+    with pytest.raises(GraphError, match=r"edge \(0,1\): normalized weight .* is not finite"):
+        validate(5, [(0, 1, 1e300), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)],
+                 mu=[1e-10, 1e-10, 1, 1, 1])
+    with pytest.raises(GraphError, match=r"vertex 1: weighted degree .* is not finite"):
+        validate(3, [(1, 2, 1e308), (0, 1, 1e308)])
+    # the largest finite ones still pass, and so do tiny measures that keep them finite
+    assert validate(3, [(0, 1, 1e308), (1, 2, 1e300)]).weighted_degrees()[1] < np.inf
+    assert validate(2, [(0, 1, 1e200)], mu=[1e-100, 1e-100]).m == 1
+
+
 def test_validate_accepts_integral_floats_and_numpy_ints():
     g = validate(3, [(np.int64(2), 1.0, np.float64(2.5), -1.0), (np.int32(0), 1)])
     assert g.edges == (graph.Edge(0, 1, 1.0, 1), graph.Edge(1, 2, 2.5, -1))
