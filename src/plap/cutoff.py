@@ -219,15 +219,15 @@ def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
     largest row sum r of the full |A|.  A leaf's float is therefore at most
     the exact lambda_max(B) of any node above it plus n^2 eps r / 2.  Each
     test that prunes shows lambda_max(B) < threshold + e, with e its
-    rounding: under (n + 1) eps r for the root of max_i (B r_B)_i, n^2 eps
-    r / 2 for a node's float, and (n + 2) eps r for the Collatz-Wielandt
-    ratio (a relative (n + 2) eps of a float below threshold <= r).  So
-    with slack = 4 n^2 eps r, every leaf of a pruned node has a float below
-    threshold + (n^2 + n + 2) eps r < incumbent (n >= 2): the incumbent's
-    leaf, and every leaf that could tie it, is solved.  The tests that keep
-    a node need no slack, since keeping a node can never lose a leaf, and a
-    larger slack would keep more nodes and change nothing.  A bound that is
-    not a number decides nothing.
+    rounding: under (n + 2) eps r for the root of max_i (B r_B)_i, taken
+    in units of r lest it underflow, n^2 eps r / 2 for a node's float, and
+    (n + 2) eps r for the Collatz-Wielandt ratio (a relative (n + 2) eps of
+    a float below threshold <= r).  So with slack = 4 n^2 eps r, every leaf
+    of a pruned node has a float below threshold + (n^2 + n + 2) eps r <
+    incumbent (n >= 2): the incumbent's leaf, and every leaf that could tie
+    it, is solved.  The tests that keep a node need no slack, since keeping
+    a node can never lose a leaf, and a larger slack would keep more nodes
+    and change nothing.  A bound that is not a number decides nothing.
     """
     n, a, step = g.n, g._arrays, _batch_size(g.n)
     deg = np.bincount(np.concatenate((a.u, a.v)), minlength=n)
@@ -250,7 +250,7 @@ def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
                 leaves, vals = [nodes], [_code_values(g, nodes)]
                 break
             absadj, leaves, vals = _absadj(g), [], []
-            r = absadj.sum(axis=1).max()
+            r = absadj.sum(axis=1).max() or 1.0     # an edgeless graph's bound
             slack = 4.0 * n * n * np.finfo(float).eps * r
             threshold = _flip_ascent(g) - slack
             x = np.abs(np.linalg.eigh(absadj)[1][:, -1])
@@ -261,17 +261,17 @@ def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
         for lo in range(0, len(nodes), step):
             chunk = nodes[lo:lo + step]
             masks = _active_edges(g, _code_signs(n, chunk)) | (fixed_at > depth)
-            ws = masks * a.scale
+            ws = masks * (a.scale / r)      # B and its row sums in units of r
             rows = ws @ at_u + ws @ at_v
             walks = (ws * rows[:, a.v]) @ at_u + (ws * rows[:, a.u]) @ at_v
-            solve = ~(np.sqrt(walks.max(axis=1)) < threshold)
+            solve = ~(np.sqrt(walks.max(axis=1)) < threshold / r)
             if depth == n - 1:
                 if solve.any():
                     leaves.append(chunk[solve])
                     vals.append(_top_values(g, masks[solve]))
                     threshold = max(threshold, vals[-1].max() - slack)
                 continue
-            sure = ws @ quad >= threshold
+            sure = ws @ quad >= threshold / r
             solve &= ~sure
             if solve.any():
                 b = normalized_adjacency(g, masks[solve], absolute=True)

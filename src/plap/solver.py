@@ -17,60 +17,34 @@ rounds.  The map needs kappa >= 0, but R_p with kappa + c mu in place of
 kappa is R_p + c: every eigenvalue rises by c and every eigenfunction
 stays.  So where some kappa_i < 0 the cone iterates with c = max(-kappa_i /
 mu_i), and lambda, residual, polish and certificate use the unshifted graph.
-solve_largest_grid solves a whole p-grid there as one (R, n) stack: each
-row iterates at its own p and stops at its own bracket, so the grid takes
-about as many rounds as its slowest p, and _cone_apply, pnorm and
-normalize_sp take one exponent per row.  The grid then yields its pairs in
-order, each finished and certified exactly as a single solve, bit for bit;
-solve_largest is the grid of one p.  _cone_apply, on sigma == -1, kappa >= 0
-and f >= 0, is apply_plap bit for bit at a fraction of its cost: one
-gather-add f_u + f_v, one power with no abs or sign, w t for both edge ends,
-no vertex terms when kappa == 0, and the graph's own scatter index.
+solve_largest_grid solves a whole p-grid there as one stack (see
+_power_refine), and solve_largest is the grid of one p.
 
 At p = 2 the quotient is that of the pencil (Deg + K - A, diag(mu)), whose
 extreme generalized eigenvector is its global maximizer (minimizer); the
 generic path returns it, Newton-polished, without any restart.  At every
 other p each restart is parked at relative residual HANDOFF (p > 2) or
 HANDOFF_P_BELOW_2 (p < 2), and Newton's method on the eigen-equation
-finishes it.  The parked restarts are polished as one stack, once no
-restart is still ascending or once the first of them has waited
-POLISH_ROUNDS iterations: each row keeps its own lambda, best residual,
-stop and pinned set, and a round in which every row solves for the same
-unknowns makes one stacked np.linalg.solve, which returns each row the bits
-of a solve on its matrix alone.  A restart whose polish meets the tolerance
-ends there; the others resume their ascent from the state they were parked
-in, each with its own iteration count against MAX_ITERS, under the
-tolerance stop.  The ascent converges only linearly below p = 2 (Buhler &
-Hein, ICML 2009), so there such a restart is parked again each time its
-relative residual has fallen to REHANDOFF times that of its last try; above
-p = 2 it gets one try.  The end points of the restarts that no polish ended
-are polished as one stack as well.  Below p = 2 an eigenfunction also often
-has zero entries, where |f_i|^(p-2) in the Jacobian is infinite; when plain
-Newton misses the tolerance the polish sets the entries below PIN of the
-largest to exactly 0, solves for the others, and accepts a step only if the
-residual over all vertices, the pinned ones included, falls.  The Perron
-path skips the polish below p = 2: a pinned zero would break its
-one-signed certificate.
+finishes it; _best_restart says when the parked restarts are polished, as
+one stack, and how those that miss the tolerance resume.  Below p = 2 the
+ascent converges only linearly (Buhler & Hein, ICML 2009), and an
+eigenfunction often has zero entries, where Newton's Jacobian is infinite;
+_newton_polish then retries with such entries pinned to 0.  The Perron path
+skips the polish below p = 2: a pinned zero would break its one-signed
+certificate.
 
-All restarts ascend together as one (R, n) stack, so each iteration pays
-numpy's per-call overhead once rather than R times; apply_plap, rayleigh and
-normalize_sp take a stack (..., n) as well as one function.  Each row keeps
-its own value, step, backtracking, hand-off and stop, and does the
-arithmetic of a run from its start alone, so values, eigenfunctions,
-residuals, certificates and SolverErrors are bit for bit those of solving
-the starts one after another.  Three things keep the rows exact: edge
-gathers with take (whose stacks are C-contiguous, so row sums stay
-pairwise), the norm's 1/p-th root as a scalar pow per row, and the squared
-gradient norm as a stacked matmul.
-
-Each iteration's Armijo backtracking runs in blocks: every searching row
-tries its next ARMIJO_BLOCK steps t, t b, t b^2, ... (each the product the
-serial loop forms) as one (rows * ARMIJO_BLOCK, n) stack, with one pnorm and
-one rayleigh call, and takes its first step above the 1e-18 floor that
-passes the Armijo test; a row with none goes on from t b^ARMIJO_BLOCK.  A
-trial whose p-norm is zero or not finite (at p >= 32 a long step overflows
-it) is rejected like a failed one, so a trial the serial loop never reached
-cannot raise, and the row backs off as the serial loop does.
+All restarts ascend together as one (R, n) stack, so each round pays
+numpy's per-call overhead once rather than R times.  Each row keeps its own
+value, step, backtracking, hand-off and stop, and does the arithmetic of a
+run from its start alone, so values, eigenfunctions, residuals,
+certificates and SolverErrors are bit for bit those of solving the starts
+one after another: edge gathers use take (whose stacks are C-contiguous,
+so row sums stay pairwise), the norm's 1/p-th root is a scalar pow per
+row, and the squared gradient norm a stacked matmul.  A round runs on
+_plap and _quotient, the kernels behind apply_plap and rayleigh, with
+Psi_p(f) computed once and no vertex terms where kappa == 0: exact on its
+finite points and its finite or wholly NaN trials, as their docstrings show.
+Rows are gathered or filtered only when one leaves or sits out an Armijo block.
 """
 
 from __future__ import annotations
@@ -95,14 +69,14 @@ HANDOFF = 1e-4
 # perfbench's extremal workload (best of three, 2 vCPUs, one BLAS thread,
 # REHANDOFF = 0.5):
 #   level    1e-4  1e-3  3e-3  1e-2  3e-2  1e-1
-#   seconds  3.06  2.04  1.38  0.91  0.73  0.85
+#   seconds  1.14  0.64  0.41  0.26  0.29  0.33
 HANDOFF_P_BELOW_2 = 1e-2
 # at p < 2 a row whose polish misses the tolerance resumes its ascent and is
 # handed off again once its relative residual has fallen to REHANDOFF times
 # that of its last try; at p > 2 a row is handed off once.  Seconds for the
-# same 16 solves (best of three; 1.74 with a single hand-off):
+# same 16 solves (best of three; 0.87 with a single hand-off):
 #   REHANDOFF  0.5   0.3   0.1   0.03  0.01
-#   seconds    0.95  1.01  1.16  1.58  1.52
+#   seconds    0.26  0.26  0.30  0.41  0.44
 REHANDOFF = 0.5
 # at p < 2 a polish that misses the tolerance retries with the entries of
 # |f_i| <= PIN * max|f| set to exactly 0
@@ -135,12 +109,13 @@ class SolverError(RuntimeError):
     """An eigenpair solve did not reach the requested residual tolerance."""
 
 
-def _rowpow(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """x ** e[:, None] for a stack x (R, n) and its 1-D exponent array e;
-    each row is bit for bit x[i] ** float(e[i]).  A scalar ** takes x * x
-    at 2 and sqrt at 0.5, which round unlike the pow that an exponent array
-    goes through, so those rows are redone.  Callers use a plain ** for a
-    scalar exponent, which keeps its cost on every one-p kernel call."""
+def _rowpow(x: np.ndarray, e) -> np.ndarray:
+    """x ** e for a float e; x ** e[:, None] for a stack x (R, n) and its
+    1-D exponent array e, each row bit for bit x[i] ** float(e[i]).  A
+    scalar ** takes x * x at 2 and sqrt at 0.5, which round unlike the pow
+    that an exponent array goes through, so those rows are redone."""
+    if not isinstance(e, np.ndarray):
+        return x ** e
     out = x ** e[:, None]
     exps = e.tolist()               # a few rows: a Python scan beats numpy calls
     if 0.5 in exps or 2.0 in exps:
@@ -174,13 +149,10 @@ def normalize_sp(f: np.ndarray, p, mu: np.ndarray) -> np.ndarray:
     """Project onto the mu-weighted unit p-sphere (each row of a stack, with
     its own p if p is an array)."""
     nrm = pnorm(f, p, mu)
-    if isinstance(nrm, np.ndarray):
-        ok, nrm = (np.isfinite(nrm) & (nrm != 0)).all(), nrm[..., None]
-    else:
-        ok = nrm != 0 and math.isfinite(nrm)
-    if not ok:
+    stack = isinstance(nrm, np.ndarray)
+    if not (((nrm > 0) & (nrm < np.inf)).all() if stack else 0 < nrm < np.inf):   # NaN fails
         raise ValueError(_ZERO_NORM)
-    return f / nrm
+    return f / (nrm[..., None] if stack else nrm)
 
 
 def _check_p(p: float) -> None:
@@ -193,27 +165,30 @@ def apply_plap(g: SignedGraph, p: float, f: np.ndarray) -> np.ndarray:
     for one function or each row of a stack (..., n)."""
     _check_p(p)
     f = np.asarray(f, dtype=float)
-    # a stack of one row costs as much as one function
-    one = f.ndim == 2 and len(f) == 1
-    if one:
-        f = f[0]
     a = g._arrays
-    t = psi(p, f.take(a.u, axis=-1) - a.sigma * f.take(a.v, axis=-1))
-    # one pass over (vertex terms, u-ends, v-ends) sums each vertex in the
-    # same order as kappa * psi(f) followed by np.add.at over u, then v
-    vals = np.concatenate((a.kappa * psi(p, f), a.w * t, -a.sigma * a.w * t), axis=-1)
-    out = _scatter(g.n, a.ends, vals)
-    return out[None, :] if one else out
+    return _plap(g, p, f, psi(p, f), a.kappa, _ends(g, f.size // g.n, a.kappa))
 
 
-def _scatter(n: int, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Sum vals (..., len(idx)) into n bins per row, bin idx[k] taking
-    vals[..., k] in index order; row r of a stack fills bins r*n .. r*n + n-1."""
-    if vals.ndim == 1:
-        return np.bincount(idx, vals, minlength=n)
-    rows = vals.size // len(idx)
-    idx = idx + n * np.arange(rows)[:, None]
-    return np.bincount(idx.ravel(), vals.ravel(), minlength=rows * n).reshape(*vals.shape[:-1], n)
+def _ends(g: SignedGraph, rows: int, kap: Optional[np.ndarray]) -> np.ndarray:
+    """The flat bincount index of a stack of rows: the graph's ends (without
+    the vertex bins if kap is None), shifted by n for each further row."""
+    ends = g._arrays.ends if kap is not None else g._arrays.ends[g.n:]
+    return ends if rows == 1 else (ends + g.n * np.arange(rows)[:, None]).ravel()
+
+
+def _plap(g: SignedGraph, p: float, f: np.ndarray, pf: np.ndarray,
+          kap: Optional[np.ndarray], ends: np.ndarray) -> np.ndarray:
+    """apply_plap's arithmetic on f (..., n), given pf = psi(p, f) and the
+    index _ends(g, rows, kap): one bincount over (kap pf, u-ends, v-ends)
+    sums each vertex in the order of np.add.at over u, then v, and -sigma (w
+    t) is (-sigma w) t, as sigma is +-1.  With kap None the vertex terms are
+    left out, exact where kappa == 0 on finite rows: a term is then +-0.0,
+    bincount starts each bin at +0.0, and +0.0 + (+-0.0) is +0.0.  (A row
+    with inf or NaN gets 0 * Psi_p = NaN at an isolated vertex.)"""
+    a = g._arrays
+    t = a.w * psi(p, f.take(a.u, axis=-1) - a.sigma * f.take(a.v, axis=-1))
+    vals = np.concatenate((t, -a.sigma * t) if kap is None else (kap * pf, t, -a.sigma * t), -1)
+    return np.bincount(ends, vals.ravel(), minlength=f.size).reshape(f.shape)
 
 
 def _cone_apply(gneg: SignedGraph, p, F: np.ndarray) -> np.ndarray:
@@ -225,20 +200,15 @@ def _cone_apply(gneg: SignedGraph, p, F: np.ndarray) -> np.ndarray:
         (0^(p-1) = 0 and sign(0) = 0), so one power and no abs or sign.
       - Both ends of an edge get w t: apply_plap's v-end term
         ((-sigma) w) t is (1.0 w) t.
-      - With kappa identically 0 the vertex terms are all zeros; bincount
-        starts each bin at +0.0, and 0.0 + (+-0.0) is +0.0, so leaving them
-        out adds the same terms to each bin in the same order.  (Where
-        F^(p-1) overflows, apply_plap's 0 * inf is NaN and this is inf, but
-        the edge term at that vertex overflows too, and both make the
-        iterate's p-norm non-finite: the same failed row.)
-      - The scatter index is the graph's ends, built once per graph."""
+      - With kappa identically 0 the vertex terms are left out (see _plap).
+        Where F^(p-1) overflows, apply_plap's 0 * inf is NaN and this is
+        inf, but the edge term there overflows too: the same failed row."""
     a = gneg._arrays
-    d = F.take(a.u, axis=-1) + F.take(a.v, axis=-1)
-    t = a.w * (_rowpow(d, p - 1.0) if isinstance(p, np.ndarray) else d ** (p - 1.0))
-    if a.kappa.any():
-        fp = _rowpow(F, p - 1.0) if isinstance(p, np.ndarray) else F ** (p - 1.0)
-        return _scatter(gneg.n, a.ends, np.concatenate((a.kappa * fp, t, t), axis=-1))
-    return _scatter(gneg.n, a.ends[gneg.n:], np.concatenate((t, t), axis=-1))
+    t = a.w * _rowpow(F.take(a.u, axis=-1) + F.take(a.v, axis=-1), p - 1.0)
+    kap = a.kappa if np.count_nonzero(a.kappa) else None
+    vals = np.concatenate((t, t) if kap is None else (kap * _rowpow(F, p - 1.0), t, t), axis=-1)
+    return np.bincount(_ends(gneg, F.size // gneg.n, kap), vals.ravel(),
+                       minlength=F.size).reshape(F.shape)
 
 
 def rayleigh(g: SignedGraph, p: float, f: np.ndarray):
@@ -246,32 +216,35 @@ def rayleigh(g: SignedGraph, p: float, f: np.ndarray):
     a float for one function, one value per row for a stack (..., n)."""
     _check_p(p)
     f = np.asarray(f, dtype=float)
+    num, den = _quotient(g, p, f, g._arrays.kappa)
+    if np.count_nonzero(den == 0):
+        raise ValueError("Rayleigh quotient of the zero function")
+    return float(num / den) if f.ndim == 1 else num / den
+
+
+def _quotient(g: SignedGraph, p: float, f: np.ndarray,
+              kap: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """rayleigh's numerator and denominator on f (..., n), with no test of
+    the denominator; take keeps a gathered stack C-contiguous (f[:, u] is
+    not), so each row sum is the pairwise sum of one function.  With kap
+    None the vertex sum is 0.0, exact where kappa == 0 on rows that are
+    finite or wholly NaN: it is then +-0.0, and +-0.0 plus the edge sum
+    (+0.0 or more, or NaN) is the edge sum.  (Not on a row with inf.)"""
     a = g._arrays
     af = np.abs(f) ** p
-    den = (a.mu * af).sum(-1)
-    if (den == 0).any():
-        raise ValueError("Rayleigh quotient of the zero function")
-    num = (a.kappa * af).sum(-1)
-    if g.m:
-        # take keeps a gathered (R, m) stack C-contiguous (f[:, u] is not),
-        # so each row sum is the same pairwise sum as on one function
+    num = 0.0 if kap is None else (kap * af).sum(-1)
+    if a.u.size:
         d = f.take(a.u, axis=-1) - a.sigma * f.take(a.v, axis=-1)
         num = num + (a.w * np.abs(d) ** p).sum(-1)
-    q = num / den
-    return float(q) if f.ndim == 1 else q
-
-
-def _defect(g: SignedGraph, p: float, lam: float, f: np.ndarray) -> np.ndarray:
-    """Delta_p f - lambda mu Psi_p(f), per vertex."""
-    return apply_plap(g, p, f) - lam * g.mu_array() * psi(p, f)
+    return num, (a.mu * af).sum(-1)
 
 
 def residual(g: SignedGraph, p: float, lam: float, f: np.ndarray) -> float:
     """Max-norm defect of the eigen-equation Delta_p f = lambda mu Psi_p(f)."""
     f = np.asarray(f, dtype=float)
-    if not np.any(f):
+    if not np.count_nonzero(f):
         raise ValueError("residual of the zero function")
-    return float(np.max(np.abs(_defect(g, p, lam, f))))
+    return float(np.max(np.abs(apply_plap(g, p, f) - lam * g.mu_array() * psi(p, f))))
 
 
 @dataclass(frozen=True)
@@ -313,27 +286,35 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
     (R, n) stack F0, all rows in lockstep; returns the (R, n) stack F and the
     (R,) values lam.
 
-    Each row keeps its own value, step, backtracking and iteration count,
-    and leaves the live set when its own run would stop: residual below
-    1e-3 * tol, a vanishing gradient, no Armijo step, or MAX_ITERS
-    iterations.  Every row does exactly the arithmetic of a one-row run, so
-    its result is the same bit for bit.
+    A round gives each live row its defect Delta_p f - lambda mu Psi_p(f)
+    (one _plap call, whose vertex terms reuse Psi_p(f)), residual and
+    gradient.  Each row keeps its own value, step, backtracking and
+    iteration count, and leaves the live set when its own run would stop:
+    residual below 1e-3 * tol, a vanishing gradient, no Armijo step, or
+    MAX_ITERS iterations.  Every row does exactly the arithmetic of a
+    one-row run, so its result is the same bit for bit.
 
-    A row is first parked at residual HANDOFF * (1 + |lambda|)
-    (HANDOFF_P_BELOW_2 at p < 2): it leaves the live set in the middle of
-    that iteration.  Once no row is live, or once the first parked row has
-    waited POLISH_ROUNDS rounds (about what one polish costs), handoff(rows,
+    Then Armijo blocks: every searching row tries its next ARMIJO_BLOCK
+    steps t, t b, t b^2, ... (each the serial loop's product) as one stack,
+    with one pnorm and one _quotient call, and takes its first step above
+    the 1e-18 floor that passes the Armijo test, by flat index; a row with
+    none goes on from t b^ARMIJO_BLOCK.  A trial whose p-norm is zero or
+    not finite (at p >= 32 a long step overflows it) becomes a wholly NaN
+    row and fails, so a trial the serial loop never reached cannot raise.
+
+    A row is parked in the middle of an iteration (at most once per
+    iteration) at the levels _best_restart names.  Once no row is live, or
+    once the first parked row has waited POLISH_ROUNDS rounds, handoff(rows,
     F, lam) gets the parked rows' indices, points and values as one stack
-    and returns a mask of the rows that end there.  The others resume that
-    iteration from the state they were parked in (value, step, iterations
-    finished), under the stops above, so each run and result is the one it
-    would have had without the hand-off (a handoff ending no row changes
-    nothing).  A row is parked at most once per iteration, and at p < 2
-    again each time its relative residual has fallen to REHANDOFF times
-    that of its last hand-off; at p >= 2 it is handed off at most once.
+    and returns a mask of the rows that end there.  The others resume from
+    the state they were parked in (value, step, iterations finished), so
+    each result is the one it would have had without the hand-off.
     """
     mu = g.mu_array()
+    kap = g._arrays.kappa if g._arrays.kappa.any() else None
     sgn = 1.0 if maximize else -1.0
+    # sgn * (lam_c - lam) >= s is lam_c - lam >= s, or <= -s: negation is exact
+    armijo = np.greater_equal if maximize else np.less_equal
     F = normalize_sp(np.asarray(F0, dtype=float), p, mu)
     lam = rayleigh(g, p, F)
     step = np.full(len(F), float(INITIAL_STEP))
@@ -342,63 +323,81 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
     # iterations each row has finished, and that count when it was last parked
     iters, parked_at = np.zeros(len(F), dtype=int), np.full(len(F), -1)
     parked, parked_in, rounds = [], np.zeros(len(F), dtype=int), 0
-    live = np.arange(len(F))
+    # the live rows, their points and values; F and lam get a row's on leaving
+    live, f, lm, rows = np.arange(len(F)), F.copy(), lam.copy(), 0
+
+    def leave(out, *more):
+        """Write back the live rows marked in out; the live rows, points,
+        values and each of more without them."""
+        F[live[out]], lam[live[out]] = f[out], lm[out]
+        return [x[~out] for x in (live, f, lm, *more)]
+
     while live.size:
         rounds += 1
-        f, lm = F[live], lam[live]
-        defect = apply_plap(g, p, f) - lm[:, None] * mu * psi(p, f)
-        res = np.max(np.abs(defect), axis=1)
+        if len(f) != rows:
+            rows, ends = len(f), _ends(g, len(f), kap)
+            # flat index of each row's first trial; a block's steps after the first
+            base, steps = ARMIJO_BLOCK * np.arange(rows), np.full((rows, ARMIJO_BLOCK), BACKTRACK)
+        pf = psi(p, f)
+        defect = _plap(g, p, f, pf, kap, ends) - lm[:, None] * mu * pf
+        res = np.abs(defect).max(axis=1)
         scale = 1.0 + np.abs(lm)
         due = res <= level[live] * scale
-        if due.any():   # not parked again before it finishes an iteration
+        if np.count_nonzero(due):   # not parked again before it finishes an iteration
             due &= iters[live] > parked_at[live]
-        if due.any():
+        if np.count_nonzero(due):
             i = live[due]
             level[i] = REHANDOFF * (res[due] / scale[due]) if p < 2 else -np.inf
             parked_at[i], parked_in[i] = iters[i], rounds
             parked.append(i)
-            go = ~due
-            live, f, lm, defect, res, scale = (t[go] for t in (live, f, lm, defect, res, scale))
-        grad = sgn * (p * defect)
+            live, f, lm, defect, res, scale = leave(due, defect, res, scale)
+        grad = (sgn * p) * defect
         g2 = _row_sqnorms(grad)
-        go = ~(res <= 1e-3 * cfg.tol * scale) & ~(g2 <= 1e-30)
-        live, f, lm, grad, g2 = live[go], f[go], lm[go], grad[go], g2[go]
+        stop = (res <= 1e-3 * cfg.tol * scale) | (g2 <= 1e-30)
+        if np.count_nonzero(stop):
+            live, f, lm, grad, g2 = leave(stop, grad, g2)
         t = step[live]
         moved = np.zeros(live.size, dtype=bool)
-        search = np.flatnonzero(t > 1e-18)
+        search = (t > 1e-18).nonzero()[0]
         while search.size:
-            # the next ARMIJO_BLOCK steps t, t b, t b^2, ... of every searching
-            # row, each the serial loop's product, tried as one stack
-            T = np.empty((search.size, ARMIJO_BLOCK))
-            T[:, 0], T[:, 1:] = t[search], BACKTRACK
-            T = np.multiply.accumulate(T, axis=1)
+            every = search.size == live.size
+            fs, gs, g2s, ls = (f, grad, g2, lm) if every else \
+                (f[search], grad[search], g2[search], lm[search])
+            steps[:search.size, 0] = t if every else t[search]
+            T = np.multiply.accumulate(steps[:search.size], axis=1)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                X = (f[search, None, :] + T[:, :, None] * grad[search, None, :]).reshape(-1, g.n)
+                X = (fs[:, None, :] + T[:, :, None] * gs[:, None, :]).reshape(-1, g.n)
                 nrm = pnorm(X, p, mu)
                 cand = X / nrm[:, None]
-                # a trial off the sphere is rejected, as a NaN quotient
-                cand[~(np.isfinite(nrm) & (nrm != 0))] = np.nan
-                lam_c = rayleigh(g, p, cand).reshape(T.shape)
-            ok = (sgn * (lam_c - lm[search, None]) >= ARMIJO_SLOPE * T * g2[search, None]) \
-                & (T > 1e-18)
-            hit = ok.any(axis=1)
-            k = ok.argmax(axis=1)[hit]
-            acc = search[hit]
-            F[live[acc]] = cand.reshape(*T.shape, g.n)[hit, k]
-            lam[live[acc]], t[acc] = lam_c[hit, k], T[hit, k]
-            moved[acc] = True
+                # a trial off the sphere is rejected, as a wholly NaN row
+                on = (nrm > 0) & (nrm < np.inf)
+                if np.count_nonzero(on) < on.size:
+                    cand[~on] = np.nan
+                lam_c = np.divide(*_quotient(g, p, cand, kap))
+            ok = armijo(lam_c.reshape(T.shape) - ls[:, None],
+                        (sgn * ARMIJO_SLOPE) * T * g2s[:, None]) & (T > 1e-18)
+            first, hit = ok.argmax(axis=1) + base[:len(T)], ok.any(axis=1)
+            if every and np.count_nonzero(hit) == hit.size:
+                f, lm, t, moved = cand[first], lam_c[first], T.ravel()[first], hit
+                break
+            acc, first = search[hit], first[hit]
+            f[acc], lm[acc], t[acc], moved[acc] = cand[first], lam_c[first], T.ravel()[first], True
             search = search[~hit]
             t[search] = T[~hit, -1] * BACKTRACK
             search = search[t[search] > 1e-18]
-        live = live[moved]
-        step[live] = np.minimum(np.maximum(t[moved] * 2.0, 1e-12), 1e3)
+        if np.count_nonzero(moved) < live.size:
+            live, f, lm, t = leave(~moved, t)
+        step[live] = np.minimum(np.maximum(t * 2.0, 1e-12), 1e3)
         iters[live] += 1
         if rounds >= MAX_ITERS:
-            live = live[iters[live] < MAX_ITERS]
+            live, f, lm = leave(iters[live] >= MAX_ITERS)
         if parked and (not live.size or rounds - parked_in[parked[0][0]] >= POLISH_ROUNDS):
-            rows = np.sort(np.concatenate(parked))
-            live = np.sort(np.concatenate((live, rows[~handoff(rows, F[rows], lam[rows])])))
-            parked = []
+            back = np.sort(np.concatenate(parked))
+            back, parked = back[~handoff(back, F[back], lam[back])], []
+            if back.size:
+                F[live], lam[live] = f, lm
+                live = np.sort(np.concatenate((live, back)))
+                f, lm = F[live], lam[live]
     return F, lam
 
 
@@ -448,13 +447,13 @@ def _power_refine(gneg: SignedGraph, ps: Sequence[float]) -> tuple[np.ndarray, .
     with np.errstate(over="ignore"):    # in a round that a rescale redoes
         for _ in range(CONE_ROUNDS):
             d, invexp = _cone_apply(gneg, p, f) / mu, 1.0 / (p - 1.0)
-            t = _rowpow(d, invexp) if isinstance(p, np.ndarray) else d ** invexp
+            t = _rowpow(d, invexp)
             nrm = pnorm(t, p, mu)
             bad = ~(np.isfinite(nrm) & (nrm != 0))
             if bad.any():       # those rows again from d over its largest entry
                 with np.errstate(invalid="ignore"):
                     d = d / np.where(bad, d.max(-1), 1.0)[:, None]
-                t = _rowpow(d, invexp) if isinstance(p, np.ndarray) else d ** invexp
+                t = _rowpow(d, invexp)
                 nrm = pnorm(t, p, mu)
                 bad = ~(np.isfinite(nrm) & (nrm != 0)) | bad & ~t.all(-1)
             ratio = t / f
@@ -532,8 +531,9 @@ def _newton_rounds(g: SignedGraph, p: float, lam: np.ndarray, X: np.ndarray,
                             np.arange(n) * (side + 1)))
     if len(X) > 1:
         cells = (cells + side * side * np.arange(len(X))[:, None]).ravel()
+    vertex = kap if kap.any() else None    # kappa's terms; the rows are finite (see _plap)
     px = psi(p, X)
-    defect = apply_plap(g, p, X) - lam[:, None] * mu * px
+    defect = _plap(g, p, X, px, vertex, _ends(g, len(X), vertex)) - lam[:, None] * mu * px
     res = np.abs(defect).max(axis=1)
     # the live rows and their best pairs so far, written back when they stop
     live, x, lm, r = np.arange(len(X)), X, lam, res
@@ -599,7 +599,7 @@ def _newton_rounds(g: SignedGraph, p: float, lam: np.ndarray, X: np.ndarray,
             norms = nrm2.tolist()
         x2 = x2 / np.fromiter(map(pow, norms, repeat(1.0 / p)), float, live.size)[:, None]
         px = psi(p, x2)
-        defect = apply_plap(g, p, x2) - lm2[:, None] * mu * px
+        defect = _plap(g, p, x2, px, vertex, _ends(g, len(x2), vertex)) - lm2[:, None] * mu * px
         r2 = np.abs(defect).max(axis=1)
         if not all(map(float.__lt__, r2.tolist(), r.tolist())):
             go = r2 < r

@@ -18,6 +18,7 @@ from plap.solver import psi
 
 from conftest import (apply_tensor_reference, random_connected_antibalanced, random_signed,
                       random_weighted, tensor_entries)
+from test_solver import IDENTITY_GRAPHS
 
 GRAPHS = ([random_weighted(n, 0.5, seed, isolated=seed % 3) for seed, n in enumerate(range(3, 15))]
           + [graph.validate(4, [], mu=[1.0, 2.0, 0.5, 3.0], kappa=[0.5, -1.0, 0.0, 2.0]),
@@ -144,6 +145,44 @@ def test_operator_kernels_equal_the_edge_loops(g):
             assert solver.rayleigh(g, p, f) == _old_rayleigh(g, p, f)
             defect = want - 1.25 * np.asarray(g.mu) * psi(p, f)
             assert solver.residual(g, p, 1.25, f) == float(np.max(np.abs(defect)))
+
+
+# the solver's graphs, kappa == 0 beside non-unit mu and isolated vertices,
+# and some kappa < 0 with non-unit mu
+KERNEL_GRAPHS = [*IDENTITY_GRAPHS.values(),
+                 graph.with_zero_kappa(random_weighted(8, 0.6, 5, isolated=2)),
+                 random_weighted(7, 0.7, 6, isolated=1)]
+
+
+@pytest.mark.parametrize("g", KERNEL_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+def test_the_stacked_kernels_equal_the_public_functions_and_the_edge_loops(g):
+    # the kernels behind apply_plap and rayleigh, on 1-row and 5-row stacks
+    # with a wholly NaN row; without the vertex terms where kappa == 0, as
+    # the ascent runs them
+    rng = np.random.default_rng(g.n * 7 + g.m)
+    kap = g._arrays.kappa
+    for p in (1.25, 1.5, 2.0, 3.0, 4.5, 8.0):
+        for rows in (1, 5):
+            F = rng.standard_normal((rows, g.n))
+            F[rows // 2] = np.nan
+            finite = np.isfinite(F[:, 0])
+            pf = psi(p, F)
+            got = solver._plap(g, p, F, pf, kap, solver._ends(g, rows, kap))
+            assert np.array_equal(got, solver.apply_plap(g, p, F), equal_nan=True)
+            assert np.isnan(got[~finite]).all()
+            for f, row in zip(F[finite], got[finite]):
+                assert np.array_equal(row, _old_apply_plap(g, p, f))
+            num, den = solver._quotient(g, p, F, kap)
+            q = num / den
+            assert np.array_equal(q, solver.rayleigh(g, p, F), equal_nan=True)
+            assert np.isnan(q[~finite]).all()
+            assert q[finite].tolist() == [_old_rayleigh(g, p, f) for f in F[finite]]
+            if kap.any():
+                continue
+            bare = solver._plap(g, p, F, pf, None, solver._ends(g, rows, None))
+            assert np.array_equal(bare[finite], got[finite])
+            num, den = solver._quotient(g, p, F, None)
+            assert np.array_equal(num / den, q, equal_nan=True)
 
 
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")

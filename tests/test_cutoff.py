@@ -657,6 +657,15 @@ def test_branch_and_bound_equals_the_scan(g, per_batch, monkeypatch):
     assert cutoff._lambda_max_signs(g) == _cached_old_lambda_max_signs(g)
 
 
+@pytest.mark.parametrize("w", [1e-160, 1e-300])
+def test_branch_and_bound_at_tiny_weights_equals_the_scan(w):
+    # at w = 1e-160 the row-sum test's B r_B underflowed to 0 and dropped
+    # every leaf, and exact_ln raised
+    g = validate(10, [(e.u, e.v, w, e.sigma) for e in families.complete(10).edges])
+    assert cutoff._lambda_max_signs(g) == _old_lambda_max_signs(g)
+    assert exact_ln(g).lower == 0.5 * _old_lambda_max_signs(g)[0]
+
+
 @st.composite
 def _small_signed_weighted(draw):
     n = draw(st.integers(1, 9))

@@ -642,28 +642,30 @@ def _assert_rows_equal_the_serial_loop(g, p, cfg, largest, rows=None):
         assert np.array_equal(F[i], f) and lam[i] == lm, (i, largest)
 
 
-def _spy_blocks(monkeypatch) -> list:
-    """Log 'a' for each apply_plap call (one per lockstep iteration) and 'r'
-    for each rayleigh call (one per block of Armijo trials)."""
+@pytest.fixture
+def blocks(monkeypatch):
+    """Log 'a' for each call of the operator kernel (one per lockstep
+    iteration) and 'r' for each call of the quotient kernel (one per block
+    of Armijo trials); the test fails if either kernel is never called."""
     log = []
-    for name, tag in (("apply_plap", "a"), ("rayleigh", "r")):
+    for name, tag in (("_plap", "a"), ("_quotient", "r")):
         def spy(*args, _fn=getattr(solver, name), _tag=tag):
             log.append(_tag)
             return _fn(*args)
         monkeypatch.setattr(solver, name, spy)
-    return log
+    yield log
+    assert "a" in log and "r" in log, "a spied kernel was never called"
 
 
 @pytest.mark.parametrize("name", ["K4", "signed9", "weighted8"])
 @pytest.mark.parametrize("p", [1.5, 3.0])
-def test_a_row_needing_more_than_one_block_equals_the_serial_loop(name, p, monkeypatch):
+def test_a_row_needing_more_than_one_block_equals_the_serial_loop(name, p, monkeypatch, blocks):
     # from a step of 1e3 the first iterations back off more than
     # ARMIJO_BLOCK times, so some iteration runs a second block
     g, cfg = IDENTITY_GRAPHS[name], _short(monkeypatch, INITIAL_STEP=1e3)
-    log = _spy_blocks(monkeypatch)
     for largest in (True, False):
         _assert_rows_equal_the_serial_loop(g, p, cfg, largest)
-    assert "arr" in "".join(log)
+    assert "arr" in "".join(blocks)
 
 
 @pytest.mark.parametrize("name", ["K4", "signed9", "weighted9"])
@@ -1360,14 +1362,13 @@ def test_generic_p15_solves_that_failed_now_answer(n, i, largest):
     assert pair.residual == residual(g, 1.5, pair.value, pair.f)
 
 
-def test_a_p15_straggler_is_handed_back_to_newton(monkeypatch):
+def test_a_p15_straggler_is_handed_back_to_newton(blocks):
     # one row of this solve stalls short of the tolerance after its first
     # polish; with a single hand-off it ascended alone for all MAX_ITERS
-    # iterations, each a rayleigh call
-    log = _spy_blocks(monkeypatch)
+    # iterations, each a quotient call
     pair = solve_largest(families.random_graph(6, 0.5, 0, signed=True), 1.5)
     assert pair.value == 3.2764176243905854
-    assert log.count("r") < 200
+    assert blocks.count("r") < 200
 
 
 @pytest.mark.parametrize("n,i,largest", [(6, 0, True), (6, 1, False), (6, 2, True)])
