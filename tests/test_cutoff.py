@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plap import cutoff, families, graph
@@ -711,8 +711,22 @@ def _nonnegative_stacks(draw):
     return stack
 
 
+def _tiny_beside(c: float, t: float) -> np.ndarray:
+    """The path 0 - 2 - 1 with weight t on 0-2 and c on 1-2; its top
+    eigenvalue sqrt(c^2 + t^2) is c in floats for t far below c."""
+    return np.array([[[0.0, 0.0, t], [0.0, 0.0, c], [t, c, 0.0]]])
+
+
+# the reference is eigh of the stack in units of r: eigvalsh (LAPACK's
+# square-root-free QR, on the squared off-diagonals) returns
+# 1.5000000000001534 for _tiny_beside(1.5, 4.9e-156) and 1.4996... for
+# _tiny_beside(1.5, 1e-160), whose squared entry is subnormal, and eigh
+# of the unscaled stack does not converge on an entry of 1e300 beside 2s
 @given(_nonnegative_stacks())
 @settings(max_examples=300, deadline=None)
+@example(_tiny_beside(1.5, 4.916619060433188e-156))
+@example(_tiny_beside(1.6953125, 4.916619060433188e-156))
+@example(_tiny_beside(1.5, 1e-160))
 def test_the_perron_bounds_enclose_the_top_eigenvalue(stack):
     n = stack.shape[-1]
     with np.errstate(over="ignore"):
@@ -721,7 +735,7 @@ def test_the_perron_bounds_enclose_the_top_eigenvalue(stack):
     decided = ~np.isnan(upper)
     assert np.array_equal(decided, ~np.isnan(lower))
     assert r < np.inf or not decided.any()          # an overflowing row sum decides nothing
-    top = np.linalg.eigvalsh(stack[decided])[:, -1]
+    top = np.linalg.eigh(stack[decided] / r)[0][:, -1] * r
     slack = 4.0 * n * n * np.finfo(float).eps * r
     assert (upper[decided] >= top - slack).all()
     assert (lower[decided] <= top + slack).all()
