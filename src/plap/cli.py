@@ -66,6 +66,17 @@ def _emit(text: str, out: str) -> None:
             fh.write(text)
 
 
+def _number(text: str):
+    """text as an int, else a float, else as it is, for cutoff's index check
+    to read or name: '3' and '3.0' are index 3, and 'x' is refused by name."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
 def _solver_cfg(args) -> solver.SolverConfig:
     return solver.SolverConfig(tol=args.tol, restarts=args.restarts,
                                rng_seed=args.seed)
@@ -100,7 +111,7 @@ def _cmd_spectrum(g, args, rep: Report) -> None:
 
 
 def _cmd_cutoff(g, args, rep: Report) -> None:
-    ks = list(range(1, g.n + 1)) if args.k == "all" else [int(args.k)]
+    ks = list(range(1, g.n + 1)) if args.k == "all" else [_number(args.k)]
     brackets = []
     for b in cutoff.brackets(g, ks, budget=args.budget, seed=args.seed):
         brackets.append({"k": b.k, "lower": b.lower, "upper": b.upper,

@@ -357,6 +357,14 @@ def _check_k(g: SignedGraph, k) -> int:
     return int(k)
 
 
+def _check_budget(budget) -> int:
+    """budget as a count: a number (not a bool) equal to an integer >= 0,
+    _check_k's rule, so 16.0 passes as 16 and 2.5 or -1 is refused."""
+    if not (_real(budget) and budget % 1 == 0 and budget >= 0):
+        raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
+    return int(budget)
+
+
 def lower_bound_full(g: SignedGraph, k: int) -> float:
     """max(0, lambda_k(A^mu of the negated graph) / 2)."""
     return float(lower_bounds_full_all(g)[_check_k(g, k) - 1])
@@ -593,7 +601,7 @@ def brackets(g: SignedGraph, ks: Sequence[int], budget: int = DEFAULT_BUDGET,
     An inverted bracket (lower > upper beyond tolerance) is an implementation
     bug by construction and raises immediately, and so does a NaN side.
     """
-    ks = [_check_k(g, k) for k in ks]
+    ks, budget = [_check_k(g, k) for k in ks], _check_budget(budget)
     full = lower_bounds_full_all(g)
     subgraphs = _subgraph_lowers(g, ks, budget)
     subsets = _subset_uppers(g, ks, budget, seed)
@@ -641,6 +649,7 @@ def interlacing_checks(g: SignedGraph, removals: Sequence[Sequence[int]],
     the full-graph lower bounds of G are computed once for all of them, and
     one upper-bound pass per removal serves every k.  ln is exact_ln(g) when
     the caller has it already."""
+    budget = _check_budget(budget)
     rems = [sorted({_vertex(g, x, f"removed vertex #{pos}") for pos, x in enumerate(removed)})
             for removed in removals]
     if not all(1 <= len(rem) <= g.n - 1 for rem in rems):

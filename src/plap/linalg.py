@@ -6,13 +6,13 @@ D^{-1} A, so exact symmetry is preserved.  Eigenvalues come back ascending
 and eigenvector signs are canonicalized (first significant component
 positive) so repeated runs are bit-identical.
 
-_scaled is the one builder of that form from per-edge values x (one row or
-a stack of them): X * rt[:, None] * rt[None, :], entry (i, j) = (x rt_i)
-rt_j.  The full-graph spectra, the inertia scan's stack of signatures and
-the solver's p = 2 pencil and |A|-Perron start use it.  normalized_adjacency,
-behind cutoff's masked subgraph stacks, puts scale = (w rt_u) rt_v in both
-triangles instead.  eigh reads the lower triangle, (x rt_v) rt_u in the
-first form, so merging the two would move eigenvalues in the last place.
+_symmetric is the one writer of per-edge values into a matrix or a stack,
+under two scalings.  _scaled writes x, then multiplies by rt[:, None] *
+rt[None, :] (entry (i, j) = (x rt_i) rt_j) for the full-graph spectra, the
+inertia scan and the solver's p = 2 pencil and |A|-Perron start.
+normalized_adjacency writes sigma * scale, scale = (w rt_u) rt_v, and 0.0
+for masked-out edges.  eigh reads the lower triangle, (x rt_v) rt_u in the
+first form, so merging the two moves eigenvalues in the last place at mu != 1.
 """
 
 from __future__ import annotations
@@ -40,14 +40,12 @@ class EigenDecomposition:
     mu: Optional[np.ndarray] = None
 
 
-def _symmetric(n: int, u: np.ndarray, v: np.ndarray, vals: np.ndarray,
-               lead: tuple = (), at: tuple = (Ellipsis,)) -> np.ndarray:
-    """vals at (u, v) and (v, u) of an n x n matrix; given a lead shape, of
-    a stack of them, entry t going to the matrix indexed by at[0][t], ...,
-    or by default vals[..., t] to every matrix of the stack."""
-    a = np.zeros(lead + (n, n))
-    a[(*at, u, v)] = vals
-    a[(*at, v, u)] = vals
+def _symmetric(n: int, u: np.ndarray, v: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """vals[..., t] at (u_t, v_t) and (v_t, u_t) of an n x n matrix, one
+    matrix per row of vals: the stack has the shape vals.shape[:-1]."""
+    a = np.zeros(vals.shape[:-1] + (n, n))
+    a[..., u, v] = vals
+    a[..., v, u] = vals
     return a
 
 
@@ -58,25 +56,25 @@ def adjacency(g: SignedGraph) -> np.ndarray:
 
 
 def _scaled(g: SignedGraph, vals: np.ndarray) -> np.ndarray:
-    """D^{-1/2} X D^{-1/2} for the symmetric X holding vals on the edges (in
-    edge order) and zeros elsewhere, as X * rt[:, None] * rt[None, :]; vals
-    of shape (S, m) give the (S, n, n) stack of its rows' matrices."""
+    """D^{-1/2} X D^{-1/2} as X * rt[:, None] * rt[None, :], X holding vals
+    (in edge order; (S, m) vals give S matrices) on the edges, 0 elsewhere."""
     a = g._arrays
-    return _symmetric(g.n, a.u, a.v, vals, np.shape(vals)[:-1]) * a.rt[:, None] * a.rt[None, :]
+    return _symmetric(g.n, a.u, a.v, vals) * a.rt[:, None] * a.rt[None, :]
 
 
 def normalized_adjacency(g: SignedGraph, edge_mask: Optional[np.ndarray] = None,
                          negate: bool = False, absolute: bool = False) -> np.ndarray:
     """D^{-1/2} A D^{-1/2} of the spanning subgraph picked by a boolean mask
     over g.edges (default all); negate flips every sign, absolute drops them.
-    Both triangles hold sigma * scale, scale = (w rt_u) rt_v from the view.
-    A (B, m) mask gives the (B, n, n) stack of its rows' matrices."""
+    A (B, m) mask gives the (B, n, n) stack of its rows' matrices; a mask
+    whose last axis is not m raises ValueError."""
     a = g._arrays
     vals = a.scale if absolute else (-a.sigma if negate else a.sigma) * a.scale
-    if edge_mask is None:
-        return _symmetric(g.n, a.u, a.v, vals)
-    *at, e = np.nonzero(edge_mask)
-    return _symmetric(g.n, a.u[e], a.v[e], vals[e], np.shape(edge_mask)[:-1], tuple(at))
+    if edge_mask is not None:
+        if np.shape(edge_mask)[-1:] != (g.m,):
+            raise ValueError(f"edge mask of shape {np.shape(edge_mask)} is not (..., {g.m})")
+        vals = np.where(edge_mask, vals, 0.0)
+    return _symmetric(g.n, a.u, a.v, vals)
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ in the last place, is held to a relative tolerance.
 import copy
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,18 @@ def _old_neg_sym_matrix(g, edge_mask=None):
             continue
         m[e.u, e.v] = m[e.v, e.u] = -e.sigma * e.w * rt[e.u] * rt[e.v]
     return m
+
+
+def _old_masked_adjacency(g, edge_mask, negate=False, absolute=False):
+    """The np.nonzero scatter that built masked stacks before the one dense
+    write: only the kept edges are written, into a stack of zeros."""
+    a = g._arrays
+    vals = a.scale if absolute else (-a.sigma if negate else a.sigma) * a.scale
+    *at, e = np.nonzero(edge_mask)
+    out = np.zeros(np.shape(edge_mask)[:-1] + (g.n, g.n))
+    out[(*at, a.u[e], a.v[e])] = vals[e]
+    out[(*at, a.v[e], a.u[e])] = vals[e]
+    return out
 
 
 # the three copies of D^{-1/2} X D^{-1/2} that linalg._scaled replaced
@@ -236,18 +249,37 @@ def test_the_one_builder_reproduces_the_three_old_copies():
             == (np.abs(linalg.adjacency(g)) * a.rt[:, None] * a.rt[None, :]).tobytes()
         start = solver._starts(g, 3.0, solver.SolverConfig(), largest=True)[1]
         assert start.tobytes() == _old_perron_start(g).tobytes()
+        _check_masked_stacks(g)
+
+
+def _check_masked_stacks(g):
+    """Stacks of S = 0, 1 and 7 masks (one all-False, one all-True) and a 1-D
+    mask give the old scatter's bytes (tobytes sees -0.0, array_equal does
+    not) under every flag, and each row of a stack its own mask's matrix."""
+    masks = np.random.default_rng(g.m).random((7, g.m)) < 0.5
+    masks[0], masks[1] = False, True
+    for flags in ({}, {"negate": True}, {"absolute": True}):
+        for mask in (masks[:0], masks[1:2], masks, masks[2]):
+            got = linalg.normalized_adjacency(g, mask, **flags)
+            assert got.shape == mask.shape[:-1] + (g.n, g.n)
+            assert got.tobytes() == _old_masked_adjacency(g, mask, **flags).tobytes()
+        for mask, mat in zip(masks, linalg.normalized_adjacency(g, masks, **flags)):
+            assert mat.tobytes() == linalg.normalized_adjacency(g, mask, **flags).tobytes()
 
 
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
 def test_stacked_masks_give_the_row_matrices(g):
-    masks = np.random.default_rng(g.m).random((6, g.m)) < 0.5
-    masks[0], masks[1] = False, True
-    for flags in ({}, {"negate": True}, {"absolute": True}):
-        stack = linalg.normalized_adjacency(g, masks, **flags)
-        assert stack.shape == (6, g.n, g.n)
-        for mask, mat in zip(masks, stack):
-            assert np.array_equal(mat, linalg.normalized_adjacency(g, mask, **flags))
-    assert linalg.normalized_adjacency(g, masks[:0]).shape == (0, g.n, g.n)
+    _check_masked_stacks(g)
+
+
+@pytest.mark.parametrize("shape", [(13,), (15,), (2, 1), (2, 13), ()])
+def test_a_mask_whose_last_axis_is_not_m_is_refused(shape):
+    # np.where would broadcast a last axis of 1 and the old scatter took a
+    # short mask as a prefix of the edges
+    g = families.random_graph(8, 0.5, 1, signed=True)
+    assert g.m == 14
+    with pytest.raises(ValueError, match=re.escape(f"edge mask of shape {shape} is not (..., 14)")):
+        linalg.normalized_adjacency(g, np.ones(shape, dtype=bool))
 
 
 # --- the tensor kernel ------------------------------------------------------

@@ -429,6 +429,32 @@ def test_cutoff_rejects_k_outside_one_to_n(tmp_path, capsys, k):
     assert (code, out, err) == (2, "", f"plap: error: k must be in [1, 3], got {k}\n")
 
 
+@pytest.mark.parametrize("k, want", [("x", "k must be an integer index, got 'x'"),
+                                     ("2.5", "k must be an integer index, got 2.5"),
+                                     ("4.0", "k must be in [1, 3], got 4")])
+def test_cutoff_reads_k_by_the_index_rule(tmp_path, capsys, k, want):
+    path = _write_graph(tmp_path, families.complete(3))
+    assert _run(capsys, "cutoff", path, "--k", k) == (2, "", f"plap: error: {want}\n")
+
+
+def test_cutoff_reads_an_integral_float_k_as_the_index(tmp_path, capsys):
+    path = _write_graph(tmp_path, families.complete(3))
+    reports = []
+    for k in ("2.0", "2"):
+        code, out, err = _run(capsys, "cutoff", path, "--k", k)
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+        assert reports[-1].pop("command")[-1] == k
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("cmd, budget", [(("cutoff",), "-1"), (("verify", "interlacing"), "-3")])
+def test_a_negative_budget_is_a_usage_error(tmp_path, capsys, cmd, budget):
+    path = _write_graph(tmp_path, families.complete(3))
+    assert _run(capsys, *cmd, path, "--budget", budget) == (
+        2, "", f"plap: error: budget must be a nonnegative integer, got {budget}\n")
+
+
 def test_verify_interlacing_skips_a_one_vertex_graph(tmp_path, capsys):
     path = _write_graph(tmp_path, families.edgeless(1))
     code, out, _ = _run(capsys, "verify", "interlacing", path)

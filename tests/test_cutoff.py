@@ -822,6 +822,24 @@ def test_an_integral_k_out_of_range_is_named(k, shown):
             fn(families.complete(4), k)
 
 
+@pytest.mark.parametrize("budget", [2.5, True, False, -1, -3.0, float("nan"), float("inf"),
+                                    "16", None])
+def test_a_budget_that_is_not_a_count_is_named(budget):
+    g = families.random_graph(9, 0.5, 2, signed=True)
+    msg = re.escape(f"budget must be a nonnegative integer, got {budget!r}")
+    with pytest.raises(ValueError, match=msg):
+        brackets(g, [5], budget=budget)
+    with pytest.raises(ValueError, match=msg):
+        interlacing_checks(g, [[0]], budget=budget)
+
+
+@pytest.mark.parametrize("budget, count", [(16.0, 16), (np.int64(16), 16), (np.float64(0.0), 0)])
+def test_an_integral_budget_is_read_as_an_int(budget, count):
+    g = families.random_graph(9, 0.5, 2, signed=True)
+    assert brackets(g, [5, 9], budget) == brackets(g, [5, 9], count)
+    assert interlacing_checks(g, [[0]], budget) == interlacing_checks(g, [[0]], count)
+
+
 def test_upper_bound_subsets_examples():
     k3 = families.complete(3)
     val, cert = upper_bound_subsets(k3, 2)
