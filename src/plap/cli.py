@@ -350,10 +350,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # counts are refused here, whether or not the graph makes a suite read them
+    for flag in ("seed", "budget"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            return _usage_error(f"{flag} must be a nonnegative integer, got {value}")
     if args.cmd == "verify":
         try:
-            args.p_grid = (tuple(float(x) for x in args.p_grid.split(","))
-                           if args.p_grid else DEFAULT_P_GRID)
+            args.p_grid = (DEFAULT_P_GRID if args.p_grid is None
+                           else tuple(float(x) for x in args.p_grid.split(",")))
         except ValueError:
             return _usage_error(f"bad p-grid {args.p_grid!r}")
     try:

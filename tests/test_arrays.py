@@ -2,8 +2,9 @@
 
 Each kernel is compared with an inline copy of the edge-by-edge code it
 replaced.  Those sum in the same order, so the results must be equal bit for
-bit; only apply_tensor, whose vectorized powers may differ from scalar ones
-in the last place, is held to a relative tolerance.
+bit; only apply_tensor, which takes its powers as |x|^(p-1) sign(x) where
+the loop raised the signed base, is held to a relative tolerance (its kernel
+form is pinned bit for bit in test_tensor).
 """
 
 import copy

@@ -11,7 +11,7 @@ from plap import cli, cutoff, families, graph, solver
 from plap.cli import main
 from plap.report import Report, jsonable
 
-from conftest import antibalanced_negative_kappa, random_weighted
+from conftest import antibalanced_negative_kappa, random_connected_antibalanced, random_weighted
 
 
 def _run(capsys, *argv):
@@ -448,11 +448,41 @@ def test_cutoff_reads_an_integral_float_k_as_the_index(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("cmd, budget", [(("cutoff",), "-1"), (("verify", "interlacing"), "-3")])
+VERIFY_SUITES = ("monotonicity", "interlacing", "limit", "tensor", "all")
+
+
+@pytest.mark.parametrize("cmd, budget", [
+    (("cutoff",), "-1"), (("verify", "interlacing"), "-3"),
+    *[(("verify", suite), "-3") for suite in VERIFY_SUITES if suite != "interlacing"]])
 def test_a_negative_budget_is_a_usage_error(tmp_path, capsys, cmd, budget):
-    path = _write_graph(tmp_path, families.complete(3))
-    assert _run(capsys, *cmd, path, "--budget", budget) == (
-        2, "", f"plap: error: budget must be a nonnegative integer, got {budget}\n")
+    # checked before the graph is read, so also where no suite would read
+    # it: a one-vertex graph skips the interlacing suite
+    for g in (families.complete(3), families.edgeless(1)):
+        path = _write_graph(tmp_path, g)
+        assert _run(capsys, *cmd, path, "--budget", budget) == (
+            2, "", f"plap: error: budget must be a nonnegative integer, got {budget}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "{signed}", "--p", "2", "--which", "largest"),
+    ("spectrum", "{signed}", "--p", "3", "--which", "largest"),
+    ("spectrum", "{anti}", "--p", "3", "--which", "largest"),
+    ("cutoff", "{signed}", "--k", "all"), ("bounds", "{signed}"),
+    *[("verify", suite, "{anti}") for suite in VERIFY_SUITES],
+    ("generate", "random", "--n", "4")], ids=" ".join)
+def test_every_command_with_a_seed_refuses_a_negative_one(tmp_path, capsys, argv):
+    paths = {"signed": _write_graph(tmp_path, families.random_graph(8, 0.5, 3, signed=True)),
+             "anti": _write_graph(tmp_path, random_connected_antibalanced(8, 0.5, 0), "a.json")}
+    argv = [arg.format(**paths) for arg in argv]
+    assert _run(capsys, *argv, "--seed", "-1") == (
+        2, "", "plap: error: seed must be a nonnegative integer, got -1\n")
+
+
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_an_empty_p_grid_is_a_usage_error(tmp_path, capsys, suite):
+    path = _write_graph(tmp_path, random_connected_antibalanced(8, 0.5, 0))
+    assert _run(capsys, "verify", suite, path, "--p-grid", "") == (
+        2, "", "plap: error: bad p-grid ''\n")
 
 
 def test_verify_interlacing_skips_a_one_vertex_graph(tmp_path, capsys):

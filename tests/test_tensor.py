@@ -8,10 +8,11 @@ import pytest
 
 from plap import families, graph
 from plap.linalg import adjacency
-from plap.solver import apply_plap, solve_largest
+from plap.cutoff import exact_ln
+from plap.solver import PEigenPair, apply_plap, psi, solve_largest
 from plap.tensor import apply_tensor, build_tensor, eigen_correspondence
 
-from conftest import apply_tensor_reference, random_signed, tensor_entries
+from conftest import apply_tensor_reference, random_signed, random_weighted, tensor_entries
 
 
 def test_build_tensor_k2_p4():
@@ -65,6 +66,50 @@ def test_apply_tensor_matches_plap_and_reference(rng):
                                 / scale)
     assert worst_fast <= 1e-10
     assert worst_ref <= 1e-10
+
+
+def _sign_restored_apply(t, f):
+    """apply_tensor's kernel form, inline: per edge w psi(d) at i and
+    -sigma w psi(d) at j, interleaved (i0, j0, i1, j1, ...), then each
+    vertex's diagonal term, summed by one bincount."""
+    i, j, w, sigma, coef, _ = t._collapse
+    d = f[i] - sigma * f[j]
+    terms = np.column_stack((w * psi(t.p, d), -sigma * w * psi(t.p, d))).ravel()
+    idx = np.concatenate((np.column_stack((i, j)).ravel(), np.arange(t.n)))
+    return np.bincount(idx, np.concatenate((terms, coef * psi(t.p, f))), minlength=t.n)
+
+
+def _awkward_function(n, seed):
+    """Mixed signs with zeros, -0.0, entries near 1e+-150 and one inf."""
+    f = np.random.default_rng(seed).standard_normal(n)
+    f[:7] = [0.0, -0.0, 1e150, -1e150, 1e-150, -1e-150, np.inf]
+    return f
+
+
+@pytest.mark.parametrize("g", [random_weighted(40, 0.4, 3), random_weighted(8, 0.5, 0, isolated=8)],
+                         ids=["weighted-n40", "edgeless-n8"])
+@pytest.mark.parametrize("p", [2, 4, 6, 8])
+def test_apply_tensor_is_the_sign_restored_power_kernel(g, p):
+    t = build_tensor(g, p)
+    for seed in range(3):
+        f = _awkward_function(g.n, seed)
+        with np.errstate(all="ignore"):   # inf - inf and 0 * inf
+            got, want = apply_tensor(t, f), _sign_restored_apply(t, f)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 4, 6, 8])
+def test_the_correspondence_defect_is_taken_in_the_kernel_form(p):
+    g = random_weighted(9, 0.6, 5)
+    ln = exact_ln(g)
+    rng = np.random.default_rng(p)
+    for _ in range(40):
+        f = rng.standard_normal(g.n)
+        pair = PEigenPair(p=p, value=float(rng.uniform(1.0, 9.0)), f=f, residual=0.0,
+                          certificate="multi-restart")
+        want = np.max(np.abs(_sign_restored_apply(build_tensor(g, p), f) / g.mu_array()
+                             - pair.value * psi(p, f)))
+        assert eigen_correspondence(g, p, pair, ln=ln).defect == float(want)
 
 
 def test_pattern_symmetry_p4_by_explicit_expansion():
