@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cutoff
 from .graph import GraphError, SignedGraph, to_json_dict
-from .linalg import adjacency, sign_counts
+from .linalg import _eigvals, adjacency, sign_counts
 
 MIS_CAP = 32
 ZERO_TOL = 1e-12
@@ -207,7 +207,7 @@ def cvetkovic_bound(g: SignedGraph, m: np.ndarray) -> int:
         i, j = bad[0]
         raise ValueError(f"diagonal entry ({i},{i}) must be zero" if i == j
                          else f"entry ({i},{j}) is outside the edge support")
-    vals = np.linalg.eigvalsh(m)
+    vals = _eigvals(m[None], g.n)[0]
     n_plus, n_minus, _ = sign_counts(vals, CVETKOVIC_TOL)
     return min(g.n - n_plus, g.n - n_minus)
 

@@ -26,14 +26,13 @@ import numpy as np
 
 from .graph import (GraphError, SignedGraph, _real, _vertex, connected_antibalancing_tau,
                     induced_subgraph, switch, with_zero_kappa)
-from .linalg import _scaled, normalized_adjacency, normalized_spectrum
+from . import linalg
+from .linalg import _FLUSH, _eigvals, _scaled, normalized_adjacency, normalized_spectrum
 from .solver import SolverConfig, solve_largest_grid
 
 EXACT_TOL = 1e-9
 DEFAULT_SIGN_CAP = 24
 DEFAULT_BUDGET = 2048       # pool and subset budget of the single-index forms
-_BATCH_BYTES = 1 << 17      # bytes of float64 matrices per stacked eigensolve,
-                            # in the sign/subgraph scans and the subset scans
 
 
 @dataclass(frozen=True)
@@ -96,37 +95,18 @@ def _code_to_signs(n: int, code: int) -> tuple[int, ...]:
     return tuple(int(s) for s in np.where(_code_signs(n, np.array([code]))[0], -1, 1))
 
 
-def _batch_size(n: int) -> int:
-    return max(1, _BATCH_BYTES // (8 * n * n))
-
-
-def _first_max(g: SignedGraph, batches, **flags) -> tuple[np.ndarray, np.ndarray]:
+def _first_max(g: SignedGraph, masks: np.ndarray, **flags) -> tuple[np.ndarray, np.ndarray]:
     """(values, positions) of the first maximum of each eigenvalue column of
-    normalized_adjacency(g, mask, **flags) over the rows of the mask
-    batches; one stacked eigensolve per batch serves every column."""
-    best_val, best_pos, pos = np.full(g.n, -np.inf), np.zeros(g.n, int), 0
-    for masks in batches:
-        vals = np.linalg.eigvalsh(normalized_adjacency(g, masks, **flags))
-        i = np.argmax(vals, axis=0)
-        top = vals[i, np.arange(g.n)]
-        better = top > best_val
-        best_val[better], best_pos[better] = top[better], pos + i[better]
-        pos += len(masks)
-    return best_val, best_pos
+    normalized_adjacency(g, mask, **flags) over the rows of masks."""
+    vals = _eigvals(masks, g.n, _flush(g), lambda rows: normalized_adjacency(g, rows, **flags))
+    return vals.max(axis=0), vals.argmax(axis=0)
 
 
 def _top_values(g: SignedGraph, masks: np.ndarray) -> np.ndarray:
     """Top eigenvalue of normalized_adjacency(g, mask, absolute=True) for each
-    row of masks, in one stacked eigensolve."""
-    return np.linalg.eigvalsh(normalized_adjacency(g, masks, absolute=True))[:, -1]
-
-
-def _code_values(g: SignedGraph, codes: np.ndarray) -> np.ndarray:
-    """The float the scan computes for each sign code, one stacked eigensolve
-    per batch of codes."""
-    step = _batch_size(g.n)
-    return np.concatenate([_top_values(g, _active_edges(g, _code_signs(g.n, codes[lo:lo + step])))
-                           for lo in range(0, len(codes), step)])
+    row of masks."""
+    return _eigvals(masks, g.n, _flush(g),
+                    lambda rows: normalized_adjacency(g, rows, absolute=True))[:, -1]
 
 
 def _flip_ascent(g: SignedGraph) -> float:
@@ -140,7 +120,7 @@ def _flip_ascent(g: SignedGraph) -> float:
     flips = np.int64(1) << np.arange(n - 1)
     while True:
         codes = np.concatenate(([code], code ^ flips))
-        vals = _code_values(g, codes)
+        vals = _top_values(g, _active_edges(g, _code_signs(n, codes)))
         i = int(np.argmax(vals))
         if i == 0:
             return float(vals[0])
@@ -197,7 +177,7 @@ def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
     first over groups of at most half a batch of nodes, each group expanded
     by as many levels as fit in one batch; with every code in one batch the
     first group is the scan itself.  Otherwise a best single-flip ascent
-    gives the incumbent, which each leaf batch may raise, and threshold =
+    gives the incumbent, which each leaf group may raise, and threshold =
     incumbent - slack.  Leaves get the scan's matrix and eigensolve, so the
     scan's float; the largest float, then the smallest code, wins.
 
@@ -216,20 +196,21 @@ def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
     within p(n) u ||B||_2 of the exact one (backward stability and Weyl;
     the LAPACK Users' Guide, section 4.7, calls p(n) a modestly growing
     function of n; here p(n) = n^2, u = eps / 2), and ||B||_2 is at most the
-    largest row sum r of the full |A|.  A leaf's float is therefore at most
-    the exact lambda_max(B) of any node above it plus n^2 eps r / 2.  Each
-    test that prunes shows lambda_max(B) < threshold + e, with e its
-    rounding: under (n + 2) eps r for the root of max_i (B r_B)_i, taken
-    in units of r lest it underflow, n^2 eps r / 2 for a node's float, and
-    (n + 2) eps r for the Collatz-Wielandt ratio (a relative (n + 2) eps of
-    a float below threshold <= r).  So with slack = 4 n^2 eps r, every leaf
-    of a pruned node has a float below threshold + (n^2 + n + 2) eps r <
+    largest row sum r of the full |A|; the flush of _eigvals adds at most
+    n eps r.  A leaf's float is therefore at most the exact lambda_max(B) of
+    any node above it plus (n^2 / 2 + n) eps r.  Each test that prunes shows
+    lambda_max(B) < threshold + e, with e its rounding: under (n + 2) eps r
+    for the root of max_i (B r_B)_i, taken in units of r lest it underflow,
+    (n^2 / 2 + n) eps r for a node's float, and (n + 2) eps r for the
+    Collatz-Wielandt ratio (a relative (n + 2) eps of a float below
+    threshold <= r).  So with slack = 4 n^2 eps r, every leaf of a pruned
+    node has a float below threshold + (n^2 + 2n + 2) eps r <
     incumbent (n >= 2): the incumbent's leaf, and every leaf that could tie
     it, is solved.  The tests that keep a node need no slack, since keeping
     a node can never lose a leaf, and a larger slack would keep more nodes
     and change nothing.  A bound that is not a number decides nothing.
     """
-    n, a, step = g.n, g._arrays, _batch_size(g.n)
+    n, a, step = g.n, g._arrays, max(1, linalg._BATCH_BYTES // (8 * g.n * g.n))
     deg = np.bincount(np.concatenate((a.u, a.v)), minlength=n)
     order = 1 + np.argsort(-deg[1:], kind="stable")
     rank = np.zeros(n, dtype=int)
@@ -247,7 +228,7 @@ def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
         depth += levels
         if threshold is None:
             if depth == n - 1:      # every code in the first group: the scan
-                leaves, vals = [nodes], [_code_values(g, nodes)]
+                leaves, vals = [nodes], [_top_values(g, _active_edges(g, _code_signs(n, nodes)))]
                 break
             absadj, leaves, vals = _absadj(g), [], []
             r = absadj.sum(axis=1).max() or 1.0     # an edgeless graph's bound
@@ -258,31 +239,28 @@ def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
             quad = 2.0 * x[a.u] * x[a.v] / (x @ x)
             at_u = (a.u[:, None] == np.arange(n)) * 1.0     # edge-to-endpoint scatters
             at_v = (a.v[:, None] == np.arange(n)) * 1.0
-        for lo in range(0, len(nodes), step):
-            chunk = nodes[lo:lo + step]
-            masks = _active_edges(g, _code_signs(n, chunk)) | (fixed_at > depth)
-            ws = masks * (a.scale / r)      # B and its row sums in units of r
-            rows = ws @ at_u + ws @ at_v
-            walks = (ws * rows[:, a.v]) @ at_u + (ws * rows[:, a.u]) @ at_v
-            solve = ~(np.sqrt(walks.max(axis=1)) < threshold / r)
-            if depth == n - 1:
-                if solve.any():
-                    leaves.append(chunk[solve])
-                    vals.append(_top_values(g, masks[solve]))
-                    threshold = max(threshold, vals[-1].max() - slack)
-                continue
-            sure = ws @ quad >= threshold / r
-            solve &= ~sure
+        masks = _active_edges(g, _code_signs(n, nodes)) | (fixed_at > depth)
+        ws = masks * (a.scale / r)      # B and its row sums in units of r
+        rows = ws @ at_u + ws @ at_v
+        walks = (ws * rows[:, a.v]) @ at_u + (ws * rows[:, a.u]) @ at_v
+        solve = ~(np.sqrt(walks.max(axis=1)) < threshold / r)
+        if depth == n - 1:
             if solve.any():
-                b = normalized_adjacency(g, masks[solve], absolute=True)
-                upper, lower = _perron_bounds(b, r)
-                keep = lower >= threshold
-                rest = ~(keep | (upper < threshold))
-                if rest.any():
-                    keep[rest] = ~(np.linalg.eigvalsh(b[rest])[:, -1] < threshold)
-                sure[solve] = keep
-            if sure.any():
-                stack.append((depth, chunk[sure]))
+                leaves.append(nodes[solve])
+                vals.append(_top_values(g, masks[solve]))
+                threshold = max(threshold, vals[-1].max() - slack)
+            continue
+        sure = ws @ quad >= threshold / r
+        solve &= ~sure
+        if solve.any():
+            b = normalized_adjacency(g, masks[solve], absolute=True)
+            upper, lower = _perron_bounds(b, r)
+            keep = lower >= threshold
+            rest = ~(keep | (upper < threshold))
+            keep[rest] = ~(_eigvals(b[rest], n, _flush(g))[:, -1] < threshold)
+            sure[solve] = keep
+        if sure.any():
+            stack.append((depth, nodes[sure]))
     leaves, vals = np.concatenate(leaves), np.concatenate(vals)
     top = vals.max()
     return float(top), _code_to_signs(n, int(leaves[vals == top].min()))
@@ -340,7 +318,7 @@ def exact_ln(g: SignedGraph, seed: int = 0) -> CutoffBracket:
                              lower_certificate=("sign-vector", signs),
                              upper_certificate=("exact",), exact=True)
     val, signs = _hill_climb_signs(g, seed)
-    upper = 0.5 * float(np.linalg.eigvalsh(_absadj(g))[-1])
+    upper = 0.5 * float(_eigvals(_absadj(g)[None], g.n, _flush(g))[0, -1])
     return CutoffBracket(k=g.n, lower=0.5 * val, upper=upper,
                          lower_certificate=("sign-vector-sampled", signs),
                          upper_certificate=("vertex-subset", tuple(range(g.n))),
@@ -414,9 +392,8 @@ def _subgraph_lowers(g: SignedGraph, ks: Sequence[int],
             rows = ((codes[:, None] >> np.arange(g.m - 1, -1, -1)) & 1).astype(bool)
             pool.append(rows[np.argsort(rows.sum(axis=1), kind="stable")])
         masks = np.concatenate(pool)
-        masks, step = masks[_first_rows(masks)], _batch_size(g.n)
-        vals, best = _first_max(g, (masks[lo:lo + step] for lo in range(0, len(masks), step)),
-                                negate=True)
+        masks = masks[_first_rows(masks)]
+        vals, best = _first_max(g, masks, negate=True)
         g._store[key] = (vals, masks[best])
     vals, winners = g._store[key]
     return [(0.5 * float(vals[k - 1]), ("spanning-subgraph",
@@ -434,22 +411,17 @@ def _first_rows(masks: np.ndarray) -> np.ndarray:
     return np.sort(np.unique(keys, return_index=True)[1])
 
 
-def _subset_values(absadj: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+def _subset_values(absadj: np.ndarray, subsets: np.ndarray, flush: bool) -> np.ndarray:
     """Half the top eigenvalue of the mu-normalized |A| (absadj) restricted
     to each row of subsets (ascending vertices, one size); exactly 0.0 where
-    the restriction has no nonzero entry.  One stacked eigensolve per batch
-    of at most _BATCH_BYTES of matrices (or one matrix if that is larger)."""
-    out, step = [], _batch_size(subsets.shape[1])
-    for lo in range(0, len(subsets), step):
-        idx = subsets[lo:lo + step]
-        sub = absadj[idx[:, :, None], idx[:, None, :]]
-        vals = 0.5 * np.linalg.eigvalsh(sub)[:, -1]
-        vals[~sub.any(axis=(1, 2))] = 0.0
-        out.append(vals)
-    return np.concatenate(out)
+    the restriction has no nonzero entry (its top eigenvalue is then +-0, and
+    else at least its largest entry)."""
+    top = _eigvals(subsets, subsets.shape[1], flush,
+                   lambda rows: absadj[rows[:, :, None], rows[:, None, :]])[:, -1]
+    return np.where(top != 0, 0.5 * top, 0.0)
 
 
-def _least_subset(absadj: np.ndarray, k: int) -> tuple[float, tuple]:
+def _least_subset(absadj: np.ndarray, k: int, flush: bool) -> tuple[float, tuple]:
     """(float, subset) of the exhaustive scan of upper_bound_subsets: the
     first k-subset of least _subset_values float, eigensolving only the
     subsets that the bounds there cannot rule out."""
@@ -461,7 +433,7 @@ def _least_subset(absadj: np.ndarray, k: int) -> tuple[float, tuple]:
         scaled = absadj / c
     edges = (absadj != 0) * 1.0
     subsets, total = combinations(range(n), k), comb(n, k)
-    step = max(1, _BATCH_BYTES // (8 * max(k * k, n)))   # a block or a membership row
+    step = max(1, linalg._BATCH_BYTES // (8 * max(k * k, n)))   # a block or a membership row
     cap, best = np.inf, (np.inf, ())
     for start in range(0, total, step):
         size = min(step, total - start)
@@ -482,7 +454,7 @@ def _least_subset(absadj: np.ndarray, k: int) -> tuple[float, tuple]:
             continue
         vals, solve = np.zeros(keep.size), ~zero[keep]
         if solve.any():
-            vals[solve] = _subset_values(absadj, idx[keep[solve]])
+            vals[solve] = _subset_values(absadj, idx[keep[solve]], flush)
         with np.errstate(all="ignore"):
             cap = min(cap, 2.0 * vals.min() / c)
         i = int(np.argmin(vals))
@@ -516,9 +488,10 @@ def upper_bound_subsets(g: SignedGraph, k: int) -> tuple[float, tuple]:
     that of the cap and of a solved float over c, and 2k eps r / c the
     absolute error of a result in the subnormal range.
 
-    The slack.  LAPACK returns lambda_max(B) within k^2 u ||B||_2 <= k^2 u r
-    (the bound of _lambda_max_signs, u = eps / 2), so slack = 8 k^2 eps r / c
-    covers that and the rounding above for every k >= 2.  The cap, the
+    The slack.  LAPACK returns lambda_max(B) within k^2 u ||B||_2 <= k^2 u r,
+    and the flush of _eigvals moves it by at most k eps r (the bounds of
+    _lambda_max_signs, u = eps / 2), so slack = 8 k^2 eps r / c covers those
+    and the rounding above for every k >= 2.  The cap, the
     least of the solved floats and of the upper bounds + slack seen so far
     (over c), is then at least the least float of all subsets, and a subset
     whose lower bound exceeds cap + slack holds a float above it: it is
@@ -553,29 +526,41 @@ def _absadj(g: SignedGraph) -> np.ndarray:
     return _stored(g, "absadj", lambda g: normalized_adjacency(g, absolute=True))
 
 
+def _flush(g: SignedGraph) -> bool:
+    """Whether _eigvals must flush g's cutoff matrices, once per graph object:
+    whether some |A^mu| entry is below _FLUSH times its largest row sum.
+    Every cutoff matrix is a masked, gathered or absolute copy of A^mu, with
+    row sums at most that one, so otherwise the flush would change nothing."""
+    def below(g):
+        a = g._arrays
+        rows = np.bincount(np.concatenate((a.u, a.v)), np.concatenate((a.scale, a.scale)), g.n)
+        return bool(g.m) and bool(a.scale.min() < _FLUSH * rows.max())
+    return _stored(g, "flush", below)
+
+
 def _subset_uppers(g: SignedGraph, ks: Sequence[int], budget: int,
                    seed: int) -> list[tuple[float, tuple]]:
     """upper_bound_subsets for every k in ks."""
-    absadj, mis = _absadj(g), _mis(g)
+    absadj, mis, flush = _absadj(g), _mis(g), _flush(g)
     out = []
     for k in ks:
         if mis.size >= k:
             out.append((0.0, ("vertex-subset", tuple(sorted(mis.vertices)[:k]))))
             continue
         if comb(g.n, k) <= budget:
-            val, subset = _least_subset(absadj, k)
+            val, subset = _least_subset(absadj, k, flush)
             out.append((val, ("vertex-subset", subset)))
             continue
         cur: list[int] = []
         while len(cur) < k:     # add the first vertex of least value
             free = [x for x in range(g.n) if x not in cur]
-            vals = _subset_values(absadj, np.array([sorted(cur + [x]) for x in free]))
+            vals = _subset_values(absadj, np.array([sorted(cur + [x]) for x in free]), flush)
             cur.append(free[int(np.argmin(vals))])
         rng = np.random.default_rng(seed)
         chunk = [tuple(sorted(cur))] + [
             tuple(int(x) for x in np.sort(rng.choice(g.n, k, replace=False)))
             for _ in range(min(budget, 256))]
-        vals = _subset_values(absadj, np.array(chunk))
+        vals = _subset_values(absadj, np.array(chunk), flush)
         i = int(np.argmin(vals))
         out.append((float(vals[i]), ("vertex-subset", chunk[i])) if vals[i] < np.inf
                    else (np.inf, ("vertex-subset", ())))

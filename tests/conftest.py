@@ -51,6 +51,24 @@ def random_balanced(n: int, prob: float, seed: int) -> graph.SignedGraph:
     return graph.validate(n, edges)
 
 
+def wide_range_graphs(count: int) -> list[graph.SignedGraph]:
+    """The first count graphs of the wide-range set (293 in full): n in 3-8,
+    each pair an edge with probability 0.6 and a random sign, 40 % of the
+    weights 10^U(-165, -155) and the rest U(0.5, 2), from default_rng(17)."""
+    rng, out = np.random.default_rng(17), []
+    for _ in range(count):
+        n, edges = int(rng.integers(3, 9)), []
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.6:
+                    sign = 1 if rng.random() < 0.5 else -1
+                    tiny = rng.random() < 0.4
+                    w = 10 ** rng.uniform(-165, -155) if tiny else rng.uniform(0.5, 2)
+                    edges.append((u, v, float(w), sign))
+        out.append(graph.validate(n, edges))
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

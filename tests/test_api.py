@@ -127,6 +127,19 @@ def test_every_defaulted_parameter_has_a_listed_caller():
     assert set(SETTERS) - set(found) == set(), "drop the entries of removed ones"
 
 
+def test_every_eigvalsh_call_is_in_the_flushed_helper():
+    # linalg._eigvals batches and flushes; an eigvalsh call anywhere else
+    # would skip both
+    calls = []
+    for path in sorted(Path(plap.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and "eigvalsh" in {getattr(node.func, "attr", None),
+                                                                   getattr(node.func, "id", None)}):
+                    calls.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert calls == ["linalg._eigvals"]
+
+
 def test_solver_config_holds_the_cli_settings_only():
     assert {f.name for f in dataclasses.fields(solver.SolverConfig)} == {"tol", "restarts",
                                                                          "rng_seed"}

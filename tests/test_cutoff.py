@@ -13,16 +13,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plap import cutoff, families, graph
+from plap import cutoff, families, graph, linalg
 from plap.combinatorics import IndependentSet
 from plap.cutoff import (bracket, brackets, exact_ln, interlacing_check,
                          interlacing_checks, limit_scan, lower_bound_full,
                          lower_bound_subgraphs, r_q_infty, upper_bound_subsets)
 from plap.graph import GraphError, induced_subgraph, negate, switch, validate, with_zero_kappa
-from plap.linalg import adjacency, normalized_adjacency
+from plap.linalg import _eigvals, adjacency, normalized_adjacency
 from plap.solver import solve_largest
 
-from conftest import random_connected_antibalanced, random_signed, random_weighted
+from conftest import (random_connected_antibalanced, random_signed, random_weighted,
+                      wide_range_graphs)
 
 
 def test_r_q_infty_examples():
@@ -139,7 +140,7 @@ def _old_hill_climb_signs(g, seed, rounds=8):
         active = cutoff._active_edges(g, sv < 0)
         if not np.any(active):
             return 0.0
-        return float(np.linalg.eigvalsh(normalized_adjacency(g, active, absolute=True))[-1])
+        return float(_eigvals(normalized_adjacency(g, active, absolute=True)[None], g.n)[0, -1])
 
     rng = np.random.default_rng(seed)
     best_val, best_sv = -np.inf, None
@@ -220,7 +221,8 @@ def test_first_rows_are_the_first_occurrences_unique_finds(rng):
 
 
 # --- the per-code, per-subset and per-k loops the batched scans replaced ---
-# (the references are cached: they do not read _BATCH_BYTES)
+# (each reference solves one matrix at a time by linalg._eigvals, the scans'
+# flushed eigensolve, so batch sizes do not reach it; they are cached)
 
 def _old_signs(n, code):
     return (1,) + tuple(1 - 2 * ((code >> i) & 1) for i in range(n - 1))
@@ -236,7 +238,7 @@ def _old_lambda_max_signs(g):
         m[:] = 0.0
         m[a.u[active], a.v[active]] = a.scale[active]
         m[a.v[active], a.u[active]] = a.scale[active]
-        top = float(np.linalg.eigvalsh(m)[-1]) if active.any() else 0.0
+        top = float(_eigvals(m[None], g.n)[0, -1]) if active.any() else 0.0
         if top > best_val:
             best_val, best_code = top, code
     return best_val, _old_signs(g.n, best_code)
@@ -260,7 +262,7 @@ def _old_lower_bound_subgraphs(g, k, budget):
         seen.add(subset)
         mask = np.zeros(g.m, dtype=bool)
         mask[list(subset)] = True
-        val = (float(np.linalg.eigvalsh(normalized_adjacency(g, mask, negate=True))[k - 1])
+        val = (float(_eigvals(normalized_adjacency(g, mask, negate=True)[None], g.n)[0, k - 1])
                if g.m else 0.0)
         if val > best_val:
             best_val, best_edges = val, subset
@@ -273,7 +275,7 @@ def _old_subset_value(absadj, subset):
     m = absadj[np.ix_(keep, keep)]
     if not m.any():
         return 0.0
-    return 0.5 * float(np.linalg.eigvalsh(m)[-1])
+    return 0.5 * float(_eigvals(m[None], len(m))[0, -1])
 
 
 @lru_cache(maxsize=None)
@@ -382,7 +384,7 @@ def scans(monkeypatch):
 @pytest.mark.parametrize("g", SCAN_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
 def test_batched_scans_equal_the_loops(g, per_batch, monkeypatch, scans):
     if per_batch is not None:
-        monkeypatch.setattr(cutoff, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
+        monkeypatch.setattr(linalg, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
     g = _fresh(g)       # a case of its own scans, at its own batch size
     assert cutoff._lambda_max_signs(g) == _old_lambda_max_signs(g)
     for k in range(1, g.n + 1):
@@ -397,7 +399,7 @@ def test_batched_scans_equal_the_loops(g, per_batch, monkeypatch, scans):
 @pytest.mark.parametrize("g", SCAN_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
 def test_brackets_equal_the_per_k_loops(g, per_batch, monkeypatch, scans):
     if per_batch is not None:
-        monkeypatch.setattr(cutoff, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
+        monkeypatch.setattr(linalg, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
     g = _fresh(g)
     ks = list(range(1, g.n + 1))
     for budget in (16, 2048):
@@ -538,7 +540,7 @@ def eigvalsh_shapes(monkeypatch):
 def test_stacked_eigensolves_stay_within_the_batch_bytes(per_batch, eigvalsh_shapes,
                                                           monkeypatch):
     if per_batch is not None:
-        monkeypatch.setattr(cutoff, "_BATCH_BYTES", 1)
+        monkeypatch.setattr(linalg, "_BATCH_BYTES", 1)
     g = families.random_graph(40, 0.5, 1)   # C(40, 39) = 40 subsets of 39 vertices
     for budget in (16, 2048):               # greedy and exhaustive
         brackets(g, [38, 39], budget)
@@ -546,7 +548,7 @@ def test_stacked_eigensolves_stay_within_the_batch_bytes(per_batch, eigvalsh_sha
     stacks = [s for s in eigvalsh_shapes if len(s) == 3]
     assert {s[-1] for s in stacks} >= {12, 38, 39, 40}
     for s in stacks:
-        assert 8 * math.prod(s) <= max(cutoff._BATCH_BYTES, 8 * s[-1] ** 2), s
+        assert 8 * math.prod(s) <= max(linalg._BATCH_BYTES, 8 * s[-1] ** 2), s
 
 
 def _with_weight(g, w):
@@ -570,7 +572,7 @@ SUBSET_GRAPHS = ([families.complete(n) for n in (6, 9)]
 def test_the_pruned_subset_scan_equals_solving_every_subset(g, per_batch, monkeypatch,
                                                             eigvalsh_shapes):
     if per_batch is not None:
-        monkeypatch.setattr(cutoff, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
+        monkeypatch.setattr(linalg, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
     ks = range(1, g.n + 1)
     for budget in (16, 2048):
         want = [_old_upper_bound_subsets(g, k, budget) for k in ks]
@@ -578,7 +580,7 @@ def test_the_pruned_subset_scan_equals_solving_every_subset(g, per_batch, monkey
         assert cutoff._subset_uppers(_fresh(g), ks, budget, 0) == want
         # one batch of blocks per eigensolve, at most
         for shape in eigvalsh_shapes:
-            assert 8 * math.prod(shape) <= max(cutoff._BATCH_BYTES, 8 * shape[-1] ** 2)
+            assert 8 * math.prod(shape) <= max(linalg._BATCH_BYTES, 8 * shape[-1] ** 2)
     assert [upper_bound_subsets(g, k) for k in ks] == want
 
 
@@ -598,7 +600,7 @@ def test_a_subset_without_an_inner_edge_is_zero_and_unsolved(per_batch, solved, 
     # zero solves nothing; at 4 subsets of 3 a batch, the single-edge blocks
     # of the two batches before (0, 3, 5) are solved, the triangle is not
     if per_batch is not None:
-        monkeypatch.setattr(cutoff, "_BATCH_BYTES", 8 * 36 * per_batch)
+        monkeypatch.setattr(linalg, "_BATCH_BYTES", 8 * 36 * per_batch)
     g = validate(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
     absadj = normalized_adjacency(g, absolute=True)
     firsts = {2: (0, 3), 3: (0, 3, 5)}
@@ -621,7 +623,7 @@ def test_a_subset_without_an_inner_edge_is_zero_and_unsolved(per_batch, solved, 
 
 def test_sign_scan_equals_the_loop_at_n14():
     g = random_weighted(14, 0.5, 14, isolated=1)
-    assert 1 << 13 > cutoff._batch_size(14)
+    assert 1 << 13 > linalg._BATCH_BYTES // (8 * 14 * 14)
     assert cutoff._lambda_max_signs(g) == _old_lambda_max_signs(g)
 
 
@@ -653,7 +655,7 @@ BNB_GRAPHS = ([families.complete(n) for n in (*range(2, 13), 14)]
 @pytest.mark.parametrize("g", BNB_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
 def test_branch_and_bound_equals_the_scan(g, per_batch, monkeypatch):
     if per_batch is not None:
-        monkeypatch.setattr(cutoff, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
+        monkeypatch.setattr(linalg, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
     assert cutoff._lambda_max_signs(g) == _cached_old_lambda_max_signs(g)
 
 
@@ -664,6 +666,57 @@ def test_branch_and_bound_at_tiny_weights_equals_the_scan(w):
     g = validate(10, [(e.u, e.v, w, e.sigma) for e in families.complete(10).edges])
     assert cutoff._lambda_max_signs(g) == _old_lambda_max_signs(g)
     assert exact_ln(g).lower == 0.5 * _old_lambda_max_signs(g)[0]
+
+
+def _top_in_units_of_r(m):
+    """The top eigenvalue of m from eigh of m / r, r its largest row sum."""
+    r = np.abs(m).sum(axis=1).max()
+    return float(np.linalg.eigh(m / r)[0][-1] * r) if r else 0.0
+
+
+def _sides_hold_their_witnesses(g, brackets_of_g):
+    """No vertex-subset upper side below, and no spanning-subgraph lower side
+    above, its witness's value from eigh in units of r (up to 4 n^2 eps r)."""
+    absadj = normalized_adjacency(g, absolute=True)
+    slack = 4 * g.n ** 2 * np.finfo(float).eps * absadj.sum(axis=1).max()
+    for b in brackets_of_g:
+        kind, witness = b.upper_certificate[0], b.upper_certificate[-1]
+        if kind == "vertex-subset" and witness:
+            block = absadj[np.ix_(witness, witness)]
+            assert b.upper >= 0.5 * _top_in_units_of_r(block) - slack, b
+        if b.lower_certificate[0] == "spanning-subgraph":
+            pairs = set(b.lower_certificate[1])
+            mask = np.array([(e.u, e.v) in pairs for e in g.edges], dtype=bool)
+            m = normalized_adjacency(g, mask, negate=True)
+            r = np.abs(m).sum(axis=1).max()
+            value = np.linalg.eigh(m / r)[0][b.k - 1] * r if r else 0.0
+            assert b.lower <= 0.5 * value + slack, b
+
+
+def test_brackets_answer_beside_weights_of_1e_162():
+    # eigvalsh gave 0.7071 for the upper side's own witness (0, 2, 3, 4),
+    # whose value is 0.8665, and brackets raised "inconsistent bracket"
+    g = validate(5, [(0, 2, 3.37e-162, -1), (1, 3, 0.744, -1), (1, 4, 1.778, -1),
+                     (2, 3, 1.733, -1), (2, 4, 8.7e-164, -1)])
+    got = brackets(g, [4])
+    assert got[0].upper_certificate == ("vertex-subset", (0, 2, 3, 4))
+    _sides_hold_their_witnesses(g, got)
+
+
+def test_brackets_answer_beside_weights_of_1e300():
+    # the pool's lambda_4 of a matrix of norm 1e300 came back as 3.9e282 and
+    # brackets raised; L_4 is 0.5, a matching of three unit edges on either side
+    g = validate(6, [(0, 1, 1e300), (1, 2, 1.0, -1), (2, 3), (3, 4, 1e300, -1), (4, 5),
+                     (5, 0), (1, 4)])
+    b = brackets(g, [4])[0]
+    assert (b.lower, b.upper) == (0.5, 0.5)
+
+
+@pytest.mark.parametrize("g", wide_range_graphs(40), ids=lambda g: f"n{g.n}m{g.m}")
+def test_brackets_hold_their_witnesses_on_tiny_weights_beside_ones(g):
+    # of these 40, brackets raised on 3 and left an upper side 9.4e-7 (relative)
+    # below its witness on 1 when eigvalsh went unflushed
+    _sides_hold_their_witnesses(g, brackets(g, range(1, g.n + 1)))
 
 
 @st.composite
@@ -682,7 +735,7 @@ def _small_signed_weighted(draw):
 def test_branch_and_bound_equals_the_scan_on_random_graphs(g, per_batch):
     with pytest.MonkeyPatch.context() as mp:
         if per_batch is not None:
-            mp.setattr(cutoff, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
+            mp.setattr(linalg, "_BATCH_BYTES", 8 * g.n * g.n * per_batch)
         assert cutoff._lambda_max_signs(g) == _old_lambda_max_signs(g)
 
 

@@ -1,15 +1,21 @@
 """Spectra of (normalized) signed adjacency matrices."""
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from plap import families, graph
 from plap.cutoff import lower_bounds_full_all
-from plap.linalg import adjacency, normalized_spectrum, sign_counts
+from plap.linalg import (_eigvals, _scaled, adjacency, normalized_adjacency, normalized_spectrum,
+                         sign_counts)
 
-from conftest import random_signed
+from conftest import random_signed, wide_range_graphs
+
+EPS = np.finfo(float).eps
 
 
 def test_adjacency_k2():
@@ -112,3 +118,68 @@ def test_full_lower_bounds_are_the_spectrum_values_bit_for_bit():
     for g in graphs:
         want = np.maximum(0.0, 0.5 * normalized_spectrum(g, negate=True).values)
         assert lower_bounds_full_all(g).tobytes() == want.tobytes()
+
+
+def test_eigvals_flushes_an_entry_of_1e_160_beside_ones():
+    # eigvalsh alone gives 1.4996...: LAPACK's square-root-free QR works on
+    # the squared off-diagonals, and 1e-320 is subnormal
+    m = normalized_adjacency(graph.validate(3, [(0, 2, 1e-160), (1, 2, 1.5)]))
+    assert _eigvals(m[None], 3)[0, -1] == 1.5
+
+
+def _path_stack(*weights):
+    """The path 0 - 1 - ... with these weights, as a stack of one matrix."""
+    n = len(weights) + 1
+    m = np.zeros((1, n, n))
+    m[0, range(n - 1), range(1, n)] = m[0, range(1, n), range(n - 1)] = weights
+    return m
+
+
+@st.composite
+def _wide_signed_stacks(draw):
+    """A stack of symmetric matrices, entries of either sign from 1e-300 to
+    1e300 beside zeros and O(1) ones (1e308 makes a row sum overflow)."""
+    n, size = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    size_of = st.one_of(st.just(0.0), st.just(1e308), st.floats(0.5, 2.0),
+                        st.floats(-300.0, 300.0).map(lambda x: 10.0 ** x))
+    entry = st.tuples(size_of, st.sampled_from([1.0, -1.0])).map(lambda t: t[0] * t[1])
+    stack = np.zeros((size, n, n))
+    for b in stack:
+        for i, j in combinations_with_replacement(range(n), 2):
+            b[i, j] = b[j, i] = draw(entry)
+    return stack
+
+
+# the reference is eigh in units of r.  On the examples eigvalsh alone is off
+# by 3e10, 5,000 and 3.5e9 times the slack: the 3-vertex path above, a path
+# whose weights are all tiny, and a graph with weights 2, 1.14, 1.89e-87 and
+# 2e-101 (which a flush below sqrt(tiny) / eps r, about 6.7e-139 r, keeps)
+@given(_wide_signed_stacks())
+@settings(max_examples=300, deadline=None)
+@example(_path_stack(1e-160, 1.5))
+@example(_path_stack(1e-265, 4e-230, 4e-230, 4e-230, 5e-230))
+@example(normalized_adjacency(graph.validate(5, [(0, 2, 1.89e-87), (0, 3, 2.05e-101),
+                                                 (1, 2, 2.38e-101, -1), (1, 4, 1.14, -1),
+                                                 (2, 3, 2.0)]))[None])
+def test_eigvals_are_within_rounding_of_eigh_in_units_of_r(stack):
+    with np.errstate(over="ignore"):
+        r = np.abs(stack).sum(axis=2).max(axis=1)
+    assume(np.isfinite(r).all())
+    n = stack.shape[-1]
+    ref = np.linalg.eigh(stack / np.where(r > 0, r, 1.0)[:, None, None])[0] * r[:, None]
+    assert (np.abs(_eigvals(stack, n) - ref) <= 4 * n * n * EPS * r[:, None]).all()
+
+
+@pytest.mark.parametrize("g", wide_range_graphs(12), ids=lambda g: f"n{g.n}m{g.m}")
+def test_eigh_is_within_rounding_on_tiny_weights_beside_ones(g):
+    # why the full-graph spectra keep eigh: on all 293 wide-range graphs the
+    # two below were within 4 n^2 eps r of eigh in units of r
+    a = g._arrays
+    for sigma, got in ((-a.sigma, 2.0 * lower_bounds_full_all(g)),
+                       (a.sigma, normalized_spectrum(g).values)):
+        m = _scaled(g, sigma * a.w)
+        r = np.abs(m).sum(axis=1).max()
+        ref = np.linalg.eigh(m / r)[0] * r
+        if sigma is not a.sigma:
+            ref = np.maximum(0.0, ref)      # the lower bounds are clamped at 0
+        assert (np.abs(got - ref) <= 4 * g.n ** 2 * EPS * r).all()
