@@ -139,7 +139,9 @@ def _cmd_bounds(g, args, rep: Report) -> None:
                        "L_n_exact": ir.exact_ln_is_exact})
 
 
-def _verify_monotonicity(g, args, rep: Report, strict: bool) -> list[dict]:
+def _verify_monotonicity(g, args, rep: Report, strict: bool, solved: dict) -> list[dict]:
+    """The m1/m2 checks and the CSV rows; each top pair of the grid goes to
+    solved by its p, as solve_largest(g, p, cfg) would return it."""
     if min(g.kappa) < 0:
         reason = "monotonicity check requires kappa >= 0"
     elif graph.structural_constants(g)[0] <= 0:
@@ -156,6 +158,7 @@ def _verify_monotonicity(g, args, rep: Report, strict: bool) -> list[dict]:
     sides = []
     if g.m and graph.connected_antibalancing_tau(g) is not None:
         pairs = list(solver.solve_largest_grid(g, grid, cfg))
+        solved.update(zip(grid, pairs))
         if all(pr.certificate == "perron-certified" for pr in pairs):
             sides.append(("top", g.n, pairs))
     if graph.classify_balance(g).balanced_witness is not None:
@@ -214,7 +217,7 @@ def _verify_limit(g, args, rep: Report, strict: bool) -> None:
              "eigenvalues": scan.eigenvalues})
 
 
-def _verify_tensor(g, args, rep: Report, ln) -> None:
+def _verify_tensor(g, args, rep: Report, ln, solved: dict) -> None:
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for p in (2, 4, 6):
@@ -229,7 +232,7 @@ def _verify_tensor(g, args, rep: Report, ln) -> None:
             {"max_relative_defect": worst})
     for p in (2, 4):
         try:
-            pair = solver.solve_largest(g, p, _solver_cfg(args))
+            pair = solved[p] if p in solved else solver.solve_largest(g, p, _solver_cfg(args))
         except solver.SolverError as exc:
             rep.add(f"tensor correspondence p={p}", ANCHORS["tensor-defect"],
                     False, {"error": str(exc)})
@@ -247,14 +250,17 @@ def _cmd_verify(g, args, rep: Report) -> None:
     rows: list[dict] = []
     # exact L_n of the graph, once for the interlacing and tensor suites
     ln = cutoff.exact_ln(g) if args.suite in ("interlacing", "tensor", "all") else None
+    # the top pairs the grid solved, for the tensor suite to reuse
+    solved: dict = {}
     if args.suite in ("monotonicity", "all"):
-        rows = _verify_monotonicity(g, args, rep, strict=args.suite == "monotonicity")
+        rows = _verify_monotonicity(g, args, rep, strict=args.suite == "monotonicity",
+                                    solved=solved)
     if args.suite in ("interlacing", "all"):
         _verify_interlacing(g, args, rep, ln)
     if args.suite in ("limit", "all"):
         _verify_limit(g, args, rep, strict=args.suite == "limit")
     if args.suite in ("tensor", "all"):
-        _verify_tensor(g, args, rep, ln)
+        _verify_tensor(g, args, rep, ln, solved)
     if args.csv and rows:
         with open(args.csv, "w") as fh:
             fh.write(csv_rows(rows))

@@ -9,9 +9,10 @@ other case the returned value is a certified eigenvalue and only a lower
 bound for the top (resp. upper bound for the bottom) one.
 
 On that Perron path a fixed-point iteration of the order-preserving,
-1-homogeneous cone map (Delta_p f / mu)^(1/(p-1)) stops when its
-Collatz-Wielandt bracket min/max of T(f)/f has closed to 5e-16 relative;
-lambda is then pinned to about (p-1) * 5e-16 and the pair is returned
+1-homogeneous cone map (Delta_p f / mu)^(1/(p-1)) stops once its
+Collatz-Wielandt bracket min/max of T(f)/f bounds the defect of the
+eigen-equation far below the residual tolerance (or has closed to 5e-16).
+The Rayleigh quotient lies inside the bracket, and the pair is returned
 without the Newton polish, which runs only where the iteration ran out of
 rounds.  The map needs kappa >= 0, but R_p with kappa + c mu in place of
 kappa is R_p + c: every eigenvalue rises by c and every eigenfunction
@@ -96,8 +97,14 @@ MAX_ITERS = 2000
 ARMIJO_SLOPE = 1e-4
 BACKTRACK = 0.5
 INITIAL_STEP = 1.0
-CONE_ROUNDS = 5000      # of _power_refine, which stops at a Collatz-Wielandt
-CONE_RTOL = 5e-16       # spread of at most CONE_RTOL relative
+# _power_refine's rounds per row; a row stops once its Collatz-Wielandt
+# spread is at most CONE_RTOL relative, or once that bracket bounds its
+# eigen-equation defect by min(CONE_DEFECT * tol * (1 + |lambda|) / max mu,
+# CONE_DEFECT_CAP), below tensor.CORRESPONDENCE_TOL even on heavy weights
+CONE_ROUNDS = 5000
+CONE_RTOL = 5e-16
+CONE_DEFECT = 1e-4
+CONE_DEFECT_CAP = 1e-10
 MONO_SLACK = 1e-8       # of monotonicity_functionals and the CLI's limit check
 SHIFT_SLACK = 1e-9      # of potential_shift_check
 
@@ -109,20 +116,23 @@ class SolverError(RuntimeError):
     """An eigenpair solve did not reach the requested residual tolerance."""
 
 
-def _rowpow(x: np.ndarray, e) -> np.ndarray:
-    """x ** e for a float e; x ** e[:, None] for a stack x (R, n) and its
-    1-D exponent array e, each row bit for bit x[i] ** float(e[i]).  A
-    scalar ** takes x * x at 2 and sqrt at 0.5, which round unlike the pow
-    that an exponent array goes through, so those rows are redone."""
+def _rowpower(e) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> x ** e for a float e; for a 1-D exponent array e, x -> x **
+    e[:, None] on a stack (R, n), each row bit for bit x[i] ** float(e[i]).
+    A scalar ** takes x * x at 2 and sqrt at 0.5, which round unlike the pow
+    that an exponent array goes through, so those rows are redone; e is
+    scanned once, here, for a loop that raises many stacks to it."""
     if not isinstance(e, np.ndarray):
-        return x ** e
-    out = x ** e[:, None]
-    exps = e.tolist()               # a few rows: a Python scan beats numpy calls
-    if 0.5 in exps or 2.0 in exps:
-        for i, special in enumerate(exps):
-            if special in (0.5, 2.0):
-                out[i] = x[i] ** special
-    return out
+        return lambda x: x ** e
+    col = e[:, None]
+    redo = [(i, s) for i, s in enumerate(e.tolist()) if s in (0.5, 2.0)]
+
+    def power(x: np.ndarray) -> np.ndarray:
+        out = x ** col
+        for i, s in redo:
+            out[i] = x[i] ** s
+        return out
+    return power
 
 
 def psi(p: float, x: np.ndarray) -> np.ndarray:
@@ -137,8 +147,7 @@ def pnorm(f: np.ndarray, p, mu: np.ndarray):
     value per row for a stack; a stack (R, n) may have one p per row.  The
     root is a scalar pow per row, since the vectorized ** rounds differently
     in the last place."""
-    af = np.abs(f)
-    s = (mu * (_rowpow(af, p) if isinstance(p, np.ndarray) else af ** p)).sum(-1)
+    s = (mu * _rowpower(p)(np.abs(f))).sum(-1)
     if s.ndim == 0:
         return float(s ** (1.0 / p))
     roots = (1.0 / p).tolist() if isinstance(p, np.ndarray) else repeat(1.0 / p)
@@ -191,7 +200,8 @@ def _plap(g: SignedGraph, p: float, f: np.ndarray, pf: np.ndarray,
     return np.bincount(ends, vals.ravel(), minlength=f.size).reshape(f.shape)
 
 
-def _cone_apply(gneg: SignedGraph, p, F: np.ndarray) -> np.ndarray:
+def _cone_apply(gneg: SignedGraph, p, F: np.ndarray, ends: Optional[np.ndarray] = None,
+                power: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
     """apply_plap(gneg, p, F), bit for bit, where sigma is identically -1,
     kappa >= 0 and F >= 0 (one function or a stack (R, n), p a float or one
     exponent per row): the cone iteration's kernel, for these reasons.
@@ -202,13 +212,17 @@ def _cone_apply(gneg: SignedGraph, p, F: np.ndarray) -> np.ndarray:
         ((-sigma) w) t is (1.0 w) t.
       - With kappa identically 0 the vertex terms are left out (see _plap).
         Where F^(p-1) overflows, apply_plap's 0 * inf is NaN and this is
-        inf, but the edge term there overflows too: the same failed row."""
+        inf, but the edge term there overflows too: the same failed row.
+    A loop over one stack shape passes its _ends index and _rowpower(p -
+    1.0) once computed."""
     a = gneg._arrays
-    t = a.w * _rowpow(F.take(a.u, axis=-1) + F.take(a.v, axis=-1), p - 1.0)
     kap = a.kappa if np.count_nonzero(a.kappa) else None
-    vals = np.concatenate((t, t) if kap is None else (kap * _rowpow(F, p - 1.0), t, t), axis=-1)
-    return np.bincount(_ends(gneg, F.size // gneg.n, kap), vals.ravel(),
-                       minlength=F.size).reshape(F.shape)
+    power = power or _rowpower(p - 1.0)
+    t = a.w * power(F.take(a.u, axis=-1) + F.take(a.v, axis=-1))
+    vals = np.concatenate((t, t) if kap is None else (kap * power(F), t, t), axis=-1)
+    if ends is None:
+        ends = _ends(gneg, F.size // gneg.n, kap)
+    return np.bincount(ends, vals.ravel(), minlength=F.size).reshape(F.shape)
 
 
 def rayleigh(g: SignedGraph, p: float, f: np.ndarray):
@@ -401,7 +415,8 @@ def _ascent(g: SignedGraph, p: float, F0: np.ndarray, cfg: SolverConfig,
     return F, lam
 
 
-def _power_refine(gneg: SignedGraph, ps: Sequence[float]) -> tuple[np.ndarray, ...]:
+def _power_refine(gneg: SignedGraph, ps: Sequence[float], tol: float,
+                  shift: float) -> tuple[np.ndarray, ...]:
     """Order-preserving fixed-point refinement in the positive cone from the
     constant function, row i at the exponent ps[i], all rows in lockstep;
     returns the (R, n) stack of last iterates and two masks per row: whether
@@ -410,14 +425,15 @@ def _power_refine(gneg: SignedGraph, ps: Sequence[float]) -> tuple[np.ndarray, .
 
     Requires sigma identically -1 and kappa >= 0; then Delta_p maps positive
     functions to positive ones and the normalized iteration converges to the
-    one-signed top eigenfunction (kappa < 0 comes shifted to kappa + c mu,
-    which keeps every eigenfunction).  The map T(f) = (Delta_p f /
+    one-signed top eigenfunction (kappa < 0 comes shifted to kappa + shift
+    mu, which keeps every eigenfunction).  The map T(f) = (Delta_p f /
     mu)^(1/(p-1)) is order-preserving and 1-homogeneous on the cone, so the
     ratios T(f)/f bracket its eigenvalue r = lambda^(1/(p-1)): min T(f)/f
     <= r <= max T(f)/f (the Collatz-Wielandt bracket of Gaubert &
-    Gunawardena, Trans. AMS 2004).  The iteration stops once that spread is
-    at most CONE_RTOL * max, which pins lambda to about (p-1) * CONE_RTOL
-    relative.
+    Gunawardena, Trans. AMS 2004), and the next iterate's bracket lies
+    inside it.  A row stops once that bracket bounds the next iterate's
+    eigen-equation defect for the relative residual tolerance tol
+    (_cone_done), or once its spread is at most CONE_RTOL * max.
 
     At huge finite weights T(f) or its p-norm overflows.  A round whose
     p-norm is zero or not finite is redone from Delta_p f / mu over its
@@ -430,70 +446,129 @@ def _power_refine(gneg: SignedGraph, ps: Sequence[float]) -> tuple[np.ndarray, .
     the live set at that stop or at a failed p-norm, so a grid of p costs
     about as many rounds as its slowest p rather than their sum, each
     paying numpy's per-call overhead once.  The kernels take one exponent
-    per row (_rowpow), and a scalar one once the live rows share it, so
-    every row does the arithmetic of its run alone, bit for bit.  A single
-    row runs _cone_rounds on one function, at the per-round cost of a
-    one-p solve, and there normalize_sp raises.
+    per row (_rowpower), and a scalar one once the live rows share it, so
+    every row does the arithmetic of its run alone, bit for bit; the index
+    and exponents are set up once per live set.  A single row runs
+    _cone_rounds on one function, at the per-round cost of a one-p solve,
+    and there normalize_sp raises.
     """
     mu = gneg.mu_array()
     if len(ps) == 1:
-        f, stopped = _cone_rounds(gneg, ps[0], normalize_sp(np.ones(gneg.n), ps[0], mu))
+        f, stopped = _cone_rounds(gneg, ps[0], normalize_sp(np.ones(gneg.n), ps[0], mu),
+                                  tol, shift)
         return f[None, :], np.array([stopped]), np.zeros(1, dtype=bool)
     P = np.array(ps, dtype=float)
     F = normalize_sp(np.ones((len(P), gneg.n)), P, mu)
     stopped = np.zeros(len(F), dtype=bool)
     failed = np.zeros(len(F), dtype=bool)
-    live, f, p = np.arange(len(F)), F, P
+    kap = gneg._arrays.kappa if np.count_nonzero(gneg._arrays.kappa) else None
+    scale = CONE_DEFECT * tol / float(mu.max())
+    live, f, fresh = np.arange(len(F)), F, True
+
+    def norms(t):
+        """pnorm's arithmetic on the live rows, as Python floats; t >= +0.0
+        or NaN needs no abs."""
+        return list(map(pow, (mu * power(t)).sum(-1).tolist(), roots))
     with np.errstate(over="ignore"):    # in a round that a rescale redoes
         for _ in range(CONE_ROUNDS):
-            d, invexp = _cone_apply(gneg, p, f) / mu, 1.0 / (p - 1.0)
-            t = _rowpow(d, invexp)
-            nrm = pnorm(t, p, mu)
-            bad = ~(np.isfinite(nrm) & (nrm != 0))
-            if bad.any():       # those rows again from d over its largest entry
-                with np.errstate(invalid="ignore"):
-                    d = d / np.where(bad, d.max(-1), 1.0)[:, None]
-                t = _rowpow(d, invexp)
-                nrm = pnorm(t, p, mu)
-                bad = ~(np.isfinite(nrm) & (nrm != 0)) | bad & ~t.all(-1)
-            ratio = t / f
-            top = ratio.max(-1)
-            closed = top - ratio.min(-1) <= CONE_RTOL * top
-            nrm[bad] = np.nan               # a failed row divides without a warning
-            f = t / nrm[:, None]
-            leave = closed | bad
-            if leave.any():
-                F[live], stopped[live], failed[live] = f, closed & ~bad, bad
-                live, f = live[~leave], f[~leave]
-                if not live.size:
-                    return F, stopped, failed
+            if fresh:                   # a new live set
+                fresh = False
                 p = P[live]
                 if (p == p[0]).all():
                     p = float(p[0])
+                pm1 = p - 1.0
+                edge, power, inv = _rowpower(pm1), _rowpower(p), _rowpower(1.0 / pm1)
+                ends = _ends(gneg, len(f), kap)
+                roots = (1.0 / p).tolist() if isinstance(p, np.ndarray) else [1.0 / p] * len(f)
+                pm1s = pm1.tolist() if isinstance(p, np.ndarray) else [pm1] * len(f)
+            d = _cone_apply(gneg, p, f, ends, edge) / mu
+            t = inv(d)
+            nrm = norms(t)
+            bad = rescaled = [not 0 < x < math.inf for x in nrm]     # NaN fails too
+            if any(bad):        # those rows again from d over its largest entry
+                with np.errstate(invalid="ignore"):
+                    d = d / np.where(bad, d.max(-1), 1.0)[:, None]
+                t = inv(d)
+                nrm = norms(t)
+                bad = [not 0 < x < math.inf or r and not whole
+                       for x, r, whole in zip(nrm, rescaled, t.all(-1).tolist())]
+                # a failed row divides without a warning
+                nrm = [math.nan if b else x for x, b in zip(nrm, bad)]
+            ratio = t / f
+            f = t / np.array(nrm)[:, None]
+            # a rescaled round's bracket is scaled too: only its spread counts
+            top = [math.nan if r else x for x, r in zip(f.max(-1).tolist(), rescaled)]
+            closed = list(map(_cone_done, ratio.min(-1).tolist(), ratio.max(-1).tolist(), top,
+                              pm1s, repeat(scale), repeat(shift)))
+            if any(closed) or any(bad):
+                closed, bad = np.array(closed), np.array(bad)
+                F[live], stopped[live], failed[live] = f, closed & ~bad, bad
+                stay = ~(closed | bad)
+                live, f = live[stay], f[stay]
+                if not live.size:
+                    return F, stopped, failed
+                fresh = True
     F[live] = f
     return F, stopped, failed
 
 
-def _cone_rounds(gneg: SignedGraph, p: float, f: np.ndarray) -> tuple[np.ndarray, bool]:
+def _cone_done(lo: float, hi: float, top: float, pm1: float, scale: float,
+               shift: float) -> bool:
+    """Whether a cone round with bracket [lo, hi] of T(f)/f ends its row:
+    the bracket has closed to CONE_RTOL, or it bounds the defect
+    |Delta_p f' / mu - lambda Psi_p(f')| of the next iterate f' (largest
+    entry top; NaN after a rescaled round, whose bracket is scaled) by
+    min(scale (1 + |lo^(p-1) - shift|), CONE_DEFECT_CAP), where scale is
+    CONE_DEFECT * tol / max mu.  Every lambda in [lo^(p-1), hi^(p-1)], the Rayleigh
+    quotient of f' included, has a defect of at most top^(p-1) (hi^(p-1) -
+    lo^(p-1)), the same on the shifted graph as on the unshifted one.  On
+    Python floats, so a row of a stack decides as a row alone."""
+    if hi - lo <= CONE_RTOL * hi:
+        return True
+    try:
+        low = lo ** pm1
+        bound = top ** pm1 * (hi ** pm1 - low)
+    except OverflowError:
+        return False
+    return bound <= min(scale * (1.0 + abs(low - shift)), CONE_DEFECT_CAP)
+
+
+def _cone_rounds(gneg: SignedGraph, p: float, f: np.ndarray, tol: float,
+                 shift: float) -> tuple[np.ndarray, bool]:
     """_power_refine's iteration on one normalized function at the scalar
-    exponent p: (last iterate, whether it stopped)."""
-    mu = gneg.mu_array()
-    invexp = 1.0 / (p - 1.0)
+    exponent p: (last iterate, whether it stopped).  A round is
+    _cone_apply's and pnorm's arithmetic, bit for bit: a bincount over u
+    (after the vertex terms where kappa != 0) then np.add.at over v adds
+    each bin's terms in the same order, and t >= +0.0 needs no abs."""
+    a = gneg._arrays
+    n, u, v, w, mu = gneg.n, a.u, a.v, a.w, a.mu
+    kap = a.kappa if np.count_nonzero(a.kappa) else None
+    first = u if kap is None else np.concatenate((np.arange(n), u))
+    pm1, root, scale = p - 1.0, 1.0 / p, CONE_DEFECT * tol / float(mu.max())
+    invexp = 1.0 / pm1
     with np.errstate(over="ignore"):    # in a round that a rescale redoes
         for _ in range(CONE_ROUNDS):
-            d = _cone_apply(gneg, p, f) / mu
+            e = f[u]
+            e += f[v]
+            e **= pm1
+            e *= w
+            d = np.bincount(first, e if kap is None else np.concatenate((kap * f ** pm1, e)),
+                            minlength=n)
+            np.add.at(d, v, e)
+            d /= mu
             t = d ** invexp
-            nrm = pnorm(t, p, mu)
-            if not (nrm != 0 and math.isfinite(nrm)):
+            nrm = float((mu * t ** p).sum() ** root)
+            rescaled = not 0 < nrm < math.inf
+            if rescaled:
                 with np.errstate(invalid="ignore"):
                     t = (d / d.max()) ** invexp
-                nrm = pnorm(t, p, mu)
-                if not (nrm != 0 and math.isfinite(nrm) and t.all()):
+                nrm = float((mu * t ** p).sum() ** root)
+                if not (0 < nrm < math.inf and t.all()):
                     raise ValueError(_ZERO_NORM)
             ratio = t / f
-            spread = float(ratio.max() - ratio.min())
             f = t / nrm
-            if spread <= CONE_RTOL * float(ratio.max()):
+            top = math.nan if rescaled else float(f.max())
+            if _cone_done(float(ratio.min()), float(ratio.max()), top, pm1, scale, shift):
                 return f, True
     return f, False
 
@@ -797,10 +872,9 @@ def solve_largest(g: SignedGraph, p: float,
 
     The cone path serves every kappa, through the potential shift of the
     module docstring.  There Newton polishes the pair only at p >= 2 and
-    only when the cone iteration did not close its Collatz-Wielandt bracket
-    (spread of T(f)/f at most 5e-16 of its max); a closed bracket already
-    pins the value to about (p-1) * 5e-16 relative.  This is the one-p case
-    of solve_largest_grid.
+    only when the cone iteration ran out of rounds: its stop
+    (_power_refine) holds the residual near CONE_DEFECT times the
+    tolerance already.  This is the one-p case of solve_largest_grid.
     """
     pair, = solve_largest_grid(g, (p,), cfg)   # ends the generator: cheaper than closing it
     return pair
@@ -835,12 +909,13 @@ def solve_largest_grid(g: SignedGraph, ps: Sequence[float],
         tau = np.asarray(witness, dtype=float)
         gneg = gcone = switch(g, witness)
         a = gneg._arrays
+        c = 0.0
         if np.min(a.kappa) < 0:
             # the shift of the module docstring, clipped at 0 where the
             # entry that sets c rounds below it
-            c = np.max(-a.kappa / a.mu)
+            c = float(np.max(-a.kappa / a.mu))
             gcone = _from_view(gneg, kappa=np.maximum(a.kappa + c * a.mu, 0.0))
-        F, stopped, failed = _power_refine(gcone, reached)
+        F, stopped, failed = _power_refine(gcone, reached, cfg.tol, c)
     for i, p in enumerate(ps):
         _check_solve_p(p)
         if g.m == 0:

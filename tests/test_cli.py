@@ -384,6 +384,37 @@ def test_verify_monotonicity_csv(tmp_path, capsys):
     assert len(first) == 5
 
 
+def test_verify_tensor_passes_the_defect_on_heavy_weights(tmp_path, capsys):
+    # the cone stop bounds the defect by at most 1e-10 whatever the weights;
+    # weights 1e4 make lambda about 1e6 at p = 4
+    g = random_connected_antibalanced(7, 0.5, 2)
+    heavy = graph.validate(7, [(e.u, e.v, e.w * 1e4, e.sigma) for e in g.edges])
+    code, out, _ = _run(capsys, "verify", "tensor", _write_graph(tmp_path, heavy))
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["tensor correspondence p=4"]["status"] == "pass"
+    assert code == 0
+
+
+def test_verify_all_reuses_the_grids_pairs_for_the_tensor_suite(tmp_path, capsys, monkeypatch):
+    # the monotonicity grid has solved p = 2 and 4 bit for bit as the tensor
+    # suite's own solves would: two one-p cone iterations fewer, same report
+    path = _write_graph(tmp_path, random_connected_antibalanced(7, 0.5, 2))
+    refine, one_p = solver._power_refine, []
+
+    def counted(gneg, ps, *rule):
+        one_p.extend(ps if len(ps) == 1 else ())
+        return refine(gneg, ps, *rule)
+    monkeypatch.setattr(solver, "_power_refine", counted)
+    code, out, _ = _run(capsys, "verify", "all", path)
+    assert code == 0 and one_p == []
+    tensor_suite = cli._verify_tensor
+    monkeypatch.setattr(cli, "_verify_tensor",
+                        lambda g, args, rep, ln, solved: tensor_suite(g, args, rep, ln, {}))
+    code2, out2, _ = _run(capsys, "verify", "all", path)
+    assert code2 == 0 and one_p == [2, 4]
+    assert out2 == out
+
+
 def test_verify_monotonicity_classifies_balance_once(tmp_path, capsys, monkeypatch):
     # one sign search answers "connected and antibalanced" and classifies
     # the balance; the bottom solve at every p of the grid reuses that answer

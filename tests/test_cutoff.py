@@ -1048,8 +1048,8 @@ def test_limit_scan_stops_at_the_first_uncertified_p(monkeypatch):
     from plap import solver
     refine = solver._power_refine
 
-    def off_cone(gneg, ps):
-        F, stopped, failed = refine(gneg, ps)
+    def off_cone(gneg, ps, *rule):
+        F, stopped, failed = refine(gneg, ps, *rule)
         F[:2, 0] *= -1.0
         return F, stopped, failed
 

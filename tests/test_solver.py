@@ -824,42 +824,63 @@ def test_a_negative_kappa_solve_runs_the_shifted_cone_iteration(monkeypatch):
 
 # --- the stacked p-grid against the one-p cone loop it replaced -------------
 
-def _serial_cone(gneg, p, f0):
-    """The cone iteration one p at a time, on 1-D kernels: (f, stopped)."""
+def _serial_cone(gneg, p, f0, tol=None, shift=0.0):
+    """The cone iteration one p at a time, on 1-D kernels: (f, stopped).  A
+    round stops it once its Collatz-Wielandt bracket [lo, hi] has closed to
+    CONE_RTOL, or (tol not None, and not a rescaled round) once f_max^(p-1)
+    (hi^(p-1) - lo^(p-1)) of the new iterate f is at most min(CONE_DEFECT *
+    tol / max mu * (1 + |lo^(p-1) - shift|), CONE_DEFECT_CAP); tol None is
+    the loop before that rule."""
     mu = gneg.mu_array()
     f = np.abs(np.asarray(f0, dtype=float))
     f[f == 0] = 1e-12
     f = _ref_normalize(f, p, mu)
-    invexp = 1.0 / (p - 1.0)
+    invexp, pm1 = 1.0 / (p - 1.0), p - 1.0
     for _ in range(solver.CONE_ROUNDS):
+        rescaled = False
         with np.errstate(over="ignore", invalid="ignore"):
             d = _ref_apply(gneg, p, f) / mu
             t = d ** invexp
             try:
                 _ref_normalize(t, p, mu)
             except ValueError:      # redo the round from d over its largest entry
-                t = (d / d.max()) ** invexp
+                t, rescaled = (d / d.max()) ** invexp, True
                 if not t.all():     # an entry underflowed: out of the open cone
                     raise
         ratio = t / f
-        spread = float(ratio.max() - ratio.min())
+        lo, hi = float(ratio.min()), float(ratio.max())
         f = _ref_normalize(t, p, mu)
-        if spread <= solver.CONE_RTOL * float(ratio.max()):
+        if hi - lo <= solver.CONE_RTOL * hi:
+            return f, True
+        if tol is None or rescaled:
+            continue
+        try:
+            low = lo ** pm1
+            bound = float(f.max()) ** pm1 * (hi ** pm1 - low)
+        except OverflowError:
+            continue
+        target = solver.CONE_DEFECT * tol / float(mu.max()) * (1.0 + abs(low - shift))
+        if bound <= min(target, solver.CONE_DEFECT_CAP):
             return f, True
     return f, False
 
 
+def _shift(gneg):
+    """c = max(-kappa / mu)."""
+    return max(-k / m for k, m in zip(gneg.kappa_array().tolist(), gneg.mu_array().tolist()))
+
+
 def _shifted(gneg):
-    """gneg with kappa + c mu, c = max(-kappa / mu), clipped at 0."""
+    """gneg with kappa + c mu, c = _shift(gneg), clipped at 0."""
     mu, kappa = gneg.mu_array(), gneg.kappa_array()
-    c = max(-k / m for k, m in zip(kappa.tolist(), mu.tolist()))
     return graph.validate(gneg.n, [tuple(e) for e in gneg.edges], mu=gneg.mu,
-                          kappa=np.maximum(kappa + c * mu, 0.0).tolist())
+                          kappa=np.maximum(kappa + _shift(gneg) * mu, 0.0).tolist())
 
 
-def _serial_largest(g, p, cfg):
+def _serial_largest(g, p, cfg, closure_only=False):
     """solve_largest as it was before grids: one p, the serial cone loop,
-    on the potential shifted to kappa >= 0 where some kappa_i < 0."""
+    on the potential shifted to kappa >= 0 where some kappa_i < 0; with
+    closure_only, the loop that stops only at a CONE_RTOL closure."""
     if not p > 1:
         raise ValueError(f"p must be > 1, got {p}")
     if p > solver.P_CAP:
@@ -870,8 +891,8 @@ def _serial_largest(g, p, cfg):
     if witness is not None:
         tau = np.asarray(witness, dtype=float)
         gneg = graph.switch(g, witness)
-        gcone = gneg if min(gneg.kappa) >= 0 else _shifted(gneg)
-        f, bracketed = _serial_cone(gcone, p, np.ones(g.n))
+        gcone, c = (gneg, 0.0) if min(gneg.kappa) >= 0 else (_shifted(gneg), _shift(gneg))
+        f, bracketed = _serial_cone(gcone, p, np.ones(g.n), None if closure_only else cfg.tol, c)
         lam = _ref_rayleigh(gneg, p, f)
         if bracketed or p < 2:
             res = residual(gneg, p, lam, f)
@@ -977,9 +998,9 @@ def test_a_perron_grid_runs_one_stack(monkeypatch):
     calls = []
     refine = solver._power_refine
 
-    def counted(gneg, ps):
+    def counted(gneg, ps, *rule):
         calls.append(list(ps))
-        return refine(gneg, ps)
+        return refine(gneg, ps, *rule)
     monkeypatch.setattr(solver, "_power_refine", counted)
     list(solver.solve_largest_grid(PERRON_GRAPHS["anti7"], cli.DEFAULT_P_GRID))
     assert calls == [list(cli.DEFAULT_P_GRID)]
@@ -1043,12 +1064,13 @@ def test_the_clip_case_rounds_below_zero():
     assert min(_shifted(gneg).kappa) == 0.0
 
 
-@pytest.mark.parametrize("rounds", [0, 3, 65, 72])
+@pytest.mark.parametrize("rounds", [0, 3, 46, 58])
 def test_rows_that_run_out_of_cone_rounds_are_the_serial_loop(rounds, monkeypatch):
     # too few rounds: rows at p >= 2 are polished, and rows below 2 that miss
     # the tolerance fall through to the restarts, each as in a single solve.
-    # The rows stop after 67, 61, 69 and 77 rounds: at 65 the p = 2 row stops
-    # in the stack, at 72 the p = 8 row runs out as the only live row
+    # The rows stop after 47, 46, 52 and 64 rounds: at 46 the p = 2 row stops
+    # in the stack and the other three run out, at 58 the p = 8 row runs out
+    # as the only live row
     monkeypatch.setattr(solver, "CONE_ROUNDS", rounds)
     calls = _count_polish(monkeypatch)
     got = _assert_grid_is_serial(PERRON_GRAPHS["anti7"], (1.5, 2.0, 3.0, 8.0))
@@ -1472,6 +1494,56 @@ def test_stacked_kernels_equal_their_rows(rng):
                 unit = normalize_sp(F, P, mu)
                 for i, p in enumerate(order):
                     assert unit[i].tobytes() == normalize_sp(F[i], p, mu).tobytes(), p
+
+
+# --- the defect-bounded cone stop against the closure-only loop -------------
+
+def _heavier(g, k):
+    """g with every edge weight times k."""
+    return graph.validate(g.n, [(e.u, e.v, e.w * k, e.sigma) for e in g.edges],
+                          mu=g.mu, kappa=g.kappa)
+
+
+STOP_GRAPHS = {**PERRON_GRAPHS, "n1000": sparse_antibalanced(1000, 5000, 0),
+               "anti7-w1e4": _heavier(PERRON_GRAPHS["anti7"], 1e4)}
+STOP_PS = sorted({*cli.DEFAULT_P_GRID, *cli.LIMIT_P_GRID})
+
+
+def _defect(g, pair):
+    """max_i |(Delta_p f)_i / mu_i - lambda Psi_p(f_i)|."""
+    return float(np.max(np.abs(apply_plap(g, pair.p, pair.f) / g.mu_array()
+                               - pair.value * psi(pair.p, pair.f))))
+
+
+@pytest.mark.parametrize("name", STOP_GRAPHS)
+def test_a_defect_bounded_cone_stop_keeps_the_closure_loops_pairs(name):
+    # a row stops once its Collatz-Wielandt bracket bounds its defect; the
+    # Rayleigh quotient is then within a few ulp of the value the loop that
+    # waits for a 5e-16 closure gives, with the same certificate.  Where p >=
+    # 12 meets heavy weights, the rounding of lambda Psi_p(f) alone is above
+    # 1e-9; the cap leaves those rows' rounds, and defects, as they were
+    g, cfg = STOP_GRAPHS[name], SolverConfig()
+    for p, pair in zip(STOP_PS, solver.solve_largest_grid(g, STOP_PS, cfg)):
+        ref = _serial_largest(g, p, cfg, closure_only=True)
+        assert pair.certificate == ref.certificate == "perron-certified", p
+        assert abs(pair.value - ref.value) <= 8 * np.finfo(float).eps * abs(ref.value), p
+        assert pair.residual <= 1e-3 * cfg.tol * (1.0 + abs(pair.value)), p
+        assert _defect(g, pair) <= max(1e-9, _defect(g, ref)), p
+
+
+def test_a_n1000_p3_cone_solve_takes_three_quarters_of_the_closure_rounds(monkeypatch):
+    # the loop that stops only at a 5e-16 closure takes 208 rounds here
+    g = sparse_antibalanced(1000, 5000, 0)
+    gneg = graph.switch(g, graph.connected_antibalancing_tau(g))
+
+    def stops(rounds):
+        monkeypatch.setattr(solver, "CONE_ROUNDS", rounds)
+        return bool(solver._power_refine(gneg, (3.0,), SolverConfig().tol, 0.0)[1][0])
+    cap = solver.CONE_DEFECT_CAP
+    monkeypatch.setattr(solver, "CONE_DEFECT_CAP", -1.0)    # no defect bound is met
+    assert not stops(207) and stops(208)
+    monkeypatch.setattr(solver, "CONE_DEFECT_CAP", cap)
+    assert stops(208 * 3 // 4)
 
 
 # --- the positive-cone kernel against apply_plap ---------------------------
