@@ -226,7 +226,7 @@ class InertiaReport:
     alpha_exact: bool
     alpha_witness: tuple[int, ...]
     beta: Optional[int]
-    matching_size: int
+    matching_size: Optional[int]
     pool: tuple[tuple[int, ...], ...]
     zero_count_proxies: tuple[int, ...]
     cvetkovic_value: int
@@ -247,7 +247,8 @@ def inertia_report(g: SignedGraph, seed: int = 0) -> InertiaReport:
     eigenvalues, so the independence number must not exceed it.  The whole
     pool is scored in one stacked eigh of the normalized adjacencies with
     entries -sigma_s w, one matrix per signature s, on g's own view: the
-    bounds are bit for bit those of each re-signed graph on its own.
+    bounds are bit for bit those of each re-signed graph on its own.  Above
+    MIS_CAP there is no exact matching: beta and matching_size are None.
     Failures carry the witness graph in their details; nothing raises.
     """
     mis = cutoff._mis(g)
@@ -260,8 +261,8 @@ def inertia_report(g: SignedGraph, seed: int = 0) -> InertiaReport:
         checks.append((name, bool(passed), details))
 
     isolated = g.isolated_vertices()
-    matching = max_matching(g)
-    if isolated or g.m == 0:
+    matching = max_matching(g) if g.n <= MIS_CAP else None
+    if isolated or g.m == 0 or matching is None:
         beta = None
     else:
         beta = _extend_to_cover(g, matching).size
@@ -298,7 +299,7 @@ def inertia_report(g: SignedGraph, seed: int = 0) -> InertiaReport:
 
     return InertiaReport(alpha=alpha, alpha_exact=mis.exact,
                          alpha_witness=mis.vertices, beta=beta,
-                         matching_size=matching.size,
+                         matching_size=None if matching is None else matching.size,
                          pool=tuple(sig_pool),
                          zero_count_proxies=tuple(proxies),
                          cvetkovic_value=cvet,

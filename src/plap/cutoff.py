@@ -27,7 +27,8 @@ import numpy as np
 from .graph import (GraphError, SignedGraph, _real, _vertex, connected_antibalancing_tau,
                     induced_subgraph, switch, with_zero_kappa)
 from . import linalg
-from .linalg import _FLUSH, _eigvals, _scaled, normalized_adjacency, normalized_spectrum
+from .linalg import (_eigh, _eigvals, _flush, _scaled, _stored, normalized_adjacency,
+                     normalized_spectrum)
 from .solver import SolverConfig, solve_largest_grid
 
 EXACT_TOL = 1e-9
@@ -114,7 +115,7 @@ def _flip_ascent(g: SignedGraph) -> float:
     matrix rounded to signs, then best single flips until none gains, with
     all n - 1 flips of a step in one stack (the current code wins ties)."""
     n = g.n
-    vec = np.linalg.eigh(normalized_adjacency(g))[1][:, 0]
+    vec = _eigh(normalized_adjacency(g), _flush(g))[1][:, 0]
     neg = (vec < 0) != (vec[0] < 0)
     code = int(np.sum(neg[1:].astype(np.int64) << np.arange(n - 1)))
     flips = np.int64(1) << np.arange(n - 1)
@@ -234,7 +235,7 @@ def _lambda_max_signs(g: SignedGraph) -> tuple[float, tuple[int, ...]]:
             r = absadj.sum(axis=1).max() or 1.0     # an edgeless graph's bound
             slack = 4.0 * n * n * np.finfo(float).eps * r
             threshold = _flip_ascent(g) - slack
-            x = np.abs(np.linalg.eigh(absadj)[1][:, -1])
+            x = np.abs(_eigh(absadj, _flush(g))[1][:, -1])
             x += 0.1 * x.max()
             quad = 2.0 * x[a.u] * x[a.v] / (x @ x)
             at_u = (a.u[:, None] == np.arange(n)) * 1.0     # edge-to-endpoint scatters
@@ -358,7 +359,7 @@ def _signed_lowers(g: SignedGraph, sigma: np.ndarray) -> np.ndarray:
     """lower_bounds_full_all of g with the signature sigma (in edge order),
     or one row of bounds per row of an (S, m) stack of signatures, from one
     stacked eigh (eigvalsh rounds differently)."""
-    return np.maximum(0.0, 0.5 * np.linalg.eigh(_scaled(g, -sigma * g._arrays.w))[0])
+    return np.maximum(0.0, 0.5 * _eigh(_scaled(g, -sigma * g._arrays.w), _flush(g))[0])
 
 
 def lower_bound_subgraphs(g: SignedGraph, k: int) -> tuple[float, tuple]:
@@ -505,16 +506,6 @@ def upper_bound_subsets(g: SignedGraph, k: int) -> tuple[float, tuple]:
     return _subset_uppers(g, [_check_k(g, k)], DEFAULT_BUDGET, 0)[0]
 
 
-def _stored(g: SignedGraph, key, make):
-    """make(g), computed on the first call for this graph object and kept in
-    g._store under key; the pool scans of _subgraph_lowers are kept there
-    too, under ("pool", composition)."""
-    store = g._store
-    if key not in store:
-        store[key] = make(g)
-    return store[key]
-
-
 def _mis(g: SignedGraph):
     """combinatorics.max_independent_set(g), once per graph object."""
     from .combinatorics import max_independent_set
@@ -524,18 +515,6 @@ def _mis(g: SignedGraph):
 def _absadj(g: SignedGraph) -> np.ndarray:
     """normalized_adjacency(g, absolute=True), once per graph object."""
     return _stored(g, "absadj", lambda g: normalized_adjacency(g, absolute=True))
-
-
-def _flush(g: SignedGraph) -> bool:
-    """Whether _eigvals must flush g's cutoff matrices, once per graph object:
-    whether some |A^mu| entry is below _FLUSH times its largest row sum.
-    Every cutoff matrix is a masked, gathered or absolute copy of A^mu, with
-    row sums at most that one, so otherwise the flush would change nothing."""
-    def below(g):
-        a = g._arrays
-        rows = np.bincount(np.concatenate((a.u, a.v)), np.concatenate((a.scale, a.scale)), g.n)
-        return bool(g.m) and bool(a.scale.min() < _FLUSH * rows.max())
-    return _stored(g, "flush", below)
 
 
 def _subset_uppers(g: SignedGraph, ks: Sequence[int], budget: int,

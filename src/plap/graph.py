@@ -11,11 +11,11 @@ hashing and pickling; switch, negate and with_zero_kappa hand their result
 the view of their input with sigma (kappa) replaced.  The one depth-first
 sign search that balance, antibalance, connectivity and components are read
 from is kept the same way, and so are the balance classification and
-_store, the one dict of what the cutoff module computes once per graph: the
-normalized |A|, the full-graph lower bounds, the maximum independent set
-and the spanning-subgraph pool scans.  switch, negate and with_zero_kappa
-results start without the store.  A concurrent first use may build any of
-them twice; harmless.
+_store, the one dict of what linalg and cutoff compute once per graph
+(linalg._stored): the flush decision, the normalized |A|, the full-graph
+lower bounds, the maximum independent set and the pool scans.  switch,
+negate and with_zero_kappa results start without the store.  A concurrent
+first use may build any of them twice; harmless.
 
 A switched, negated or kappa-zeroed graph is made from that view alone: its
 edge tuples are built from the view the first time something reads
@@ -115,7 +115,7 @@ class SignedGraph:
 
     @cached_property
     def _store(self) -> dict:
-        # what the cutoff module computes once per graph object (cutoff._stored)
+        # what linalg and cutoff compute once per graph object (linalg._stored)
         return {}
 
     def __getattr__(self, name: str):

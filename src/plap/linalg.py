@@ -7,12 +7,12 @@ and eigenvector signs are canonicalized (first significant component
 positive) so repeated runs are bit-identical.
 
 _symmetric is the one writer of per-edge values into a matrix or a stack,
-under two scalings.  _scaled writes x, then multiplies by rt[:, None] *
-rt[None, :] (entry (i, j) = (x rt_i) rt_j) for the full-graph spectra, the
-inertia scan and the solver's p = 2 pencil and |A|-Perron start.
-normalized_adjacency writes sigma * scale, scale = (w rt_u) rt_v, and 0.0
-for masked-out edges.  eigh reads the lower triangle, (x rt_v) rt_u in the
-first form, so merging the two moves eigenvalues in the last place at mu != 1.
+under one scaling: edge value x becomes (x rt_u) rt_v in both triangles
+(_scaled; the view's scale is that product for x = w, which
+normalized_adjacency signs and masks).  _eigh and _eigvals hold the only
+eigh and eigvalsh calls, and both flush the same way (_flushed).  _flush(g)
+decides once per graph whether g's copies of A^mu need it; a matrix with a
+diagonal, the p = 2 pencil or cvetkovic_bound's, is always flushed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .graph import SignedGraph
 
 SIGN_TOL = 1e-9
 _BATCH_BYTES = 1 << 17      # bytes of float64 matrices per stacked eigensolve
-_FLUSH = np.finfo(float).eps    # _eigvals sets entries below _FLUSH r to 0
+_FLUSH = np.finfo(float).eps    # _flushed sets entries below _FLUSH r to 0
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,10 @@ def adjacency(g: SignedGraph) -> np.ndarray:
 
 
 def _scaled(g: SignedGraph, vals: np.ndarray) -> np.ndarray:
-    """D^{-1/2} X D^{-1/2} as X * rt[:, None] * rt[None, :], X holding vals
-    (in edge order; (S, m) vals give S matrices) on the edges, 0 elsewhere."""
+    """D^{-1/2} X D^{-1/2}, X holding vals (in edge order; (S, m) vals give S
+    matrices) on the edges, 0 elsewhere: (x rt_u) rt_v at both ends."""
     a = g._arrays
-    return _symmetric(g.n, a.u, a.v, vals) * a.rt[:, None] * a.rt[None, :]
+    return _symmetric(g.n, a.u, a.v, vals * a.rt[a.u] * a.rt[a.v])
 
 
 def normalized_adjacency(g: SignedGraph, edge_mask: Optional[np.ndarray] = None,
@@ -89,34 +89,59 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigh_sorted(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues (as LAPACK returns them), canonical eigenvectors."""
-    vals, vecs = np.linalg.eigh(m)
-    return vals, _canonical_signs(vecs)
+def _stored(g: SignedGraph, key, make):
+    """make(g), computed on the first call for this graph object and kept in
+    g._store under key; cutoff keeps its pool scans there too, under
+    ("pool", composition)."""
+    store = g._store
+    if key not in store:
+        store[key] = make(g)
+    return store[key]
+
+
+def _flush(g: SignedGraph) -> bool:
+    """Whether _flushed must flush g's copies of A^mu, once per graph object:
+    whether some |A^mu| entry is below _FLUSH times its largest row sum.
+    Every signed, masked, gathered or absolute copy has row sums at most
+    that one, so otherwise the flush would change nothing."""
+    def below(g):
+        a = g._arrays
+        rows = np.bincount(np.concatenate((a.u, a.v)), np.concatenate((a.scale, a.scale)), g.n)
+        return bool(g.m) and bool(a.scale.min() < _FLUSH * rows.max())
+    return _stored(g, "flush", below)
+
+
+def _flushed(b: np.ndarray) -> np.ndarray:
+    """The matrix or (S, n, n) stack b with each entry below _FLUSH r set to
+    0, r its matrix's largest absolute row sum: each eigenvalue moves by at
+    most n eps r."""
+    size = np.abs(b)
+    with np.errstate(over="ignore"):
+        r = np.minimum(size.sum(axis=-1).max(axis=-1, keepdims=True), np.finfo(float).max)
+    return np.where(size < _FLUSH * r[..., None], 0.0, b)
+
+
+def _eigh(b: np.ndarray, flush: bool) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of the matrix or stack b, _flushed first with flush."""
+    return np.linalg.eigh(_flushed(b) if flush else b)
 
 
 def _eigvals(rows, n: int, flush: bool = True, build=np.asarray) -> np.ndarray:
     """Ascending eigenvalues of each symmetric n x n matrix of build(rows), one
     per row (by default rows is the (S, n, n) stack itself), built and solved
-    by np.linalg.eigvalsh _BATCH_BYTES of matrices (or one) at a time.
+    by np.linalg.eigvalsh _BATCH_BYTES of matrices (or one) at a time, each
+    batch _flushed first with flush.
 
-    With flush, entries below _FLUSH r are set to 0 first, r the matrix's
-    largest absolute row sum, which moves each eigenvalue by at most n eps r.
     eigvalsh alone is off on tiny entries beside O(1) ones: 1.4996, not 1.5,
     at the top of normalized_adjacency(validate(3, [(0, 2, 1e-160), (1, 2,
     1.5)])), and by 1.6e-4 on weights 2, 1.14, 1.9e-87 and 2e-101, which a
-    flush below sqrt(tiny) / eps r leaves as they are.  eigh (the full-graph
-    spectra) was within 4 n^2 eps r of eigh in units of r on all 293
-    wide-range graphs.
+    flush below sqrt(tiny) / eps r leaves as they are.  The full-graph
+    spectra and lower sides take _eigh: eigh rounds differently.
     """
     out, step = np.empty((len(rows), n)), max(1, _BATCH_BYTES // (8 * n * n))
     for lo in range(0, len(rows), step):
         b = build(rows[lo:lo + step])
-        if flush:
-            with np.errstate(over="ignore"):
-                r = np.minimum(np.abs(b).sum(axis=2).max(axis=1), np.finfo(float).max)
-            b = np.where(np.abs(b) < _FLUSH * r[:, None, None], 0.0, b)
-        out[lo:lo + step] = np.linalg.eigvalsh(b)
+        out[lo:lo + step] = np.linalg.eigvalsh(_flushed(b) if flush else b)
     return out
 
 
@@ -128,7 +153,7 @@ def normalized_spectrum(g: SignedGraph, negate: bool = False) -> EigenDecomposit
     product and solve A v = lambda D v.
     """
     a = g._arrays
-    vals, vecs = eigh_sorted(_scaled(g, (-a.sigma if negate else a.sigma) * a.w))
+    vals, vecs = _eigh(normalized_adjacency(g, negate=negate), _flush(g))
     return EigenDecomposition(values=vals, vectors=_canonical_signs(a.rt[:, None] * vecs),
                               mu=a.mu)
 

@@ -59,7 +59,7 @@ import numpy as np
 
 from .graph import (SignedGraph, _from_view, classify_balance, connected_antibalancing_tau,
                     structural_constants, switch, with_zero_kappa)
-from .linalg import _scaled, eigh_sorted
+from .linalg import _canonical_signs, _eigh, _flush, normalized_adjacency
 
 P_CAP = 64.0
 # relative residual at which a p > 2 restart leaves the ascent for Newton:
@@ -763,10 +763,10 @@ def _pencil_vector(g: SignedGraph, largest: bool) -> np.ndarray:
     """Top (bottom) generalized eigenvector of the p = 2 pencil
     (Deg + K - A, diag(mu)): the maximizer (minimizer) of the p = 2 quotient."""
     a = g._arrays
-    lap = _scaled(g, -a.sigma * a.w)
+    lap = normalized_adjacency(g, negate=True)
     # kappa enters the p=2 pencil through the diagonal of Deg + K - A
     lap[np.diag_indices(g.n)] = (g.weighted_degrees() + g.kappa_array()) * a.rt * a.rt
-    _, vecs = eigh_sorted(lap)
+    vecs = _canonical_signs(_eigh(lap, True)[1])
     return a.rt * vecs[:, -1 if largest else 0]
 
 
@@ -776,8 +776,8 @@ def _starts(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool) -> list[
     then seeded random points."""
     starts = [_pencil_vector(g, largest)]
     a = g._arrays
-    _, pvecs = eigh_sorted(_scaled(g, a.w))
-    starts.append(np.abs(a.rt * pvecs[:, -1]) + 1e-9)
+    pvec = _eigh(normalized_adjacency(g, absolute=True), _flush(g))[1][:, -1]
+    starts.append(np.abs(a.rt * pvec) + 1e-9)
     if largest:
         heavy = sorted(g.edges, key=lambda e: (-e.w, e.u, e.v))[:12]
         for e in heavy:

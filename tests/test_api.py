@@ -128,16 +128,18 @@ def test_every_defaulted_parameter_has_a_listed_caller():
 
 
 def test_every_eigvalsh_call_is_in_the_flushed_helper():
-    # linalg._eigvals batches and flushes; an eigvalsh call anywhere else
-    # would skip both
+    # linalg._eigvals and linalg._eigh hold the one eigvalsh and the one
+    # eigh call and flush their matrices; a call anywhere else would skip it
     calls = []
     for path in sorted(Path(plap.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.Call) and "eigvalsh" in {getattr(node.func, "attr", None),
-                                                                   getattr(node.func, "id", None)}):
-                    calls.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert calls == ["linalg._eigvals"]
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                if name in ("eigh", "eigvalsh"):
+                    calls.append(f"{name} in {path.stem}.{getattr(top, 'name', '<module>')}")
+    assert sorted(calls) == ["eigh in linalg._eigh", "eigvalsh in linalg._eigvals"]
 
 
 def test_solver_config_holds_the_cli_settings_only():

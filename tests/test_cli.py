@@ -287,6 +287,13 @@ def test_cutoff_all_answers_on_a_huge_finite_weight(tmp_path, capsys):
     assert top["lower"] == pytest.approx(5e199, rel=1e-12) and top["exact"]
 
 
+def test_cutoff_answers_where_unflushed_eigh_does_not_converge(tmp_path, capsys):
+    from test_cutoff import WIDE_EIGH
+    code, out, err = _run(capsys, "cutoff", _write_graph(tmp_path, WIDE_EIGH), "--k", "3")
+    assert code == 0 and err == ""
+    assert json.loads(out)["values"]["brackets"][0]["lower"] == 0.0
+
+
 def test_report_values_take_numpy_scalars_and_refuse_other_types():
     assert jsonable({"a": (np.float64(0.5), np.int32(3), np.bool_(True)),
                      1: np.array([[1, 2]])}) == {"a": [0.5, 3, True], "1": [[1, 2]]}
@@ -314,6 +321,20 @@ def test_bounds_inertia(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["values"]["alpha"] == 4 and rep["values"]["beta"] == 4
+
+
+def test_bounds_answers_above_the_exact_matching_cap(tmp_path, capsys):
+    # no exact matching above MIS_CAP: beta is not reported, nothing raises
+    code, out, _ = _run(capsys, "generate", "random", "--n", "40", "--prob", "0.2",
+                        "--seed", "0")
+    assert code == 0
+    path = tmp_path / "g.json"
+    path.write_text(out)
+    code, out, err = _run(capsys, "bounds", str(path))
+    assert code in (0, 1) and err == ""
+    values = json.loads(out)["values"]
+    assert values["beta"] is None and values["matching"] is None
+    assert not any("beta" in c["name"] for c in json.loads(out)["checks"])
 
 
 def test_verify_all_star(tmp_path, capsys):

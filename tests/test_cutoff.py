@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plap import cutoff, families, graph, linalg
-from plap.combinatorics import IndependentSet
+from plap.combinatorics import IndependentSet, inertia_report
 from plap.cutoff import (bracket, brackets, exact_ln, interlacing_check,
                          interlacing_checks, limit_scan, lower_bound_full,
                          lower_bound_subgraphs, r_q_infty, upper_bound_subsets)
@@ -710,6 +710,29 @@ def test_brackets_answer_beside_weights_of_1e300():
                      (5, 0), (1, 4)])
     b = brackets(g, [4])[0]
     assert (b.lower, b.upper) == (0.5, 0.5)
+
+
+# unflushed, eigh of its A^mu does not converge: normalized_spectrum, the
+# full-graph lower bounds, brackets and inertia_report raised LinAlgError
+WIDE_EIGH = validate(6, [(0, 1, 6.29e99, 1), (0, 2, 8.83e145, -1), (0, 3, 9.88e224, -1),
+                         (0, 5, 3.05e181, -1), (1, 3, 1.34e14, -1), (1, 4, 1.54e29, 1),
+                         (2, 3, 2.02e73, -1), (2, 4, 9.4e163, 1), (2, 5, 1.53e30, -1),
+                         (3, 4, 3.23e211, -1), (4, 5, 2.12e7, 1)])
+
+
+def test_the_full_graph_spectra_answer_where_unflushed_eigh_does_not_converge():
+    g = WIDE_EIGH
+    m = normalized_adjacency(g)
+    r = np.abs(m).sum(axis=1).max()
+    slack = g.n * np.finfo(float).eps * r
+    ref = np.linalg.eigh(m / r)[0] * r
+    assert np.abs(linalg.normalized_spectrum(g).values - ref).max() <= slack
+    ref = np.maximum(0.0, 0.5 * np.linalg.eigh(-m / r)[0] * r)
+    assert np.abs(cutoff.lower_bounds_full_all(g) - ref).max() <= slack
+    assert inertia_report(g).ok
+    got = brackets(g, [1, 2, 3, 4, 6])
+    assert [b.exact for b in got] == [True, True, False, False, True]
+    _sides_hold_their_witnesses(g, got)
 
 
 @pytest.mark.parametrize("g", wide_range_graphs(40), ids=lambda g: f"n{g.n}m{g.m}")
