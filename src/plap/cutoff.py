@@ -27,7 +27,7 @@ import numpy as np
 from .graph import (GraphError, SignedGraph, _real, _vertex, connected_antibalancing_tau,
                     induced_subgraph, switch, with_zero_kappa)
 from . import linalg
-from .linalg import (_eigh, _eigvals, _flush, _scaled, _stored, normalized_adjacency,
+from .linalg import (_eigh, _eigvals, _flush, _stored, _symmetric, normalized_adjacency,
                      normalized_spectrum)
 from .solver import SolverConfig, solve_largest_grid
 
@@ -359,7 +359,8 @@ def _signed_lowers(g: SignedGraph, sigma: np.ndarray) -> np.ndarray:
     """lower_bounds_full_all of g with the signature sigma (in edge order),
     or one row of bounds per row of an (S, m) stack of signatures, from one
     stacked eigh (eigvalsh rounds differently)."""
-    return np.maximum(0.0, 0.5 * _eigh(_scaled(g, -sigma * g._arrays.w), _flush(g))[0])
+    a = g._arrays
+    return np.maximum(0.0, 0.5 * _eigh(_symmetric(g.n, a.u, a.v, -sigma * a.scale), _flush(g))[0])
 
 
 def lower_bound_subgraphs(g: SignedGraph, k: int) -> tuple[float, tuple]:

@@ -7,12 +7,11 @@ and eigenvector signs are canonicalized (first significant component
 positive) so repeated runs are bit-identical.
 
 _symmetric is the one writer of per-edge values into a matrix or a stack,
-under one scaling: edge value x becomes (x rt_u) rt_v in both triangles
-(_scaled; the view's scale is that product for x = w, which
-normalized_adjacency signs and masks).  _eigh and _eigvals hold the only
+under one scaling: the view's scale, (w rt_u) rt_v per edge, which
+normalized_adjacency signs and masks.  _eigh and _eigvals hold the only
 eigh and eigvalsh calls, and both flush the same way (_flushed).  _flush(g)
-decides once per graph whether g's copies of A^mu need it; a matrix with a
-diagonal, the p = 2 pencil or cvetkovic_bound's, is always flushed.
+decides once per graph whether g's copies of A^mu and its p = 2 pencil need
+it; cvetkovic_bound's unscaled adjacency is always flushed.
 """
 
 from __future__ import annotations
@@ -57,13 +56,6 @@ def adjacency(g: SignedGraph) -> np.ndarray:
     return _symmetric(g.n, a.u, a.v, a.sigma * a.w)
 
 
-def _scaled(g: SignedGraph, vals: np.ndarray) -> np.ndarray:
-    """D^{-1/2} X D^{-1/2}, X holding vals (in edge order; (S, m) vals give S
-    matrices) on the edges, 0 elsewhere: (x rt_u) rt_v at both ends."""
-    a = g._arrays
-    return _symmetric(g.n, a.u, a.v, vals * a.rt[a.u] * a.rt[a.v])
-
-
 def normalized_adjacency(g: SignedGraph, edge_mask: Optional[np.ndarray] = None,
                          negate: bool = False, absolute: bool = False) -> np.ndarray:
     """D^{-1/2} A D^{-1/2} of the spanning subgraph picked by a boolean mask
@@ -100,15 +92,24 @@ def _stored(g: SignedGraph, key, make):
 
 
 def _flush(g: SignedGraph) -> bool:
-    """Whether _flushed must flush g's copies of A^mu, once per graph object:
-    whether some |A^mu| entry is below _FLUSH times its largest row sum.
-    Every signed, masked, gathered or absolute copy has row sums at most
-    that one, so otherwise the flush would change nothing."""
+    """Whether _flushed must flush g's matrices, once per graph object:
+    whether some nonzero entry of the p = 2 pencil, diag(_pencil_diagonal)
+    - A^mu, is below _FLUSH times its largest absolute row sum.  Every
+    signed, masked, gathered or absolute copy of A^mu has no other entries
+    and row sums at most those, so otherwise the flush would change nothing."""
     def below(g):
-        a = g._arrays
-        rows = np.bincount(np.concatenate((a.u, a.v)), np.concatenate((a.scale, a.scale)), g.n)
-        return bool(g.m) and bool(a.scale.min() < _FLUSH * rows.max())
+        a, diag = g._arrays, np.abs(_pencil_diagonal(g))
+        rows = diag + np.bincount(np.concatenate((a.u, a.v)),
+                                  np.concatenate((a.scale, a.scale)), g.n)
+        entries = np.concatenate((a.scale, diag[diag > 0]))
+        return bool(entries.size) and bool(entries.min() < _FLUSH * rows.max())
     return _stored(g, "flush", below)
+
+
+def _pencil_diagonal(g: SignedGraph) -> np.ndarray:
+    """(deg + kappa) / mu, the diagonal of D^{-1/2} (Deg + K - A) D^{-1/2}."""
+    a = g._arrays
+    return (g.weighted_degrees() + g.kappa_array()) * a.rt * a.rt
 
 
 def _flushed(b: np.ndarray) -> np.ndarray:

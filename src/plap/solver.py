@@ -59,7 +59,7 @@ import numpy as np
 
 from .graph import (SignedGraph, _from_view, classify_balance, connected_antibalancing_tau,
                     structural_constants, switch, with_zero_kappa)
-from .linalg import _canonical_signs, _eigh, _flush, normalized_adjacency
+from .linalg import _canonical_signs, _eigh, _flush, _pencil_diagonal, normalized_adjacency
 
 P_CAP = 64.0
 # relative residual at which a p > 2 restart leaves the ascent for Newton:
@@ -762,12 +762,11 @@ def _edgeless_pair(g: SignedGraph, p: float, largest: bool) -> PEigenPair:
 def _pencil_vector(g: SignedGraph, largest: bool) -> np.ndarray:
     """Top (bottom) generalized eigenvector of the p = 2 pencil
     (Deg + K - A, diag(mu)): the maximizer (minimizer) of the p = 2 quotient."""
-    a = g._arrays
     lap = normalized_adjacency(g, negate=True)
     # kappa enters the p=2 pencil through the diagonal of Deg + K - A
-    lap[np.diag_indices(g.n)] = (g.weighted_degrees() + g.kappa_array()) * a.rt * a.rt
-    vecs = _canonical_signs(_eigh(lap, True)[1])
-    return a.rt * vecs[:, -1 if largest else 0]
+    lap[np.diag_indices(g.n)] = _pencil_diagonal(g)
+    vecs = _canonical_signs(_eigh(lap, _flush(g))[1])
+    return g._arrays.rt * vecs[:, -1 if largest else 0]
 
 
 def _starts(g: SignedGraph, p: float, cfg: SolverConfig, largest: bool) -> list[np.ndarray]:

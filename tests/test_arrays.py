@@ -95,9 +95,9 @@ def _old_masked_adjacency(g, edge_mask, negate=False, absolute=False):
     return out
 
 
-# the three copies of D^{-1/2} X D^{-1/2} that linalg._scaled replaced, in
-# the outer-product form X * rt[:, None] * rt[None, :] it had before it wrote
-# (x rt_u) rt_v per edge
+# the three copies of D^{-1/2} X D^{-1/2} that normalized_adjacency replaced,
+# in the outer-product form X * rt[:, None] * rt[None, :], where the one
+# builder writes (w rt_u) rt_v per edge
 def _eigh_sorted(m):
     vals, vecs = np.linalg.eigh(m)
     return vals, linalg._canonical_signs(vecs)
@@ -241,17 +241,19 @@ BUILDER_GRAPHS = ([random_signed(n, 0.5, seed) for n in range(1, 14) for seed in
 
 def test_the_one_builder_reproduces_the_three_old_copies():
     # at mu == 1 the outer-product form gave the same bytes; at mu != 1 it
-    # rounded differently in the last place, and only the spectra are held
-    # to it, within n eps r
+    # rounded differently in the last place, so the spectra are held to it
+    # within n eps r, and the pencil vector and the Perron start within that
+    # over the gap to the next eigenvalue (times max rt, their scaling back)
     assert len(BUILDER_GRAPHS) == 126
     unit = 0
     for g in BUILDER_GRAPHS:
         a = g._arrays
-        assert linalg._scaled(g, a.w).tobytes() \
-            == linalg.normalized_adjacency(g, absolute=True).tobytes()
+        # the signature scan writes -sigma scale, normalized_adjacency's bytes
+        lowers = np.linalg.eigh(linalg.normalized_adjacency(g, negate=True))[0]
+        assert cutoff.lower_bounds_full_all(g).tobytes() \
+            == np.maximum(0.0, 0.5 * lowers).tobytes()
         for negate in (False, True):
-            got = linalg._scaled(g, (-a.sigma if negate else a.sigma) * a.w)
-            assert got.tobytes() == linalg.normalized_adjacency(g, negate=negate).tobytes()
+            got = linalg.normalized_adjacency(g, negate=negate)
             want = _old_normalized_sym(g, negate)
             dec = linalg.normalized_spectrum(g, negate=negate)
             vals, vecs = _eigh_sorted(want)
@@ -263,15 +265,25 @@ def test_the_one_builder_reproduces_the_three_old_copies():
             assert dec.values.tobytes() == vals.tobytes()
             assert dec.vectors.tobytes() == linalg._canonical_signs(a.rt[:, None] * vecs).tobytes()
         _check_masked_stacks(g)
+        start = solver._starts(g, 3.0, solver.SolverConfig(), largest=True)[1]
         if (a.mu != 1.0).any():
+            lap = np.diag(g.weighted_degrees() + g.kappa_array()) - linalg.adjacency(g)
+            absadj = np.abs(linalg.adjacency(g))
+            for m, pairs in ((lap, [(solver._pencil_vector(g, largest), _old_pencil_vector(g, largest),
+                                     -1 if largest else 0) for largest in (False, True)]),
+                             (absadj, [(start, _old_perron_start(g), -1)])):
+                m = m * a.rt[:, None] * a.rt[None, :]
+                vals, r = np.linalg.eigvalsh(m), np.abs(m).sum(axis=1).max()
+                for got, want, k in pairs:
+                    gap = np.abs(np.delete(vals, k) - vals[k]).min() if g.n > 1 else 1.0
+                    assert np.abs(got - want).max() * gap <= g.n * EPS * r * a.rt.max()
             continue
         unit += 1
         for largest in (False, True):
             assert solver._pencil_vector(g, largest).tobytes() \
                 == _old_pencil_vector(g, largest).tobytes()
-        assert linalg._scaled(g, a.w).tobytes() \
+        assert linalg.normalized_adjacency(g, absolute=True).tobytes() \
             == (np.abs(linalg.adjacency(g)) * a.rt[:, None] * a.rt[None, :]).tobytes()
-        start = solver._starts(g, 3.0, solver.SolverConfig(), largest=True)[1]
         assert start.tobytes() == _old_perron_start(g).tobytes()
     assert unit == 78
 

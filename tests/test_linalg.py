@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from plap import families, graph
+from plap import families, graph, solver
 from plap.cutoff import lower_bounds_full_all
-from plap.linalg import (_eigvals, _scaled, adjacency, normalized_adjacency, normalized_spectrum,
+from plap.linalg import (_canonical_signs, _eigvals, _flushed, adjacency, normalized_adjacency, normalized_spectrum,
                          sign_counts)
 
 from conftest import random_signed, wide_range_graphs
@@ -127,6 +127,27 @@ def test_eigvals_flushes_an_entry_of_1e_160_beside_ones():
     assert _eigvals(m[None], 3)[0, -1] == 1.5
 
 
+# each has a nonzero pencil entry below eps r: a diagonal one of +-1e-20
+# (the -1e-20 one is missed by a signed row sum), or a weight of 1e-300
+PENCIL_FLUSH_GRAPHS = [graph.validate(3, [(0, 1, 1.0)], kappa=[0.0, 0.0, -1e-20]),
+                       graph.validate(3, [(0, 1, 1.0)], kappa=[0.0, 0.0, 1e-20]),
+                       graph.validate(2, [], kappa=[1.0, 1e-20]),
+                       graph.validate(3, [(0, 1, 1.0, -1), (1, 2, 1e-300)], kappa=[0.5, -2.0, 0.0])]
+
+
+@pytest.mark.parametrize("g", PENCIL_FLUSH_GRAPHS + wide_range_graphs(8)
+                         + [random_signed(7, 0.5, s) for s in range(4)],
+                         ids=lambda g: f"n{g.n}m{g.m}")
+def test_the_pencil_takes_its_graphs_flush_decision_bit_for_bit(g):
+    # deciding once per graph gives the bytes of flushing the pencil always
+    a = g._arrays
+    lap = normalized_adjacency(g, negate=True)
+    lap[np.diag_indices(g.n)] = (g.weighted_degrees() + g.kappa_array()) * a.rt * a.rt
+    vecs = _canonical_signs(np.linalg.eigh(_flushed(lap))[1])
+    for k, largest in ((0, False), (-1, True)):
+        assert solver._pencil_vector(g, largest).tobytes() == (a.rt * vecs[:, k]).tobytes()
+
+
 def _path_stack(*weights):
     """The path 0 - 1 - ... with these weights, as a stack of one matrix."""
     n = len(weights) + 1
@@ -174,12 +195,11 @@ def test_eigvals_are_within_rounding_of_eigh_in_units_of_r(stack):
 def test_eigh_is_within_rounding_on_tiny_weights_beside_ones(g):
     # why the full-graph spectra keep eigh: on all 293 wide-range graphs the
     # two below were within 4 n^2 eps r of eigh in units of r
-    a = g._arrays
-    for sigma, got in ((-a.sigma, 2.0 * lower_bounds_full_all(g)),
-                       (a.sigma, normalized_spectrum(g).values)):
-        m = _scaled(g, sigma * a.w)
+    for negate, got in ((True, 2.0 * lower_bounds_full_all(g)),
+                        (False, normalized_spectrum(g).values)):
+        m = normalized_adjacency(g, negate=negate)
         r = np.abs(m).sum(axis=1).max()
         ref = np.linalg.eigh(m / r)[0] * r
-        if sigma is not a.sigma:
+        if negate:
             ref = np.maximum(0.0, ref)      # the lower bounds are clamped at 0
         assert (np.abs(got - ref) <= 4 * g.n ** 2 * EPS * r).all()
