@@ -196,27 +196,31 @@ def cvetkovic_bound(g: SignedGraph, m: np.ndarray) -> int:
     if m.shape != (g.n, g.n):
         raise ValueError(f"matrix must be {g.n}x{g.n}")
     # row-major over the upper triangle: the first offending entry is named
-    bad = np.argwhere(np.triu(~np.isfinite(m)))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"entry ({i},{j}) is not finite: {m[i, j]}")
+    finite = np.isfinite(m)
+    if not finite.all():
+        bad = np.argwhere(np.triu(~finite))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"entry ({i},{j}) is not finite: {m[i, j]}")
     if not np.max(np.abs(m - m.T)) <= 1e-12:     # a non-finite lower entry fails too
         raise ValueError("matrix must be symmetric")
-    bad = np.argwhere(np.triu((m != 0.0) & (adjacency(g) == 0.0)))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"diagonal entry ({i},{i}) must be zero" if i == j
-                         else f"entry ({i},{j}) is outside the edge support")
+    outside = (m != 0.0) & (adjacency(g) == 0.0)
+    if outside.any():
+        bad = np.argwhere(np.triu(outside))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"diagonal entry ({i},{i}) must be zero" if i == j
+                             else f"entry ({i},{j}) is outside the edge support")
     vals = _eigvals(m[None], g.n)[0]
     n_plus, n_minus, _ = sign_counts(vals, CVETKOVIC_TOL)
     return min(g.n - n_plus, g.n - n_minus)
 
 
 def default_signature_pool(g: SignedGraph, seed: int = 0) -> list[tuple[int, ...]]:
-    pool = [tuple(1 for _ in range(g.m)), tuple(-1 for _ in range(g.m))]
+    pool = [(1,) * g.m, (-1,) * g.m]
     rng = np.random.default_rng(seed)
     for _ in range(RANDOM_SIGNATURES):
-        pool.append(tuple(int(x) for x in np.where(rng.random(g.m) < 0.5, 1, -1)))
+        pool.append(tuple(np.where(rng.random(g.m) < 0.5, 1, -1).tolist()))
     return pool
 
 

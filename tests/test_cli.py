@@ -304,14 +304,50 @@ def test_report_values_take_numpy_scalars_and_refuse_other_types():
             jsonable({"values": [bad]})
 
 
+# (check values, or None for a witness; report values; the path named)
+NON_FINITE = [
+    ({"value": float("nan")}, {}, "checks[0].values.value: nan"),
+    ({}, {"lambda": float("inf")}, "values.lambda: inf"),
+    (None, {}, "checks[1].witness.graph.edges[1].w: -inf"),
+    ({}, {"f": np.array([[0.5, 1.0], [2.0, np.nan]])}, "values.f[1][1]: nan"),
+    ({}, {"x": {"lambda": [1.0, np.float32("inf")]}}, "values.x.lambda[1]: inf"),
+    ({}, {"pairs": (("a", 1.0), ("b", -np.inf))}, "values.pairs[1][1]: -inf"),
+    ({}, {"b": np.nan, "a": [0.0, np.inf]}, "values.a[1]: inf"),     # first in key order
+]
+
+
 def test_report_refuses_non_finite_numbers():
+    # the stdlib's message, with the path of the first offending value: in
+    # a check's values, the values, a witness, a numpy array, an np.float32
+    # and a tuple
+    witness = {"graph": {"n": 2, "edges": [{"w": 1.0}, {"w": -np.inf}]}}
+    for check, values, want in NON_FINITE:
+        rep = Report(command=["plap"], input_digest="sha256:0", seed=None)
+        rep.add("check", "anchor", True, check)
+        rep.add("failed check", "anchor", False, {"ok": 1.0},
+                witness=witness if check is None else None)
+        rep.values.update(values)
+        with pytest.raises(ValueError) as err:
+            rep.dumps()
+        assert str(err.value) == f"Out of range float values are not JSON compliant at {want}"
+
+
+def test_a_non_finite_report_value_exits_2_saying_where(tmp_path, capsys, monkeypatch):
+    def body(g, args, rep):
+        rep.add("validate", "anchor", True, {"n": g.n, "lambda": float("nan")})
+    monkeypatch.setitem(cli._COMMANDS, "validate", body)
+    code, out, err = _run(capsys, "validate", _write_graph(tmp_path, families.star(4)))
+    assert (code, out) == (2, "")
+    assert err == ("plap: error: Out of range float values are not JSON compliant "
+                   "at checks[0].values.lambda: nan\n")
+
+
+def test_a_value_of_another_type_is_named_before_a_non_finite_number():
+    # as when the whole report was converted before it was written
     rep = Report(command=["plap"], input_digest="sha256:0", seed=None)
-    rep.add("check", "anchor", True, {"value": float("nan")})
-    with pytest.raises(ValueError):
-        rep.dumps()
-    rep = Report(command=["plap"], input_digest="sha256:0", seed=None)
-    rep.values["lambda"] = float("inf")
-    with pytest.raises(ValueError):
+    rep.add("check", "anchor", True, {"a": float("nan")})
+    rep.values["z"] = {1, 2}
+    with pytest.raises(TypeError, match="^a report value cannot be a set$"):
         rep.dumps()
 
 

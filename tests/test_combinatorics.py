@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import networkx as nx
 import numpy as np
@@ -157,6 +158,79 @@ def test_cvetkovic_rejects_non_finite_entries(value):
         cvetkovic_bound(k4, m)
 
 
+def _first_cvetkovic_error(g, m):
+    """The checks of cvetkovic_bound in their old form, an argwhere scan each
+    before any cheap test: the message of the first one that fails."""
+    bad = np.argwhere(np.triu(~np.isfinite(m)))
+    if bad.size:
+        i, j = bad[0]
+        return f"entry ({i},{j}) is not finite: {m[i, j]}"
+    with np.errstate(invalid="ignore"):
+        if not np.max(np.abs(m - m.T)) <= 1e-12:
+            return "matrix must be symmetric"
+    bad = np.argwhere(np.triu((m != 0.0) & (adjacency(g) == 0.0)))
+    if bad.size:
+        i, j = bad[0]
+        return (f"diagonal entry ({i},{i}) must be zero" if i == j
+                else f"entry ({i},{j}) is outside the edge support")
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cvetkovic_names_the_same_first_offending_entry(seed):
+    # one to three defects of random kinds on a random graph's adjacency:
+    # non-finite upper or lower entries, asymmetry, entries outside the
+    # support, nonzero diagonal entries
+    rng = np.random.default_rng(seed)
+    g = random_weighted(int(rng.integers(3, 9)), 0.5, seed)
+    m = adjacency(g)
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = (int(x) for x in rng.integers(0, g.n, 2))
+        kind = int(rng.integers(0, 5))
+        if kind == 0:       # a non-finite entry, on one side or both
+            m[i, j] = rng.choice([np.nan, np.inf, -np.inf])
+            if rng.random() < 0.5:
+                m[j, i] = m[i, j]
+        elif kind == 1 and i != j:       # asymmetric
+            m[i, j] += 1e-6
+        elif kind == 2 and i != j:       # a symmetric pair, maybe off the support
+            m[i, j] = m[j, i] = 0.5
+        elif kind == 3:
+            m[i, i] = 1.0
+        else:                            # below the symmetry tolerance
+            m[i, j] += 1e-14
+    want = _first_cvetkovic_error(g, m)
+    if want is None:
+        assert cvetkovic_bound(g, m) >= 0
+    else:
+        with pytest.raises(ValueError) as err:
+            cvetkovic_bound(g, m)
+        assert str(err.value) == want
+
+
+@pytest.mark.parametrize("m, want", [
+    ({(0, 2): np.nan, (2, 0): np.nan, (1, 3): np.inf}, "entry (0,2) is not finite: nan"),
+    ({(3, 1): -np.inf}, "matrix must be symmetric"),
+    ({(2, 0): np.nan, (1, 1): 2.0}, "matrix must be symmetric"),
+    ({(1, 1): 2.0, (0, 3): 1.0, (3, 0): 1.0}, "entry (0,3) is outside the edge support"),
+    ({(2, 2): 2.0, (0, 3): 1.0, (3, 0): 1.0}, "entry (0,3) is outside the edge support"),
+    ({(1, 1): 2.0, (2, 2): 1.0}, "diagonal entry (1,1) must be zero"),
+    ({(3, 0): 1e-13}, None),     # below the tolerance and on the lower side
+], ids=["upper-nan", "lower-inf", "lower-nan", "support", "support-first", "diagonal",
+        "tolerance"])
+def test_cvetkovic_errors_name_their_entry(m, want):
+    g = families.path(4)
+    a = adjacency(g)
+    for (i, j), value in m.items():
+        a[i, j] = value
+    assert _first_cvetkovic_error(g, a) == want
+    if want is None:
+        assert cvetkovic_bound(g, a) == 2
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            cvetkovic_bound(g, a)
+
+
 def test_cvetkovic_dominates_alpha_on_random_graphs():
     for seed in range(10):
         g = random_signed(8, 0.5, seed)
@@ -168,6 +242,21 @@ def test_signature_pools():
     pool = default_signature_pool(g, seed=0)
     assert len(pool) == 10 and pool[0] == (1, 1, 1) and pool[1] == (-1, -1, -1)
     assert default_signature_pool(g, seed=0) == pool     # deterministic
+
+
+def test_signature_pools_are_the_generated_tuples():
+    # each random signature is one np.where row, read back as plain ints
+    edges = [(a, b, 1.0, 1) for a in range(10) for b in range(a + 1, 10)]
+    for m in range(41):
+        g = validate(10, edges[:m])
+        for seed in range(21):
+            want = [tuple(1 for _ in range(m)), tuple(-1 for _ in range(m))]
+            rng = np.random.default_rng(seed)
+            for _ in range(combinatorics.RANDOM_SIGNATURES):
+                want.append(tuple(int(x) for x in np.where(rng.random(m) < 0.5, 1, -1)))
+            pool = default_signature_pool(g, seed)
+            assert pool == want
+            assert {type(x) for sigma in pool for x in sigma} <= {int}
 
 
 def test_inertia_report_star():

@@ -111,6 +111,18 @@ def test_cutoff_all_runs_one_mis_and_one_exact_ln(tmp_path):
 
 
 @needs_spans
+@pytest.mark.parametrize("argv", [["bounds"], ["cutoff", "--k", "all"]], ids=["bounds", "cutoff"])
+def test_a_traced_command_writes_its_report_in_one_dumps_span(argv, tmp_path):
+    # perfbench's report.Report.dumps.self_ms reads one span per command,
+    # and bounds runs one inertia report
+    path = tmp_path / "g.json"
+    path.write_text(graph.dumps(families.random_graph(9, 0.5, 4, signed=True)))
+    calls = _traced_cli_calls(argv[:1] + [str(path)] + argv[1:])
+    assert calls["report.Report.dumps"] == 1
+    assert calls.get("combinatorics.inertia_report", 0) == (argv == ["bounds"])
+
+
+@needs_spans
 def test_a_traced_bracket_sweep_finds_the_independent_set_once_per_graph():
     # perfbench's enumerate brackets every k of each graph object, twice
     # over; the maximum independent set is kept on the object
